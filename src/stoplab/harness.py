@@ -25,13 +25,12 @@ from .lyapunov import (EnvelopeParams, envelope_constants, envelope_U,
                        step_residuals)
 from .martingale import (MartingaleTracker, alpha_for_bound,
                          check_supermartingale, ville_monitor)
-from .mcstats import clopper_pearson
 from .noise import NoiseKind, NoiseModel, calibrate
 from .objectives import (Objective, eval_objective, huberized_abs,
                          least_squares_random, quadratic)
-from .sgdm import (FinalRecord, ScheduleVariant, Variant, a_coeff,
-                   derive_seeds, eta, stream_ensemble)
-from .stopping import RuleKind
+from .sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds, energy,
+                   eta, stream_ensemble)
+from .stopping import RuleKind, RuleTracker, coverage_verdict
 
 __all__ = ["RunConfig", "Report", "load_config", "parse_config", "run_experiment"]
 
@@ -61,6 +60,27 @@ _DEFAULT_OPTIONS = {
 }
 
 _RULE_KINDS = {k.value: k for k in RuleKind}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _matches_default(value, default) -> bool:
+    """Whether an option value has its default's type (lists element-wise).
+
+    A None default (``envelope_sigma``) stands for an optional number.
+    """
+    if isinstance(default, list):
+        return isinstance(value, (list, tuple)) and all(
+            _matches_default(v, default[0]) for v in value)
+    if default is None:
+        return value is None or _is_number(value)
+    return _is_int(value) if isinstance(default, int) else _is_number(value)
 
 
 @dataclass(frozen=True)
@@ -138,9 +158,12 @@ def _build_noise(spec, dim, problems) -> NoiseModel | None:
     if kind not in kinds:
         problems.append(f"noise: unknown kind {kind!r}")
         return None
-    sigma = float(spec.get("sigma", 0.0))
+    sigma = spec.get("sigma", 0.0)
+    if not _is_number(sigma):
+        problems.append("noise: sigma must be a number")
+        return None
     try:
-        return calibrate(kinds[kind], dim, sigma)
+        return calibrate(kinds[kind], dim, float(sigma))
     except ValueError as exc:
         problems.append(f"noise: {exc}")
         return None
@@ -157,6 +180,10 @@ def _build_schedule(spec, obj, problems) -> ScheduleVariant | None:
     name = spec.get("variant")
     if name not in variants:
         problems.append(f"schedule: unknown variant {name!r}")
+        return None
+    bad = sorted(k for k in ("L", "epsilon", "c0_prime") if k in spec and not _is_number(spec[k]))
+    if bad:
+        problems.append(f"schedule: {bad} must be numbers")
         return None
     L = float(spec.get("L", obj.smoothness if obj else 1.0))
     try:
@@ -187,12 +214,12 @@ def parse_config(raw: dict) -> RunConfig:
     sched = _build_schedule(raw["schedule"], obj, problems)
 
     K, R = raw.get("K"), raw.get("R")
-    if not isinstance(K, int) or K < 2:
+    if not _is_int(K) or K < 2:
         problems.append("K must be an integer >= 2")
-    if not isinstance(R, int) or R < 1:
+    if not _is_int(R) or R < 1:
         problems.append("R must be an integer >= 1")
     base_seed = raw.get("base_seed")
-    if not isinstance(base_seed, int) or not 0 <= base_seed < 2**64:
+    if not _is_int(base_seed) or not 0 <= base_seed < 2**64:
         problems.append("base_seed must be a 64-bit nonnegative integer")
 
     x0 = None
@@ -203,12 +230,18 @@ def parse_config(raw: dict) -> RunConfig:
     except (TypeError, ValueError):
         problems.append("x0 must be a list of numbers")
 
-    betas = tuple(float(b) for b in raw.get("betas", [0.05, 0.1]))
-    if any(not 0.0 < b < 0.5 for b in betas):
-        problems.append("betas must all lie in (0, 0.5)")
+    betas = raw.get("betas", [0.05, 0.1])
+    if not isinstance(betas, (list, tuple)) or not all(_is_number(b) and 0.0 < b < 0.5 for b in betas):
+        problems.append("betas must be a list of numbers that all lie in (0, 0.5)")
+        betas = []
+    betas = tuple(float(b) for b in betas)
 
     rules = []
-    for i, rs in enumerate(raw.get("rules", [])):
+    rule_specs = raw.get("rules", [])
+    if not isinstance(rule_specs, (list, tuple)):
+        problems.append("rules must be a list")
+        rule_specs = []
+    for i, rs in enumerate(rule_specs):
         if not isinstance(rs, dict) or rs.get("kind") not in _RULE_KINDS:
             problems.append(f"rules[{i}]: kind must be one of {sorted(_RULE_KINDS)}")
             continue
@@ -216,21 +249,30 @@ def parse_config(raw: dict) -> RunConfig:
         if bad:
             problems.append(f"rules[{i}]: unknown keys {sorted(bad)}")
         kind = _RULE_KINDS[rs["kind"]]
-        k_max = rs.get("k_max", K if isinstance(K, int) else 2)
-        if not isinstance(k_max, int) or k_max < 1 or (isinstance(K, int) and k_max > K):
+        k_max = rs.get("k_max", K if _is_int(K) else 2)
+        if not _is_int(k_max) or k_max < 1 or (_is_int(K) and k_max > K):
             problems.append(f"rules[{i}]: k_max must be an integer in [1, K]")
             continue
-        epsilon = rs.get("epsilon")
-        if kind in (RuleKind.ITERATE_DELTA, RuleKind.VALUE_DELTA) and (
-            epsilon is None or float(epsilon) <= 0.0
-        ):
-            problems.append(f"rules[{i}]: delta rules need a positive epsilon")
+        epsilon, beta = rs.get("epsilon"), rs.get("beta")
+        if not (epsilon is None or _is_number(epsilon)):
+            problems.append(f"rules[{i}]: epsilon must be a number")
             continue
-        beta = rs.get("beta")
+        if not (beta is None or (_is_number(beta) and 0.0 < beta < 0.5)):
+            problems.append(f"rules[{i}]: beta must be a number in (0, 0.5)")
+            continue
+        try:
+            RuleTracker(kind, k_max, epsilon)  # the rule's own parameter checks
+        except ValueError as exc:
+            problems.append(f"rules[{i}]: {exc}")
+            continue
         rules.append((kind, None if epsilon is None else float(epsilon), k_max,
                       None if beta is None else float(beta)))
 
-    checks = tuple(raw.get("checks", list(CHECK_NAMES)))
+    checks = raw.get("checks", list(CHECK_NAMES))
+    if not isinstance(checks, (list, tuple)) or not all(isinstance(c, str) for c in checks):
+        problems.append("checks must be a list of check names")
+        checks = []
+    checks = tuple(checks)
     bad_checks = set(checks) - set(CHECK_NAMES)
     if bad_checks:
         problems.append(f"unknown checks: {sorted(bad_checks)}")
@@ -243,7 +285,12 @@ def parse_config(raw: dict) -> RunConfig:
         bad = set(extra) - set(_DEFAULT_OPTIONS)
         if bad:
             problems.append(f"options: unknown keys {sorted(bad)}")
-        options.update({k: v for k, v in extra.items() if k in _DEFAULT_OPTIONS})
+        for key in sorted(set(extra) & set(_DEFAULT_OPTIONS)):
+            if _matches_default(extra[key], _DEFAULT_OPTIONS[key]):
+                options[key] = extra[key]
+            else:
+                problems.append(f"options: {key} must have the type of its default "
+                                f"{_DEFAULT_OPTIONS[key]!r}")
 
     if problems:
         raise ConfigError(problems)
@@ -266,19 +313,14 @@ def load_config(path) -> RunConfig:
     return parse_config(raw)
 
 
-def _initial_energy(cfg: RunConfig) -> float:
-    """E(0) = ||x_0 - x*||^2 + 4 sqrt(eta_0) (f(x_0) - f*); deterministic."""
-    fgap0 = float(eval_objective(cfg.objective, cfg.x0) - cfg.objective.min_value)
-    d = cfg.x0 - cfg.objective.minimizer
-    return float(d @ d) + 4.0 * math.sqrt(float(eta(cfg.sched, 0))) * fgap0
-
-
 def _envelope(cfg: RunConfig) -> EnvelopeParams:
     sigma = cfg.options["envelope_sigma"]
     if sigma is None:
         sigma = cfg.noise.sigma_certificate
-    return envelope_constants(cfg.sched, float(sigma), _initial_energy(cfg),
-                              float(cfg.options["gamma_tol"]))
+    obj = cfg.objective
+    fgap0 = float(eval_objective(obj, cfg.x0) - obj.min_value)
+    E0 = float(energy(0, cfg.x0, cfg.x0, fgap0, cfg.sched, obj.minimizer))  # x_1 = x_0
+    return envelope_constants(cfg.sched, float(sigma), E0, float(cfg.options["gamma_tol"]))
 
 
 def _run_block(raw: dict, lo: int, hi: int) -> dict:
@@ -293,7 +335,6 @@ def _run_block(raw: dict, lo: int, hi: int) -> dict:
     seeds = derive_seeds(cfg.base_seed, cfg.R)[lo:hi]
     env = _envelope(cfg)
     t = env.B / env.gamma2
-    k0 = K - 1
     ks = np.arange(0, K + 1)
     rule_betas = {r[3] for r in cfg.rules if r[3] is not None}
     U = {b: np.concatenate([[np.inf], envelope_U(env, b, ks[1:])])
@@ -305,23 +346,16 @@ def _run_block(raw: dict, lo: int, hi: int) -> dict:
     )}
     tracker = MartingaleTracker(sched, env.sigma, env.gamma2, t)
     all_within = {b: np.ones(n, dtype=bool) for b in cfg.betas}
-    adv_tau = {b: np.zeros(n, dtype=int) for b in cfg.betas}
-    adv_fgap = {b: np.zeros(n) for b in cfg.betas}
-    rule_tau = [np.zeros(n, dtype=int) for _ in cfg.rules]
-    rule_fgap = [np.zeros(n) for _ in cfg.rules]
+    adversarial = {b: RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, K, U=U[b])
+                   for b in cfg.betas}
+    rules = [RuleTracker(kind, k_max, epsilon, U[rbeta if rbeta is not None else cfg.betas[0]])
+             for kind, epsilon, k_max, rbeta in cfg.rules]
 
     n_csv = int(cfg.options["csv_trajectories"])
     traced = [i for i in range(lo, hi) if i < n_csv]
     rows = {i: [] for i in traced}
 
     for rec in stream_ensemble(obj, cfg.noise, sched, K, seeds, cfg.x0):
-        if isinstance(rec, FinalRecord):
-            tracker.finish(rec)
-            for b in cfg.betas:
-                pend = adv_tau[b] == 0
-                adv_tau[b][pend] = k0 + 1
-                adv_fgap[b][pend] = rec.fgap_last[pend]
-            break
         k = rec.k
         res = step_residuals(rec, sched, obj)
         tol = res["tol"]
@@ -333,83 +367,65 @@ def _run_block(raw: dict, lo: int, hi: int) -> dict:
         np.minimum(mins["decomp_mid_margin"], res["decomp_mid"] + tol, out=mins["decomp_mid_margin"])
         p1 = rec.E_prev - res["phi_sq"] + tol
         if k == K:
-            p1 = np.minimum(p1, res["E"] - res["phi_next_sq"] + res["tol"])
+            p1 = np.minimum(p1, rec.E - res["phi_next_sq"] + tol)
         np.minimum(mins["p1_margin"], p1, out=mins["p1_margin"])
         np.minimum(mins["sandwich_margin"], res["sandwich_margin"], out=mins["sandwich_margin"])
         tracker.update(rec)
         for b in cfg.betas:
-            viol = rec.fgap_curr > U[b][k]
-            all_within[b] &= ~viol
-            if k <= k0:
-                new = viol & (adv_tau[b] == 0)
-                adv_tau[b][new] = k
-                adv_fgap[b][new] = rec.fgap_curr[new]
-        for j, (kind, epsilon, k_max, rbeta) in enumerate(cfg.rules):
-            if k > k_max:
-                continue
-            if kind is RuleKind.ITERATE_DELTA:
-                pred = np.linalg.norm(rec.x_curr - rec.x_prev, axis=-1) <= epsilon
-            elif kind is RuleKind.VALUE_DELTA:
-                pred = np.abs(rec.fgap_curr - rec.fgap_prev) <= epsilon
-            elif kind is RuleKind.FIXED_K:
-                pred = np.full(n, k == k_max)
-            else:
-                b = rbeta if rbeta is not None else cfg.betas[0]
-                pred = rec.fgap_curr > U[b][k]
-            if k == k_max:
-                pred = pred | (rule_tau[j] == 0)
-            new = pred & (rule_tau[j] == 0)
-            rule_tau[j][new] = k
-            rule_fgap[j][new] = rec.fgap_curr[new]
+            all_within[b] &= ~(rec.fgap_curr > U[b][k])
+        for rule in [*adversarial.values(), *rules]:
+            rule.update(rec)
         for i in traced:
             r = i - lo
             if k == 1:
                 rows[i].append((0, float(rec.fgap_prev[r]), float(rec.E_prev[r]),
                                 0.0, float(rec.E_prev[r]), "", ""))
             rows[i].append((
-                k, float(rec.fgap_curr[r]), float(res["E"][r]),
-                float(tracker.S_last[r]), float(res["E"][r] - tracker.S_last[r]),
+                k, float(rec.fgap_curr[r]), float(rec.E[r]),
+                float(tracker.S_last[r]), float(rec.E[r] - tracker.S_last[r]),
                 float(res["descent"][r]), float(res["decomp"][r]),
             ))
+    tracker.finish(rec)
 
+    # per beta: the all-k statement, the adversarial rule, then each configured rule
+    covered = {b: [all_within[b], adversarial[b].within(U[b])]
+               + [rule.within(U[b]) for rule in rules] for b in cfg.betas}
     return {
         "mins": mins,
         "sup_logN": tracker.sup_logN, "sup_E": tracker.sup_E,
         "E0": tracker.E0, "S_last": tracker.S_last,
-        "all_within": all_within, "adv_tau": adv_tau, "adv_fgap": adv_fgap,
-        "rule_tau": rule_tau, "rule_fgap": rule_fgap, "rows": rows,
+        "covered": covered, "rows": rows,
     }
 
 
-def _merge_blocks(blocks: list, cfg: RunConfig) -> dict:
+def _merge_blocks(blocks: list) -> dict:
     out = {}
     first = blocks[0]
     out["mins"] = {k: np.concatenate([b["mins"][k] for b in blocks]) for k in first["mins"]}
     for key in ("sup_logN", "sup_E", "E0", "S_last"):
         out[key] = np.concatenate([b[key] for b in blocks])
-    for key in ("all_within", "adv_tau", "adv_fgap"):
-        out[key] = {b_: np.concatenate([b[key][b_] for b in blocks]) for b_ in cfg.betas}
-    out["rule_tau"] = [np.concatenate([b["rule_tau"][j] for b in blocks])
-                       for j in range(len(cfg.rules))]
-    out["rule_fgap"] = [np.concatenate([b["rule_fgap"][j] for b in blocks])
-                        for j in range(len(cfg.rules))]
+    out["covered"] = {
+        beta: [np.concatenate([b["covered"][beta][j] for b in blocks])
+               for j in range(len(entries))]
+        for beta, entries in first["covered"].items()
+    }
     out["rows"] = {}
     for b in blocks:
         out["rows"].update(b["rows"])
     return out
 
 
-def _run_ensemble_stats(cfg: RunConfig) -> dict:
+def _ensemble_stats(cfg: RunConfig) -> dict:
     workers = int(os.environ.get("STOPLAB_WORKERS", "1"))
     R = cfg.R
     if workers <= 1 or R == 1:
-        return _merge_blocks([_run_block(cfg.raw, 0, R)], cfg)
+        return _merge_blocks([_run_block(cfg.raw, 0, R)])
     per = -(-R // workers)
     spans = [(lo, min(lo + per, R)) for lo in range(0, R, per)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_run_block, cfg.raw, lo, hi) for lo, hi in spans]
         blocks = [f.result() for f in futures]
-    return _merge_blocks(blocks, cfg)
+    return _merge_blocks(blocks)
 
 
 def _write_csv(path: Path, header: list, rows: list):
@@ -442,7 +458,7 @@ def run_experiment(cfg: RunConfig) -> Report:
     summary = {}
 
     try:
-        stats = _run_ensemble_stats(cfg)
+        stats = _ensemble_stats(cfg)
     except DivergenceError as exc:
         checks.append(_check_record("divergence", {"step": exc.step}, exc.norm,
                                     None, None, False))
@@ -531,25 +547,15 @@ def run_experiment(cfg: RunConfig) -> Report:
             ))
     coverage_rows = []
     if "coverage" in cfg.checks:
-        ks = np.arange(0, cfg.K + 1)
+        names = ["sup", "adversarial"] + [kind.value for kind, *_ in cfg.rules]
         for b in cfg.betas:
-            Ub = np.concatenate([[np.inf], envelope_U(env, b, ks[1:])])
-            level = 1.0 - 2.0 * b
-            entries = [("sup", None, stats["all_within"][b])]
-            adv_within = stats["adv_fgap"][b] <= Ub[stats["adv_tau"][b]]
-            entries.append(("adversarial", stats["adv_tau"][b], adv_within))
-            for j, (kind, epsilon, k_max, rbeta) in enumerate(cfg.rules):
-                within = stats["rule_fgap"][j] <= Ub[stats["rule_tau"][j]]
-                entries.append((kind.value, stats["rule_tau"][j], within))
-            for name, taus, within in entries:
-                hits = int(np.sum(within))
-                lo, hi = clopper_pearson(hits, cfg.R, 0.99)
-                passed = lo >= level or hits == cfg.R
-                coverage_rows.append([b, name, cfg.R, cfg.K, hits / cfg.R,
-                                      lo, hi, level, passed])
+            for name, within in zip(names, stats["covered"][b]):
+                v = coverage_verdict(within, b)
+                coverage_rows.append([b, name, cfg.R, cfg.K, v["frequency"],
+                                      v["ci_lo"], v["ci_hi"], v["bound"], v["pass"]])
                 checks.append(_check_record(
                     "coverage", {"beta": b, "rule": name, "R": cfg.R, "K": cfg.K},
-                    hits / cfg.R, (lo, hi), level, passed,
+                    v["frequency"], (v["ci_lo"], v["ci_hi"]), v["bound"], v["pass"],
                 ))
     if "constants" in cfg.checks:
         brackets_ok = (env.gamma1_tail <= cfg.options["gamma_tol"] * env.gamma1

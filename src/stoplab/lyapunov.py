@@ -1,6 +1,6 @@
-"""Discrete Lyapunov energy, pathwise decay inequalities, and envelope constants.
+"""Pathwise decay inequalities of the Lyapunov energy, and envelope constants.
 
-The energy at step k is
+The energy at step k (``sgdm.energy``) is
 
     E(k) = ||x_{k+1} + (k+1)(x_{k+1} - x_k) - x*||^2
            + 4 sqrt((k+1) eta_k) (f(x_k) - f*),
@@ -10,10 +10,8 @@ not on average) first by a gradient-form right-hand side and then by the
 noise-only decomposition a_k ||theta_k||^2 + sqrt(a_k) <theta_k, phi_k> with
 phi_k = k (x_k - x_{k-1}) + (x_k - x*).  The residual functions here return
 RHS - LHS, which must stay above a small magnitude-relative negative tolerance
-on every step of every run.
-
-Series functions operate on arrays with an optional leading trajectory axis;
-``k`` indexes match the underlying path (E at k = 0..K, residuals at 1..K).
+on every step of every run.  They read one streamed ``StepRecord`` at a time;
+arrays carry its leading trajectory axis.
 """
 
 import math
@@ -22,36 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import Objective
-from .sgdm import ScheduleVariant, Trajectory, Variant, a_coeff, eta
+from .sgdm import ScheduleVariant, Variant, a_coeff, energy_weight, eta, sq_norm
 from .series import gamma1 as _gamma1_bracket
 from .series import gamma2 as _gamma2_bracket
 from .series import riemann_zeta
 
 __all__ = [
-    "EnvelopeParams", "LyapunovTrace", "residual_tolerance", "energy_series",
-    "phi_series", "lyapunov_E", "phi", "step_residuals", "descent_residual_series",
-    "decomposition_residual_series", "check_descent_lemma",
-    "check_decomposition", "deep_descent_links", "compute_trace",
-    "envelope_constants", "envelope_U", "h_sigma", "riemann_zeta",
+    "EnvelopeParams", "residual_tolerance", "step_residuals",
+    "deep_descent_links", "envelope_constants", "envelope_U", "h_sigma",
+    "riemann_zeta",
 ]
-
-
-def _sq_norm(v: np.ndarray) -> np.ndarray:
-    """Squared euclidean norm over the last axis.
-
-    Uses compensated accumulation in high dimension, where plain pairwise
-    summation could eat into the 1e-9 pathwise tolerances.
-    """
-    if v.shape[-1] <= 1000:
-        return np.sum(v * v, axis=-1)
-    total = np.zeros(v.shape[:-1])
-    comp = np.zeros(v.shape[:-1])
-    for j in range(v.shape[-1]):
-        term = v[..., j] * v[..., j] - comp
-        t = total + term
-        comp = (t - total) - term
-        total = t
-    return total
 
 
 def residual_tolerance(E_k, E_km1) -> np.ndarray:
@@ -59,146 +37,34 @@ def residual_tolerance(E_k, E_km1) -> np.ndarray:
     return np.maximum(1e-9 * (1.0 + np.abs(E_k) + np.abs(E_km1)), 1e-12)
 
 
-def energy_series(xs, f_gaps, sched: ScheduleVariant, x_star) -> np.ndarray:
-    """E(k) for k = 0..K; ``xs`` has shape (..., K+2, dim), f_gaps (..., K+1)."""
-    K = xs.shape[-2] - 2
-    k = np.arange(0, K + 1, dtype=float)
-    v = xs[..., 1:, :] + (k + 1.0)[:, None] * (xs[..., 1:, :] - xs[..., :-1, :]) - x_star
-    weight = 4.0 * np.sqrt((k + 1.0) * eta(sched, k))
-    return _sq_norm(v) + weight * f_gaps
+def deep_descent_links(rec, sched: ScheduleVariant, obj: Objective) -> dict:
+    """Verify each link of the energy-decay derivation separately at one step.
 
-
-def phi_series(xs: np.ndarray, x_star) -> np.ndarray:
-    """phi_k = k (x_k - x_{k-1}) + (x_k - x*) for k = 1..K+1; shape (..., K+1, dim)."""
-    K1 = xs.shape[-2] - 1
-    k = np.arange(1, K1 + 1, dtype=float)
-    return k[:, None] * (xs[..., 1:, :] - xs[..., :-1, :]) + (xs[..., 1:, :] - x_star)
-
-
-def lyapunov_E(traj: Trajectory, sched: ScheduleVariant, obj: Objective, k: int) -> float:
-    """E(k); requires x_{k+1} to be recorded."""
-    if not 0 <= k <= traj.K:
-        raise ValueError(f"k must lie in [0, {traj.K}]")
-    xk, xk1 = traj.xs[k], traj.xs[k + 1]
-    v = xk1 + (k + 1.0) * (xk1 - xk) - obj.minimizer
-    return float(_sq_norm(v) + 4.0 * math.sqrt((k + 1.0) * eta(sched, k)) * traj.f_gaps[k])
-
-
-def phi(traj: Trajectory, k: int) -> np.ndarray:
-    """phi_k; a function of x_{k-1}, x_k only."""
-    if k < 1:
-        raise ValueError("phi is defined for k >= 1")
-    return k * (traj.xs[k] - traj.xs[k - 1]) + (traj.xs[k] - traj.obj.minimizer)
-
-
-def _path_pieces(xs, gs, thetas, f_gaps, sched, obj):
-    """Shared per-step quantities for the residual series (k = 1..K)."""
-    K = gs.shape[-2]
-    E = energy_series(xs, f_gaps, sched, obj.minimizer)     # (..., K+1)
-    dE = E[..., 1:] - E[..., :-1]                           # k = 1..K
-    phis = phi_series(xs, obj.minimizer)[..., :K, :]        # phi_k, k = 1..K
-    k = np.arange(1, K + 1, dtype=float)
-    eta_k = np.asarray(eta(sched, k))
-    sq = np.sqrt(eta_k / k)
-    grad_f = gs + thetas
-    return K, E, dE, phis, k, eta_k, sq, grad_f
-
-
-def descent_residual_series(xs, gs, thetas, f_gaps, sched, obj):
-    """RHS - LHS of the per-step energy decay inequality, for k = 1..K.
-
-    RHS = 4 eta_k / k ||g_k||^2 - (2/L) sqrt(eta_k/k) ||grad f(x_k)||^2
-          - 2 sqrt(eta_k/k) (f(x_k) - f*) + 4 sqrt(eta_k/k) <theta_k, phi_k>.
+    Works on a StepRecord and returns per-trajectory residuals for: the
+    recurrence identity (k+2)(x_{k+1}-x_k) - k(x_k - x_{k-1}) = -2 sqrt(eta_k/k) g_k
+    (abs error), the raw differencing bound, and the post-substitution bound.
+    All must be >= -tol (identity: <= tol in absolute value).
     """
-    K, E, dE, phis, k, eta_k, sq, grad_f = _path_pieces(xs, gs, thetas, f_gaps, sched, obj)
-    rhs = (
-        4.0 * eta_k / k * _sq_norm(gs)
-        - 2.0 / obj.smoothness * sq * _sq_norm(grad_f)
-        - 2.0 * sq * f_gaps[..., 1:]
-        + 4.0 * sq * np.sum(thetas * phis, axis=-1)
-    )
-    return rhs - dE, E
-
-
-def decomposition_residual_series(xs, gs, thetas, f_gaps, sched, obj):
-    """Residuals of the noise-only decomposition and its intermediate form.
-
-    Final form:        a_k ||theta_k||^2 + sqrt(a_k) <theta_k, phi_k>.
-    Intermediate form: 8 eta_k/k (||theta_k||^2 + ||grad f(x_k)||^2)
-                       - (2/L) sqrt(eta_k/k) ||grad f(x_k)||^2
-                       + 4 sqrt(eta_k/k) <theta_k, phi_k>.
-    Returns (final_residual, intermediate_residual, E) with k = 1..K.
-    """
-    K, E, dE, phis, k, eta_k, sq, grad_f = _path_pieces(xs, gs, thetas, f_gaps, sched, obj)
-    a_k = np.asarray(a_coeff(sched, np.arange(1, K + 1)))
-    inner = np.sum(thetas * phis, axis=-1)
-    theta_sq = _sq_norm(thetas)
-    rhs_final = a_k * theta_sq + np.sqrt(a_k) * inner
-    rhs_mid = (
-        8.0 * eta_k / k * (theta_sq + _sq_norm(grad_f))
-        - 2.0 / obj.smoothness * sq * _sq_norm(grad_f)
-        + 4.0 * sq * inner
-    )
-    return rhs_final - dE, rhs_mid - dE, E
-
-
-def check_descent_lemma(traj: Trajectory, sched: ScheduleVariant, obj: Objective, k: int) -> float:
-    """Residual of the energy decay inequality at one step."""
-    if not 1 <= k <= traj.K:
-        raise ValueError(f"k must lie in [1, {traj.K}]")
-    res, _ = descent_residual_series(traj.xs, traj.gs, traj.thetas, traj.f_gaps, sched, obj)
-    return float(res[k - 1])
-
-
-def check_decomposition(
-    traj: Trajectory, sched: ScheduleVariant, obj: Objective, k: int, intermediate: bool = False
-) -> float:
-    """Residual of the decomposition inequality at one step.
-
-    ``intermediate=True`` returns instead the residual of the 8 eta_k / k form
-    that sits between the lemma and the final decomposition.
-    """
-    if not 1 <= k <= traj.K:
-        raise ValueError(f"k must lie in [1, {traj.K}]")
-    fin, mid, _ = decomposition_residual_series(
-        traj.xs, traj.gs, traj.thetas, traj.f_gaps, sched, obj
-    )
-    return float(mid[k - 1] if intermediate else fin[k - 1])
-
-
-def deep_descent_links(traj: Trajectory, sched: ScheduleVariant, obj: Objective, k: int) -> dict:
-    """Verify each link of the energy-decay derivation separately at step k.
-
-    Returns residuals for: the recurrence identity
-    (k+2)(x_{k+1}-x_k) - k(x_k - x_{k-1}) = -2 sqrt(eta_k/k) g_k (abs error),
-    the raw differencing bound, and the post-substitution bound.  All must be
-    >= -tol (identity: <= tol in absolute value).
-    """
-    if not 1 <= k <= traj.K:
-        raise ValueError(f"k must lie in [1, {traj.K}]")
-    x_km1, x_k, x_k1 = traj.xs[k - 1], traj.xs[k], traj.xs[k + 1]
-    g = traj.g(k)
-    x_star = obj.minimizer
-    e_k = eta(sched, k)
+    k = rec.k
+    x_km1, x_k, x_k1, g = rec.x_prev, rec.x_curr, rec.x_next, rec.g
+    e_k = float(eta(sched, k))
     sq = math.sqrt(e_k / k)
-    E_k = lyapunov_E(traj, sched, obj, k)
-    E_km1 = lyapunov_E(traj, sched, obj, k - 1)
-    dE = E_k - E_km1
+    dE = rec.E - rec.E_prev
     delta = 2.0 * (x_k1 - x_k) + k * (x_k1 - 2.0 * x_k + x_km1)
-    identity_err = float(np.max(np.abs(delta + 2.0 * sq * g)))
-    f_diff = traj.f_gaps[k] - traj.f_gaps[k - 1]  # f(x_k) - f(x_{k-1})
-    anchor = x_k1 + (k + 1.0) * (x_k1 - x_k) - x_star
+    identity_err = np.max(np.abs(delta + 2.0 * sq * g), axis=-1)
+    f_diff = rec.fgap_curr - rec.fgap_prev  # f(x_k) - f(x_{k-1})
+    anchor = x_k1 + (k + 1.0) * (x_k1 - x_k) - obj.minimizer
     rhs_diff = (
-        2.0 * float(delta @ anchor)
-        - float(_sq_norm(delta))
+        2.0 * np.sum(delta * anchor, axis=-1)
+        - sq_norm(delta)
         + 4.0 * math.sqrt(k * e_k) * f_diff
-        + 2.0 * sq * traj.f_gaps[k]
+        + 2.0 * sq * rec.fgap_curr
     )
     rhs_mid1 = (
-        -4.0 * sq * float(g @ (x_k + (k + 2.0) * (x_k1 - x_k) - x_star))
-        - 4.0 * e_k / k * float(g @ g)
+        -4.0 * sq * np.sum(g * (x_k + (k + 2.0) * (x_k1 - x_k) - obj.minimizer), axis=-1)
+        - 4.0 * e_k / k * sq_norm(g)
         + 4.0 * math.sqrt(k * e_k) * f_diff
-        + 2.0 * sq * traj.f_gaps[k]
+        + 2.0 * sq * rec.fgap_curr
     )
     return {
         "recurrence_identity_abs_err": identity_err,
@@ -211,10 +77,10 @@ def step_residuals(rec, sched: ScheduleVariant, obj: Objective) -> dict:
     """All per-step inequality residuals from one streamed ensemble record.
 
     Works on a StepRecord (leading trajectory axis) and returns a dict of
-    arrays: the new energy E(k), the three decay residuals, the squared norms
-    entering the momentum-vector bound ||phi_{k+1}||^2 <= E(k) and the value
+    arrays: the three decay residuals, the squared norms entering the
+    momentum-vector bound ||phi_{k+1}||^2 <= E(k), the margin of the value
     sandwich 4 sqrt((k+1) eta_k) (f(x_k) - f*) <= E(k), and the per-step
-    tolerance.  Matches the full-path series functions to rounding error.
+    tolerance.  E(k-1) and E(k) are read from the record.
     """
     k = rec.k
     e_k = float(eta(sched, k))
@@ -224,13 +90,10 @@ def step_residuals(rec, sched: ScheduleVariant, obj: Objective) -> dict:
     phi_k = k * (rec.x_curr - rec.x_prev) + (rec.x_curr - x_star)
     grad_f = rec.g + rec.theta
     inner = np.sum(rec.theta * phi_k, axis=-1)
-    g_sq = _sq_norm(rec.g)
-    gf_sq = _sq_norm(grad_f)
-    th_sq = _sq_norm(rec.theta)
-    v = rec.x_next + (k + 1.0) * (rec.x_next - rec.x_curr) - x_star
-    sandwich = 4.0 * math.sqrt((k + 1.0) * e_k) * rec.fgap_curr
-    E_k = _sq_norm(v) + sandwich
-    dE = E_k - rec.E_prev
+    g_sq = sq_norm(rec.g)
+    gf_sq = sq_norm(grad_f)
+    th_sq = sq_norm(rec.theta)
+    dE = rec.E - rec.E_prev
     descent = (
         4.0 * e_k / k * g_sq
         - 2.0 / obj.smoothness * sq * gf_sq
@@ -245,43 +108,14 @@ def step_residuals(rec, sched: ScheduleVariant, obj: Objective) -> dict:
     ) - dE
     phi_next = (k + 1.0) * (rec.x_next - rec.x_curr) + (rec.x_next - x_star)
     return {
-        "E": E_k,
         "descent": descent,
         "decomp": decomp,
         "decomp_mid": decomp_mid,
-        "phi_sq": _sq_norm(phi_k),
-        "phi_next_sq": _sq_norm(phi_next),
-        "sandwich_margin": E_k - sandwich,
-        "tol": residual_tolerance(E_k, rec.E_prev),
+        "phi_sq": sq_norm(phi_k),
+        "phi_next_sq": sq_norm(phi_next),
+        "sandwich_margin": rec.E - energy_weight(sched, k) * rec.fgap_curr,
+        "tol": residual_tolerance(rec.E, rec.E_prev),
     }
-
-
-@dataclass
-class LyapunovTrace:
-    """Per-trajectory instrumentation: E(0..K), phi/a (1..K), residuals (1..K)."""
-
-    E: np.ndarray
-    phi: np.ndarray
-    a: np.ndarray
-    descent_residual: np.ndarray
-    decomp_residual: np.ndarray
-    decomp_mid_residual: np.ndarray
-
-
-def compute_trace(traj: Trajectory, sched: ScheduleVariant | None = None,
-                  obj: Objective | None = None) -> LyapunovTrace:
-    sched = sched or traj.sched
-    obj = obj or traj.obj
-    desc, E = descent_residual_series(traj.xs, traj.gs, traj.thetas, traj.f_gaps, sched, obj)
-    fin, mid, _ = decomposition_residual_series(traj.xs, traj.gs, traj.thetas, traj.f_gaps, sched, obj)
-    return LyapunovTrace(
-        E=E,
-        phi=phi_series(traj.xs, obj.minimizer)[: traj.K],
-        a=np.asarray(a_coeff(sched, np.arange(1, traj.K + 1))),
-        descent_residual=desc,
-        decomp_residual=fin,
-        decomp_mid_residual=mid,
-    )
 
 
 @dataclass(frozen=True)

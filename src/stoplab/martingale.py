@@ -17,79 +17,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lyapunov import lyapunov_E
 from .mcstats import binomial_ci_halfwidth, bootstrap_upper_quantile
 from .noise import NoiseModel, sample
-from .objectives import Objective, eval_objective, grad
-from .sgdm import ScheduleVariant, Trajectory, _step_arrays, a_coeff, run_trajectory
+from .objectives import Objective, grad
+from .sgdm import ScheduleVariant, _step_arrays, a_coeff, energy, stream_ensemble
 from .series import gamma1, gamma2  # re-exported: the gamma ops live with the proofs' users
 
 __all__ = [
-    "MartingaleTrace", "compute_S_M", "gamma1", "gamma2", "log_N_series",
-    "log_N_t", "check_supermartingale", "ville_monitor", "ville_bound",
-    "alpha_for_bound", "MartingaleTracker",
+    "gamma1", "gamma2", "log_N", "check_supermartingale", "ville_monitor",
+    "ville_bound", "alpha_for_bound", "MartingaleTracker",
 ]
 
 _BRANCH_CHUNK = 1 << 12
 
 
-@dataclass
-class MartingaleTrace:
-    """S, M over k = 0..K, with optional log N^t trace at a configured t."""
+def log_N(E, S, W, prefix_prod, sigma: float, gamma2_value: float, t: float):
+    """log N^t(k) from E(k), S(k), W(k) and the prefix product at k.
 
-    S: np.ndarray
-    M: np.ndarray
-    logN: np.ndarray | None = None
-    t: float | None = None
-
-
-def compute_S_M(traj: Trajectory, sched: ScheduleVariant | None = None) -> MartingaleTrace:
-    """Exact partial sums S(k) and the compensated energy M(k) = E(k) - S(k)."""
-    sched = sched or traj.sched
-    K = traj.K
-    a = np.asarray(a_coeff(sched, np.arange(1, K + 1)))
-    theta_sq = np.sum(traj.thetas * traj.thetas, axis=-1)
-    S = np.concatenate([[0.0], np.cumsum(a * theta_sq)])
-    E = np.array([lyapunov_E(traj, sched, traj.obj, k) for k in range(0, K + 1)])
-    return MartingaleTrace(S=S, M=E - S)
+    W(k) = sum_{l<=k} a_l S(l-1) and prefix_prod = prod_{l<=k} (1 + s^2 a_l);
+    the infinite tail product prod_{l>k} is gamma2 / prefix_prod.  Never
+    exponentiates.
+    """
+    return gamma2_value / prefix_prod * t * (E - S) - sigma**2 * gamma2_value * t * W
 
 
-def log_N_series(
-    S: np.ndarray,
-    M: np.ndarray,
-    sched: ScheduleVariant,
-    sigma: float,
-    gamma2_value: float,
-    t: float,
-    B: float = 1.0,
-) -> np.ndarray:
-    """log N^t(k) for k = 0..K; S, M may carry a leading trajectory axis."""
-    if not 0.0 < t <= B / gamma2_value + 1e-15:
-        raise ValueError("t must lie in (0, B / gamma2]")
-    K = S.shape[-1] - 1
-    s2 = sigma * sigma
-    a = np.asarray(a_coeff(sched, np.arange(1, K + 1)))
-    prefix = np.concatenate([[1.0], np.cumprod(1.0 + s2 * a)])
-    tailprod = gamma2_value / prefix
-    weighted = np.concatenate(
-        [np.zeros(S.shape[:-1] + (1,)), np.cumsum(a * S[..., :-1], axis=-1)], axis=-1
-    )
-    return tailprod * t * M - s2 * gamma2_value * t * weighted
-
-
-def log_N_t(
-    trace: MartingaleTrace,
-    sched: ScheduleVariant,
-    sigma: float,
-    gamma2_value: float,
-    k: int,
-    t: float,
-    B: float = 1.0,
-) -> float:
-    """log N^t(k) for one step (never exponentiates internally)."""
-    if k < 0 or k >= trace.S.shape[-1]:
-        raise ValueError("k out of range for the trace")
-    return float(log_N_series(trace.S, trace.M, sched, sigma, gamma2_value, t, B)[..., k])
+def _advance(S, W, prefix_prod, a_k: float, theta, sigma: float):
+    """(S, W, prefix product) at step k from their values at k-1 and theta_k."""
+    return (S + a_k * np.sum(theta * theta, axis=-1),
+            W + a_k * S,
+            prefix_prod * (1.0 + sigma**2 * a_k))
 
 
 def _branch_thetas(noise: NoiseModel, prefix_seed: int, k: int, n: int) -> np.ndarray:
@@ -117,8 +73,8 @@ def check_supermartingale(
 ) -> dict:
     """Branching Monte Carlo check of E[N^t(k) | F_{k-1}] <= N^t(k-1).
 
-    Runs one trajectory prefix to step k-1, then draws independent noise
-    continuations for step k.  The estimate and half-width are reported after
+    Streams one trajectory prefix to step k-1 through the tracker, then draws
+    independent noise continuations for step k.  The estimate and half-width are reported after
     a common exp-shift so the comparison is overflow-free; pass means
     estimate <= 3 * ci_halfwidth (zero-noise runs are a deterministic single
     branch).  A one-sided 99% bootstrap bound on the shifted mean is included
@@ -134,41 +90,21 @@ def check_supermartingale(
         gamma2_value += g2w
     if not 0.0 < t <= B / gamma2_value + 1e-15:
         raise ValueError("t must lie in (0, B / gamma2]")
-    s2 = sigma * sigma
-    a = np.asarray(a_coeff(sched, np.arange(1, k + 1)))
-    x_star = obj.minimizer
-    if k == 1:
-        x_km1 = np.asarray(x0, dtype=float)
-        x_k = x_km1.copy()
-        S_km1 = 0.0
-        W_km1 = 0.0  # sum_{l<k} a_l S(l-1)
-        fgap_km1 = float(eval_objective(obj, x_km1) - obj.min_value)
-        E_km1 = _energy_scalar(0, x_km1, x_k, fgap_km1, sched, x_star)
-    else:
-        prefix = run_trajectory(obj, noise, sched, k - 1, prefix_seed, x0)
-        theta_sq = np.sum(prefix.thetas * prefix.thetas, axis=-1)
-        S_path = np.concatenate([[0.0], np.cumsum(a[:-1] * theta_sq)])  # S(0..k-1)
-        S_km1 = float(S_path[-1])
-        W_km1 = float(np.sum(a[:-1] * S_path[:-1]))
-        x_km1, x_k = prefix.xs[k - 1], prefix.xs[k]
-        E_km1 = lyapunov_E(prefix, sched, obj, k - 1)
-    prefix_prod = float(np.prod(1.0 + s2 * a[:-1])) if k > 1 else 1.0
-    tail_km1 = gamma2_value / prefix_prod
-    tail_k = tail_km1 / (1.0 + s2 * a[-1])
-    logN_prev = tail_km1 * t * (E_km1 - S_km1) - s2 * gamma2_value * t * W_km1
+    # The prefix path runs to step k; its own theta_k is replaced by branches.
+    tracker = MartingaleTracker(sched, sigma, gamma2_value, t)
+    for rec in stream_ensemble(obj, noise, sched, k, [prefix_seed], x0):
+        if rec.k == k:
+            break
+        tracker.update(rec)
+    S_km1, W_km1, prod_km1 = tracker.S_last, tracker._W, tracker._prefix_prod
+    logN_prev = float(log_N(rec.E_prev, S_km1, W_km1, prod_km1, sigma, gamma2_value, t)[0])
 
-    a_k = float(a[-1])
-    W_k = W_km1 + a_k * S_km1
-    fgap_k = float(eval_objective(obj, x_k) - obj.min_value)
-    gradf_k = grad(obj, x_k)
+    x_km1, x_k = rec.x_prev[0], rec.x_curr[0]
     thetas = _branch_thetas(noise, prefix_seed, k, n_branches)
-    g = gradf_k - thetas
-    x_k1 = _step_arrays(k, x_km1, x_k, g, sched)
-    v = x_k1 + (k + 1.0) * (x_k1 - x_k) - x_star
-    from .sgdm import eta as _eta
-    E_k = np.sum(v * v, axis=-1) + 4.0 * math.sqrt((k + 1.0) * _eta(sched, k)) * fgap_k
-    S_k = S_km1 + a_k * np.sum(thetas * thetas, axis=-1)
-    logN_k = tail_k * t * (E_k - S_k) - s2 * gamma2_value * t * W_k
+    x_k1 = _step_arrays(k, x_km1, x_k, grad(obj, x_k) - thetas, sched)
+    E_k = energy(k, x_k, x_k1, rec.fgap_curr[0], sched, obj.minimizer)
+    S_k, W_k, prod_k = _advance(S_km1, W_km1, prod_km1, float(a_coeff(sched, k)), thetas, sigma)
+    logN_k = log_N(E_k, S_k, W_k, prod_k, sigma, gamma2_value, t)
 
     shift = max(float(np.max(logN_k)), logN_prev)
     w = np.exp(logN_k - shift)
@@ -184,12 +120,6 @@ def check_supermartingale(
         "shift": shift,
         "pass": estimate <= 3.0 * stderr + 1e-12,
     }
-
-
-def _energy_scalar(k, x_k, x_k1, fgap, sched, x_star):
-    from .sgdm import eta as _eta
-    v = x_k1 + (k + 1.0) * (x_k1 - x_k) - x_star
-    return float(np.sum(v * v) + 4.0 * math.sqrt((k + 1.0) * _eta(sched, k)) * fgap)
 
 
 def ville_bound(alpha: float, t: float, gamma2_value: float, E0: float) -> float:
@@ -227,9 +157,10 @@ def ville_monitor(sup_logN: np.ndarray, t: float, alpha: float,
 class MartingaleTracker:
     """Online per-trajectory martingale statistics over a streamed ensemble.
 
-    Feed ``update`` with each StepRecord and ``finish`` with the FinalRecord;
+    Feed ``update`` with each StepRecord and ``finish`` with the last one;
     afterwards ``sup_logN``, ``sup_E``, ``S_last`` and ``E0`` hold arrays over
-    the ensemble.
+    the ensemble.  Before the first update S, W and the prefix product hold
+    their k = 0 values 0, 0 and 1.
     """
 
     sched: ScheduleVariant
@@ -239,33 +170,26 @@ class MartingaleTracker:
     sup_logN: np.ndarray | None = None
     sup_E: np.ndarray | None = None
     E0: np.ndarray | None = None
-    S_last: np.ndarray | None = None
-    _W: np.ndarray | None = field(default=None, repr=False)
+    S_last: np.ndarray | float = 0.0
+    _W: np.ndarray | float = field(default=0.0, repr=False)
     _prefix_prod: float = field(default=1.0, repr=False)
 
-    def _logN(self, E, S, W, prefix_prod):
-        tail = self.gamma2_value / prefix_prod
-        return tail * self.t * (E - S) - self.sigma**2 * self.gamma2_value * self.t * W
+    def _logN(self, E):
+        return log_N(E, self.S_last, self._W, self._prefix_prod,
+                     self.sigma, self.gamma2_value, self.t)
 
     def update(self, rec):
-        s2 = self.sigma**2
         if self.sup_logN is None:
-            R = rec.E_prev.shape[0]
-            self.S_last = np.zeros(R)
-            self._W = np.zeros(R)
             self.E0 = rec.E_prev.copy()
             self.sup_E = rec.E_prev.copy()
-            self.sup_logN = self._logN(rec.E_prev, 0.0, 0.0, 1.0) * np.ones(R)
+            self.sup_logN = self._logN(rec.E_prev)
         else:
-            logN = self._logN(rec.E_prev, self.S_last, self._W, self._prefix_prod)
-            np.maximum(self.sup_logN, logN, out=self.sup_logN)
+            np.maximum(self.sup_logN, self._logN(rec.E_prev), out=self.sup_logN)
             np.maximum(self.sup_E, rec.E_prev, out=self.sup_E)
-        a_k = float(a_coeff(self.sched, rec.k))
-        self._W += a_k * self.S_last
-        self.S_last = self.S_last + a_k * np.sum(rec.theta * rec.theta, axis=-1)
-        self._prefix_prod *= 1.0 + s2 * a_k
+        self.S_last, self._W, self._prefix_prod = _advance(
+            self.S_last, self._W, self._prefix_prod, float(a_coeff(self.sched, rec.k)),
+            rec.theta, self.sigma)
 
-    def finish(self, final):
-        logN = self._logN(final.E_last, self.S_last, self._W, self._prefix_prod)
-        np.maximum(self.sup_logN, logN, out=self.sup_logN)
-        np.maximum(self.sup_E, final.E_last, out=self.sup_E)
+    def finish(self, rec):
+        np.maximum(self.sup_logN, self._logN(rec.E), out=self.sup_logN)
+        np.maximum(self.sup_E, rec.E, out=self.sup_E)

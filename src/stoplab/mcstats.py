@@ -21,12 +21,6 @@ def binomial_ci_halfwidth(n: int, confidence_sigmas: float = 3.0) -> float:
     return confidence_sigmas / (2.0 * math.sqrt(n))
 
 
-def log_mean_exp(log_values: np.ndarray) -> float:
-    """log(mean(exp(v))) without leaving the log domain."""
-    m = float(np.max(log_values))
-    return m + math.log(float(np.mean(np.exp(log_values - m))))
-
-
 def bootstrap_upper_quantile(values: np.ndarray, stat=np.mean, n_boot: int = 200,
                              q: float = 0.99, seed: int = 0) -> float:
     """One-sided bootstrap upper confidence bound for a statistic of the sample."""

@@ -10,20 +10,17 @@ path tree makes that equivalence checkable exactly.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
-from typing import Sequence
+from types import SimpleNamespace
 
 import numpy as np
 
-from .lyapunov import EnvelopeParams, envelope_U
 from .mcstats import clopper_pearson
-from .sgdm import Trajectory
 
 __all__ = [
-    "RuleKind", "StoppingRule", "evaluate_rule", "adversarial_tau",
-    "sup_within_envelope", "coverage", "baseline_envelope",
+    "RuleKind", "RuleTracker", "coverage_verdict", "baseline_envelope",
     "PathTree", "random_tree", "enumerate_stopping_times", "tree_min_coverage",
 ]
 
@@ -35,94 +32,80 @@ class RuleKind(Enum):
     FIRST_ENVELOPE_VIOLATION = "first-envelope-violation"
 
 
-@dataclass(frozen=True)
-class StoppingRule:
-    """A capped stopping rule; ``k_max`` doubles as the fixed step for FixedK.
+@dataclass
+class RuleTracker:
+    """A capped stopping rule evaluated online over a streamed ensemble.
 
-    The delta rules trigger at the first k >= 1 whose increment (iterate
-    displacement, or value-gap change) falls to ``epsilon`` or below; since
-    the recurrence starts from a repeated point (x_1 = x_0), they trigger
-    immediately at k = 1 unless epsilon is negative.  The envelope rule stops
-    at the first k with f(x_k) - f* > U(beta, k).
+    Feed ``update`` with each StepRecord.  Each trajectory stops at the first
+    k in 1..k_max whose predicate holds, else at k_max; ``tau`` and ``fgap``
+    then hold the stopping step and f(x_tau) - f* per trajectory.  The
+    decision at k reads only x_0..x_k and the value gaps they induce, so tau
+    is a stopping time of the iterate filtration.
+
+    The delta rules trigger when the iterate displacement, or the value-gap
+    change, falls to ``epsilon`` or below; since the recurrence starts from a
+    repeated point (x_1 = x_0), they trigger immediately at k = 1.  The
+    envelope rule stops at the first k with f(x_k) - f* > U[k], where ``U``
+    holds the envelope indexed by k.  With k_max = K it is the adversarial
+    rule that makes the anytime guarantee tight: first violation at
+    k <= K - 1, else K.
     """
 
     kind: RuleKind
     k_max: int
     epsilon: float | None = None
-    envelope: EnvelopeParams | None = None
-    beta: float | None = None
+    U: np.ndarray | None = None
+    tau: np.ndarray | None = field(default=None, init=False)
+    fgap: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if self.kind in (RuleKind.ITERATE_DELTA, RuleKind.VALUE_DELTA):
-            if self.epsilon is None or self.epsilon <= 0.0:
-                raise ValueError("delta rules need a positive epsilon")
-        if self.kind is RuleKind.FIRST_ENVELOPE_VIOLATION:
-            if self.envelope is None or self.beta is None:
-                raise ValueError("the envelope rule needs envelope constants and beta")
+        if self.kind in (RuleKind.ITERATE_DELTA, RuleKind.VALUE_DELTA) and not (
+            self.epsilon is not None and self.epsilon > 0.0
+        ):
+            raise ValueError("delta rules need a positive epsilon")
+
+    def _triggered(self, rec) -> np.ndarray:
+        if self.kind is RuleKind.ITERATE_DELTA:
+            return np.linalg.norm(rec.x_curr - rec.x_prev, axis=-1) <= self.epsilon
+        if self.kind is RuleKind.VALUE_DELTA:
+            return np.abs(rec.fgap_curr - rec.fgap_prev) <= self.epsilon
+        if self.kind is RuleKind.FIXED_K:
+            return np.full(rec.fgap_curr.shape, rec.k == self.k_max)
+        return rec.fgap_curr > self.U[rec.k]
+
+    def update(self, rec):
+        if self.tau is None:
+            self.tau = np.zeros(rec.fgap_curr.shape, dtype=int)
+            self.fgap = np.zeros(rec.fgap_curr.shape)
+        if rec.k > self.k_max:
+            return
+        pred = self._triggered(rec)
+        if rec.k == self.k_max:
+            pred = pred | (self.tau == 0)
+        new = pred & (self.tau == 0)
+        self.tau[new] = rec.k
+        self.fgap[new] = rec.fgap_curr[new]
+
+    def within(self, U: np.ndarray) -> np.ndarray:
+        """Per trajectory: f(x_tau) - f* <= U[tau]."""
+        return self.fgap <= U[self.tau]
 
 
-def evaluate_rule(rule: StoppingRule, traj: Trajectory) -> int:
-    """First k in 1..k_max satisfying the rule's predicate, else k_max.
+def coverage_verdict(within: np.ndarray, beta: float) -> dict:
+    """Frequency of ``within`` against the guaranteed level 1 - 2 beta.
 
-    The decision at k reads only x_0..x_k (and the value gaps they induce),
-    so the result is a stopping time of the iterate filtration.
+    Pass means the Clopper-Pearson 99% lower endpoint clears the level, or
+    every trajectory is covered.
     """
-    if traj.K < rule.k_max:
-        raise ValueError("trajectory must extend to the rule's k_max")
-    if rule.kind is RuleKind.FIXED_K:
-        return rule.k_max
-    if rule.kind is RuleKind.ITERATE_DELTA:
-        steps = np.linalg.norm(np.diff(traj.xs[: rule.k_max + 1], axis=0), axis=-1)
-        hits = np.nonzero(steps <= rule.epsilon)[0]
-    elif rule.kind is RuleKind.VALUE_DELTA:
-        moves = np.abs(np.diff(traj.f_gaps[: rule.k_max + 1]))
-        hits = np.nonzero(moves <= rule.epsilon)[0]
-    else:
-        ks = np.arange(1, rule.k_max + 1)
-        U = envelope_U(rule.envelope, rule.beta, ks)
-        hits = np.nonzero(traj.f_gaps[1: rule.k_max + 1] > U)[0]
-    return int(hits[0]) + 1 if hits.size else rule.k_max
-
-
-def adversarial_tau(f_gaps: np.ndarray, U: np.ndarray, k0: int) -> np.ndarray:
-    """First k <= k0 with f(x_k) - f* > U(k), else k0 + 1, per trajectory.
-
-    ``f_gaps`` has shape (R, >= k0+2) indexed by k from 0; ``U`` is indexed
-    the same way (U[0] is unused).  This is the stopping time that makes the
-    anytime guarantee tight.
-    """
-    if f_gaps.shape[-1] < k0 + 2:
-        raise ValueError("trajectories must extend to k0 + 1")
-    viol = f_gaps[:, 1: k0 + 1] > U[1: k0 + 1]
-    first = np.argmax(viol, axis=-1) + 1
-    any_viol = np.any(viol, axis=-1)
-    return np.where(any_viol, first, k0 + 1)
-
-
-def sup_within_envelope(f_gaps: np.ndarray, U: np.ndarray, k_hi: int) -> np.ndarray:
-    """Boolean per trajectory: f(x_k) - f* <= U(k) for every k in 1..k_hi."""
-    return np.all(f_gaps[:, 1: k_hi + 1] <= U[1: k_hi + 1], axis=-1)
-
-
-def coverage(f_gaps: np.ndarray, U: np.ndarray, taus: np.ndarray, beta: float) -> dict:
-    """Fraction of trajectories with f(x_tau) - f* <= U(tau), with exact CI.
-
-    Pass means the Clopper-Pearson 99% lower endpoint clears the guaranteed
-    level 1 - 2 beta.
-    """
-    taus = np.asarray(taus)
-    R = f_gaps.shape[0]
-    if R < 100:
-        raise ValueError("coverage needs an ensemble of at least 100 trajectories")
-    within = f_gaps[np.arange(R), taus] <= U[taus]
+    R = within.shape[0]
     hits = int(np.sum(within))
     ci_lo, ci_hi = clopper_pearson(hits, R, 0.99)
     level = 1.0 - 2.0 * beta
     return {
         "frequency": hits / R, "ci_lo": ci_lo, "ci_hi": ci_hi,
-        "bound": level, "R": R, "pass": ci_lo >= level or hits == R,
+        "bound": level, "pass": ci_lo >= level or hits == R,
     }
 
 
@@ -218,8 +201,11 @@ def tree_min_coverage(tree: PathTree, U: np.ndarray) -> dict:
         if cov < best:
             best, best_taus = cov, taus.copy()
     sup_prob = float(np.mean(np.all(tree.values[:, 1:] <= U[1: d + 1], axis=-1)))
-    adv = adversarial_tau(tree.values, U, d - 1)
-    adv_cov = float(np.mean(tree.values[np.arange(n_paths), adv] <= U[adv]))
+    # a tree step carries only value gaps, all the first-violation rule reads
+    adv = RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, d, U=U)
+    for k in range(1, d + 1):
+        adv.update(SimpleNamespace(k=k, fgap_curr=tree.values[:, k]))
+    adv_cov = float(np.mean(adv.within(U)))
     return {
         "min_coverage": best, "argmin_taus": best_taus,
         "sup_probability": sup_prob, "adversarial_coverage": adv_cov,

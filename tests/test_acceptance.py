@@ -25,9 +25,10 @@ from stoplab.mcstats import clopper_pearson
 from stoplab.noise import NoiseKind, calibrate
 from stoplab.objectives import (eval_objective, huberized_abs,
                                 least_squares_random, quadratic)
-from stoplab.sgdm import (FinalRecord, ScheduleVariant, Variant, a_coeff,
-                          derive_seeds, eta, stream_ensemble)
-from stoplab.stopping import (PathTree, baseline_envelope, tree_min_coverage)
+from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
+                          energy, eta, stream_ensemble)
+from stoplab.stopping import (PathTree, RuleKind, RuleTracker,
+                              baseline_envelope, tree_min_coverage)
 
 R_GRID, K_GRID = 100, 10_000
 R_COV, K_COV = 1000, 100_000
@@ -61,8 +62,7 @@ def _grid_noises(dim: int):
 
 def _initial_energy(obj, sched, x0):
     fgap0 = float(eval_objective(obj, x0)) - obj.min_value
-    dist_sq = float(np.sum((x0 - obj.minimizer) ** 2))
-    return dist_sq + 4.0 * math.sqrt(float(eta(sched, 0))) * fgap0
+    return float(energy(0, x0, x0, fgap0, sched, obj.minimizer))
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +76,6 @@ def grid_mins():
             mins = {"descent": np.inf, "decomp": np.inf, "decomp_mid": np.inf,
                     "p1": np.inf, "sandwich": np.inf}
             for rec in stream_ensemble(obj, noise, sched, K_GRID, seeds, x0):
-                if isinstance(rec, FinalRecord):
-                    continue
                 r = step_residuals(rec, sched, obj)
                 tol = r["tol"]
                 mins["descent"] = min(mins["descent"],
@@ -87,7 +85,7 @@ def grid_mins():
                 mins["decomp_mid"] = min(mins["decomp_mid"],
                                          float(np.min(r["decomp_mid"] + tol)))
                 mins["p1"] = min(mins["p1"],
-                                 float(np.min(r["E"] + tol - r["phi_next_sq"])))
+                                 float(np.min(rec.E + tol - r["phi_next_sq"])))
                 mins["sandwich"] = min(mins["sandwich"],
                                        float(np.min(r["sandwich_margin"] + tol)))
             out[(oname, nname)] = mins
@@ -214,10 +212,8 @@ def test_criterion_06_anytime_exceedance():
     R, K = 10_000, 1000
     tracker = MartingaleTracker(sched, sigma, g2u, t)
     for rec in stream_ensemble(obj, noise, sched, K, derive_seeds(303, R), x0):
-        if isinstance(rec, FinalRecord):
-            tracker.finish(rec)
-        else:
-            tracker.update(rec)
+        tracker.update(rec)
+    tracker.finish(rec)
     E0 = float(tracker.E0[0])
     alpha = alpha_for_bound(0.1, t, g2u, E0)
     rate = float(np.mean(tracker.sup_logN >= alpha * t))
@@ -262,40 +258,30 @@ def test_criterion_08_weighted_square_tail():
 
 
 def _stream_coverage(obj, noise, sched, x0, seeds, K, U_by_beta):
-    """One streamed pass recording envelope hits and first violations."""
-    k0 = K - 1
+    """One streamed pass recording envelope hits and first violations.
+
+    ``U_by_beta`` holds envelope values for k = 1..K; the first-violation
+    rule at k_max = K is the adversarial stopping time.
+    """
     R = len(seeds)
     state = {
         b: {"within": np.ones(R, dtype=bool),
-            "tau": np.zeros(R, dtype=int),
-            "fgap_tau": np.zeros(R)}
-        for b in U_by_beta
+            "rule": RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, K,
+                                U=np.concatenate([[np.inf], U]))}
+        for b, U in U_by_beta.items()
     }
     fgap_k1 = None
-    last = None
     for rec in stream_ensemble(obj, noise, sched, K, seeds, x0):
-        if isinstance(rec, FinalRecord):
-            continue
         k = rec.k
         if k == 1:
             fgap_k1 = rec.fgap_curr.copy()
         for b, U in U_by_beta.items():
             st = state[b]
-            viol = rec.fgap_curr > U[k - 1]
-            st["within"] &= ~viol
-            if k <= k0:
-                new = viol & (st["tau"] == 0)
-                if np.any(new):
-                    st["tau"][new] = k
-                    st["fgap_tau"][new] = rec.fgap_curr[new]
-        if k == K:
-            last = rec.fgap_curr.copy()
-    for b, U in U_by_beta.items():
-        st = state[b]
-        unset = st["tau"] == 0
-        st["tau"][unset] = k0 + 1
-        st["fgap_tau"][unset] = last[unset]
-    return state, fgap_k1, last
+            st["within"] &= ~(rec.fgap_curr > U[k - 1])
+            st["rule"].update(rec)
+    for st in state.values():
+        st["tau"], st["fgap_tau"] = st["rule"].tau, st["rule"].fgap
+    return state, fgap_k1, rec.fgap_curr.copy()
 
 
 @pytest.fixture(scope="module")

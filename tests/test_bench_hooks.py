@@ -1,0 +1,52 @@
+"""The benchmark's layer hooks must find every boundary they wrap.
+
+``perfbench/trace.py`` wraps stoplab's public layer functions from outside
+and raises when one of them is gone; a refactor that drops or renames a
+hooked name fails here instead of only in the benchmark's smoke test.
+"""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import numpy as np
+
+TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "trace.py"
+
+
+def _load_trace():
+    # loaded by path: ``import trace`` would find the standard library module
+    spec = importlib.util.spec_from_file_location("perfbench_trace", TRACE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings():
+    return {(name, attr): val
+            for name, mod in list(sys.modules.items())
+            if name == "stoplab" or name.startswith("stoplab.")
+            for attr, val in vars(mod).items() if callable(val)}
+
+
+def test_trace_hooks_install_and_restore():
+    from stoplab import martingale, sgdm
+
+    trace = _load_trace()
+    assert inspect.isgeneratorfunction(sgdm.stream_ensemble)
+    # the call the benchmark's probes make
+    inspect.signature(martingale.check_supermartingale).bind(
+        None, None, None, np.zeros(1), 0, 1, 1.0, 1000, gamma2_value=1.0, B=1.0)
+    tracer = trace.Tracer()
+    before = _bindings()
+    methods = dict(vars(martingale.MartingaleTracker))
+    try:
+        trace.install(tracer)
+        assert tracer._undo
+    finally:
+        tracer.restore()
+    after = _bindings()
+    assert all(after[key] is val for key, val in before.items())
+    assert vars(martingale.MartingaleTracker)["update"] is methods["update"]
+    assert vars(martingale.MartingaleTracker)["finish"] is methods["finish"]

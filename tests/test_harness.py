@@ -59,6 +59,38 @@ def test_parse_config_collects_every_violation(tmp_path):
         assert frag in text
 
 
+# Each malformed document once escaped parse_config as a bare exception or
+# was half-accepted (bools as integers, an options value of the wrong type).
+_MALFORMED = {
+    "betas-string": lambda raw: raw.update(betas="ab"),
+    "rule-epsilon-string": lambda raw: raw.update(
+        rules=[{"kind": "iterate-delta", "epsilon": "x"}]),
+    "noise-sigma-string": lambda raw: raw["noise"].update(sigma="x"),
+    "rules-not-a-list": lambda raw: raw.update(rules=5),
+    "R-bool": lambda raw: raw.update(R=True),
+    "base-seed-bool": lambda raw: raw.update(base_seed=True),
+    "rule-k-max-bool": lambda raw: raw.update(rules=[{"kind": "fixed-k", "k_max": True}]),
+    "option-wrong-type": lambda raw: raw["options"].update(n_branches="many"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_parse_config_rejects_malformed_values(tmp_path, case):
+    raw = _base_raw(tmp_path)
+    _MALFORMED[case](raw)
+    with pytest.raises(ConfigError):
+        parse_config(raw)
+
+
+def test_cli_run_exits_2_on_malformed_values(tmp_path, capsys):
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(_base_raw(tmp_path, betas="ab", R=True)))
+    assert main(["run", str(cfgpath)]) == 2
+    err = capsys.readouterr().err
+    assert "betas" in err and "R must be" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")

@@ -4,87 +4,89 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoplab.lyapunov import (check_decomposition, check_descent_lemma,
-                              compute_trace, deep_descent_links,
-                              energy_series, envelope_constants, envelope_U,
-                              h_sigma, lyapunov_E, phi, phi_series,
-                              residual_tolerance, step_residuals)
+from stoplab.lyapunov import (deep_descent_links, envelope_constants,
+                              envelope_U, h_sigma, residual_tolerance,
+                              step_residuals)
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
-from stoplab.objectives import huberized_abs, least_squares_random, quadratic
-from stoplab.sgdm import (FinalRecord, ScheduleVariant, Variant, derive_seeds,
-                          run_ensemble, run_trajectory, stream_ensemble)
+from stoplab.objectives import least_squares_random, quadratic
+from stoplab.sgdm import (ScheduleVariant, Variant, derive_seeds, energy,
+                          stream_ensemble)
 from stoplab.series import riemann_zeta
+
+from oracles import phi_series, residual_series, run_paths
 
 SCHED1 = ScheduleVariant(Variant.THEOREM_MAIN, L=1.0)
 
 
 @pytest.fixture(scope="module")
-def noisy_traj():
+def noisy_run():
+    """Every record of one noisy trajectory, with the per-step residuals."""
     obj = quadratic(np.array([1.0, 2.0]))
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
     sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
-    return run_trajectory(obj, noise, sched, 400, 11, np.array([2.0, -1.0])), sched, obj
+    recs = list(stream_ensemble(obj, noise, sched, 400, [11], np.array([2.0, -1.0])))
+    return recs, [step_residuals(r, sched, obj) for r in recs], sched, obj
 
 
 def test_initial_energy_hand_value():
     # x0 = x1 = 2 on x^2/2: E(0) = 4 + 2 / ln 2
     obj = quadratic(np.array([1.0]))
     zero = NoiseModel(NoiseKind.NONE, dim=1, sigma_certificate=0.0, scale=0.0)
-    traj = run_trajectory(obj, zero, SCHED1, 2, 0, np.array([2.0]))
-    assert lyapunov_E(traj, SCHED1, obj, 0) == pytest.approx(
-        6.885390081777927, rel=1e-13)
+    rec = next(stream_ensemble(obj, zero, SCHED1, 2, [0], np.array([2.0])))
+    assert rec.E_prev[0] == pytest.approx(6.885390081777927, rel=1e-13)
+    x0 = np.array([2.0])
+    assert energy(0, x0, x0, 2.0, SCHED1, obj.minimizer) == rec.E_prev[0]
 
 
 def test_zero_noise_energy_monotone():
     obj = quadratic(np.array([1.0, 0.5]))
     zero = NoiseModel(NoiseKind.NONE, dim=2, sigma_certificate=0.0, scale=0.0)
-    traj = run_trajectory(obj, zero, SCHED1, 300, 0, np.array([2.0, 1.0]))
-    E = energy_series(traj.xs, traj.f_gaps, SCHED1, obj.minimizer)
+    recs = list(stream_ensemble(obj, zero, SCHED1, 300, [0], np.array([2.0, 1.0])))
+    E = np.array([recs[0].E_prev[0]] + [r.E[0] for r in recs])
     assert np.all(np.diff(E) <= 1e-12 * (1.0 + np.abs(E[:-1])))
 
 
-def test_pathwise_inequalities_on_noisy_run(noisy_traj):
-    traj, sched, obj = noisy_traj
-    trace = compute_trace(traj)
-    tol = residual_tolerance(trace.E[1:], trace.E[:-1])
-    assert np.all(trace.descent_residual >= -tol)
-    assert np.all(trace.decomp_residual >= -tol)
-    assert np.all(trace.decomp_mid_residual >= -tol)
+def test_pathwise_inequalities_on_noisy_run(noisy_run):
+    recs, res, _, _ = noisy_run
+    for r in res:
+        assert np.all(r["descent"] >= -r["tol"])
+        assert np.all(r["decomp"] >= -r["tol"])
+        assert np.all(r["decomp_mid"] >= -r["tol"])
 
 
-def test_p1_and_sandwich_on_noisy_run(noisy_traj):
-    traj, sched, obj = noisy_traj
-    E = energy_series(traj.xs, traj.f_gaps, sched, obj.minimizer)
-    phin = np.sum(phi_series(traj.xs, obj.minimizer) ** 2, axis=-1)
-    # position k of phi_series holds phi_{k+1}; P1 is ||phi_{k+1}||^2 <= E(k)
-    tol = 1e-9 * (1.0 + np.abs(E))
-    assert np.all(phin <= E + tol)
-    k = np.arange(0, traj.K + 1, dtype=float)
-    from stoplab.sgdm import eta
-    sandwich = 4.0 * np.sqrt((k + 1.0) * eta(sched, k)) * traj.f_gaps
-    assert np.all(sandwich <= E + tol)
+def test_p1_and_sandwich_on_noisy_run(noisy_run):
+    # P1 is ||phi_{k+1}||^2 <= E(k); the sandwich 4 sqrt((k+1) eta_k) fgap_k <= E(k)
+    recs, res, _, _ = noisy_run
+    for rec, r in zip(recs, res):
+        tol = 1e-9 * (1.0 + np.abs(rec.E))
+        assert np.all(r["phi_next_sq"] <= rec.E + tol)
+        assert np.all(r["phi_sq"] <= rec.E_prev + 1e-9 * (1.0 + np.abs(rec.E_prev)))
+        assert np.all(r["sandwich_margin"] >= -tol)
 
 
-def test_pointwise_checks_match_series(noisy_traj):
-    traj, sched, obj = noisy_traj
-    trace = compute_trace(traj)
-    for k in (1, 7, 100, traj.K):
-        assert check_descent_lemma(traj, sched, obj, k) == trace.descent_residual[k - 1]
-        assert check_decomposition(traj, sched, obj, k) == trace.decomp_residual[k - 1]
-        assert check_decomposition(traj, sched, obj, k, intermediate=True) == \
-            trace.decomp_mid_residual[k - 1]
-    with pytest.raises(ValueError):
-        check_descent_lemma(traj, sched, obj, 0)
+def test_pointwise_checks_match_series(noisy_run):
+    # per-step residuals, the intermediate form included, against the
+    # full-path oracle, and the oracle's own tolerance-level check
+    recs, res, sched, obj = noisy_run
+    paths = run_paths(obj, calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0), sched,
+                      400, [11], np.array([2.0, -1.0]))
+    series = residual_series(paths, sched, obj)
+    for k in (1, 7, 100, 400):
+        for key in ("descent", "decomp", "decomp_mid"):
+            assert res[k - 1][key][0] == series[key][0, k - 1]
+    tol = residual_tolerance(series["E"][:, 1:], series["E"][:, :-1])
+    assert np.all(series["descent"] >= -tol)
 
 
-def test_deep_descent_links(noisy_traj):
-    traj, sched, obj = noisy_traj
+def test_deep_descent_links(noisy_run):
+    recs, _, sched, obj = noisy_run
     for k in (1, 5, 50, 399):
-        links = deep_descent_links(traj, sched, obj, k)
-        scale = 1e-9 * (1.0 + abs(lyapunov_E(traj, sched, obj, k)))
-        assert links["recurrence_identity_abs_err"] <= 1e-12 * (1 + k)
-        assert links["differencing_residual"] >= -scale
-        assert links["substituted_residual"] >= -scale
+        rec = recs[k - 1]
+        links = deep_descent_links(rec, sched, obj)
+        scale = 1e-9 * (1.0 + np.abs(rec.E))
+        assert np.all(links["recurrence_identity_abs_err"] <= 1e-12 * (1 + k))
+        assert np.all(links["differencing_residual"] >= -scale)
+        assert np.all(links["substituted_residual"] >= -scale)
 
 
 def test_step_residuals_match_full_path():
@@ -93,28 +95,29 @@ def test_step_residuals_match_full_path():
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 5, 1.0)
     seeds = derive_seeds(9, 3)
     x0 = np.full(5, 2.0)
-    stream = {"descent": [], "decomp": [], "decomp_mid": [], "E": []}
+    stream = {"descent": [], "decomp": [], "E": []}
     for rec in stream_ensemble(obj, noise, sched, 120, seeds, x0):
-        if isinstance(rec, FinalRecord):
-            break
         r = step_residuals(rec, sched, obj)
-        for key in stream:
-            stream[key].append(r[key])
-    ens = run_ensemble(obj, noise, sched, 120, seeds, x0)
+        stream["descent"].append(r["descent"])
+        stream["decomp"].append(r["decomp"])
+        stream["E"].append(rec.E)
+    series = residual_series(run_paths(obj, noise, sched, 120, seeds, x0), sched, obj)
     for i in range(3):
-        trace = compute_trace(ens.trajectory(i))
-        assert np.array_equal(np.array(stream["descent"])[:, i], trace.descent_residual)
-        assert np.array_equal(np.array(stream["decomp"])[:, i], trace.decomp_residual)
-        assert np.array_equal(np.array(stream["E"])[:, i], trace.E[1:])
+        assert np.array_equal(np.array(stream["descent"])[:, i], series["descent"][i])
+        assert np.array_equal(np.array(stream["decomp"])[:, i], series["decomp"][i])
+        assert np.array_equal(np.array(stream["E"])[:, i], series["E"][i, 1:])
 
 
-def test_phi_accessor(noisy_traj):
-    traj, sched, obj = noisy_traj
+def test_phi_accessor(noisy_run):
+    # ||phi_k||^2 from the step residuals against phi_k built from the path
+    recs, res, _, obj = noisy_run
+    xs = np.stack([recs[0].x_prev[0]] + [r.x_curr[0] for r in recs] + [recs[-1].x_next[0]])
+    phis = phi_series(xs, obj.minimizer)  # position k-1 holds phi_k
     k = 5
-    expected = k * (traj.xs[k] - traj.xs[k - 1]) + (traj.xs[k] - obj.minimizer)
-    assert np.array_equal(phi(traj, k), expected)
-    with pytest.raises(ValueError):
-        phi(traj, 0)
+    expected = k * (xs[k] - xs[k - 1]) + (xs[k] - obj.minimizer)
+    assert np.array_equal(phis[k - 1], expected)
+    assert res[k - 1]["phi_sq"][0] == np.sum(expected * expected)
+    assert res[k - 1]["phi_next_sq"][0] == res[k]["phi_sq"][0]
 
 
 def test_envelope_constants_structure():
@@ -163,3 +166,31 @@ def test_envelope_positive_and_decreasing_in_beta(beta, k):
     u = envelope_U(env, beta, k)
     assert u > 0.0
     assert u >= envelope_U(env, min(0.49, beta * 1.5), k)
+
+
+def test_energy_chain_and_checks_at_dim_1200(tmp_path):
+    # above d = 1000 every squared norm is numpy's pairwise sum; E(k) is
+    # computed once, so step k's E(k-1) is bitwise step k-1's E(k)
+    from stoplab.harness import parse_config, run_experiment
+
+    dim = 1200
+    diag = np.linspace(1.0, 2.0, dim)
+    obj = quadratic(diag)
+    sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
+    noise = calibrate(NoiseKind.BOUNDED_SPHERE, dim, 1.0)
+    x0 = np.ones(dim)
+    recs = list(stream_ensemble(obj, noise, sched, 12, derive_seeds(4, 3), x0))
+    for prev, rec in zip(recs, recs[1:]):
+        assert np.array_equal(rec.E_prev, prev.E)
+        assert np.array_equal(rec.E, energy(rec.k, rec.x_curr, rec.x_next, rec.fgap_curr,
+                                            sched, obj.minimizer))
+    raw = {
+        "objective": {"kind": "quadratic", "diag": [float(v) for v in diag]},
+        "noise": {"kind": "bounded-sphere", "sigma": 1.0},
+        "schedule": {"variant": "theorem-main"},
+        "K": 12, "R": 3, "base_seed": 4, "x0": [1.0] * dim, "betas": [0.05],
+        "checks": ["descent", "decomposition"], "output_dir": str(tmp_path),
+    }
+    rep = run_experiment(parse_config(raw))
+    assert [c["name"] for c in rep.checks] == ["descent", "decomposition"]
+    assert rep.passed

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from stoplab.martingale import (MartingaleTracker, alpha_for_bound,
-                                check_supermartingale, compute_S_M, gamma2,
-                                log_N_series, log_N_t, ville_bound,
-                                ville_monitor)
+                                check_supermartingale, gamma2, log_N,
+                                ville_bound, ville_monitor)
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import quadratic
-from stoplab.sgdm import (FinalRecord, ScheduleVariant, Variant, derive_seeds,
-                          run_ensemble, run_trajectory, stream_ensemble)
+from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
+                          stream_ensemble)
+
+from oracles import S_M, log_N_series, run_paths
 
 OBJ = quadratic(np.array([1.0, 0.5, 2.0]))
 SCHED = ScheduleVariant(Variant.THEOREM_MAIN, L=OBJ.smoothness)
@@ -25,52 +26,64 @@ def g2():
     return value + width
 
 
+def _track(noise, K, seeds, g2):
+    tracker = MartingaleTracker(SCHED, SIGMA, g2, 1.0 / g2)
+    for rec in stream_ensemble(OBJ, noise, SCHED, K, seeds, X0):
+        tracker.update(rec)
+    tracker.finish(rec)
+    return tracker, rec
+
+
 @pytest.fixture(scope="module")
 def traj_trace(g2):
-    traj = run_trajectory(OBJ, NOISE, SCHED, 200, 7, X0)
-    trace = compute_S_M(traj)
+    paths = run_paths(OBJ, NOISE, SCHED, 200, [7], X0)
+    S, M = S_M(paths, SCHED, OBJ)
     t = 1.0 / g2
-    logN = log_N_series(trace.S, trace.M, SCHED, SIGMA, g2, t)
-    return traj, trace, logN, t
+    return paths, S[0], M[0], log_N_series(S[0], M[0], SCHED, SIGMA, g2, t), t
 
 
-def test_S_M_definitions(traj_trace):
-    traj, trace, _, _ = traj_trace
-    from stoplab.lyapunov import lyapunov_E
-    from stoplab.sgdm import a_coeff
-    assert trace.S[0] == 0.0
+def test_S_M_definitions(traj_trace, g2):
+    paths, S, M, _, _ = traj_trace
+    assert S[0] == 0.0
     # S is a nondecreasing weighted sum of realized noise energies
-    assert np.all(np.diff(trace.S) >= 0.0)
+    assert np.all(np.diff(S) >= 0.0)
     k = 37
-    manual = sum(float(a_coeff(SCHED, l)) * float(traj.theta(l) @ traj.theta(l))
+    manual = sum(float(a_coeff(SCHED, l)) * float(paths.thetas[0, l - 1] @ paths.thetas[0, l - 1])
                  for l in range(1, k + 1))
-    assert trace.S[k] == pytest.approx(manual, rel=1e-12)
-    assert trace.M[k] == pytest.approx(lyapunov_E(traj, SCHED, OBJ, k) - trace.S[k],
-                                       rel=1e-12)
+    assert S[k] == pytest.approx(manual, rel=1e-12)
+    # the tracker's online S(K) and E(K) - S(K) are the series' last entries
+    tracker, last = _track(NOISE, 200, [7], g2)
+    assert tracker.S_last[0] == S[-1]
+    assert last.E[0] - tracker.S_last[0] == M[-1]
 
 
 def test_initial_value_identity(traj_trace, g2):
-    _, trace, logN, t = traj_trace
+    _, _, M, logN, t = traj_trace
     # log N^t(0) = gamma2 t E(0) exactly
-    assert logN[0] == pytest.approx(g2 * t * trace.M[0], abs=1e-13)
+    assert logN[0] == pytest.approx(g2 * t * M[0], abs=1e-13)
+    assert log_N(M[0], 0.0, 0.0, 1.0, SIGMA, g2, t) == pytest.approx(g2 * t * M[0], abs=1e-13)
 
 
 def test_log_N_t_matches_series(traj_trace, g2):
-    _, trace, logN, t = traj_trace
+    # the pointwise log N^t(k) from S(k), W(k) and the prefix product at k
+    # against the oracle's cumulative-sum series
+    _, S, M, logN, t = traj_trace
+    a = np.asarray(a_coeff(SCHED, np.arange(1, 201)))
     for k in (0, 1, 50, 200):
-        assert log_N_t(trace, SCHED, SIGMA, g2, k, t) == logN[k]
-    with pytest.raises(ValueError):
-        log_N_t(trace, SCHED, SIGMA, g2, 201, t)
-    with pytest.raises(ValueError):
-        log_N_series(trace.S, trace.M, SCHED, SIGMA, g2, 10.0 / g2)
+        W = float(np.sum(a[:k] * S[:k]))
+        prod = float(np.prod(1.0 + SIGMA**2 * a[:k]))
+        assert log_N(M[k] + S[k], S[k], W, prod, SIGMA, g2, t) == pytest.approx(
+            logN[k], rel=1e-12, abs=1e-13)
 
 
 def test_zero_noise_N_is_nonincreasing(g2):
     zero = NoiseModel(NoiseKind.NONE, dim=3, sigma_certificate=0.0, scale=0.0)
-    traj = run_trajectory(OBJ, zero, SCHED, 200, 7, X0)
-    trace = compute_S_M(traj)
-    logN = log_N_series(trace.S, trace.M, SCHED, SIGMA, g2, 1.0 / g2)
+    S, M = S_M(run_paths(OBJ, zero, SCHED, 200, [7], X0), SCHED, OBJ)
+    logN = log_N_series(S[0], M[0], SCHED, SIGMA, g2, 1.0 / g2)
     assert np.all(np.diff(logN) <= 1e-12)
+    # the tracker's supremum is then the initial value
+    tracker, _ = _track(zero, 200, [7], g2)
+    assert tracker.sup_logN[0] == logN[0]
 
 
 @pytest.mark.parametrize("k", [1, 3, 25])
@@ -105,19 +118,13 @@ def test_supermartingale_validation(g2):
 def test_tracker_matches_full_reference(g2):
     t = 1.0 / g2
     seeds = derive_seeds(123, 5)
-    tracker = MartingaleTracker(SCHED, SIGMA, g2, t)
-    for rec in stream_ensemble(OBJ, NOISE, SCHED, 100, seeds, X0):
-        if isinstance(rec, FinalRecord):
-            tracker.finish(rec)
-        else:
-            tracker.update(rec)
-    ens = run_ensemble(OBJ, NOISE, SCHED, 100, seeds, X0)
+    tracker, _ = _track(NOISE, 100, seeds, g2)
+    S, M = S_M(run_paths(OBJ, NOISE, SCHED, 100, seeds, X0), SCHED, OBJ)
+    logN = log_N_series(S, M, SCHED, SIGMA, g2, t)
     for i in range(5):
-        trace = compute_S_M(ens.trajectory(i))
-        logN = log_N_series(trace.S, trace.M, SCHED, SIGMA, g2, t)
-        assert tracker.sup_logN[i] == np.max(logN)
-        assert tracker.S_last[i] == trace.S[-1]
-        assert tracker.E0[i] == trace.M[0]
+        assert tracker.sup_logN[i] == np.max(logN[i])
+        assert tracker.S_last[i] == S[i, -1]
+        assert tracker.E0[i] == M[i, 0]
 
 
 def test_ville_bound_and_monitor(g2):

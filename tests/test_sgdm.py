@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import quadratic
-from stoplab.sgdm import (IterState, ScheduleVariant, Variant, a_coeff,
-                          derive_seeds, eta, initial_state, run_ensemble,
-                          run_trajectory, sgdm_step)
+from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
+                          energy, eta, stream_ensemble)
+
+from oracles import run_paths
 
 SCHED1 = ScheduleVariant(Variant.THEOREM_MAIN, L=1.0)
 ZERO2 = NoiseModel(NoiseKind.NONE, dim=2, sigma_certificate=0.0, scale=0.0)
@@ -44,29 +45,30 @@ def test_schedule_validation():
 def test_first_step_hand_value():
     # 1D quadratic x^2/2, x0 = x1 = 2, g = 2 at k = 1:
     # momentum vanishes, x2 = 2 - (2 sqrt(eta_1)/3) * 2 = 2 - 1/(3 ln 3)
-    state = initial_state(np.array([2.0]))
-    nxt = sgdm_step(state, SCHED1, np.array([2.0]))
-    assert nxt.x_curr[0] == pytest.approx(1.696586924457721, rel=1e-14)
-    assert nxt.k == 2
-    assert np.array_equal(nxt.x_prev, state.x_curr)
+    obj = quadratic(np.array([1.0]))
+    zero = NoiseModel(NoiseKind.NONE, dim=1, sigma_certificate=0.0, scale=0.0)
+    (rec,) = stream_ensemble(obj, zero, SCHED1, 1, [0], np.array([2.0]))
+    assert rec.k == 1
+    assert rec.x_next[0, 0] == pytest.approx(1.696586924457721, rel=1e-14)
+    assert np.array_equal(rec.x_prev, rec.x_curr)
+    assert np.array_equal(rec.g, [[2.0]])
 
 
 def test_step_rejects_bad_inputs():
-    state = initial_state(np.array([1.0, 1.0]))
+    obj = quadratic(np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        sgdm_step(state, SCHED1, np.zeros(3))
+        next(stream_ensemble(obj, ZERO2, SCHED1, 5, [0], np.zeros(3)))
     with pytest.raises(ValueError):
-        sgdm_step(IterState(k=0, x_prev=np.zeros(1), x_curr=np.zeros(1)),
-                  SCHED1, np.zeros(1))
+        next(stream_ensemble(obj, ZERO2, SCHED1, 0, [0], np.zeros(2)))
 
 
 def test_zero_noise_trajectory_decreases_gap():
     obj = quadratic(np.array([1.0, 2.0]))
-    traj = run_trajectory(obj, ZERO2, SCHED1, 500, 0, np.array([2.0, -1.0]))
-    assert traj.f_gaps[0] == pytest.approx(3.0)
-    assert traj.f_gaps[-1] < 1e-2 * traj.f_gaps[0]
+    traj = run_paths(obj, ZERO2, SCHED1, 500, [0], np.array([2.0, -1.0]))
+    assert traj.f_gaps[0, 0] == pytest.approx(3.0)
+    assert traj.f_gaps[0, -1] < 1e-2 * traj.f_gaps[0, 0]
     # x_1 = x_0 by construction
-    assert np.array_equal(traj.xs[0], traj.xs[1])
+    assert np.array_equal(traj.xs[0, 0], traj.xs[0, 1])
     # thetas identically zero, g = grad f
     assert not np.any(traj.thetas)
 
@@ -74,11 +76,11 @@ def test_zero_noise_trajectory_decreases_gap():
 def test_trajectory_determinism():
     obj = quadratic(np.array([1.0, 2.0]))
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
-    a = run_trajectory(obj, noise, SCHED1, 100, 42, np.array([2.0, -1.0]))
-    b = run_trajectory(obj, noise, SCHED1, 100, 42, np.array([2.0, -1.0]))
+    a = run_paths(obj, noise, SCHED1, 100, [42], np.array([2.0, -1.0]))
+    b = run_paths(obj, noise, SCHED1, 100, [42], np.array([2.0, -1.0]))
     assert np.array_equal(a.xs, b.xs)
     assert np.array_equal(a.thetas, b.thetas)
-    c = run_trajectory(obj, noise, SCHED1, 100, 43, np.array([2.0, -1.0]))
+    c = run_paths(obj, noise, SCHED1, 100, [43], np.array([2.0, -1.0]))
     assert not np.array_equal(a.thetas, c.thetas)
 
 
@@ -86,13 +88,13 @@ def test_ensemble_matches_singles_bitwise():
     obj = quadratic(np.array([1.0, 2.0]))
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
     seeds = derive_seeds(7, 5)
-    ens = run_ensemble(obj, noise, SCHED1, 1500, seeds, np.array([2.0, -1.0]))
+    ens = run_paths(obj, noise, SCHED1, 1500, seeds, np.array([2.0, -1.0]))
     for i in (0, 2, 4):
-        solo = run_trajectory(obj, noise, SCHED1, 1500, int(seeds[i]),
-                              np.array([2.0, -1.0]))
-        assert np.array_equal(ens.xs[i], solo.xs)
-        assert np.array_equal(ens.thetas[i], solo.thetas)
-        assert np.array_equal(ens.f_gaps[i], solo.f_gaps)
+        solo = run_paths(obj, noise, SCHED1, 1500, [int(seeds[i])],
+                         np.array([2.0, -1.0]))
+        assert np.array_equal(ens.xs[i], solo.xs[0])
+        assert np.array_equal(ens.thetas[i], solo.thetas[0])
+        assert np.array_equal(ens.f_gaps[i], solo.f_gaps[0])
 
 
 def test_derive_seeds_stable_and_distinct():
@@ -105,15 +107,21 @@ def test_derive_seeds_stable_and_distinct():
 
 
 def test_trajectory_accessors():
+    # consecutive records chain: step k+1 starts where step k ended, and the
+    # last record carries x_{K+1}, f(x_K) - f* and E(K)
     obj = quadratic(np.array([1.0]))
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 1, 1.0)
-    traj = run_trajectory(obj, noise, SCHED1, 10, 3, np.array([2.0]))
-    assert traj.K == 10
-    assert np.array_equal(traj.x(0), traj.xs[0])
-    assert np.array_equal(traj.g(1), traj.gs[0])
-    assert np.array_equal(traj.theta(10), traj.thetas[9])
-    with pytest.raises(ValueError):
-        traj.g(0)
+    recs = list(stream_ensemble(obj, noise, SCHED1, 10, [3], np.array([2.0])))
+    assert [r.k for r in recs] == list(range(1, 11))
+    for prev, rec in zip(recs, recs[1:]):
+        assert np.array_equal(rec.x_prev, prev.x_curr)
+        assert np.array_equal(rec.x_curr, prev.x_next)
+        assert np.array_equal(rec.fgap_prev, prev.fgap_curr)
+        assert rec.E_prev is prev.E
+    last = recs[-1]
+    np.testing.assert_allclose(last.fgap_curr, 0.5 * last.x_curr[:, 0] ** 2, rtol=1e-15)
+    assert np.array_equal(last.E, energy(10, last.x_curr, last.x_next, last.fgap_curr,
+                                         SCHED1, obj.minimizer))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,116 +7,128 @@ from hypothesis import given, settings, strategies as st
 from stoplab.lyapunov import envelope_constants, envelope_U
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import quadratic
-from stoplab.sgdm import ScheduleVariant, Variant, derive_seeds, run_ensemble, run_trajectory
-from stoplab.stopping import (PathTree, RuleKind, StoppingRule, adversarial_tau,
-                              baseline_envelope, coverage,
-                              enumerate_stopping_times, evaluate_rule,
-                              random_tree, sup_within_envelope,
+from stoplab.sgdm import ScheduleVariant, Variant, derive_seeds, stream_ensemble
+from stoplab.stopping import (PathTree, RuleKind, RuleTracker,
+                              baseline_envelope, coverage_verdict,
+                              enumerate_stopping_times, random_tree,
                               tree_min_coverage)
+
+from oracles import run_paths
 
 SCHED = ScheduleVariant(Variant.THEOREM_MAIN, L=1.0)
 ZERO1 = NoiseModel(NoiseKind.NONE, dim=1, sigma_certificate=0.0, scale=0.0)
 
 
+def _stop(rule, obj, noise, K, seeds, x0):
+    """Feed a rule every streamed step; return its per-trajectory tau."""
+    for rec in stream_ensemble(obj, noise, SCHED, K, seeds, x0):
+        rule.update(rec)
+    return rule.tau
+
+
 def test_rule_validation():
     with pytest.raises(ValueError):
-        StoppingRule(RuleKind.ITERATE_DELTA, k_max=10)
+        RuleTracker(RuleKind.ITERATE_DELTA, k_max=10)
     with pytest.raises(ValueError):
-        StoppingRule(RuleKind.VALUE_DELTA, k_max=10, epsilon=-1.0)
+        RuleTracker(RuleKind.VALUE_DELTA, k_max=10, epsilon=-1.0)
     with pytest.raises(ValueError):
-        StoppingRule(RuleKind.FIXED_K, k_max=0)
-    with pytest.raises(ValueError):
-        StoppingRule(RuleKind.FIRST_ENVELOPE_VIOLATION, k_max=10)
+        RuleTracker(RuleKind.FIXED_K, k_max=0)
 
 
 def test_delta_rules_trigger_immediately_at_repeated_start():
     # x_1 = x_0 by construction, so any positive epsilon fires at k = 1
     obj = quadratic(np.array([1.0]))
-    traj = run_trajectory(obj, ZERO1, SCHED, 10, 0, np.array([2.0]))
-    assert evaluate_rule(StoppingRule(RuleKind.ITERATE_DELTA, 10, epsilon=1e-9), traj) == 1
-    assert evaluate_rule(StoppingRule(RuleKind.VALUE_DELTA, 10, epsilon=1e-9), traj) == 1
+    x0 = np.array([2.0])
+    for kind in (RuleKind.ITERATE_DELTA, RuleKind.VALUE_DELTA):
+        tau = _stop(RuleTracker(kind, 10, epsilon=1e-9), obj, ZERO1, 10, [0], x0)
+        assert list(tau) == [1]
 
 
 def test_iterate_delta_matches_brute_force_scan():
     obj = quadratic(np.array([1.0]))
-    traj = run_trajectory(obj, ZERO1, SCHED, 500, 0, np.array([2.0]))
-    # skip the trivial k=1 trigger with a tiny epsilon and scan from k=2
-    steps = np.linalg.norm(np.diff(traj.xs[:501], axis=0), axis=-1)
-    eps = 1e-3
-    brute = next(k for k in range(2, 501) if steps[k - 1] <= eps and k > 1)
-    # the first trigger overall is k=1 (repeated start); drop it by comparing
-    # against a noisy start instead
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 1, 1.0)
-    ntraj = run_trajectory(obj, noise, SCHED, 500, 3, np.array([2.0]))
-    nsteps = np.linalg.norm(np.diff(ntraj.xs[:501], axis=0), axis=-1)
-    tau = evaluate_rule(StoppingRule(RuleKind.ITERATE_DELTA, 500, epsilon=eps), ntraj)
-    nbrute = next(k for k in range(1, 501) if nsteps[k - 1] <= eps)
-    assert tau == nbrute
+    eps = 1e-3
+    seeds = derive_seeds(3, 4)
+    paths = run_paths(obj, noise, SCHED, 500, seeds, np.array([2.0]))
+    steps = np.linalg.norm(np.diff(paths.xs[:, :501], axis=1), axis=-1)
+    tau = _stop(RuleTracker(RuleKind.ITERATE_DELTA, 500, epsilon=eps), obj, noise,
+                500, seeds, np.array([2.0]))
+    for i in range(4):
+        brute = next((k for k in range(1, 501) if steps[i, k - 1] <= eps), 500)
+        assert tau[i] == brute
 
 
 def test_fixed_k_and_cap():
     obj = quadratic(np.array([1.0]))
-    traj = run_trajectory(obj, ZERO1, SCHED, 50, 0, np.array([2.0]))
-    assert evaluate_rule(StoppingRule(RuleKind.FIXED_K, 7), traj) == 7
+    x0 = np.array([2.0])
+    assert list(_stop(RuleTracker(RuleKind.FIXED_K, 7), obj, ZERO1, 50, [0], x0)) == [7]
     # a never-satisfied rule is capped at k_max; an envelope far above every
     # value-gap is never crossed, so the first-violation rule runs to the cap
     big = envelope_constants(SCHED, 1.0, 100.0)
-    never = StoppingRule(RuleKind.FIRST_ENVELOPE_VIOLATION, 50,
-                         envelope=big, beta=0.05)
-    assert evaluate_rule(never, traj) == 50
-    with pytest.raises(ValueError):
-        evaluate_rule(StoppingRule(RuleKind.FIXED_K, 100), traj)
+    U = np.concatenate([[np.inf], envelope_U(big, 0.05, np.arange(1, 51))])
+    never = RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, 50, U=U)
+    assert list(_stop(never, obj, ZERO1, 50, [0], x0)) == [50]
+    assert never.within(U).all()
+    # a rule capped below K ignores the steps after its cap
+    short = RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, 20, U=U)
+    assert list(_stop(short, obj, ZERO1, 50, [0], x0)) == [20]
 
 
 def test_stopped_at_minimizer():
     obj = quadratic(np.array([1.0]))
-    traj = run_trajectory(obj, ZERO1, SCHED, 10, 0, np.array([0.0]))
-    assert evaluate_rule(StoppingRule(RuleKind.ITERATE_DELTA, 10, epsilon=1e-12), traj) == 1
+    rule = RuleTracker(RuleKind.ITERATE_DELTA, 10, epsilon=1e-12)
+    assert list(_stop(rule, obj, ZERO1, 10, [0], np.array([0.0]))) == [1]
+    assert rule.fgap[0] == 0.0
 
 
 def test_adversarial_tau_construction():
+    # the first-violation rule at k_max = K: first violation at k <= K - 1, else K
     U = np.array([np.inf, 1.0, 1.0, 1.0, 1.0, 1.0])
     f_gaps = np.array([
-        [9.0, 0.5, 0.5, 0.5, 0.5, 0.5],   # never violates -> k0 + 1
+        [9.0, 0.5, 0.5, 0.5, 0.5, 0.5],   # never violates -> K
         [9.0, 0.5, 0.5, 2.0, 0.5, 0.5],   # violates only at k = 3
         [9.0, 2.0, 2.0, 0.5, 0.5, 0.5],   # first violation k = 1
+        [9.0, 0.5, 0.5, 0.5, 0.5, 2.0],   # violates only at k = K
     ])
-    taus = adversarial_tau(f_gaps, U, k0=4)
-    assert list(taus) == [5, 3, 1]
-    with pytest.raises(ValueError):
-        adversarial_tau(f_gaps, U, k0=5)
+    rule = RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, 5, U=U)
+    for k in range(1, 6):
+        rule.update(SimpleNamespace(k=k, fgap_curr=f_gaps[:, k]))
+    assert list(rule.tau) == [5, 3, 1, 5]
+    assert list(rule.fgap) == [0.5, 2.0, 2.0, 2.0]
+    assert list(rule.within(U)) == [True, False, False, False]
 
 
 def test_adversarial_identity_with_sup_statement():
     obj = quadratic(np.array([1.0, 2.0]))
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
     sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
-    ens = run_ensemble(obj, noise, sched, 200, derive_seeds(5, 150), np.array([2.0, -1.0]))
     env = envelope_constants(sched, 1.0, 10.0)
     # deliberately shrunken envelope (for k >= 2; the k = 1 value is
     # deterministic across trajectories) so that some but not all paths violate
     ks = np.arange(1, 201)
     shape = envelope_U(env, 0.05, ks)
     U = np.concatenate([[np.inf], shape[:1], shape[1:] / 15.5])
-    k0 = 199
-    taus = adversarial_tau(ens.f_gaps, U, k0)
-    R = ens.f_gaps.shape[0]
-    stopped_within = ens.f_gaps[np.arange(R), taus] <= U[taus]
-    sup_within = sup_within_envelope(ens.f_gaps, U, k0 + 1)
+    rule = RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, 200, U=U)
+    sup_within = np.ones(150, dtype=bool)
+    for rec in stream_ensemble(obj, noise, sched, 200, derive_seeds(5, 150),
+                               np.array([2.0, -1.0])):
+        rule.update(rec)
+        sup_within &= rec.fgap_curr <= U[rec.k]
     # per-trajectory indicator identity, and it is non-trivial here
-    assert np.array_equal(stopped_within, sup_within)
-    assert 0 < int(np.sum(sup_within)) < R
+    assert np.array_equal(rule.within(U), sup_within)
+    assert 0 < int(np.sum(sup_within)) < 150
 
 
 def test_coverage_report():
     rng = np.random.default_rng(2)
-    f_gaps = rng.uniform(0.0, 1.0, (200, 6))
-    U = np.array([np.inf, 2.0, 2.0, 2.0, 2.0, 2.0])
-    taus = np.full(200, 3)
-    rep = coverage(f_gaps, U, taus, beta=0.05)
+    within = rng.uniform(0.0, 1.0, 200) <= 2.0
+    rep = coverage_verdict(within, beta=0.05)
     assert rep["frequency"] == 1.0 and rep["pass"]
-    with pytest.raises(ValueError):
-        coverage(f_gaps[:50], U, taus[:50], beta=0.05)
+    # 170 / 200 = 0.85 misses the 0.9 level outright; 197 / 200 clears it
+    rep = coverage_verdict(np.arange(200) < 170, beta=0.05)
+    assert rep["frequency"] == 0.85 and rep["bound"] == 0.9 and not rep["pass"]
+    rep = coverage_verdict(np.arange(200) < 197, beta=0.05)
+    assert rep["ci_lo"] >= 0.9 and rep["pass"]
 
 
 def test_baseline_envelope_values():
