@@ -22,12 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .mcstats import binomial_ci_halfwidth, clopper_pearson
+from .mcstats import clopper_pearson
 from .noise import NoiseModel, sample
 
 __all__ = [
     "MgfCheckConfig", "mgf_check", "weighted_square_tail_check",
-    "weighted_square_tail_oracle", "s_tail_check",
+    "weighted_square_tail_oracle",
 ]
 
 _SAMPLE_CHUNK = 1 << 15
@@ -196,30 +196,3 @@ def weighted_square_tail_oracle(
         if envelope(lo) * seg < 1e-9:
             break
     return min(max(0.5 + total / math.pi, 0.0), 1.0)
-
-
-def s_tail_check(
-    sup_S: np.ndarray,
-    sigma: float,
-    gamma1_value: float,
-    betas: Sequence[float],
-) -> list[dict]:
-    """Anytime tail of the weighted noise energy S(k) = sum a_l ||theta_l||^2.
-
-    Checks Pr(sup_k S(k) >= (1 + ln(1/beta)) sigma^2 gamma1) <= beta over the
-    per-trajectory suprema (for nonnegative summands the supremum is S(K)).
-    Pass allows a 3-sigma binomial slack.
-    """
-    sup_S = np.asarray(sup_S, dtype=float)
-    R = sup_S.shape[0]
-    ci = binomial_ci_halfwidth(R)
-    reports = []
-    for beta in betas:
-        beta = float(beta)
-        thresh = (1.0 + math.log(1.0 / beta)) * sigma * sigma * gamma1_value
-        rate = float(np.mean(sup_S >= thresh))
-        reports.append({
-            "beta": beta, "threshold": thresh, "frequency": rate,
-            "ci_halfwidth": ci, "R": R, "pass": rate <= beta + ci,
-        })
-    return reports

@@ -11,7 +11,6 @@ results are bitwise identical for any worker count.  Outputs are
 
 import csv
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -111,38 +110,44 @@ class Report:
     output_dir: str
 
 
+# Each objective kind's keys, each with a value of the type it must have.
+_OBJECTIVE_KEYS = {
+    "quadratic": {"diag": [0.0], "center": [0.0]},
+    "least-squares": {"dim": 0, "m": 0, "seed": 0},
+    "huberized-abs": {"dim": 0, "delta": 0.0, "center": [0.0]},
+}
+
+
 def _build_objective(spec, problems) -> Objective | None:
     if not isinstance(spec, dict) or "kind" not in spec:
         problems.append("objective must be a mapping with a 'kind'")
         return None
-    kind = spec.get("kind")
-    keys = set(spec) - {"kind"}
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _OBJECTIVE_KEYS:
+        problems.append(f"objective: unknown kind {kind!r}")
+        return None
+    types = _OBJECTIVE_KEYS[kind]
+    bad = set(spec) - {"kind"} - set(types)
+    if bad:
+        problems.append(f"objective: unknown keys {sorted(bad)}")
+    wrong = sorted(k for k in set(spec) & set(types) if not (
+        _matches_default(spec[k], types[k]) or (k == "center" and spec[k] is None)))
+    if wrong:
+        problems.append(f"objective: {wrong} must be integers (dim, m, seed), "
+                        "a number (delta) or lists of numbers (diag, center)")
+        return None
+    center = spec.get("center")
+    center = None if center is None else np.asarray(center, dtype=float)
     try:
         if kind == "quadratic":
-            bad = keys - {"diag", "center"}
-            if bad:
-                problems.append(f"objective: unknown keys {sorted(bad)}")
-            diag = np.asarray(spec.get("diag", [1.0]), dtype=float)
-            center = spec.get("center")
-            return quadratic(diag, None if center is None else np.asarray(center, dtype=float))
+            return quadratic(np.asarray(spec.get("diag", [1.0]), dtype=float), center)
         if kind == "least-squares":
-            bad = keys - {"dim", "m", "seed"}
-            if bad:
-                problems.append(f"objective: unknown keys {sorted(bad)}")
-            return least_squares_random(int(spec.get("dim", 5)), int(spec.get("m", 12)),
-                                        int(spec.get("seed", 0)))
-        if kind == "huberized-abs":
-            bad = keys - {"dim", "delta", "center"}
-            if bad:
-                problems.append(f"objective: unknown keys {sorted(bad)}")
-            center = spec.get("center")
-            return huberized_abs(int(spec.get("dim", 1)), float(spec.get("delta", 1.0)),
-                                 None if center is None else np.asarray(center, dtype=float))
+            return least_squares_random(spec.get("dim", 5), spec.get("m", 12),
+                                        spec.get("seed", 0))
+        return huberized_abs(spec.get("dim", 1), float(spec.get("delta", 1.0)), center)
     except (ValueError, TypeError) as exc:
         problems.append(f"objective: {exc}")
         return None
-    problems.append(f"objective: unknown kind {kind!r}")
-    return None
 
 
 def _build_noise(spec, dim, problems) -> NoiseModel | None:
@@ -223,12 +228,12 @@ def parse_config(raw: dict) -> RunConfig:
         problems.append("base_seed must be a 64-bit nonnegative integer")
 
     x0 = None
-    try:
+    if not _matches_default(raw["x0"], [0.0]):
+        problems.append("x0 must be a list of numbers")
+    else:
         x0 = np.asarray(raw["x0"], dtype=float)
         if obj is not None and x0.shape != (obj.dim,):
             problems.append(f"x0 must have length {obj.dim}")
-    except (TypeError, ValueError):
-        problems.append("x0 must be a list of numbers")
 
     betas = raw.get("betas", [0.05, 0.1])
     if not isinstance(betas, (list, tuple)) or not all(_is_number(b) and 0.0 < b < 0.5 for b in betas):
@@ -259,6 +264,9 @@ def parse_config(raw: dict) -> RunConfig:
             continue
         if not (beta is None or (_is_number(beta) and 0.0 < beta < 0.5)):
             problems.append(f"rules[{i}]: beta must be a number in (0, 0.5)")
+            continue
+        if kind is RuleKind.FIRST_ENVELOPE_VIOLATION and beta is None and not betas:
+            problems.append(f"rules[{i}]: {kind.value} needs a beta when betas is empty")
             continue
         try:
             RuleTracker(kind, k_max, epsilon)  # the rule's own parameter checks
@@ -323,17 +331,15 @@ def _envelope(cfg: RunConfig) -> EnvelopeParams:
     return envelope_constants(cfg.sched, float(sigma), E0, float(cfg.options["gamma_tol"]))
 
 
-def _run_block(raw: dict, lo: int, hi: int) -> dict:
+def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
     """Stream trajectories lo..hi-1 and reduce all per-trajectory statistics.
 
-    Top-level so process pools can pickle it; rebuilds everything from the raw
-    config, which keeps worker results independent of host state.
+    Top-level so process pools can pickle it; the run's config and envelope
+    are plain values, computed once by ``run_experiment``.
     """
-    cfg = parse_config(raw)
     obj, sched, K = cfg.objective, cfg.sched, cfg.K
     n = hi - lo
     seeds = derive_seeds(cfg.base_seed, cfg.R)[lo:hi]
-    env = _envelope(cfg)
     t = env.B / env.gamma2
     ks = np.arange(0, K + 1)
     rule_betas = {r[3] for r in cfg.rules if r[3] is not None}
@@ -348,7 +354,10 @@ def _run_block(raw: dict, lo: int, hi: int) -> dict:
     all_within = {b: np.ones(n, dtype=bool) for b in cfg.betas}
     adversarial = {b: RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, K, U=U[b])
                    for b in cfg.betas}
-    rules = [RuleTracker(kind, k_max, epsilon, U[rbeta if rbeta is not None else cfg.betas[0]])
+    # a rule without its own beta reads the first beta's envelope; parse_config
+    # rejects an envelope rule with neither
+    first_beta = cfg.betas[0] if cfg.betas else None
+    rules = [RuleTracker(kind, k_max, epsilon, U.get(first_beta if rbeta is None else rbeta))
              for kind, epsilon, k_max, rbeta in cfg.rules]
 
     n_csv = int(cfg.options["csv_trajectories"])
@@ -415,15 +424,15 @@ def _merge_blocks(blocks: list) -> dict:
     return out
 
 
-def _ensemble_stats(cfg: RunConfig) -> dict:
+def _ensemble_stats(cfg: RunConfig, env: EnvelopeParams) -> dict:
     workers = int(os.environ.get("STOPLAB_WORKERS", "1"))
     R = cfg.R
     if workers <= 1 or R == 1:
-        return _merge_blocks([_run_block(cfg.raw, 0, R)])
+        return _merge_blocks([_run_block(cfg, env, 0, R)])
     per = -(-R // workers)
     spans = [(lo, min(lo + per, R)) for lo in range(0, R, per)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_block, cfg.raw, lo, hi) for lo, hi in spans]
+        futures = [pool.submit(_run_block, cfg, env, lo, hi) for lo, hi in spans]
         blocks = [f.result() for f in futures]
     return _merge_blocks(blocks)
 
@@ -458,7 +467,7 @@ def run_experiment(cfg: RunConfig) -> Report:
     summary = {}
 
     try:
-        stats = _ensemble_stats(cfg)
+        stats = _ensemble_stats(cfg, env)
     except DivergenceError as exc:
         checks.append(_check_record("divergence", {"step": exc.step}, exc.norm,
                                     None, None, False))
@@ -514,11 +523,9 @@ def run_experiment(cfg: RunConfig) -> Report:
         target = float(cfg.options["ville_bound"])
         alpha = alpha_for_bound(target, t, env.gamma2, E0)
         vm = ville_monitor(stats["sup_logN"], t, alpha, env.gamma2, E0)
-        slack = 1.3 / math.sqrt(cfg.R)
         checks.append(_check_record(
             "ville", {"alpha": alpha, "t": t, "R": cfg.R},
-            vm["empirical_rate"], slack, vm["bound"],
-            vm["empirical_rate"] <= vm["bound"] + slack,
+            vm["empirical_rate"], vm["ci_halfwidth"], vm["bound"], vm["pass"],
         ))
     if "mgf" in cfg.checks:
         phi = cfg.x0 - cfg.objective.minimizer

@@ -23,12 +23,10 @@ from .objectives import Objective
 from .sgdm import ScheduleVariant, Variant, a_coeff, energy_weight, eta, sq_norm
 from .series import gamma1 as _gamma1_bracket
 from .series import gamma2 as _gamma2_bracket
-from .series import riemann_zeta
 
 __all__ = [
     "EnvelopeParams", "residual_tolerance", "step_residuals",
-    "deep_descent_links", "envelope_constants", "envelope_U", "h_sigma",
-    "riemann_zeta",
+    "deep_descent_links", "envelope_constants", "envelope_U",
 ]
 
 
@@ -179,9 +177,3 @@ def envelope_U(params: EnvelopeParams, beta: float, k) -> np.ndarray | float:
             * level * np.log(k + 2.0) ** power / np.sqrt(k + 1.0)
         )
     return out if out.ndim else float(out)
-
-
-def h_sigma(epsilon: float, sigma: float) -> float:
-    """exp(sigma^2 zeta(1+eps)) zeta(1+eps)^2, the eps-schedule constant bound."""
-    z = riemann_zeta(1.0 + epsilon)
-    return math.exp(sigma * sigma * z) * z * z

@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mcstats import binomial_ci_halfwidth, bootstrap_upper_quantile
+from .mcstats import bootstrap_upper_quantile
 from .noise import NoiseModel, sample
 from .objectives import Objective, grad
 from .sgdm import ScheduleVariant, _step_arrays, a_coeff, energy, stream_ensemble
-from .series import gamma1, gamma2  # re-exported: the gamma ops live with the proofs' users
 
 __all__ = [
-    "gamma1", "gamma2", "log_N", "check_supermartingale", "ville_monitor",
+    "log_N", "check_supermartingale", "ville_monitor",
     "ville_bound", "alpha_for_bound", "MartingaleTracker",
 ]
 
@@ -68,7 +67,7 @@ def check_supermartingale(
     k: int,
     t: float,
     n_branches: int,
-    gamma2_value: float | None = None,
+    gamma2_value: float,
     B: float = 1.0,
 ) -> dict:
     """Branching Monte Carlo check of E[N^t(k) | F_{k-1}] <= N^t(k-1).
@@ -78,16 +77,14 @@ def check_supermartingale(
     a common exp-shift so the comparison is overflow-free; pass means
     estimate <= 3 * ci_halfwidth (zero-noise runs are a deterministic single
     branch).  A one-sided 99% bootstrap bound on the shifted mean is included
-    because N has a heavy right tail.
+    because N has a heavy right tail.  ``gamma2_value`` is the certified upper
+    end of the gamma2 bracket (``EnvelopeParams.gamma2``).
     """
     if n_branches < 1000:
         raise ValueError("n_branches must be >= 1000")
     if k < 1:
         raise ValueError("k must be >= 1")
     sigma = noise.sigma_certificate
-    if gamma2_value is None:
-        gamma2_value, g2w = gamma2(sched, sigma, 1e-6)
-        gamma2_value += g2w
     if not 0.0 < t <= B / gamma2_value + 1e-15:
         raise ValueError("t must lie in (0, B / gamma2]")
     # The prefix path runs to step k; its own theta_k is replaced by branches.
@@ -137,13 +134,13 @@ def ville_monitor(sup_logN: np.ndarray, t: float, alpha: float,
     """Empirical exceedance of sup_k N^t(k) >= exp(alpha t) against the bound.
 
     ``sup_logN`` holds per-trajectory suprema of log N^t(k); the pass rule
-    allows a 3-sigma binomial slack on top of the bound.
+    allows a binomial slack of 1.3 / sqrt(R) on top of the bound.
     """
     sup_logN = np.asarray(sup_logN, dtype=float)
     R = sup_logN.shape[0]
     rate = float(np.mean(sup_logN >= alpha * t))
     bound = ville_bound(alpha, t, gamma2_value, E0)
-    ci = binomial_ci_halfwidth(R)
+    ci = 1.3 / math.sqrt(R)
     return {
         "empirical_rate": rate,
         "bound": bound,

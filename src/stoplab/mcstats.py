@@ -1,7 +1,5 @@
 """Small Monte Carlo statistics helpers shared by the verification suites."""
 
-import math
-
 import numpy as np
 from scipy import stats
 
@@ -14,11 +12,6 @@ def clopper_pearson(successes: int, n: int, confidence: float = 0.99) -> tuple[f
     lo = 0.0 if successes == 0 else float(stats.beta.ppf(alpha / 2.0, successes, n - successes + 1))
     hi = 1.0 if successes == n else float(stats.beta.ppf(1.0 - alpha / 2.0, successes + 1, n - successes))
     return lo, hi
-
-
-def binomial_ci_halfwidth(n: int, confidence_sigmas: float = 3.0) -> float:
-    """Conservative normal half-width for a frequency: sigmas / (2 sqrt(n))."""
-    return confidence_sigmas / (2.0 * math.sqrt(n))
 
 
 def bootstrap_upper_quantile(values: np.ndarray, stat=np.mean, n_boot: int = 200,

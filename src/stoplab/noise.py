@@ -12,15 +12,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CalibrationError, DimensionMismatchError
-from .objectives import Objective, grad
+from .errors import CalibrationError
 
 
 class NoiseKind(Enum):
     NONE = "none"
     GAUSSIAN_ISOTROPIC = "gaussian"
     BOUNDED_SPHERE = "bounded_sphere"
-    HEAVY_TAIL = "heavy_tail"  # negative testing only; refuses calibration
 
 
 @dataclass(frozen=True)
@@ -48,9 +46,7 @@ def calibrate(kind: NoiseKind, dim: int, sigma_certificate: float) -> NoiseModel
     if kind is NoiseKind.GAUSSIAN_ISOTROPIC:
         scale = sigma_certificate * math.sqrt((1.0 - math.exp(-2.0 / dim)) / 2.0)
         return NoiseModel(kind, dim, float(sigma_certificate), scale)
-    if kind is NoiseKind.BOUNDED_SPHERE:
-        return NoiseModel(kind, dim, float(sigma_certificate), float(sigma_certificate))
-    raise CalibrationError(f"no finite sub-Gaussian certificate exists for {kind}")
+    return NoiseModel(kind, dim, float(sigma_certificate), float(sigma_certificate))
 
 
 def sample(model: NoiseModel, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -67,21 +63,6 @@ def sample(model: NoiseModel, rng: np.random.Generator, n: int | None = None) ->
         return model.scale * z
     norms = np.sqrt(np.sum(z * z, axis=-1, keepdims=True))
     return model.scale * z / norms
-
-
-def stochastic_grad(obj: Objective, model: NoiseModel, x, rng: np.random.Generator):
-    """Return (g, theta) with g = grad f(x) - theta, theta freshly sampled.
-
-    Both are returned so instrumentation never re-derives theta; the identity
-    g + theta = grad f(x) holds bitwise.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != obj.dim or model.dim != obj.dim:
-        raise DimensionMismatchError("objective, noise and point dims must agree")
-    n = None if x.ndim == 1 else x.shape[0]
-    theta = sample(model, rng, n)
-    g = grad(obj, x) - theta
-    return g, theta
 
 
 def variance_diagnostic(model: NoiseModel, n_samples: int, rng: np.random.Generator) -> dict:

@@ -38,13 +38,22 @@ def _tail_integral_bracket(sched: ScheduleVariant, K: int) -> tuple[float, float
     return lo, hi
 
 
-def _partial_sum(sched: ScheduleVariant, K: int, transform=None) -> float:
-    total = 0.0
-    for lo in range(1, K + 1, _CHUNK):
-        hi = min(lo + _CHUNK - 1, K)
-        ak = a_coeff(sched, np.arange(lo, hi + 1))
-        total += float(np.sum(transform(ak) if transform else ak))
-    return total
+def _prefix_sums(sched: ScheduleVariant, transform=None):
+    """Yield (K, sum_{k<=K} transform(a_k)) for K = 2^17, 2^18, ..., _MAX_TERMS.
+
+    Each doubling adds only the new terms K/2+1..K, in chunks of at most
+    _CHUNK terms, to the running sum.  numpy's pairwise sum splits a
+    power-of-two length exactly in half, so every yielded value is bitwise
+    the one-pass sum of terms 1..K in the same chunks.
+    """
+    total, lo, K = 0.0, 1, 1 << 17
+    while K <= _MAX_TERMS:
+        for start in range(lo, K + 1, _CHUNK):
+            ak = a_coeff(sched, np.arange(start, min(start + _CHUNK - 1, K) + 1))
+            total += float(np.sum(transform(ak) if transform else ak))
+        del ak  # hold no chunk while suspended: it would raise peak memory
+        yield K, total
+        lo, K = K + 1, 2 * K
 
 
 def gamma1(sched: ScheduleVariant, tol: float) -> tuple[float, float]:
@@ -55,19 +64,13 @@ def gamma1(sched: ScheduleVariant, tol: float) -> tuple[float, float]:
     """
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must lie in (0, 1)")
-    K = 1 << 17
-    while True:
+    for K, partial in _prefix_sums(sched):
         t_lo, t_hi = _tail_integral_bracket(sched, K)
-        partial = _partial_sum(sched, K)
         value = partial + t_lo
         tail_bound = t_hi - t_lo
         if tail_bound <= tol * value:
             return value, tail_bound
-        if K >= _MAX_TERMS:
-            raise ConfigError(
-                [f"gamma1 bracket did not reach tolerance {tol} within {K} terms"]
-            )
-        K *= 2
+    raise ConfigError([f"gamma1 bracket did not reach tolerance {tol} within {K} terms"])
 
 
 def gamma2(sched: ScheduleVariant, sigma: float, tol: float) -> tuple[float, float]:
@@ -82,10 +85,8 @@ def gamma2(sched: ScheduleVariant, sigma: float, tol: float) -> tuple[float, flo
     if sigma == 0.0:
         return 1.0, 0.0
     s2 = sigma * sigma
-    K = 1 << 17
-    while True:
+    for K, log_prefix in _prefix_sums(sched, transform=lambda a: np.log1p(s2 * a)):
         t_lo, t_hi = _tail_integral_bracket(sched, K)
-        log_prefix = _partial_sum(sched, K, transform=lambda a: np.log1p(s2 * a))
         correction = 0.5 * s2 * s2 * float(a_coeff(sched, K + 1)) * t_hi
         log_tail_lo = max(s2 * t_lo - correction, 0.0)
         log_tail_hi = s2 * t_hi
@@ -93,11 +94,7 @@ def gamma2(sched: ScheduleVariant, sigma: float, tol: float) -> tuple[float, flo
         upper = math.exp(log_prefix + log_tail_hi)
         if upper - value <= tol * value:
             return value, upper - value
-        if K >= _MAX_TERMS:
-            raise ConfigError(
-                [f"gamma2 bracket did not reach tolerance {tol} within {K} terms"]
-            )
-        K *= 2
+    raise ConfigError([f"gamma2 bracket did not reach tolerance {tol} within {K} terms"])
 
 
 def riemann_zeta(s: float, n_terms: int = 1 << 14) -> float:

@@ -17,14 +17,14 @@ import pytest
 from stoplab.concentration import (MgfCheckConfig, mgf_check,
                                    weighted_square_tail_check)
 from stoplab.harness import parse_config, run_experiment
-from stoplab.lyapunov import (envelope_constants, envelope_U, riemann_zeta,
-                              step_residuals)
+from stoplab.lyapunov import envelope_constants, envelope_U, step_residuals
 from stoplab.martingale import (MartingaleTracker, alpha_for_bound,
-                                check_supermartingale, gamma1, gamma2)
+                                check_supermartingale)
 from stoplab.mcstats import clopper_pearson
 from stoplab.noise import NoiseKind, calibrate
 from stoplab.objectives import (eval_objective, huberized_abs,
                                 least_squares_random, quadratic)
+from stoplab.series import gamma1, gamma2, riemann_zeta
 from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
                           energy, eta, stream_ensemble)
 from stoplab.stopping import (PathTree, RuleKind, RuleTracker,

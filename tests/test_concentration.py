@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stoplab.concentration import (MgfCheckConfig, mgf_check, s_tail_check,
+from stoplab.concentration import (MgfCheckConfig, mgf_check,
                                    weighted_square_tail_check,
                                    weighted_square_tail_oracle)
 from stoplab.mcstats import clopper_pearson
@@ -116,12 +116,3 @@ def test_clopper_pearson_basics():
     assert lo < 0.5 < hi
     with pytest.raises(ValueError):
         clopper_pearson(1, 0)
-
-
-def test_s_tail_check():
-    rng = np.random.default_rng(0)
-    sup_S = rng.exponential(0.3, size=2000)
-    reports = s_tail_check(sup_S, 1.0, 1.888, [0.05, 0.1])
-    assert all(r["pass"] for r in reports)
-    # thresholds grow as beta shrinks
-    assert reports[0]["threshold"] > reports[1]["threshold"]

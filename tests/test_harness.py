@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from stoplab import harness
 from stoplab.errors import ConfigError
 from stoplab.harness import (CHECK_NAMES, load_config, parse_config,
                              run_experiment)
@@ -71,6 +72,19 @@ _MALFORMED = {
     "base-seed-bool": lambda raw: raw.update(base_seed=True),
     "rule-k-max-bool": lambda raw: raw.update(rules=[{"kind": "fixed-k", "k_max": True}]),
     "option-wrong-type": lambda raw: raw["options"].update(n_branches="many"),
+    # x0 = [0.0] so that a bool dim coerced to 1 would have matched it
+    "lsq-dim-bool": lambda raw: raw.update(
+        objective={"kind": "least-squares", "dim": True, "m": 4}, x0=[0.0]),
+    "lsq-m-float": lambda raw: raw.update(
+        objective={"kind": "least-squares", "dim": 2, "m": 4.7}),
+    "lsq-seed-bool": lambda raw: raw.update(
+        objective={"kind": "least-squares", "dim": 2, "seed": False}),
+    "huber-delta-string": lambda raw: raw.update(
+        objective={"kind": "huberized-abs", "dim": 2, "delta": "1"}),
+    "diag-bool": lambda raw: raw["objective"].update(diag=[1.0, True]),
+    "center-bool": lambda raw: raw["objective"].update(center=[0.0, False]),
+    "x0-bool": lambda raw: raw.update(x0=[True, -1.0]),
+    "objective-kind-list": lambda raw: raw["objective"].update(kind=["quadratic"]),
 }
 
 
@@ -89,6 +103,42 @@ def test_cli_run_exits_2_on_malformed_values(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "betas" in err and "R must be" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_envelope_rule_needs_a_beta(tmp_path, capsys):
+    raw = _base_raw(tmp_path, betas=[], rules=[{"kind": "first-envelope-violation"}])
+    with pytest.raises(ConfigError, match="needs a beta"):
+        parse_config(raw)
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    assert main(["run", str(cfgpath)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_rules_run_without_betas(tmp_path):
+    raw = _base_raw(tmp_path, betas=[], rules=[
+        {"kind": "fixed-k", "k_max": 10},
+        {"kind": "iterate-delta", "epsilon": 1e-6},
+        {"kind": "first-envelope-violation", "beta": 0.05},
+    ])
+    rep = run_experiment(parse_config(raw))
+    assert rep.passed
+    assert not any(c["name"] == "coverage" for c in rep.checks)
+    assert not (tmp_path / "out" / "coverage.csv").exists()
+
+
+def test_envelope_computed_once_per_run(tmp_path, monkeypatch):
+    calls = []
+    real = harness.envelope_constants
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "envelope_constants", counting)
+    monkeypatch.setenv("STOPLAB_WORKERS", "1")
+    run_experiment(parse_config(_base_raw(tmp_path)))
+    assert len(calls) == 1
 
 
 def test_load_config_errors(tmp_path):

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stoplab.lyapunov import (deep_descent_links, envelope_constants,
-                              envelope_U, h_sigma, residual_tolerance,
+                              envelope_U, residual_tolerance,
                               step_residuals)
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import least_squares_random, quadratic
 from stoplab.sgdm import (ScheduleVariant, Variant, derive_seeds, energy,
                           stream_ensemble)
-from stoplab.series import riemann_zeta
 
 from oracles import phi_series, residual_series, run_paths
 
@@ -152,11 +151,6 @@ def test_envelope_U_eps_variant_carries_sqrt_c0():
     level = env.C1 + env.C2 * math.log(1.0 / 0.05)
     expected = 10.0 * level * math.log(k + 2.0) ** 0.65 / math.sqrt(k + 1.0)
     assert envelope_U(env, 0.05, k) == pytest.approx(expected, rel=1e-14)
-
-
-def test_h_sigma():
-    z = riemann_zeta(1.3)
-    assert h_sigma(0.3, 1.0) == pytest.approx(math.exp(z) * z * z, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

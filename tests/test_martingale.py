@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from stoplab.martingale import (MartingaleTracker, alpha_for_bound,
-                                check_supermartingale, gamma2, log_N,
-                                ville_bound, ville_monitor)
+                                check_supermartingale, log_N, ville_bound,
+                                ville_monitor)
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import quadratic
+from stoplab.series import gamma2
 from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
                           stream_ensemble)
 
@@ -107,9 +108,11 @@ def test_supermartingale_zero_noise_deterministic(g2):
 
 def test_supermartingale_validation(g2):
     with pytest.raises(ValueError):
-        check_supermartingale(OBJ, NOISE, SCHED, X0, 1, 5, 1.0 / g2, 10)
+        check_supermartingale(OBJ, NOISE, SCHED, X0, 1, 5, 1.0 / g2, 10,
+                              gamma2_value=g2)
     with pytest.raises(ValueError):
-        check_supermartingale(OBJ, NOISE, SCHED, X0, 1, 0, 1.0 / g2, 1000)
+        check_supermartingale(OBJ, NOISE, SCHED, X0, 1, 0, 1.0 / g2, 1000,
+                              gamma2_value=g2)
     with pytest.raises(ValueError):
         check_supermartingale(OBJ, NOISE, SCHED, X0, 1, 5, 2.0 / g2, 1000,
                               gamma2_value=g2)

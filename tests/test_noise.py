@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoplab.errors import CalibrationError, DimensionMismatchError
+from stoplab.errors import CalibrationError
 from stoplab.noise import (NoiseKind, NoiseModel, calibrate,
-                           mgf_certificate_check, sample, stochastic_grad,
-                           variance_diagnostic)
-from stoplab.objectives import quadratic
+                           mgf_certificate_check, sample, variance_diagnostic)
 
 
 def _rng(seed=0):
@@ -38,11 +36,6 @@ def test_none_kind_accepts_any_sigma():
     assert np.array_equal(sample(m, _rng(0), 5), np.zeros((5, 4)))
 
 
-def test_heavy_tail_refuses_calibration():
-    with pytest.raises(CalibrationError):
-        calibrate(NoiseKind.HEAVY_TAIL, 2, 1.0)
-
-
 def test_noisy_kinds_need_positive_sigma():
     with pytest.raises(CalibrationError):
         calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 0.0)
@@ -56,17 +49,6 @@ def test_chunked_draws_match_single_draws():
     r = _rng(9)
     singles = np.stack([sample(m, r) for _ in range(64)])
     assert np.array_equal(batch, singles)
-
-
-def test_stochastic_grad_identity():
-    obj = quadratic(np.array([1.0, 2.0]))
-    m = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
-    x = np.array([1.0, -1.0])
-    g, theta = stochastic_grad(obj, m, x, _rng(3))
-    from stoplab.objectives import grad
-    assert np.array_equal(g + theta, grad(obj, x))
-    with pytest.raises(DimensionMismatchError):
-        stochastic_grad(obj, calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 3, 1.0), x, _rng(0))
 
 
 @pytest.mark.parametrize("kind", [NoiseKind.GAUSSIAN_ISOTROPIC, NoiseKind.BOUNDED_SPHERE])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stoplab import series
 from stoplab.errors import ConfigError
 from stoplab.series import gamma1, gamma2, riemann_zeta
 from stoplab.sgdm import ScheduleVariant, Variant
@@ -67,6 +68,35 @@ def test_gamma2_oracle_small_sigma():
     g2, g2w = gamma2(SCHED, sigma, 1e-8)
     approx = 1.0 + sigma**2 * g1
     assert g2 == pytest.approx(approx, abs=1e-12)
+
+
+# Brackets as computed before the prefix sum was carried across doublings;
+# carrying it must not move a bit.
+@pytest.mark.parametrize("sched,sigma,tol,expected", [
+    (SCHED, None, 1e-6, (1.8880017546212493, 1.3498618287449693e-06)),
+    (SCHED, None, 1e-8, (1.8880018758591324, 1.5424044028100603e-08)),
+    (SCHED, 1.0, 1e-6, (5.052743576623819, 3.2184896836540133e-06)),
+    (SCHED, 1.0, 1e-8, (5.0527438559305065, 3.732864772842959e-08)),
+    (SCHED_EPS, None, 1e-6, (0.0437873643172992, 2.920287881999495e-08)),
+])
+def test_brackets_are_bitwise_pinned(sched, sigma, tol, expected):
+    got = gamma1(sched, tol) if sigma is None else gamma2(sched, sigma, tol)
+    assert got == expected
+
+
+def test_each_term_is_summed_once(monkeypatch):
+    seen = {"terms": 0, "largest": 0}
+    real = series.a_coeff
+
+    def counting(sched, k):
+        seen["terms"] += np.size(k)
+        seen["largest"] = max(seen["largest"], int(np.max(k)))
+        return real(sched, k)
+
+    monkeypatch.setattr(series, "a_coeff", counting)
+    gamma1(SCHED, 1e-8)
+    # the prefix 1..K once, plus one tail term a_{K+1} per doubling
+    assert seen["terms"] <= seen["largest"] + 16
 
 
 def test_tolerance_validation():
