@@ -28,7 +28,7 @@ from .noise import NoiseKind, NoiseModel, calibrate
 from .objectives import (Objective, eval_objective, huberized_abs,
                          least_squares_random, quadratic)
 from .sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds, energy,
-                   eta, stream_ensemble)
+                   eta, phi, sq_norm, stream_ensemble)
 from .stopping import RuleKind, RuleTracker, coverage_verdict
 
 __all__ = ["RunConfig", "Report", "load_config", "parse_config", "run_experiment"]
@@ -56,6 +56,17 @@ _DEFAULT_OPTIONS = {
     "ville_bound": 0.1,
     "csv_trajectories": 2,
     "envelope_sigma": None,   # override for zero-noise runs that still want U
+}
+
+# What each check accepts of its option, beyond the default's type; a value
+# outside is a config error, raised before any output is written.
+_OPTION_RANGES = {
+    "gamma_tol": (lambda v: 1e-12 < v < 1e-3, "must lie in (1e-12, 1e-3)"),
+    "supermartingale_ks": (lambda v: all(k >= 1 for k in v), "entries must be >= 1"),
+    "n_branches": (lambda v: v >= 1000, "must be >= 1000"),
+    "mgf_n_samples": (lambda v: v >= 1, "must be >= 1"),
+    "tail_c_len": (lambda v: v >= 1, "must be >= 1"),
+    "ville_bound": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
 }
 
 _RULE_KINDS = {k.value: k for k in RuleKind}
@@ -160,7 +171,7 @@ def _build_noise(spec, dim, problems) -> NoiseModel | None:
     kinds = {"none": NoiseKind.NONE, "gaussian-isotropic": NoiseKind.GAUSSIAN_ISOTROPIC,
              "bounded-sphere": NoiseKind.BOUNDED_SPHERE}
     kind = spec.get("kind")
-    if kind not in kinds:
+    if not isinstance(kind, str) or kind not in kinds:
         problems.append(f"noise: unknown kind {kind!r}")
         return None
     sigma = spec.get("sigma", 0.0)
@@ -183,7 +194,7 @@ def _build_schedule(spec, obj, problems) -> ScheduleVariant | None:
         problems.append(f"schedule: unknown keys {sorted(bad)}")
     variants = {v.value: v for v in Variant}
     name = spec.get("variant")
-    if name not in variants:
+    if not isinstance(name, str) or name not in variants:
         problems.append(f"schedule: unknown variant {name!r}")
         return None
     bad = sorted(k for k in ("L", "epsilon", "c0_prime") if k in spec and not _is_number(spec[k]))
@@ -247,13 +258,14 @@ def parse_config(raw: dict) -> RunConfig:
         problems.append("rules must be a list")
         rule_specs = []
     for i, rs in enumerate(rule_specs):
-        if not isinstance(rs, dict) or rs.get("kind") not in _RULE_KINDS:
+        name = rs.get("kind") if isinstance(rs, dict) else None
+        if not isinstance(name, str) or name not in _RULE_KINDS:
             problems.append(f"rules[{i}]: kind must be one of {sorted(_RULE_KINDS)}")
             continue
         bad = set(rs) - {"kind", "epsilon", "k_max", "beta"}
         if bad:
             problems.append(f"rules[{i}]: unknown keys {sorted(bad)}")
-        kind = _RULE_KINDS[rs["kind"]]
+        kind = _RULE_KINDS[name]
         k_max = rs.get("k_max", K if _is_int(K) else 2)
         if not _is_int(k_max) or k_max < 1 or (_is_int(K) and k_max > K):
             problems.append(f"rules[{i}]: k_max must be an integer in [1, K]")
@@ -294,11 +306,13 @@ def parse_config(raw: dict) -> RunConfig:
         if bad:
             problems.append(f"options: unknown keys {sorted(bad)}")
         for key in sorted(set(extra) & set(_DEFAULT_OPTIONS)):
-            if _matches_default(extra[key], _DEFAULT_OPTIONS[key]):
-                options[key] = extra[key]
-            else:
+            if not _matches_default(extra[key], _DEFAULT_OPTIONS[key]):
                 problems.append(f"options: {key} must have the type of its default "
                                 f"{_DEFAULT_OPTIONS[key]!r}")
+            elif key in _OPTION_RANGES and not _OPTION_RANGES[key][0](extra[key]):
+                problems.append(f"options: {key} {_OPTION_RANGES[key][1]}")
+            else:
+                options[key] = extra[key]
 
     if problems:
         raise ConfigError(problems)
@@ -327,7 +341,8 @@ def _envelope(cfg: RunConfig) -> EnvelopeParams:
         sigma = cfg.noise.sigma_certificate
     obj = cfg.objective
     fgap0 = float(eval_objective(obj, cfg.x0) - obj.min_value)
-    E0 = float(energy(0, cfg.x0, cfg.x0, fgap0, cfg.sched, obj.minimizer))  # x_1 = x_0
+    phi_1 = phi(1, cfg.x0, cfg.x0, obj.minimizer)  # x_1 = x_0
+    E0 = float(energy(0, sq_norm(phi_1), fgap0, cfg.sched))
     return envelope_constants(cfg.sched, float(sigma), E0, float(cfg.options["gamma_tol"]))
 
 

@@ -10,8 +10,8 @@ not on average) first by a gradient-form right-hand side and then by the
 noise-only decomposition a_k ||theta_k||^2 + sqrt(a_k) <theta_k, phi_k> with
 phi_k = k (x_k - x_{k-1}) + (x_k - x*).  The residual functions here return
 RHS - LHS, which must stay above a small magnitude-relative negative tolerance
-on every step of every run.  They read one streamed ``StepRecord`` at a time;
-arrays carry its leading trajectory axis.
+on every step of every run.  They read one streamed ``StepRecord`` at a time
+and return (R,) vectors, one entry per trajectory.
 """
 
 import math
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import Objective
-from .sgdm import ScheduleVariant, Variant, a_coeff, energy_weight, eta, sq_norm
+from .sgdm import (ScheduleVariant, Variant, a_coeff, dim_sum, energy_weight, eta,
+                   phi, sq_norm)
 from .series import gamma1 as _gamma1_bracket
 from .series import gamma2 as _gamma2_bracket
 
@@ -44,23 +45,24 @@ def deep_descent_links(rec, sched: ScheduleVariant, obj: Objective) -> dict:
     All must be >= -tol (identity: <= tol in absolute value).
     """
     k = rec.k
-    x_km1, x_k, x_k1, g = rec.x_prev, rec.x_curr, rec.x_next, rec.g
+    # back to the stream's trajectory-minor (dim, R) state
+    x_km1, x_k, x_k1, g = rec.x_prev.T, rec.x_curr.T, rec.x_next.T, rec.g.T
+    x_star = obj.minimizer[:, None]
     e_k = float(eta(sched, k))
     sq = math.sqrt(e_k / k)
     dE = rec.E - rec.E_prev
     delta = 2.0 * (x_k1 - x_k) + k * (x_k1 - 2.0 * x_k + x_km1)
-    identity_err = np.max(np.abs(delta + 2.0 * sq * g), axis=-1)
+    identity_err = np.max(np.abs(delta + 2.0 * sq * g), axis=0)
     f_diff = rec.fgap_curr - rec.fgap_prev  # f(x_k) - f(x_{k-1})
-    anchor = x_k1 + (k + 1.0) * (x_k1 - x_k) - obj.minimizer
     rhs_diff = (
-        2.0 * np.sum(delta * anchor, axis=-1)
+        2.0 * dim_sum(delta * phi(k + 1, x_k, x_k1, x_star))
         - sq_norm(delta)
         + 4.0 * math.sqrt(k * e_k) * f_diff
         + 2.0 * sq * rec.fgap_curr
     )
     rhs_mid1 = (
-        -4.0 * sq * np.sum(g * (x_k + (k + 2.0) * (x_k1 - x_k) - obj.minimizer), axis=-1)
-        - 4.0 * e_k / k * sq_norm(g)
+        -4.0 * sq * dim_sum(g * (x_k + (k + 2.0) * (x_k1 - x_k) - x_star))
+        - 4.0 * e_k / k * rec.g_sq
         + 4.0 * math.sqrt(k * e_k) * f_diff
         + 2.0 * sq * rec.fgap_curr
     )
@@ -74,26 +76,20 @@ def deep_descent_links(rec, sched: ScheduleVariant, obj: Objective) -> dict:
 def step_residuals(rec, sched: ScheduleVariant, obj: Objective) -> dict:
     """All per-step inequality residuals from one streamed ensemble record.
 
-    Works on a StepRecord (leading trajectory axis) and returns a dict of
-    arrays: the three decay residuals, the squared norms entering the
-    momentum-vector bound ||phi_{k+1}||^2 <= E(k), the margin of the value
-    sandwich 4 sqrt((k+1) eta_k) (f(x_k) - f*) <= E(k), and the per-step
-    tolerance.  E(k-1) and E(k) are read from the record.
+    Arithmetic on the record's (R,) vectors only: the row sums over dim come
+    with the record.  Returns a dict of arrays: the three decay residuals,
+    the squared norms entering the momentum-vector bound
+    ||phi_{k+1}||^2 <= E(k), the margin of the value sandwich
+    4 sqrt((k+1) eta_k) (f(x_k) - f*) <= E(k), and the per-step tolerance.
     """
     k = rec.k
     e_k = float(eta(sched, k))
     sq = math.sqrt(e_k / k)
     a_k = float(a_coeff(sched, k))
-    x_star = obj.minimizer
-    phi_k = k * (rec.x_curr - rec.x_prev) + (rec.x_curr - x_star)
-    grad_f = rec.g + rec.theta
-    inner = np.sum(rec.theta * phi_k, axis=-1)
-    g_sq = sq_norm(rec.g)
-    gf_sq = sq_norm(grad_f)
-    th_sq = sq_norm(rec.theta)
+    inner, th_sq, gf_sq = rec.theta_phi, rec.theta_sq, rec.grad_sq
     dE = rec.E - rec.E_prev
     descent = (
-        4.0 * e_k / k * g_sq
+        4.0 * e_k / k * rec.g_sq
         - 2.0 / obj.smoothness * sq * gf_sq
         - 2.0 * sq * rec.fgap_curr
         + 4.0 * sq * inner
@@ -104,13 +100,12 @@ def step_residuals(rec, sched: ScheduleVariant, obj: Objective) -> dict:
         - 2.0 / obj.smoothness * sq * gf_sq
         + 4.0 * sq * inner
     ) - dE
-    phi_next = (k + 1.0) * (rec.x_next - rec.x_curr) + (rec.x_next - x_star)
     return {
         "descent": descent,
         "decomp": decomp,
         "decomp_mid": decomp_mid,
-        "phi_sq": sq_norm(phi_k),
-        "phi_next_sq": sq_norm(phi_next),
+        "phi_sq": rec.phi_sq,
+        "phi_next_sq": rec.phi_next_sq,
         "sandwich_margin": rec.E - energy_weight(sched, k) * rec.fgap_curr,
         "tol": residual_tolerance(rec.E, rec.E_prev),
     }

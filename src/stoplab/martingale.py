@@ -20,7 +20,8 @@ import numpy as np
 from .mcstats import bootstrap_upper_quantile
 from .noise import NoiseModel, sample
 from .objectives import Objective, grad
-from .sgdm import ScheduleVariant, _step_arrays, a_coeff, energy, stream_ensemble
+from .sgdm import (ScheduleVariant, _step_arrays, a_coeff, energy, phi, sq_norm,
+                   stream_ensemble)
 
 __all__ = [
     "log_N", "check_supermartingale", "ville_monitor",
@@ -40,21 +41,24 @@ def log_N(E, S, W, prefix_prod, sigma: float, gamma2_value: float, t: float):
     return gamma2_value / prefix_prod * t * (E - S) - sigma**2 * gamma2_value * t * W
 
 
-def _advance(S, W, prefix_prod, a_k: float, theta, sigma: float):
-    """(S, W, prefix product) at step k from their values at k-1 and theta_k."""
-    return (S + a_k * np.sum(theta * theta, axis=-1),
+def _advance(S, W, prefix_prod, a_k: float, theta_sq, sigma: float):
+    """(S, W, prefix product) at step k from their values at k-1 and ||theta_k||^2."""
+    return (S + a_k * theta_sq,
             W + a_k * S,
             prefix_prod * (1.0 + sigma**2 * a_k))
 
 
 def _branch_thetas(noise: NoiseModel, prefix_seed: int, k: int, n: int) -> np.ndarray:
-    """Noise continuations from chunk-keyed counter streams (parallel-safe)."""
-    out = np.empty((n, noise.dim))
+    """Noise continuations from chunk-keyed counter streams (parallel-safe).
+
+    Trajectory-minor: column j of the (dim, n) result is branch j's draw.
+    """
+    out = np.empty((noise.dim, n))
     for ci, lo in enumerate(range(0, n, _BRANCH_CHUNK)):
         hi = min(lo + _BRANCH_CHUNK, n)
         ss = np.random.SeedSequence(entropy=prefix_seed, spawn_key=(k, ci))
         rng = np.random.Generator(np.random.Philox(key=int(ss.generate_state(1, np.uint64)[0])))
-        out[lo:hi] = sample(noise, rng, hi - lo)
+        out[:, lo:hi] = sample(noise, rng, hi - lo).T
     return out
 
 
@@ -96,11 +100,15 @@ def check_supermartingale(
     S_km1, W_km1, prod_km1 = tracker.S_last, tracker._W, tracker._prefix_prod
     logN_prev = float(log_N(rec.E_prev, S_km1, W_km1, prod_km1, sigma, gamma2_value, t)[0])
 
-    x_km1, x_k = rec.x_prev[0], rec.x_curr[0]
+    # the branches as columns of a trajectory-minor (dim, n) block
+    x_km1, x_k = rec.x_prev.T, rec.x_curr.T
     thetas = _branch_thetas(noise, prefix_seed, k, n_branches)
-    x_k1 = _step_arrays(k, x_km1, x_k, grad(obj, x_k) - thetas, sched)
-    E_k = energy(k, x_k, x_k1, rec.fgap_curr[0], sched, obj.minimizer)
-    S_k, W_k, prod_k = _advance(S_km1, W_km1, prod_km1, float(a_coeff(sched, k)), thetas, sigma)
+    g = np.subtract(grad(obj, rec.x_curr[0])[:, None], thetas, order="C")
+    x_k1 = _step_arrays(k, x_km1, x_k, g, sched)
+    phi_next_sq = sq_norm(phi(k + 1, x_k, x_k1, obj.minimizer[:, None]))
+    E_k = energy(k, phi_next_sq, rec.fgap_curr[0], sched)
+    S_k, W_k, prod_k = _advance(S_km1, W_km1, prod_km1, float(a_coeff(sched, k)),
+                                sq_norm(thetas), sigma)
     logN_k = log_N(E_k, S_k, W_k, prod_k, sigma, gamma2_value, t)
 
     shift = max(float(np.max(logN_k)), logN_prev)
@@ -185,7 +193,7 @@ class MartingaleTracker:
             np.maximum(self.sup_E, rec.E_prev, out=self.sup_E)
         self.S_last, self._W, self._prefix_prod = _advance(
             self.S_last, self._W, self._prefix_prod, float(a_coeff(self.sched, rec.k)),
-            rec.theta, self.sigma)
+            rec.theta_sq, self.sigma)
 
     def finish(self, rec):
         np.maximum(self.sup_logN, self._logN(rec.E), out=self.sup_logN)

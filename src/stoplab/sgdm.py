@@ -11,9 +11,10 @@ Natural logarithms throughout.
 
 ``stream_ensemble`` is the one trajectory runner: a generator over per-step
 records, from which every check keeps only online statistics.  It vectorizes
-across trajectories while giving every trajectory its own counter-based
-random stream, so results are bitwise independent of how trajectories are
-grouped into batches.
+across trajectories, in a trajectory-minor (dim, R) layout, while giving
+every trajectory its own counter-based random stream and summing over dim
+in one fixed order (``dim_sum``), so results are bitwise independent of how
+trajectories are grouped into batches.
 """
 
 import math
@@ -90,18 +91,42 @@ def _step_arrays(k: int, x_prev, x_curr, g, sched: ScheduleVariant):
     return x_curr + momentum * (x_curr - x_prev) - lr * g
 
 
-def sq_norm(v: np.ndarray) -> np.ndarray:
-    """Squared euclidean norm over the last axis.
+def dim_sum(v: np.ndarray) -> np.ndarray:
+    """Sum over the leading (dim) axis of a trajectory-minor array, in sequence.
 
-    numpy sums a contiguous axis pairwise, so the relative rounding error of
-    this sum of nonnegative terms grows like log2(d) u: at most about
-    (log2(d) + 12) u, u = 2^-53, where the constant covers numpy's 8-way
-    unrolled leaf blocks of 128 terms and the rounding of the squares.  At
-    d = 1200 that is 2.5e-15, six orders of magnitude below the 1e-9
-    magnitude-relative tolerance the pathwise residuals are held to, so no
-    compensated summation is needed at any dimension the lab runs.
+    ``v`` has shape (dim,) or (dim, R).  Every reduction over dim in the lab
+    goes through here, so a trajectory's sums never depend on how many
+    trajectories share its block: numpy adds the rows of a C-ordered block
+    of width >= 2 one after another, but sums a single column (or any
+    layout where dim is the contiguous axis) pairwise, and the two orders
+    differ in the last bits from d = 8 on.  ``np.add.accumulate`` is
+    sequential by definition and covers those cases.
     """
-    return np.sum(v * v, axis=-1)
+    if v.ndim == 2 and v.shape[1] > 1 and v.flags.c_contiguous:
+        return np.add.reduce(v, axis=0)
+    return np.add.accumulate(v, axis=0)[-1]
+
+
+def sq_norm(v: np.ndarray) -> np.ndarray:
+    """Squared euclidean norm over the leading (dim) axis, via ``dim_sum``.
+
+    The terms are added in sequence, so the relative rounding error of this
+    sum of nonnegative terms is at most about d u, u = 2^-53: (d - 1) u from
+    the additions and u from rounding each square.  At d = 1200 that is
+    1.3e-13, four orders of magnitude below the 1e-9 magnitude-relative
+    tolerance the pathwise residuals are held to.
+    """
+    return dim_sum(v * v)
+
+
+def phi(k, x_km1, x_k, x_star):
+    """The momentum vector phi_k = k (x_k - x_{k-1}) + (x_k - x*).
+
+    Evaluated as x_k + k (x_k - x_{k-1}) - x*; ||phi_{k+1}||^2 is E(k)'s
+    norm term and ||phi_k||^2 the P1 bound's.  Trajectory-minor: ``x_star``
+    must broadcast against the (dim, ...) positions.
+    """
+    return x_k + k * (x_k - x_km1) - x_star
 
 
 def energy_weight(sched: ScheduleVariant, k: int) -> float:
@@ -109,15 +134,14 @@ def energy_weight(sched: ScheduleVariant, k: int) -> float:
     return 4.0 * math.sqrt((k + 1.0) * eta(sched, k))
 
 
-def energy(k: int, x_k, x_k1, fgap_k, sched: ScheduleVariant, x_star):
-    """E(k) = ||x_{k+1} + (k+1)(x_{k+1} - x_k) - x*||^2 + 4 sqrt((k+1) eta_k) fgap_k.
+def energy(k: int, phi_next_sq, fgap_k, sched: ScheduleVariant):
+    """E(k) = ||phi_{k+1}||^2 + 4 sqrt((k+1) eta_k) fgap_k.
 
     The one implementation of the Lyapunov energy: the stream, the branching
-    supermartingale check and the harness's E(0) all call it.  Arrays may
-    carry leading trajectory axes.
+    supermartingale check and the harness's E(0) all call it, each with
+    ||phi_{k+1}||^2 = ``sq_norm(phi(k + 1, x_k, x_{k+1}, x*))``.
     """
-    v = x_k1 + (k + 1.0) * (x_k1 - x_k) - x_star
-    return sq_norm(v) + energy_weight(sched, k) * fgap_k
+    return phi_next_sq + energy_weight(sched, k) * fgap_k
 
 
 def derive_seeds(base_seed: int, n: int) -> np.ndarray:
@@ -137,9 +161,15 @@ def _trajectory_generators(seeds: Sequence[int]):
 class StepRecord:
     """Everything observable at step k of a vectorized ensemble run.
 
-    Arrays carry a leading trajectory axis.  ``E_prev`` and ``E`` are the
-    Lyapunov values E(k-1) and E(k); E(k) needs x_{k+1}, so it is known once
-    the step is taken, and step k+1 carries the same array as its ``E_prev``.
+    Position, gradient and noise arrays are (R, dim) views of the stream's
+    trajectory-minor (dim, R) state, so their leading axis is the trajectory
+    (``.T`` gives back the C-ordered state).  Every other field is an (R,)
+    vector.  ``E_prev`` and ``E`` are the Lyapunov values E(k-1) and E(k);
+    E(k) needs x_{k+1}, so it is known once the step is taken, and step k+1
+    carries the same array as its ``E_prev``.  The row sums over dim are
+    computed once, here: ||theta_k||^2, <theta_k, phi_k>, ||g_k||^2,
+    ||grad f(x_k)||^2 (grad f taken as g_k + theta_k), ||phi_k||^2 (step
+    k-1's ``phi_next_sq``) and ||phi_{k+1}||^2, which is E(k)'s norm term.
     The last record (k = K) holds x_{K+1}, f(x_K) - f* and E(K).
     """
 
@@ -153,6 +183,12 @@ class StepRecord:
     E: np.ndarray
     g: np.ndarray
     theta: np.ndarray
+    theta_sq: np.ndarray
+    theta_phi: np.ndarray
+    g_sq: np.ndarray
+    grad_sq: np.ndarray
+    phi_sq: np.ndarray
+    phi_next_sq: np.ndarray
 
 
 def stream_ensemble(
@@ -165,41 +201,53 @@ def stream_ensemble(
 ) -> Iterator[StepRecord]:
     """Yield a StepRecord for each k = 1..K; the only trajectory runner.
 
-    Noise for each trajectory comes from its own Philox stream, drawn in step
-    chunks; values and order match single-trajectory runs exactly.
+    The state is held trajectory-minor, as (dim, R) arrays, and each sum
+    over dim (``dim_sum``) is taken once per step.  f and grad f are
+    evaluated on a C-ordered (R, dim) copy of x_k.  Noise for each
+    trajectory comes from its own Philox stream, drawn in step chunks;
+    values and order match single-trajectory runs exactly.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    x0 = np.asarray(x0, dtype=float)
     R = len(seeds)
-    x_prev = np.broadcast_to(x0, (R, obj.dim)).copy()
-    x_curr = x_prev.copy()
-    gens = None if noise.kind is NoiseKind.NONE else _trajectory_generators(seeds)
+    x_curr = np.broadcast_to(np.asarray(x0, dtype=float)[:, None], (obj.dim, R)).copy()
+    x_prev = x_curr  # x_1 = x_0; the state is never written in place
+    x_star = obj.minimizer[:, None]
     f_star = obj.min_value
-    x_star = obj.minimizer
-    fgap_prev = eval_objective(obj, x_curr) - f_star
-    E_prev = energy(0, x_prev, x_curr, fgap_prev, sched, x_star)
+    gens = None if noise.kind is NoiseKind.NONE else _trajectory_generators(seeds)
+    theta = np.zeros((obj.dim, R))
+    fgap_prev = eval_objective(obj, np.ascontiguousarray(x_curr.T)) - f_star
+    phi_k = phi(1, x_prev, x_curr, x_star)
+    phi_sq = sq_norm(phi_k)
+    E_prev = energy(0, phi_sq, fgap_prev, sched)
     noise_block = None
     for k in range(1, K + 1):
         if gens is not None:
             off = (k - 1) % _NOISE_CHUNK
             if off == 0:
+                # the next m steps' noise, drawn straight into (m, dim, R)
                 m = min(_NOISE_CHUNK, K - (k - 1))
-                noise_block = np.stack([sample(noise, g, m) for g in gens], axis=0)
-            theta = noise_block[:, off, :]
-        else:
-            theta = np.zeros((R, obj.dim))
-        fgap_curr = eval_objective(obj, x_curr) - f_star if k > 1 else fgap_prev
-        g = grad(obj, x_curr) - theta
+                noise_block = np.empty((m, obj.dim, R))
+                for i, gen in enumerate(gens):
+                    noise_block[:, :, i] = sample(noise, gen, m)
+            theta = noise_block[off]
+        x_rows = np.ascontiguousarray(x_curr.T)
+        fgap_curr = eval_objective(obj, x_rows) - f_star if k > 1 else fgap_prev
+        g = np.subtract(grad(obj, x_rows).T, theta, order="C")
         x_next = _step_arrays(k, x_prev, x_curr, g, sched)
         worst = float(np.max(np.abs(x_next)))
         if not worst <= DIVERGENCE_RADIUS:
             raise DivergenceError(k, worst)
-        E_k = energy(k, x_curr, x_next, fgap_curr, sched, x_star)
+        phi_next = phi(k + 1, x_curr, x_next, x_star)
+        phi_next_sq = sq_norm(phi_next)
+        E_k = energy(k, phi_next_sq, fgap_curr, sched)
         yield StepRecord(
-            k=k, x_prev=x_prev, x_curr=x_curr, x_next=x_next,
+            k=k, x_prev=x_prev.T, x_curr=x_curr.T, x_next=x_next.T,
             fgap_prev=fgap_prev, fgap_curr=fgap_curr, E_prev=E_prev, E=E_k,
-            g=g, theta=theta,
+            g=g.T, theta=theta.T,
+            theta_sq=sq_norm(theta), theta_phi=dim_sum(theta * phi_k),
+            g_sq=sq_norm(g), grad_sq=sq_norm(g + theta),
+            phi_sq=phi_sq, phi_next_sq=phi_next_sq,
         )
-        x_prev, x_curr = x_curr, x_next
+        x_prev, x_curr, phi_k, phi_sq = x_curr, x_next, phi_next, phi_next_sq
         fgap_prev, E_prev = fgap_curr, E_k

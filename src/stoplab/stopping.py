@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .mcstats import clopper_pearson
+from .sgdm import sq_norm
 
 __all__ = [
     "RuleKind", "RuleTracker", "coverage_verdict", "baseline_envelope",
@@ -48,7 +49,8 @@ class RuleTracker:
     envelope rule stops at the first k with f(x_k) - f* > U[k], where ``U``
     holds the envelope indexed by k.  With k_max = K it is the adversarial
     rule that makes the anytime guarantee tight: first violation at
-    k <= K - 1, else K.
+    k <= K - 1, else K.  Once every trajectory has its tau, ``update``
+    returns at once.
     """
 
     kind: RuleKind
@@ -57,6 +59,7 @@ class RuleTracker:
     U: np.ndarray | None = None
     tau: np.ndarray | None = field(default=None, init=False)
     fgap: np.ndarray | None = field(default=None, init=False)
+    _all_stopped: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -68,25 +71,27 @@ class RuleTracker:
 
     def _triggered(self, rec) -> np.ndarray:
         if self.kind is RuleKind.ITERATE_DELTA:
-            return np.linalg.norm(rec.x_curr - rec.x_prev, axis=-1) <= self.epsilon
+            # the displacement in the stream's trajectory-minor (dim, R) layout
+            return np.sqrt(sq_norm(rec.x_curr.T - rec.x_prev.T)) <= self.epsilon
         if self.kind is RuleKind.VALUE_DELTA:
             return np.abs(rec.fgap_curr - rec.fgap_prev) <= self.epsilon
-        if self.kind is RuleKind.FIXED_K:
-            return np.full(rec.fgap_curr.shape, rec.k == self.k_max)
         return rec.fgap_curr > self.U[rec.k]
 
     def update(self, rec):
         if self.tau is None:
             self.tau = np.zeros(rec.fgap_curr.shape, dtype=int)
             self.fgap = np.zeros(rec.fgap_curr.shape)
-        if rec.k > self.k_max:
+        if self._all_stopped or rec.k > self.k_max:
             return
-        pred = self._triggered(rec)
         if rec.k == self.k_max:
-            pred = pred | (self.tau == 0)
-        new = pred & (self.tau == 0)
+            new = self.tau == 0
+        elif self.kind is RuleKind.FIXED_K:
+            return  # fixed-k stops only at its cap
+        else:
+            new = self._triggered(rec) & (self.tau == 0)
         self.tau[new] = rec.k
         self.fgap[new] = rec.fgap_curr[new]
+        self._all_stopped = rec.k == self.k_max or bool(self.tau.all())
 
     def within(self, U: np.ndarray) -> np.ndarray:
         """Per trajectory: f(x_tau) - f* <= U[tau]."""

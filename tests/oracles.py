@@ -46,10 +46,14 @@ def energy_series(xs, f_gaps, sched, x_star) -> np.ndarray:
 
 
 def phi_series(xs: np.ndarray, x_star) -> np.ndarray:
-    """phi_k = k (x_k - x_{k-1}) + (x_k - x*) for k = 1..K+1; shape (..., K+1, dim)."""
+    """phi_k = k (x_k - x_{k-1}) + (x_k - x*) for k = 1..K+1; shape (..., K+1, dim).
+
+    Evaluated as x_k + k (x_k - x_{k-1}) - x*, the rounding of E(k-1)'s norm
+    term in ``energy_series``.
+    """
     K1 = xs.shape[-2] - 1
     k = np.arange(1, K1 + 1, dtype=float)
-    return k[:, None] * (xs[..., 1:, :] - xs[..., :-1, :]) + (xs[..., 1:, :] - x_star)
+    return xs[..., 1:, :] + k[:, None] * (xs[..., 1:, :] - xs[..., :-1, :]) - x_star
 
 
 def residual_series(p: Paths, sched, obj) -> dict:

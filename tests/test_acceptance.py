@@ -26,7 +26,7 @@ from stoplab.objectives import (eval_objective, huberized_abs,
                                 least_squares_random, quadratic)
 from stoplab.series import gamma1, gamma2, riemann_zeta
 from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
-                          energy, eta, stream_ensemble)
+                          energy, eta, phi, sq_norm, stream_ensemble)
 from stoplab.stopping import (PathTree, RuleKind, RuleTracker,
                               baseline_envelope, tree_min_coverage)
 
@@ -62,7 +62,7 @@ def _grid_noises(dim: int):
 
 def _initial_energy(obj, sched, x0):
     fgap0 = float(eval_objective(obj, x0)) - obj.min_value
-    return float(energy(0, x0, x0, fgap0, sched, obj.minimizer))
+    return float(energy(0, sq_norm(phi(1, x0, x0, obj.minimizer)), fgap0, sched))
 
 
 @pytest.fixture(scope="module")

@@ -50,3 +50,28 @@ def test_trace_hooks_install_and_restore():
     assert all(after[key] is val for key, val in before.items())
     assert vars(martingale.MartingaleTracker)["update"] is methods["update"]
     assert vars(martingale.MartingaleTracker)["finish"] is methods["finish"]
+
+
+def test_trace_units_count_trajectory_steps():
+    # the trace counts a record's traj-steps as its x_curr rows and an
+    # objective call's points as the rows of its input: both must be R
+    from stoplab import noise, objectives, sgdm
+
+    trace = _load_trace()
+    tracer = trace.Tracer()
+    try:
+        trace.install(tracer)
+        obj = objectives.quadratic(np.array([1.0, 2.0, 3.0]))
+        gauss = noise.calibrate(noise.NoiseKind.GAUSSIAN_ISOTROPIC, 3, 1.0)
+        sched = sgdm.ScheduleVariant(sgdm.Variant.THEOREM_MAIN, L=3.0)
+        seeds = sgdm.derive_seeds(1, 5)
+        for _ in sgdm.stream_ensemble(obj, gauss, sched, 3, seeds, np.ones(3)):
+            pass
+    finally:
+        tracer.restore()
+    units = {}
+    for span in tracer.spans:
+        units.setdefault(span[1], []).append(span[5])
+    assert sum(units["sgdm.stream_next"]) == 15
+    assert units["objectives.grad"] == [5, 5, 5]
+    assert set(units["objectives.eval"]) == {5}

@@ -10,6 +10,10 @@ from stoplab.errors import ConfigError
 from stoplab.harness import (CHECK_NAMES, load_config, parse_config,
                              run_experiment)
 from stoplab.cli import main
+from stoplab.lyapunov import step_residuals
+from stoplab.noise import NoiseKind, calibrate
+from stoplab.objectives import least_squares_random
+from stoplab.sgdm import ScheduleVariant, Variant, derive_seeds, stream_ensemble
 
 
 def _base_raw(tmp_path, **over):
@@ -85,6 +89,10 @@ _MALFORMED = {
     "center-bool": lambda raw: raw["objective"].update(center=[0.0, False]),
     "x0-bool": lambda raw: raw.update(x0=[True, -1.0]),
     "objective-kind-list": lambda raw: raw["objective"].update(kind=["quadratic"]),
+    # a list where a name is expected once escaped as TypeError (unhashable)
+    "noise-kind-list": lambda raw: raw["noise"].update(kind=["gaussian-isotropic"]),
+    "schedule-variant-list": lambda raw: raw["schedule"].update(variant=["theorem-main"]),
+    "rule-kind-list": lambda raw: raw.update(rules=[{"kind": ["fixed-k"], "k_max": 10}]),
 }
 
 
@@ -102,6 +110,45 @@ def test_cli_run_exits_2_on_malformed_values(tmp_path, capsys):
     assert main(["run", str(cfgpath)]) == 2
     err = capsys.readouterr().err
     assert "betas" in err and "R must be" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["noise-kind-list", "schedule-variant-list",
+                                  "rule-kind-list"])
+def test_cli_run_exits_2_on_list_kinds(tmp_path, case):
+    raw = _base_raw(tmp_path)
+    _MALFORMED[case](raw)
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    assert main(["run", str(cfgpath)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+# Option values a check refuses (once only after output_dir was made, with
+# exit code 1, the code of a failed check), and Ville bounds outside (0, 1),
+# where 2.0 made the Ville check pass against a bound above 1.
+_OUT_OF_RANGE = {
+    "supermartingale-k-zero": {"supermartingale_ks": [1, 0]},
+    "n-branches-below-1000": {"n_branches": 999},
+    "gamma-tol-too-large": {"gamma_tol": 1e-3},
+    "gamma-tol-too-small": {"gamma_tol": 1e-12},
+    "tail-c-len-zero": {"tail_c_len": 0},
+    "mgf-n-samples-zero": {"mgf_n_samples": 0},
+    "ville-bound-above-1": {"ville_bound": 2.0},
+    "ville-bound-zero": {"ville_bound": 0.0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+def test_out_of_range_options_exit_2_before_any_output(tmp_path, case):
+    raw = _base_raw(tmp_path, checks=list(CHECK_NAMES))
+    raw["options"].update(_OUT_OF_RANGE[case])
+    (key,) = _OUT_OF_RANGE[case]
+    with pytest.raises(ConfigError, match=key):
+        parse_config(raw)
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    assert main(["run", str(cfgpath)]) == 2
     assert not (tmp_path / "out").exists()
 
 
@@ -210,6 +257,47 @@ def test_worker_count_does_not_change_results(tmp_path):
     db = json.loads((tmp_path / "w3" / "out" / "report.json").read_text())
     assert da["checks"] == db["checks"]
     assert da["summary"] == db["summary"]
+
+
+def test_block_width_does_not_change_results(tmp_path, monkeypatch):
+    # numpy sums a (dim, 1) column pairwise but adds the rows of a wider
+    # block one by one, and from d = 8 on the two orders differ in the last
+    # bits.  R = 3 on 2 workers gives a block of width 1; so does a
+    # single-trajectory stream.  Both must match the width-3 run bitwise.
+    dim = 16
+    objective = {"kind": "least-squares", "dim": dim, "m": 24, "seed": 5}
+    raw = _base_raw(tmp_path, objective=objective, x0=[1.0] * dim, R=3, K=40,
+                    rules=[{"kind": "first-envelope-violation"}],
+                    checks=["descent", "decomposition", "ville", "coverage"],
+                    options={"csv_trajectories": 3})
+    docs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("STOPLAB_WORKERS", workers)
+        out = tmp_path / f"w{workers}"
+        run_experiment(parse_config(dict(raw, output_dir=str(out))))
+        docs[workers] = json.loads((out / "report.json").read_text())
+    names = sorted(p.name for p in (tmp_path / "w1").glob("*.csv"))
+    assert "trajectory_2.csv" in names
+    for name in names:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
+    assert docs["1"]["checks"] == docs["2"]["checks"]
+    assert docs["1"]["summary"] == docs["2"]["summary"]
+
+    obj = least_squares_random(dim, 24, 5)
+    noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, dim, 1.0)
+    sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
+    seeds = derive_seeds(3, 3)
+    x0 = np.ones(dim)
+    ens = list(stream_ensemble(obj, noise, sched, 30, seeds, x0))
+    keys = ("descent", "decomp", "decomp_mid", "phi_sq", "phi_next_sq", "tol")
+    for i, seed in enumerate(seeds):
+        solo = stream_ensemble(obj, noise, sched, 30, [int(seed)], x0)
+        for a, b in zip(ens, solo):
+            assert np.array_equal(a.x_next[i], b.x_next[0])
+            assert a.E[i] == b.E[0]
+            ra, rb = step_residuals(a, sched, obj), step_residuals(b, sched, obj)
+            for key in keys:
+                assert ra[key][i] == rb[key][0], (a.k, key)
 
 
 def test_rules_appear_in_coverage(tmp_path):

@@ -9,8 +9,8 @@ from stoplab.lyapunov import (deep_descent_links, envelope_constants,
                               step_residuals)
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import least_squares_random, quadratic
-from stoplab.sgdm import (ScheduleVariant, Variant, derive_seeds, energy,
-                          stream_ensemble)
+from stoplab.sgdm import (ScheduleVariant, Variant, derive_seeds, energy, phi,
+                          sq_norm, stream_ensemble)
 
 from oracles import phi_series, residual_series, run_paths
 
@@ -34,7 +34,7 @@ def test_initial_energy_hand_value():
     rec = next(stream_ensemble(obj, zero, SCHED1, 2, [0], np.array([2.0])))
     assert rec.E_prev[0] == pytest.approx(6.885390081777927, rel=1e-13)
     x0 = np.array([2.0])
-    assert energy(0, x0, x0, 2.0, SCHED1, obj.minimizer) == rec.E_prev[0]
+    assert energy(0, sq_norm(phi(1, x0, x0, obj.minimizer)), 2.0, SCHED1) == rec.E_prev[0]
 
 
 def test_zero_noise_energy_monotone():
@@ -176,8 +176,8 @@ def test_energy_chain_and_checks_at_dim_1200(tmp_path):
     recs = list(stream_ensemble(obj, noise, sched, 12, derive_seeds(4, 3), x0))
     for prev, rec in zip(recs, recs[1:]):
         assert np.array_equal(rec.E_prev, prev.E)
-        assert np.array_equal(rec.E, energy(rec.k, rec.x_curr, rec.x_next, rec.fgap_curr,
-                                            sched, obj.minimizer))
+        phi_next = phi(rec.k + 1, rec.x_curr.T, rec.x_next.T, obj.minimizer[:, None])
+        assert np.array_equal(rec.E, energy(rec.k, sq_norm(phi_next), rec.fgap_curr, sched))
     raw = {
         "objective": {"kind": "quadratic", "diag": [float(v) for v in diag]},
         "noise": {"kind": "bounded-sphere", "sigma": 1.0},

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import quadratic
 from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
-                          energy, eta, stream_ensemble)
+                          dim_sum, energy, eta, phi, sq_norm, stream_ensemble)
 
 from oracles import run_paths
 
@@ -97,6 +97,22 @@ def test_ensemble_matches_singles_bitwise():
         assert np.array_equal(ens.f_gaps[i], solo.f_gaps[0])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 64, 1200])
+def test_dim_sum_adds_rows_in_sequence(dim):
+    # the reference adds one row at a time; dim_sum must match it bitwise for
+    # every block width and memory layout (numpy alone sums a single column,
+    # or a block whose dim axis is contiguous, pairwise)
+    rng = np.random.default_rng(dim)
+    for R in (1, 2, 3, 50):
+        v = rng.standard_normal((dim, R))
+        ref = v[0].copy()
+        for row in v[1:]:
+            ref = ref + row
+        for block in (v, np.asfortranarray(v)):
+            assert np.array_equal(dim_sum(block), ref)
+        assert dim_sum(v[:, 0]) == ref[0]
+
+
 def test_derive_seeds_stable_and_distinct():
     s1 = derive_seeds(123, 8)
     s2 = derive_seeds(123, 8)
@@ -118,10 +134,12 @@ def test_trajectory_accessors():
         assert np.array_equal(rec.x_curr, prev.x_next)
         assert np.array_equal(rec.fgap_prev, prev.fgap_curr)
         assert rec.E_prev is prev.E
+        assert rec.phi_sq is prev.phi_next_sq
     last = recs[-1]
     np.testing.assert_allclose(last.fgap_curr, 0.5 * last.x_curr[:, 0] ** 2, rtol=1e-15)
-    assert np.array_equal(last.E, energy(10, last.x_curr, last.x_next, last.fgap_curr,
-                                         SCHED1, obj.minimizer))
+    phi_next = phi(11, last.x_curr.T, last.x_next.T, obj.minimizer[:, None])
+    assert np.array_equal(last.phi_next_sq, sq_norm(phi_next))
+    assert np.array_equal(last.E, energy(10, sq_norm(phi_next), last.fgap_curr, SCHED1))
 
 
 @settings(max_examples=60, deadline=None)

@@ -81,6 +81,29 @@ def test_stopped_at_minimizer():
     assert rule.fgap[0] == 0.0
 
 
+def test_stopped_rules_ignore_later_steps():
+    # once every trajectory has its tau a rule reads no later step: records
+    # with NaN gaps and no positions leave tau and fgap untouched
+    obj = quadratic(np.array([1.0, 2.0]))
+    noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
+    U = np.zeros(21)  # every positive gap violates it at k = 1
+    rules = [RuleTracker(RuleKind.ITERATE_DELTA, 20, epsilon=1e-3),
+             RuleTracker(RuleKind.VALUE_DELTA, 20, epsilon=1e-4),
+             RuleTracker(RuleKind.FIXED_K, 2),
+             RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, 20, U=U)]
+    for rec in stream_ensemble(obj, noise, SCHED, 2, derive_seeds(8, 6),
+                               np.array([2.0, -1.0])):
+        for rule in rules:
+            rule.update(rec)
+    assert [list(r.tau) for r in rules] == [[1] * 6, [1] * 6, [2] * 6, [1] * 6]
+    for rule in rules:
+        tau, fgap = rule.tau.copy(), rule.fgap.copy()
+        for k in range(3, 21):
+            rule.update(SimpleNamespace(k=k, fgap_curr=np.full(6, np.nan)))
+        assert np.array_equal(rule.tau, tau)
+        assert np.array_equal(rule.fgap, fgap)
+
+
 def test_adversarial_tau_construction():
     # the first-violation rule at k_max = K: first violation at k <= K - 1, else K
     U = np.array([np.inf, 1.0, 1.0, 1.0, 1.0, 1.0])
