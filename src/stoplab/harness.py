@@ -28,7 +28,7 @@ from .noise import NoiseKind, NoiseModel, calibrate
 from .objectives import (Objective, eval_objective, huberized_abs,
                          least_squares_random, quadratic)
 from .sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds, energy,
-                   eta, phi, sq_norm, stream_ensemble)
+                   energy_weight, eta_bound_margin, phi, sq_norm, stream_ensemble)
 from .stopping import RuleKind, RuleTracker, coverage_verdict
 
 __all__ = ["RunConfig", "Report", "load_config", "parse_config", "run_experiment"]
@@ -342,7 +342,7 @@ def _envelope(cfg: RunConfig) -> EnvelopeParams:
     obj = cfg.objective
     fgap0 = float(eval_objective(obj, cfg.x0) - obj.min_value)
     phi_1 = phi(1, cfg.x0, cfg.x0, obj.minimizer)  # x_1 = x_0
-    E0 = float(energy(0, sq_norm(phi_1), fgap0, cfg.sched))
+    E0 = float(energy(sq_norm(phi_1), fgap0, energy_weight(cfg.sched, 0)))
     return envelope_constants(cfg.sched, float(sigma), E0, float(cfg.options["gamma_tol"]))
 
 
@@ -365,7 +365,7 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
         "descent", "descent_margin", "decomp", "decomp_margin",
         "decomp_mid", "decomp_mid_margin", "p1_margin", "sandwich_margin",
     )}
-    tracker = MartingaleTracker(sched, env.sigma, env.gamma2, t)
+    tracker = MartingaleTracker(env.sigma, env.gamma2, t)
     all_within = {b: np.ones(n, dtype=bool) for b in cfg.betas}
     adversarial = {b: RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, K, U=U[b])
                    for b in cfg.betas}
@@ -381,7 +381,7 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
 
     for rec in stream_ensemble(obj, cfg.noise, sched, K, seeds, cfg.x0):
         k = rec.k
-        res = step_residuals(rec, sched, obj)
+        res = step_residuals(rec, obj)
         tol = res["tol"]
         np.minimum(mins["descent"], res["descent"], out=mins["descent"])
         np.minimum(mins["descent_margin"], res["descent"] + tol, out=mins["descent_margin"])
@@ -506,10 +506,7 @@ def run_experiment(cfg: RunConfig) -> Report:
         ))
     if "decomposition" in cfg.checks:
         m = stats["mins"]
-        ks = np.arange(1, 10**6 + 1, dtype=float)
-        eta_margin = float(np.min(
-            ks / (16.0 * cfg.sched.L**2) - np.asarray(eta(cfg.sched, ks))
-        ))
+        eta_margin = eta_bound_margin(cfg.sched)
         ok = (np.min(m["decomp_margin"]) >= 0.0
               and np.min(m["decomp_mid_margin"]) >= 0.0
               and eta_margin >= 0.0)

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import Objective
-from .sgdm import (ScheduleVariant, Variant, a_coeff, dim_sum, energy_weight, eta,
-                   phi, sq_norm)
+from .sgdm import ScheduleVariant, Variant, dim_sum, phi, sq_norm
 from .series import gamma1 as _gamma1_bracket
 from .series import gamma2 as _gamma2_bracket
 
@@ -36,7 +35,7 @@ def residual_tolerance(E_k, E_km1) -> np.ndarray:
     return np.maximum(1e-9 * (1.0 + np.abs(E_k) + np.abs(E_km1)), 1e-12)
 
 
-def deep_descent_links(rec, sched: ScheduleVariant, obj: Objective) -> dict:
+def deep_descent_links(rec, obj: Objective) -> dict:
     """Verify each link of the energy-decay derivation separately at one step.
 
     Works on a StepRecord and returns per-trajectory residuals for: the
@@ -48,7 +47,7 @@ def deep_descent_links(rec, sched: ScheduleVariant, obj: Objective) -> dict:
     # back to the stream's trajectory-minor (dim, R) state
     x_km1, x_k, x_k1, g = rec.x_prev.T, rec.x_curr.T, rec.x_next.T, rec.g.T
     x_star = obj.minimizer[:, None]
-    e_k = float(eta(sched, k))
+    e_k = rec.eta_k
     sq = math.sqrt(e_k / k)
     dE = rec.E - rec.E_prev
     delta = 2.0 * (x_k1 - x_k) + k * (x_k1 - 2.0 * x_k + x_km1)
@@ -73,19 +72,20 @@ def deep_descent_links(rec, sched: ScheduleVariant, obj: Objective) -> dict:
     }
 
 
-def step_residuals(rec, sched: ScheduleVariant, obj: Objective) -> dict:
+def step_residuals(rec, obj: Objective) -> dict:
     """All per-step inequality residuals from one streamed ensemble record.
 
-    Arithmetic on the record's (R,) vectors only: the row sums over dim come
-    with the record.  Returns a dict of arrays: the three decay residuals,
-    the squared norms entering the momentum-vector bound
-    ||phi_{k+1}||^2 <= E(k), the margin of the value sandwich
-    4 sqrt((k+1) eta_k) (f(x_k) - f*) <= E(k), and the per-step tolerance.
+    Arithmetic on the record's (R,) vectors and schedule scalars only: the
+    row sums over dim and eta_k, a_k, w_k come with the record.  Returns a
+    dict of arrays: the three decay residuals, the squared norms entering
+    the momentum-vector bound ||phi_{k+1}||^2 <= E(k), the margin of the
+    value sandwich 4 sqrt((k+1) eta_k) (f(x_k) - f*) <= E(k), and the
+    per-step tolerance.
     """
     k = rec.k
-    e_k = float(eta(sched, k))
+    e_k = rec.eta_k
     sq = math.sqrt(e_k / k)
-    a_k = float(a_coeff(sched, k))
+    a_k = rec.a_k
     inner, th_sq, gf_sq = rec.theta_phi, rec.theta_sq, rec.grad_sq
     dE = rec.E - rec.E_prev
     descent = (
@@ -106,7 +106,7 @@ def step_residuals(rec, sched: ScheduleVariant, obj: Objective) -> dict:
         "decomp_mid": decomp_mid,
         "phi_sq": rec.phi_sq,
         "phi_next_sq": rec.phi_next_sq,
-        "sandwich_margin": rec.E - energy_weight(sched, k) * rec.fgap_curr,
+        "sandwich_margin": rec.E - rec.w_k * rec.fgap_curr,
         "tol": residual_tolerance(rec.E, rec.E_prev),
     }
 

@@ -20,8 +20,7 @@ import numpy as np
 from .mcstats import bootstrap_upper_quantile
 from .noise import NoiseModel, sample
 from .objectives import Objective, grad
-from .sgdm import (ScheduleVariant, _step_arrays, a_coeff, energy, phi, sq_norm,
-                   stream_ensemble)
+from .sgdm import ScheduleVariant, _step_arrays, energy, phi, sq_norm, stream_ensemble
 
 __all__ = [
     "log_N", "check_supermartingale", "ville_monitor",
@@ -92,7 +91,7 @@ def check_supermartingale(
     if not 0.0 < t <= B / gamma2_value + 1e-15:
         raise ValueError("t must lie in (0, B / gamma2]")
     # The prefix path runs to step k; its own theta_k is replaced by branches.
-    tracker = MartingaleTracker(sched, sigma, gamma2_value, t)
+    tracker = MartingaleTracker(sigma, gamma2_value, t)
     for rec in stream_ensemble(obj, noise, sched, k, [prefix_seed], x0):
         if rec.k == k:
             break
@@ -104,11 +103,10 @@ def check_supermartingale(
     x_km1, x_k = rec.x_prev.T, rec.x_curr.T
     thetas = _branch_thetas(noise, prefix_seed, k, n_branches)
     g = np.subtract(grad(obj, rec.x_curr[0])[:, None], thetas, order="C")
-    x_k1 = _step_arrays(k, x_km1, x_k, g, sched)
+    x_k1 = _step_arrays(k, rec.eta_k, x_km1, x_k, g)
     phi_next_sq = sq_norm(phi(k + 1, x_k, x_k1, obj.minimizer[:, None]))
-    E_k = energy(k, phi_next_sq, rec.fgap_curr[0], sched)
-    S_k, W_k, prod_k = _advance(S_km1, W_km1, prod_km1, float(a_coeff(sched, k)),
-                                sq_norm(thetas), sigma)
+    E_k = energy(phi_next_sq, rec.fgap_curr[0], rec.w_k)
+    S_k, W_k, prod_k = _advance(S_km1, W_km1, prod_km1, rec.a_k, sq_norm(thetas), sigma)
     logN_k = log_N(E_k, S_k, W_k, prod_k, sigma, gamma2_value, t)
 
     shift = max(float(np.max(logN_k)), logN_prev)
@@ -168,7 +166,6 @@ class MartingaleTracker:
     their k = 0 values 0, 0 and 1.
     """
 
-    sched: ScheduleVariant
     sigma: float
     gamma2_value: float
     t: float
@@ -192,8 +189,7 @@ class MartingaleTracker:
             np.maximum(self.sup_logN, self._logN(rec.E_prev), out=self.sup_logN)
             np.maximum(self.sup_E, rec.E_prev, out=self.sup_E)
         self.S_last, self._W, self._prefix_prod = _advance(
-            self.S_last, self._W, self._prefix_prod, float(a_coeff(self.sched, rec.k)),
-            rec.theta_sq, self.sigma)
+            self.S_last, self._W, self._prefix_prod, rec.a_k, rec.theta_sq, self.sigma)
 
     def finish(self, rec):
         np.maximum(self.sup_logN, self._logN(rec.E), out=self.sup_logN)

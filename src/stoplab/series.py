@@ -13,6 +13,14 @@ and the integral itself is bracketed through the exact antiderivative of
 
 for x >= A.  Truncation adapts upward until the bracket width meets the
 requested relative tolerance.
+
+The partial sums run over up to 2^26 terms, in chunks of 2^17 to 2^20.  Each
+chunk is evaluated in blocks of ``sgdm.SWEEP_BLOCK`` = 2^13 terms
+(``sgdm.sweep_blocks``), so each temporary is 64 KiB and stays in cache and
+no chunk-long array is built.  numpy's pairwise ``np.sum`` halves a
+power-of-two length exactly, so its sum over a chunk is the binary tree of
+the chunk's block sums; combining the block sums in that tree gives the
+chunk's ``np.sum`` bit for bit (``_chunk_sum``).
 """
 
 import math
@@ -20,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .sgdm import ScheduleVariant, a_coeff
+from .sgdm import SWEEP_BLOCK, ScheduleVariant, a_coeff, sweep_blocks
 
 _CHUNK = 1 << 20
 _MAX_TERMS = 1 << 26
@@ -38,20 +46,40 @@ def _tail_integral_bracket(sched: ScheduleVariant, K: int) -> tuple[float, float
     return lo, hi
 
 
+def _chunk_sum(sched: ScheduleVariant, first: int, last: int, transform) -> float:
+    """np.sum of transform(a_k) over k = first..last, computed block by block.
+
+    The chunk's length is a power of two, at least SWEEP_BLOCK.  numpy's
+    pairwise sum splits such a length exactly in half down to blocks far
+    below SWEEP_BLOCK terms, so its result over the chunk is the binary tree
+    of the SWEEP_BLOCK-term block sums, left plus right at each node; this
+    evaluates that tree without holding the chunk.
+    """
+    n = last - first + 1
+    assert n >= SWEEP_BLOCK and n & (n - 1) == 0, "chunk length must be a power of two"
+    sums = []
+    for ks in sweep_blocks(first, last):
+        ak = a_coeff(sched, ks)
+        sums.append(float(np.sum(transform(ak) if transform else ak)))
+    while len(sums) > 1:
+        sums = [left + right for left, right in zip(sums[::2], sums[1::2])]
+    return sums[0]
+
+
 def _prefix_sums(sched: ScheduleVariant, transform=None):
     """Yield (K, sum_{k<=K} transform(a_k)) for K = 2^17, 2^18, ..., _MAX_TERMS.
 
     Each doubling adds only the new terms K/2+1..K, in chunks of at most
     _CHUNK terms, to the running sum.  numpy's pairwise sum splits a
     power-of-two length exactly in half, so every yielded value is bitwise
-    the one-pass sum of terms 1..K in the same chunks.
+    the one-pass sum of terms 1..K in the same chunks.  Every chunk has a
+    power-of-two length (2^17 to 2^20) and is summed by ``_chunk_sum`` from
+    its SWEEP_BLOCK-term blocks, bitwise as ``np.sum`` over the chunk.
     """
     total, lo, K = 0.0, 1, 1 << 17
     while K <= _MAX_TERMS:
         for start in range(lo, K + 1, _CHUNK):
-            ak = a_coeff(sched, np.arange(start, min(start + _CHUNK - 1, K) + 1))
-            total += float(np.sum(transform(ak) if transform else ak))
-        del ak  # hold no chunk while suspended: it would raise peak memory
+            total += _chunk_sum(sched, start, min(start + _CHUNK - 1, K), transform)
         yield K, total
         lo, K = K + 1, 2 * K
 

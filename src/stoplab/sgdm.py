@@ -67,6 +67,21 @@ class ScheduleVariant:
         return base
 
 
+SWEEP_BLOCK = 1 << 13
+
+
+def sweep_blocks(first: int, last: int) -> Iterator[np.ndarray]:
+    """Yield k = first..last as consecutive float aranges of at most SWEEP_BLOCK terms.
+
+    Long sweeps over k evaluate the schedule one block at a time: a block's
+    float64 temporaries are 64 KiB each and stay in cache, where the whole
+    range at once would allocate megabytes per temporary.  Elementwise
+    results do not depend on the blocking.
+    """
+    for start in range(first, last + 1, SWEEP_BLOCK):
+        yield np.arange(start, min(start + SWEEP_BLOCK, last + 1), dtype=float)
+
+
 def eta(sched: ScheduleVariant, k) -> np.ndarray | float:
     """Learning rate at iteration k (defined for k >= 0); vectorized in k."""
     k = np.asarray(k, dtype=float)
@@ -75,19 +90,30 @@ def eta(sched: ScheduleVariant, k) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
+def eta_bound_margin(sched: ScheduleVariant) -> float:
+    """min over k = 1..10^6 of k / (16 L^2) - eta_k.
+
+    The decomposition's step condition eta_k <= k / (16 L^2) holds on that
+    range iff this is >= 0.  Swept in blocks; the minimum is exact, so the
+    result does not depend on the blocking.
+    """
+    scale = 16.0 * sched.L**2
+    return min(float(np.min(ks / scale - eta(sched, ks)))
+               for ks in sweep_blocks(1, 10**6))
+
+
 def a_coeff(sched: ScheduleVariant, k) -> np.ndarray | float:
     """a_k = 16 eta_k / k, the noise-quadratic weight; requires k >= 1."""
-    karr = np.asarray(k)
-    if np.any(karr < 1):
+    karr = np.asarray(k, dtype=float)
+    if k < 1 if karr.ndim == 0 else np.any(karr < 1):
         raise ValueError("a_coeff requires k >= 1")
-    karr = karr.astype(float)
     out = 1.0 / (sched.a_coefficient_scale * karr * np.log(karr + 2.0) ** sched.log_power)
     return out if out.ndim else float(out)
 
 
-def _step_arrays(k: int, x_prev, x_curr, g, sched: ScheduleVariant):
+def _step_arrays(k: int, eta_k: float, x_prev, x_curr, g):
     momentum = k / (k + 2.0)
-    lr = 2.0 * math.sqrt(eta(sched, k)) / ((k + 2.0) * math.sqrt(k))
+    lr = 2.0 * math.sqrt(eta_k) / ((k + 2.0) * math.sqrt(k))
     return x_curr + momentum * (x_curr - x_prev) - lr * g
 
 
@@ -134,14 +160,14 @@ def energy_weight(sched: ScheduleVariant, k: int) -> float:
     return 4.0 * math.sqrt((k + 1.0) * eta(sched, k))
 
 
-def energy(k: int, phi_next_sq, fgap_k, sched: ScheduleVariant):
-    """E(k) = ||phi_{k+1}||^2 + 4 sqrt((k+1) eta_k) fgap_k.
+def energy(phi_next_sq, fgap_k, w_k: float):
+    """E(k) = ||phi_{k+1}||^2 + w_k fgap_k, with w_k = ``energy_weight(sched, k)``.
 
     The one implementation of the Lyapunov energy: the stream, the branching
     supermartingale check and the harness's E(0) all call it, each with
     ||phi_{k+1}||^2 = ``sq_norm(phi(k + 1, x_k, x_{k+1}, x*))``.
     """
-    return phi_next_sq + energy_weight(sched, k) * fgap_k
+    return phi_next_sq + w_k * fgap_k
 
 
 def derive_seeds(base_seed: int, n: int) -> np.ndarray:
@@ -170,6 +196,8 @@ class StepRecord:
     computed once, here: ||theta_k||^2, <theta_k, phi_k>, ||g_k||^2,
     ||grad f(x_k)||^2 (grad f taken as g_k + theta_k), ||phi_k||^2 (step
     k-1's ``phi_next_sq``) and ||phi_{k+1}||^2, which is E(k)'s norm term.
+    So are the step's schedule scalars: ``eta_k``, ``a_k`` (``a_coeff``) and
+    ``w_k`` (``energy_weight``), which consumers read instead of recomputing.
     The last record (k = K) holds x_{K+1}, f(x_K) - f* and E(K).
     """
 
@@ -189,6 +217,9 @@ class StepRecord:
     grad_sq: np.ndarray
     phi_sq: np.ndarray
     phi_next_sq: np.ndarray
+    eta_k: float
+    a_k: float
+    w_k: float
 
 
 def stream_ensemble(
@@ -219,7 +250,7 @@ def stream_ensemble(
     fgap_prev = eval_objective(obj, np.ascontiguousarray(x_curr.T)) - f_star
     phi_k = phi(1, x_prev, x_curr, x_star)
     phi_sq = sq_norm(phi_k)
-    E_prev = energy(0, phi_sq, fgap_prev, sched)
+    E_prev = energy(phi_sq, fgap_prev, energy_weight(sched, 0))
     noise_block = None
     for k in range(1, K + 1):
         if gens is not None:
@@ -234,20 +265,21 @@ def stream_ensemble(
         x_rows = np.ascontiguousarray(x_curr.T)
         fgap_curr = eval_objective(obj, x_rows) - f_star if k > 1 else fgap_prev
         g = np.subtract(grad(obj, x_rows).T, theta, order="C")
-        x_next = _step_arrays(k, x_prev, x_curr, g, sched)
+        eta_k, a_k, w_k = eta(sched, k), a_coeff(sched, k), energy_weight(sched, k)
+        x_next = _step_arrays(k, eta_k, x_prev, x_curr, g)
         worst = float(np.max(np.abs(x_next)))
         if not worst <= DIVERGENCE_RADIUS:
             raise DivergenceError(k, worst)
         phi_next = phi(k + 1, x_curr, x_next, x_star)
         phi_next_sq = sq_norm(phi_next)
-        E_k = energy(k, phi_next_sq, fgap_curr, sched)
+        E_k = energy(phi_next_sq, fgap_curr, w_k)
         yield StepRecord(
             k=k, x_prev=x_prev.T, x_curr=x_curr.T, x_next=x_next.T,
             fgap_prev=fgap_prev, fgap_curr=fgap_curr, E_prev=E_prev, E=E_k,
             g=g.T, theta=theta.T,
             theta_sq=sq_norm(theta), theta_phi=dim_sum(theta * phi_k),
             g_sq=sq_norm(g), grad_sq=sq_norm(g + theta),
-            phi_sq=phi_sq, phi_next_sq=phi_next_sq,
+            phi_sq=phi_sq, phi_next_sq=phi_next_sq, eta_k=eta_k, a_k=a_k, w_k=w_k,
         )
         x_prev, x_curr, phi_k, phi_sq = x_curr, x_next, phi_next, phi_next_sq
         fgap_prev, E_prev = fgap_curr, E_k

@@ -104,3 +104,9 @@ def log_N_series(S, M, sched, sigma, gamma2_value, t) -> np.ndarray:
     weighted = np.concatenate(
         [np.zeros(S.shape[:-1] + (1,)), np.cumsum(a * S[..., :-1], axis=-1)], axis=-1)
     return gamma2_value / prefix * t * M - s2 * gamma2_value * t * weighted
+
+
+def eta_margin_one_shot(sched) -> float:
+    """min over k = 1..10^6 of k / (16 L^2) - eta_k, as one whole-range expression."""
+    ks = np.arange(1, 10**6 + 1, dtype=float)
+    return float(np.min(ks / (16.0 * sched.L**2) - np.asarray(eta(sched, ks))))

@@ -26,7 +26,8 @@ from stoplab.objectives import (eval_objective, huberized_abs,
                                 least_squares_random, quadratic)
 from stoplab.series import gamma1, gamma2, riemann_zeta
 from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
-                          energy, eta, phi, sq_norm, stream_ensemble)
+                          energy, energy_weight, eta, phi, sq_norm,
+                          stream_ensemble)
 from stoplab.stopping import (PathTree, RuleKind, RuleTracker,
                               baseline_envelope, tree_min_coverage)
 
@@ -62,7 +63,7 @@ def _grid_noises(dim: int):
 
 def _initial_energy(obj, sched, x0):
     fgap0 = float(eval_objective(obj, x0)) - obj.min_value
-    return float(energy(0, sq_norm(phi(1, x0, x0, obj.minimizer)), fgap0, sched))
+    return float(energy(sq_norm(phi(1, x0, x0, obj.minimizer)), fgap0, energy_weight(sched, 0)))
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,7 @@ def grid_mins():
             mins = {"descent": np.inf, "decomp": np.inf, "decomp_mid": np.inf,
                     "p1": np.inf, "sandwich": np.inf}
             for rec in stream_ensemble(obj, noise, sched, K_GRID, seeds, x0):
-                r = step_residuals(rec, sched, obj)
+                r = step_residuals(rec, obj)
                 tol = r["tol"]
                 mins["descent"] = min(mins["descent"],
                                       float(np.min(r["descent"] + tol)))
@@ -210,7 +211,7 @@ def test_criterion_06_anytime_exceedance():
     g2u = v + w
     t = 1.0 / g2u
     R, K = 10_000, 1000
-    tracker = MartingaleTracker(sched, sigma, g2u, t)
+    tracker = MartingaleTracker(sigma, g2u, t)
     for rec in stream_ensemble(obj, noise, sched, K, derive_seeds(303, R), x0):
         tracker.update(rec)
     tracker.finish(rec)

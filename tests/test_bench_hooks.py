@@ -75,3 +75,31 @@ def test_trace_units_count_trajectory_steps():
     assert sum(units["sgdm.stream_next"]) == 15
     assert units["objectives.grad"] == [5, 5, 5]
     assert set(units["objectives.eval"]) == {5}
+
+
+def test_trace_spans_reach_every_check_layer(tmp_path):
+    # the traced benchmark child divides by these spans: a check layer that
+    # is inlined or bypassed leaves its metric without a denominator
+    from stoplab import harness
+
+    trace = _load_trace()
+    cfg = harness.parse_config({
+        "objective": {"kind": "quadratic", "diag": [1.0, 2.0]},
+        "noise": {"kind": "gaussian-isotropic", "sigma": 1.0},
+        "schedule": {"variant": "theorem-main"},
+        "K": 20, "R": 4, "base_seed": 5, "x0": [2.0, -1.0], "betas": [0.05],
+        "checks": list(harness.CHECK_NAMES), "output_dir": str(tmp_path),
+        "options": {"supermartingale_ks": [2], "n_branches": 1000,
+                    "mgf_n_samples": 1000, "tail_n_runs": 200, "tail_c_len": 10},
+    })
+    tracer = trace.Tracer()
+    try:
+        trace.install(tracer)
+        report = harness.run_experiment(cfg)
+    finally:
+        tracer.restore()
+    assert report.passed
+    names = {span[1] for span in tracer.spans}
+    for name in ("series.gamma1", "series.gamma2", "lyapunov.envelope_constants",
+                 "mcstats.bootstrap", "concentration.tail"):
+        assert name in names, name

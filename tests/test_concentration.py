@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stoplab.concentration import (MgfCheckConfig, mgf_check,
+from stoplab.concentration import (MgfCheckConfig, _sq_norms, mgf_check,
                                    weighted_square_tail_check,
                                    weighted_square_tail_oracle)
 from stoplab.mcstats import clopper_pearson
@@ -116,3 +116,19 @@ def test_clopper_pearson_basics():
     assert lo < 0.5 < hi
     with pytest.raises(ValueError):
         clopper_pearson(1, 0)
+
+
+@pytest.mark.parametrize("dim", [2, 16])
+def test_tail_totals_sum_dim_columns_in_sequence(dim):
+    # the tail check's totals against a last-axis np.sum: the same additions
+    # in the same order below d = 8 (numpy sums short axes in sequence),
+    # pairwise against sequential rounding above
+    rng = np.random.default_rng(dim)
+    theta = rng.standard_normal((300, 100, dim))
+    c = np.asarray(a_coeff(ScheduleVariant(Variant.THEOREM_MAIN, L=1.0), np.arange(1, 101)))
+    old = np.sum(c[None, :] * np.sum(theta * theta, axis=-1), axis=-1)
+    new = np.sum(c[None, :] * _sq_norms(theta), axis=-1)
+    if dim < 8:
+        assert np.array_equal(new, old)
+    else:
+        np.testing.assert_allclose(new, old, rtol=1e-15, atol=0.0)

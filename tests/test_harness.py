@@ -295,7 +295,7 @@ def test_block_width_does_not_change_results(tmp_path, monkeypatch):
         for a, b in zip(ens, solo):
             assert np.array_equal(a.x_next[i], b.x_next[0])
             assert a.E[i] == b.E[0]
-            ra, rb = step_residuals(a, sched, obj), step_residuals(b, sched, obj)
+            ra, rb = step_residuals(a, obj), step_residuals(b, obj)
             for key in keys:
                 assert ra[key][i] == rb[key][0], (a.k, key)
 

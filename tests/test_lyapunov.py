@@ -9,8 +9,8 @@ from stoplab.lyapunov import (deep_descent_links, envelope_constants,
                               step_residuals)
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import least_squares_random, quadratic
-from stoplab.sgdm import (ScheduleVariant, Variant, derive_seeds, energy, phi,
-                          sq_norm, stream_ensemble)
+from stoplab.sgdm import (ScheduleVariant, Variant, derive_seeds, energy,
+                          energy_weight, phi, sq_norm, stream_ensemble)
 
 from oracles import phi_series, residual_series, run_paths
 
@@ -24,7 +24,7 @@ def noisy_run():
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
     sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
     recs = list(stream_ensemble(obj, noise, sched, 400, [11], np.array([2.0, -1.0])))
-    return recs, [step_residuals(r, sched, obj) for r in recs], sched, obj
+    return recs, [step_residuals(r, obj) for r in recs], sched, obj
 
 
 def test_initial_energy_hand_value():
@@ -34,7 +34,8 @@ def test_initial_energy_hand_value():
     rec = next(stream_ensemble(obj, zero, SCHED1, 2, [0], np.array([2.0])))
     assert rec.E_prev[0] == pytest.approx(6.885390081777927, rel=1e-13)
     x0 = np.array([2.0])
-    assert energy(0, sq_norm(phi(1, x0, x0, obj.minimizer)), 2.0, SCHED1) == rec.E_prev[0]
+    assert energy(sq_norm(phi(1, x0, x0, obj.minimizer)), 2.0,
+                  energy_weight(SCHED1, 0)) == rec.E_prev[0]
 
 
 def test_zero_noise_energy_monotone():
@@ -81,7 +82,7 @@ def test_deep_descent_links(noisy_run):
     recs, _, sched, obj = noisy_run
     for k in (1, 5, 50, 399):
         rec = recs[k - 1]
-        links = deep_descent_links(rec, sched, obj)
+        links = deep_descent_links(rec, obj)
         scale = 1e-9 * (1.0 + np.abs(rec.E))
         assert np.all(links["recurrence_identity_abs_err"] <= 1e-12 * (1 + k))
         assert np.all(links["differencing_residual"] >= -scale)
@@ -96,7 +97,7 @@ def test_step_residuals_match_full_path():
     x0 = np.full(5, 2.0)
     stream = {"descent": [], "decomp": [], "E": []}
     for rec in stream_ensemble(obj, noise, sched, 120, seeds, x0):
-        r = step_residuals(rec, sched, obj)
+        r = step_residuals(rec, obj)
         stream["descent"].append(r["descent"])
         stream["decomp"].append(r["decomp"])
         stream["E"].append(rec.E)
@@ -177,7 +178,8 @@ def test_energy_chain_and_checks_at_dim_1200(tmp_path):
     for prev, rec in zip(recs, recs[1:]):
         assert np.array_equal(rec.E_prev, prev.E)
         phi_next = phi(rec.k + 1, rec.x_curr.T, rec.x_next.T, obj.minimizer[:, None])
-        assert np.array_equal(rec.E, energy(rec.k, sq_norm(phi_next), rec.fgap_curr, sched))
+        assert np.array_equal(rec.E, energy(sq_norm(phi_next), rec.fgap_curr,
+                                            energy_weight(sched, rec.k)))
     raw = {
         "objective": {"kind": "quadratic", "diag": [float(v) for v in diag]},
         "noise": {"kind": "bounded-sphere", "sigma": 1.0},

@@ -28,7 +28,7 @@ def g2():
 
 
 def _track(noise, K, seeds, g2):
-    tracker = MartingaleTracker(SCHED, SIGMA, g2, 1.0 / g2)
+    tracker = MartingaleTracker(SIGMA, g2, 1.0 / g2)
     for rec in stream_ensemble(OBJ, noise, SCHED, K, seeds, X0):
         tracker.update(rec)
     tracker.finish(rec)

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import quadratic
 from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
-                          dim_sum, energy, eta, phi, sq_norm, stream_ensemble)
+                          dim_sum, energy, energy_weight, eta, phi, sq_norm,
+                          stream_ensemble)
 
 from oracles import run_paths
 
@@ -123,8 +124,9 @@ def test_derive_seeds_stable_and_distinct():
 
 
 def test_trajectory_accessors():
-    # consecutive records chain: step k+1 starts where step k ended, and the
-    # last record carries x_{K+1}, f(x_K) - f* and E(K)
+    # consecutive records chain: step k+1 starts where step k ended, the
+    # last record carries x_{K+1}, f(x_K) - f* and E(K), and each record
+    # carries its step's schedule scalars
     obj = quadratic(np.array([1.0]))
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 1, 1.0)
     recs = list(stream_ensemble(obj, noise, SCHED1, 10, [3], np.array([2.0])))
@@ -135,11 +137,16 @@ def test_trajectory_accessors():
         assert np.array_equal(rec.fgap_prev, prev.fgap_curr)
         assert rec.E_prev is prev.E
         assert rec.phi_sq is prev.phi_next_sq
+    for rec in recs:
+        assert rec.eta_k == eta(SCHED1, rec.k)
+        assert rec.a_k == a_coeff(SCHED1, rec.k)
+        assert rec.w_k == energy_weight(SCHED1, rec.k)
     last = recs[-1]
     np.testing.assert_allclose(last.fgap_curr, 0.5 * last.x_curr[:, 0] ** 2, rtol=1e-15)
     phi_next = phi(11, last.x_curr.T, last.x_next.T, obj.minimizer[:, None])
     assert np.array_equal(last.phi_next_sq, sq_norm(phi_next))
-    assert np.array_equal(last.E, energy(10, sq_norm(phi_next), last.fgap_curr, SCHED1))
+    assert np.array_equal(last.E, energy(sq_norm(phi_next), last.fgap_curr,
+                                         energy_weight(SCHED1, 10)))
 
 
 @settings(max_examples=60, deadline=None)
