@@ -3,8 +3,11 @@
 
 For each (schedule, sigma) pair this reports the certified brackets for the
 weight sum gamma1 and the weight product gamma2, plus the derived envelope
-constants C1 and C2.  Brackets are rigorous: partial sums with integral tail
-squeezes, tightened until the width is below the requested tolerance.
+constants C1 and C2.  Brackets are rigorous: an fsum partial sum over
+N = 2^12 terms plus a Hermite-Hadamard tail bracket with closed-form
+integrals (exponential integrals in u = ln(x+2)), each end widened by an
+explicit bound on its rounding; N doubles only while the width exceeds the
+requested tolerance.
 """
 
 import argparse

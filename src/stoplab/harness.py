@@ -354,7 +354,7 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
     """
     obj, sched, K = cfg.objective, cfg.sched, cfg.K
     n = hi - lo
-    seeds = derive_seeds(cfg.base_seed, cfg.R)[lo:hi]
+    seeds = derive_seeds(cfg.base_seed, hi - lo, start=lo)
     t = env.B / env.gamma2
     ks = np.arange(0, K + 1)
     rule_betas = {r[3] for r in cfg.rules if r[3] is not None}
@@ -473,7 +473,12 @@ def _supermartingale_seed(base_seed: int) -> int:
 
 
 def run_experiment(cfg: RunConfig) -> Report:
-    """Run the configured ensemble, execute enabled checks, write artifacts."""
+    """Run the configured ensemble, execute enabled checks, write artifacts.
+
+    The decomposition record's ``p1_margin_min`` and ``sandwich_margin_min``
+    are reported, not gated: E(k) = ||phi_{k+1}||^2 + w_k (f(x_k) - f*), so
+    they reduce to w_k (f(x_k) - f*) >= -tol and ||phi_{k+1}||^2 >= 0.
+    """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     env = _envelope(cfg)

@@ -81,6 +81,12 @@ def step_residuals(rec, obj: Objective) -> dict:
     the momentum-vector bound ||phi_{k+1}||^2 <= E(k), the margin of the
     value sandwich 4 sqrt((k+1) eta_k) (f(x_k) - f*) <= E(k), and the
     per-step tolerance.
+
+    E(k) = ||phi_{k+1}||^2 + w_k (f(x_k) - f*) by construction (``sgdm.energy``),
+    so these two bounds test no dynamics.  The P1 margin
+    E(k-1) - ||phi_k||^2 + tol is w_{k-1} (f(x_{k-1}) - f*) + tol, which is
+    >= 0 whenever f >= f*; the sandwich margin is ||phi_{k+1}||^2 itself.
+    They can fail only through rounding or a value below f*.
     """
     k = rec.k
     e_k = rec.eta_k

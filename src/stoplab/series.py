@@ -1,87 +1,124 @@
-"""Certified evaluation of the slowly-convergent series behind the envelope.
+"""Certified brackets on the slowly-convergent series behind the envelope.
 
-The weight series sum_k a_k with a_k = 1 / (C k ln^p(k+2)) converges too
-slowly for naive truncation, so brackets are built from partial sums plus
-integral tail bounds.  For decreasing a,
+gamma1 = sum_k a_k and log gamma2 = sum_k ln(1 + s^2 a_k), s = sigma, with
+a_k = a(k) = 1 / (C k ln^p(k+2)), 1 < p <= 2: a partial sum over k <= N plus
+a bracket on the tail.
 
-    integral_{K+1}^inf a(x) dx  <=  sum_{k>K} a_k  <=  a_{K+1} + integral_{K+1}^inf a(x) dx,
+Tail sums.  a = 1/(C g), g = x l^p, l = ln(x+2), is convex where
+2 g'^2 >= g g''.  Here g' = l^p + p x l^(p-1)/(x+2) and
+g g'' = p x l^(2p-1) (x+4)/(x+2)^2 + p(p-1) x^2 l^(2p-2)/(x+2)^2; as
+x+4 <= 2(x+2) and p(p-1) <= 2 <= 2 l^2, each term is at most one of 2 g'^2.
+So a, and every a^m, is convex and decreasing on x >= 0, and Hermite-Hadamard
+on unit intervals gives
 
-and the integral itself is bracketed through the exact antiderivative of
-1 / (C (x+2) ln^p(x+2)), which is -1 / (C (p-1) ln^(p-1)(x+2)):
+    integral_{N+1}^inf a^m + a_{N+1}^m / 2 <= sum_{k>N} a_k^m <= integral_{N+1/2}^inf a^m.
 
-    1/((x+2) ln^p(x+2))  <=  1/(x ln^p(x+2))  <=  (A+2)/A * 1/((x+2) ln^p(x+2))
+Tail integrals.  In u = ln(x+2), U = ln(X+2), expanding (1 - 2e^-u)^-m,
+integral_X^inf a^m = C^-m sum_j binom(j+m-1, m-1) 2^j U^(1-mp) E_mp((j+m-1)U)
+with E_q the generalized exponential integral (the j+m-1 = 0 term is
+U^(1-p)/(p-1)).  E_q is scipy's expn for integer q, else E_f(z) =
+z^(f-1) Gamma(1-f) Q(1-f, z) for f = frac(q), raised by
+E_{s+1} = (e^-z - z E_s)/s.  _J terms are summed; as E_q(z) <= e^-z/z and
+r = 2/(X+2) <= 1/(2m), the rest is at most
+2 binom(_J+m-1, m-1) r^_J U^-mp e^(-(m-1)U) C^-m.  gamma2's tail lies
+between s^2 A1 - s^4/2 A2 and that plus s^6/3 A3, A_m = sum_{k>N} a_k^m, by
+x - x^2/2 <= ln(1+x) <= x - x^2/2 + x^3/3 (x >= 0).
 
-for x >= A.  Truncation adapts upward until the bracket width meets the
-requested relative tolerance.
+Rounding.  Each float entering a bracket end carries a relative error
+bound: _TERM_REL = 128 u (u = 2^-53) for values built from elementary
+functions, which numpy and libm give within 4 ULP = 8 u (the longest chain,
+a_k, stays below 40 u); _SF_REL = 2^-40 per scipy call (Cephes documents
+about 1e-14; this also covers U's rounding, at most 2 u (z + q)), times
+(z+s+1)/s per recurrence step, since E_{s+1}(z) > e^-z/(z+s+1), plus 8 u.
+An end is the fsum of its terms, each moved outward by its bound, then one
+ulp further out (math.nextafter) for the fsum's rounding.  So the brackets
+contain the exact series for the float C and p.
 
-The partial sums run over up to 2^26 terms, in chunks of 2^17 to 2^20.  Each
-chunk is evaluated in blocks of ``sgdm.SWEEP_BLOCK`` = 2^13 terms
-(``sgdm.sweep_blocks``), so each temporary is 64 KiB and stays in cache and
-no chunk-long array is built.  numpy's pairwise ``np.sum`` halves a
-power-of-two length exactly, so its sum over a chunk is the binary tree of
-the chunk's block sums; combining the block sums in that tree gives the
-chunk's ``np.sum`` bit for bit (``_chunk_sum``).
+N doubles from 2^12 while the width exceeds tol * value, up to 2^20; each
+doubling evaluates only its new terms.  N = 2^12 meets tol = 1e-9 on both
+schedules at sigma <= 2.
 """
 
 import math
 
 import numpy as np
+from scipy import special
 
 from .errors import ConfigError
-from .sgdm import SWEEP_BLOCK, ScheduleVariant, a_coeff, sweep_blocks
+from .sgdm import ScheduleVariant, a_coeff
 
-_CHUNK = 1 << 20
-_MAX_TERMS = 1 << 26
+_U = 2.0**-53
+_TERM_REL = 128 * _U
+_SUM_REL = _TERM_REL + 3 * _U  # a partial sum: its terms' error, and two fsums
+_SF_REL = 2.0**-40
+_J = 6
 
 
-def _tail_integral_bracket(sched: ScheduleVariant, K: int) -> tuple[float, float]:
-    """Bracket for sum_{k >= K+1} a_k."""
-    p = sched.log_power
-    C = sched.a_coefficient_scale
-    if p <= 1.0:
+def _bound(side: int, *terms) -> float:
+    """Lower (side -1) or upper (side +1) bound on the exact sum of (value, rel_err) terms."""
+    parts = [v for v, _ in terms] + [side * abs(v) * rel for v, rel in terms]
+    return math.nextafter(math.fsum(parts), side * math.inf)
+
+
+def _expint(q: float, z: float) -> tuple[float, float]:
+    """E_q(z) for real q >= 1 and z > 0, with its relative error bound."""
+    n = math.floor(q)
+    if q == n:
+        return float(special.expn(n, z)), _SF_REL
+    f = q - n
+    e = z ** (f - 1.0) * float(special.gammaincc(1.0 - f, z)) * float(special.gamma(1.0 - f))
+    rel, s = 2.0 * _SF_REL, f
+    for _ in range(n):
+        e = (math.exp(-z) - z * e) / s
+        rel = (rel + 8.0 * _U) * (z + s + 1.0) / s
+        s += 1.0
+    return e, rel
+
+
+def _tail_integral(sched: ScheduleVariant, X: float, m: int) -> tuple[float, float]:
+    """Certified (lo, hi) on integral_X^inf a(x)^m dx, for X > 4096 and m <= 3."""
+    C, p = sched.a_coefficient_scale, sched.log_power
+    U = math.log(X + 2.0)
+    scale = C**-m
+    terms = []
+    for j in range(_J):
+        if j + m == 1:
+            terms.append((U ** (1.0 - p) / (p - 1.0) * scale, _TERM_REL))
+            continue
+        E, rel = _expint(m * p, (j + m - 1) * U)
+        weight = math.comb(j + m - 1, m - 1) * 2.0**j
+        terms.append((weight * U ** (1.0 - m * p) * E * scale, rel + _TERM_REL))
+    rest = (2.0 * math.comb(_J + m - 1, m - 1) * (2.0 / (X + 2.0)) ** _J
+            * U ** (-m * p) * math.exp(-(m - 1) * U) * scale)
+    return _bound(-1, *terms), _bound(1, *terms, (rest, _TERM_REL))
+
+
+def _tail_sum(sched: ScheduleVariant, N: int, a_next: float, m: int) -> tuple[float, float]:
+    """Certified (lo, hi) on sum_{k>N} a_k^m (Hermite-Hadamard); a_next = a_{N+1}."""
+    lo = _bound(-1, (_tail_integral(sched, N + 1.0, m)[0], 0.0), (0.5 * a_next**m, _TERM_REL))
+    return lo, _tail_integral(sched, N + 0.5, m)[1]
+
+
+def _partial_sums(sched: ScheduleVariant, transform):
+    """Yield (N, sum_{k<=N} transform(a_k), a_{N+1}) for N = 2^12, 2^13, ..., 2^20.
+
+    Each doubling evaluates only the terms N/2+1..N and fsums them; the
+    running value is the fsum of those block sums.
+    """
+    if sched.log_power <= 1.0:
         raise ConfigError(["weight series diverges (log power <= 1)"])
-    base = 1.0 / (C * (p - 1.0) * math.log(K + 3.0) ** (p - 1.0))
-    lo = base
-    hi = float(a_coeff(sched, K + 1)) + (K + 3.0) / (K + 1.0) * base
-    return lo, hi
+    block_sums, first = [], 1
+    for e in range(12, 21):
+        N = 1 << e
+        block = transform(a_coeff(sched, np.arange(first, N + 1, dtype=float)))
+        block_sums.append(math.fsum(block.tolist()))
+        yield N, math.fsum(block_sums), a_coeff(sched, N + 1)
+        first = N + 1
 
 
-def _chunk_sum(sched: ScheduleVariant, first: int, last: int, transform) -> float:
-    """np.sum of transform(a_k) over k = first..last, computed block by block.
-
-    The chunk's length is a power of two, at least SWEEP_BLOCK.  numpy's
-    pairwise sum splits such a length exactly in half down to blocks far
-    below SWEEP_BLOCK terms, so its result over the chunk is the binary tree
-    of the SWEEP_BLOCK-term block sums, left plus right at each node; this
-    evaluates that tree without holding the chunk.
-    """
-    n = last - first + 1
-    assert n >= SWEEP_BLOCK and n & (n - 1) == 0, "chunk length must be a power of two"
-    sums = []
-    for ks in sweep_blocks(first, last):
-        ak = a_coeff(sched, ks)
-        sums.append(float(np.sum(transform(ak) if transform else ak)))
-    while len(sums) > 1:
-        sums = [left + right for left, right in zip(sums[::2], sums[1::2])]
-    return sums[0]
-
-
-def _prefix_sums(sched: ScheduleVariant, transform=None):
-    """Yield (K, sum_{k<=K} transform(a_k)) for K = 2^17, 2^18, ..., _MAX_TERMS.
-
-    Each doubling adds only the new terms K/2+1..K, in chunks of at most
-    _CHUNK terms, to the running sum.  numpy's pairwise sum splits a
-    power-of-two length exactly in half, so every yielded value is bitwise
-    the one-pass sum of terms 1..K in the same chunks.  Every chunk has a
-    power-of-two length (2^17 to 2^20) and is summed by ``_chunk_sum`` from
-    its SWEEP_BLOCK-term blocks, bitwise as ``np.sum`` over the chunk.
-    """
-    total, lo, K = 0.0, 1, 1 << 17
-    while K <= _MAX_TERMS:
-        for start in range(lo, K + 1, _CHUNK):
-            total += _chunk_sum(sched, start, min(start + _CHUNK - 1, K), transform)
-        yield K, total
-        lo, K = K + 1, 2 * K
+def _check_tol(tol: float) -> None:
+    if not (0.0 < tol < 1.0):
+        raise ValueError("tol must lie in (0, 1)")
 
 
 def gamma1(sched: ScheduleVariant, tol: float) -> tuple[float, float]:
@@ -90,56 +127,36 @@ def gamma1(sched: ScheduleVariant, tol: float) -> tuple[float, float]:
     Returns (value, tail_bound) with value <= gamma1 <= value + tail_bound
     and tail_bound <= tol * value.
     """
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tol must lie in (0, 1)")
-    for K, partial in _prefix_sums(sched):
-        t_lo, t_hi = _tail_integral_bracket(sched, K)
-        value = partial + t_lo
-        tail_bound = t_hi - t_lo
-        if tail_bound <= tol * value:
-            return value, tail_bound
-    raise ConfigError([f"gamma1 bracket did not reach tolerance {tol} within {K} terms"])
+    _check_tol(tol)
+    for N, partial, a_next in _partial_sums(sched, lambda a: a):
+        t_lo, t_hi = _tail_sum(sched, N, a_next, 1)
+        lo = _bound(-1, (partial, _SUM_REL), (t_lo, 0.0))
+        hi = _bound(1, (partial, _SUM_REL), (t_hi, 0.0))
+        if hi - lo <= tol * lo:
+            return lo, hi - lo
+    raise ConfigError([f"gamma1 bracket did not reach tolerance {tol} within {N} terms"])
 
 
 def gamma2(sched: ScheduleVariant, sigma: float, tol: float) -> tuple[float, float]:
     """Certified bracket for gamma2 = prod_k (1 + sigma^2 a_k).
 
-    Computed as exp(sum ln(1 + sigma^2 a_k)) over a finite prefix; the tail of
-    the log-sum is squeezed between sigma^2 T - sigma^4/2 * a_{K+1} T_hi and
-    sigma^2 T_hi using x - x^2/2 <= ln(1+x) <= x.
+    Returns (value, tail_bound) as ``gamma1`` does: exp of the bracket on
+    the log-sum, whose tail is squeezed by the cubic log1p sandwich.
     """
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tol must lie in (0, 1)")
+    _check_tol(tol)
     if sigma == 0.0:
         return 1.0, 0.0
     s2 = sigma * sigma
-    for K, log_prefix in _prefix_sums(sched, transform=lambda a: np.log1p(s2 * a)):
-        t_lo, t_hi = _tail_integral_bracket(sched, K)
-        correction = 0.5 * s2 * s2 * float(a_coeff(sched, K + 1)) * t_hi
-        log_tail_lo = max(s2 * t_lo - correction, 0.0)
-        log_tail_hi = s2 * t_hi
-        value = math.exp(log_prefix + log_tail_lo)
-        upper = math.exp(log_prefix + log_tail_hi)
-        if upper - value <= tol * value:
-            return value, upper - value
-    raise ConfigError([f"gamma2 bracket did not reach tolerance {tol} within {K} terms"])
+    for N, log_partial, a_next in _partial_sums(sched, lambda a: np.log1p(s2 * a)):
+        (a1_lo, a1_hi), (a2_lo, a2_hi), (_, a3_hi) = (
+            _tail_sum(sched, N, a_next, m) for m in (1, 2, 3))
+        log_lo = _bound(-1, (log_partial, _SUM_REL), (s2 * a1_lo, _TERM_REL),
+                        (-0.5 * s2 * s2 * a2_hi, _TERM_REL))
+        log_hi = _bound(1, (log_partial, _SUM_REL), (s2 * a1_hi, _TERM_REL),
+                        (-0.5 * s2 * s2 * a2_lo, _TERM_REL), (s2**3 / 3.0 * a3_hi, _TERM_REL))
+        lo = _bound(-1, (math.exp(log_lo), _TERM_REL))
+        hi = _bound(1, (math.exp(log_hi), _TERM_REL))
+        if hi - lo <= tol * lo:
+            return lo, hi - lo
+    raise ConfigError([f"gamma2 bracket did not reach tolerance {tol} within {N} terms"])
 
-
-def riemann_zeta(s: float, n_terms: int = 1 << 14) -> float:
-    """zeta(s) for s > 1 by partial sum plus Euler-Maclaurin tail correction.
-
-    Accurate to well under 1e-10 relative for s in (1, 60] at the default
-    truncation.
-    """
-    if s <= 1.0:
-        raise ValueError("riemann_zeta requires s > 1")
-    N = float(n_terms)
-    n = np.arange(1, n_terms, dtype=float)
-    partial = float(np.sum(n ** (-s)))
-    tail = (
-        N ** (1.0 - s) / (s - 1.0)
-        + 0.5 * N ** (-s)
-        + s * N ** (-s - 1.0) / 12.0
-        - s * (s + 1.0) * (s + 2.0) * N ** (-s - 3.0) / 720.0
-    )
-    return partial + tail

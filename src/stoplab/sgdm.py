@@ -67,21 +67,6 @@ class ScheduleVariant:
         return base
 
 
-SWEEP_BLOCK = 1 << 13
-
-
-def sweep_blocks(first: int, last: int) -> Iterator[np.ndarray]:
-    """Yield k = first..last as consecutive float aranges of at most SWEEP_BLOCK terms.
-
-    Long sweeps over k evaluate the schedule one block at a time: a block's
-    float64 temporaries are 64 KiB each and stay in cache, where the whole
-    range at once would allocate megabytes per temporary.  Elementwise
-    results do not depend on the blocking.
-    """
-    for start in range(first, last + 1, SWEEP_BLOCK):
-        yield np.arange(start, min(start + SWEEP_BLOCK, last + 1), dtype=float)
-
-
 def eta(sched: ScheduleVariant, k) -> np.ndarray | float:
     """Learning rate at iteration k (defined for k >= 0); vectorized in k."""
     k = np.asarray(k, dtype=float)
@@ -91,15 +76,13 @@ def eta(sched: ScheduleVariant, k) -> np.ndarray | float:
 
 
 def eta_bound_margin(sched: ScheduleVariant) -> float:
-    """min over k = 1..10^6 of k / (16 L^2) - eta_k.
+    """min over k = 1..10^6 of k / (16 L^2) - eta_k, which is its k = 1 value.
 
     The decomposition's step condition eta_k <= k / (16 L^2) holds on that
-    range iff this is >= 0.  Swept in blocks; the minimum is exact, so the
-    result does not depend on the blocking.
+    range iff this is >= 0.  k / (16 L^2) increases in k and eta_k decreases
+    (ln(k+2) increases), so their difference is smallest at k = 1.
     """
-    scale = 16.0 * sched.L**2
-    return min(float(np.min(ks / scale - eta(sched, ks)))
-               for ks in sweep_blocks(1, 10**6))
+    return 1.0 / (16.0 * sched.L**2) - eta(sched, 1)
 
 
 def a_coeff(sched: ScheduleVariant, k) -> np.ndarray | float:
@@ -170,11 +153,15 @@ def energy(phi_next_sq, fgap_k, w_k: float):
     return phi_next_sq + w_k * fgap_k
 
 
-def derive_seeds(base_seed: int, n: int) -> np.ndarray:
-    """Per-trajectory 64-bit seeds from (base_seed, index), counter style."""
+def derive_seeds(base_seed: int, n: int, start: int = 0) -> np.ndarray:
+    """64-bit seeds of trajectories start..start+n-1 from (base_seed, index), counter style.
+
+    A seed depends on its trajectory's index only, so a block's seeds are
+    the matching slice of the whole run's.
+    """
     out = np.empty(n, dtype=np.uint64)
     for i in range(n):
-        ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(i,))
+        ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(start + i,))
         out[i] = ss.generate_state(1, np.uint64)[0]
     return out
 

@@ -1,12 +1,16 @@
-"""Independent full-path reference implementations used by the tests.
+"""Independent reference implementations used by the tests.
 
 stoplab computes every pathwise quantity online, one streamed step at a time.
 The functions here recompute the same quantities from whole stored paths with
-vectorized series formulas, so a test can compare the two; they are
-deliberately separate code and are not used by the package.
+vectorized series formulas, so a test can compare the two.  The rest are
+exact references: the weight series to 50 digits (mpmath), zeta(s), and the
+weighted chi-square tail (Imhof inversion).  All are deliberately separate
+code and are not used by the package.
 """
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -110,3 +114,105 @@ def eta_margin_one_shot(sched) -> float:
     """min over k = 1..10^6 of k / (16 L^2) - eta_k, as one whole-range expression."""
     ks = np.arange(1, 10**6 + 1, dtype=float)
     return float(np.min(ks / (16.0 * sched.L**2) - np.asarray(eta(sched, ks))))
+
+
+def weight_series_mp(sched, sigma=None, dps: int = 50, M: int = 1000, n_corr: int = 8):
+    """gamma1 = sum_k a_k (sigma None) or log gamma2 = sum_k ln(1 + sigma^2 a_k), to dps digits.
+
+    Euler-Maclaurin at 50 digits with mpmath: the first M - 1 terms summed
+    directly, then integral_M^inf f + f(M)/2 - sum_j B_2j / (2j)! f^(2j-1)(M)
+    for j <= n_corr, with the derivatives from ``mpmath.taylor``.  The
+    remainder is below 1e-54 relative at the defaults.  The tail integral of
+    a is U^(1-p)/(p-1) plus a quadrature in u = ln(x+2) of the exponentially
+    small rest, and that of ln(1 + s^2 a) - s^2 a is a quadrature in u; the
+    library's series expansion in exponential integrals is not used.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps + 10):
+        C, p = mp.mpf(sched.a_coefficient_scale), mp.mpf(sched.log_power)
+        s2 = None if sigma is None else mp.mpf(sigma) ** 2
+
+        def a(x):
+            return 1 / (C * x * mp.log(x + 2) ** p)
+
+        f = a if s2 is None else (lambda x: mp.log1p(s2 * a(x)))
+        head = mp.fsum(f(mp.mpf(k)) for k in range(1, M))
+        U = mp.log(M + 2)
+        integral = (U ** (1 - p) / (p - 1) + mp.quad(
+            lambda u: 2 * mp.exp(-u) / ((1 - 2 * mp.exp(-u)) * u ** p), [U, mp.inf])) / C
+        if s2 is not None:
+            def rest(u):
+                au = 1 / (C * (mp.exp(u) - 2) * u ** p)
+                return (mp.log1p(s2 * au) - s2 * au) * mp.exp(u)
+            integral = s2 * integral + mp.quad(rest, [U, U + 10, U + 40, mp.inf])
+        d = mp.taylor(f, mp.mpf(M), 2 * n_corr)
+        corr = mp.fsum(mp.bernoulli(2 * j) / (2 * j) * d[2 * j - 1]
+                       for j in range(1, n_corr + 1))
+        total = head + integral + f(mp.mpf(M)) / 2 - corr
+    with mp.workdps(dps):
+        return +total
+
+
+def riemann_zeta(s: float, n_terms: int = 1 << 14) -> float:
+    """zeta(s) for s > 1 by partial sum plus Euler-Maclaurin tail correction.
+
+    Accurate to well under 1e-10 relative for s in (1, 60] at the default
+    truncation.
+    """
+    if s <= 1.0:
+        raise ValueError("riemann_zeta requires s > 1")
+    N = float(n_terms)
+    n = np.arange(1, n_terms, dtype=float)
+    partial = float(np.sum(n ** (-s)))
+    tail = (
+        N ** (1.0 - s) / (s - 1.0)
+        + 0.5 * N ** (-s)
+        + s * N ** (-s - 1.0) / 12.0
+        - s * (s + 1.0) * (s + 2.0) * N ** (-s - 3.0) / 720.0
+    )
+    return partial + tail
+
+
+def weighted_square_tail_oracle(
+    c_seq: Sequence[float], scale: float, dim: int, threshold: float
+) -> float:
+    """Exact Pr(sum_l c_l ||theta_l||^2 >= threshold) for isotropic Gaussians.
+
+    The sum is a positively weighted chi-square with ``dim`` degrees per
+    weight lambda_l = c_l scale^2; the exceedance probability comes from
+    Imhof's characteristic-function inversion,
+
+        Pr(Q > x) = 1/2 + (1/pi) * int_0^inf sin(h(u)) / (u r(u)) du,
+
+    with h(u) = (dim/2) sum atan(lambda u) - x u / 2 and
+    r(u) = prod (1 + lambda^2 u^2)^(dim/4).  Equal weights reduce to a plain
+    chi-square and are answered in closed form; the general inversion is
+    integrated segment by segment (a few dozen oscillations each) until the
+    1/(u r(u)) envelope is negligible, giving roughly 1e-6 absolute accuracy.
+    """
+    from scipy.integrate import quad
+    from scipy.stats import chi2
+
+    lam = np.asarray(c_seq, dtype=float) * scale * scale
+    if np.all(lam == lam[0]):
+        return float(chi2.sf(threshold / lam[0], dim * lam.size))
+
+    def integrand(u):
+        h = 0.5 * dim * np.sum(np.arctan(lam * u)) - 0.5 * threshold * u
+        r = math.exp(0.25 * dim * float(np.sum(np.log1p((lam * u) ** 2))))
+        return math.sin(h) / (u * r)
+
+    def envelope(u):
+        return math.exp(-0.25 * dim * float(np.sum(np.log1p((lam * u) ** 2)))) / u
+
+    slope = 0.5 * threshold + 0.5 * dim * float(np.sum(lam))
+    seg = 64.0 * math.pi / slope
+    total, lo = 0.0, 0.0
+    while lo < 1e7:
+        piece, _ = quad(integrand, lo, lo + seg, limit=400)
+        total += piece
+        lo += seg
+        if envelope(lo) * seg < 1e-9:
+            break
+    return min(max(0.5 + total / math.pi, 0.0), 1.0)

@@ -24,12 +24,14 @@ from stoplab.mcstats import clopper_pearson
 from stoplab.noise import NoiseKind, calibrate
 from stoplab.objectives import (eval_objective, huberized_abs,
                                 least_squares_random, quadratic)
-from stoplab.series import gamma1, gamma2, riemann_zeta
+from stoplab.series import gamma1, gamma2
 from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
                           energy, energy_weight, eta, phi, sq_norm,
                           stream_ensemble)
 from stoplab.stopping import (PathTree, RuleKind, RuleTracker,
                               baseline_envelope, tree_min_coverage)
+
+from oracles import riemann_zeta
 
 R_GRID, K_GRID = 100, 10_000
 R_COV, K_COV = 1000, 100_000
@@ -300,6 +302,7 @@ def theorem_cov():
             "fgap_k1": fgap_k1, "last": last}
 
 
+@pytest.mark.slow
 def test_criterion_09_envelope_coverage(theorem_cov):
     ok = True
     details = []
@@ -312,6 +315,7 @@ def test_criterion_09_envelope_coverage(theorem_cov):
     assert ok, details
 
 
+@pytest.mark.slow
 def test_criterion_10_stopping_time_transfer(theorem_cov):
     ok = True
     details = []
@@ -346,6 +350,7 @@ def test_criterion_11_toy_tree_equivalence(m):
     assert ok, rep
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("eps", [0.1, 0.3, 0.49])
 def test_criterion_12_eps_schedule_variant(eps):
     obj = quadratic(np.array([1.0, 2.0]))

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from stoplab import concentration
 from stoplab.concentration import (MgfCheckConfig, _sq_norms, mgf_check,
-                                   weighted_square_tail_check,
-                                   weighted_square_tail_oracle)
+                                   weighted_square_tail_check)
 from stoplab.mcstats import clopper_pearson
 from stoplab.noise import NoiseKind, calibrate
 from stoplab.sgdm import ScheduleVariant, Variant, a_coeff
+
+from oracles import weighted_square_tail_oracle
 
 GAUSS2 = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
 SPHERE3 = calibrate(NoiseKind.BOUNDED_SPHERE, 3, 1.0)
@@ -132,3 +134,44 @@ def test_tail_totals_sum_dim_columns_in_sequence(dim):
         assert np.array_equal(new, old)
     else:
         np.testing.assert_allclose(new, old, rtol=1e-15, atol=0.0)
+
+
+def _tail_inputs(dim, kind, n_c=100):
+    c = np.asarray(a_coeff(ScheduleVariant(Variant.THEOREM_MAIN, L=1.0), np.arange(1, n_c + 1)))
+    return c, calibrate(kind, dim, 1.0)
+
+
+def test_tail_check_memory_does_not_grow_with_the_chunk():
+    # one 2^15-draw chunk at d = 64 held 2^21 doubles at once: a 31.9 MiB peak
+    import tracemalloc
+    c, noise = _tail_inputs(64, NoiseKind.GAUSSIAN_ISOTROPIC)
+    tracemalloc.start()
+    try:
+        weighted_square_tail_check(c, noise, [1.0], 327, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (1 << 20)
+
+
+@pytest.mark.parametrize("kind", [NoiseKind.GAUSSIAN_ISOTROPIC, NoiseKind.BOUNDED_SPHERE])
+@pytest.mark.parametrize("dim", [2, 16, 64])
+def test_tail_check_sub_blocks_change_no_bit(monkeypatch, kind, dim):
+    c, noise = _tail_inputs(dim, kind, n_c=40)
+    norms = []
+    real = concentration._sq_norms
+
+    def recording(theta):
+        out = real(theta)
+        norms.append(out.ravel().copy())
+        return out
+
+    monkeypatch.setattr(concentration, "_sq_norms", recording)
+    omegas = [0.0, 0.1, 0.5, 1.0, 2.0]
+    default = weighted_square_tail_check(c, noise, omegas, 100, seed=9)
+    default_norms, norms[:] = np.concatenate(norms), []
+    monkeypatch.setattr(concentration, "_DRAW_BLOCK", 200)
+    tiny = weighted_square_tail_check(c, noise, omegas, 100, seed=9)
+    assert len(norms) > 1
+    assert tiny == default
+    assert np.array_equal(np.concatenate(norms), default_norms)

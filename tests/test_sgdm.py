@@ -123,6 +123,12 @@ def test_derive_seeds_stable_and_distinct():
     assert np.array_equal(derive_seeds(123, 4), s1[:4])
 
 
+@pytest.mark.parametrize("lo,hi", [(0, 3), (3, 8), (7, 8), (5, 5)])
+def test_block_seeds_are_the_slice_of_the_run(lo, hi):
+    # a worker block derives only its own trajectories' seeds
+    assert np.array_equal(derive_seeds(123, hi - lo, start=lo), derive_seeds(123, 8)[lo:hi])
+
+
 def test_trajectory_accessors():
     # consecutive records chain: step k+1 starts where step k ended, the
     # last record carries x_{K+1}, f(x_K) - f* and E(K), and each record
