@@ -148,6 +148,21 @@ def test_brackets_contain_50_digit_value_on_the_grid(key):
             assert width <= prior, (tol, width, prior)
 
 
+# Brackets of the 2^12-term fsum partial sum plus the Hermite-Hadamard tail;
+# N = 2^12 already meets tol 1e-8, so each pair of tols shares one bracket.
+# A change to the summation or the tail integrals must not move a bit.
+@pytest.mark.parametrize("sched,sigma,tol,expected", [
+    (SCHED, None, 1e-6, (1.888001876842888, 1.3354828354295023e-10)),
+    (SCHED, None, 1e-8, (1.888001876842888, 1.3354828354295023e-10)),
+    (SCHED, 1.0, 1e-6, (5.052743858009035, 6.750244807562922e-10)),
+    (SCHED, 1.0, 1e-8, (5.052743858009035, 6.750244807562922e-10)),
+    (SCHED_EPS, None, 1e-6, (0.043787365044450674, 5.483974385711576e-12)),
+])
+def test_brackets_are_bitwise_pinned(sched, sigma, tol, expected):
+    got = gamma1(sched, tol) if sigma is None else gamma2(sched, sigma, tol)
+    assert got == expected
+
+
 def test_brackets_reach_tighter_tolerances():
     # each raised ConfigError within 2^26 terms with the O(a_N)-wide tail bracket
     assert gamma1(SCHED, 1e-10)[1] <= 1e-10 * gamma1(SCHED, 1e-10)[0]
