@@ -82,14 +82,20 @@ def mgf_check(cfg: MgfCheckConfig) -> list[dict]:
              "bound": math.exp(0.75 * lam * lam), "skipped": cfg.c == 0.0, "pass": True}
             for lam in lambdas
         ]
-    # One pass over the noise stream serves every lambda.
+    # One pass over the noise stream serves every lambda.  A chunk is drawn
+    # in sub-blocks of <= _DRAW_BLOCK doubles into its z; the per-lambda sums
+    # still run over the whole chunk.
     sums = np.zeros(len(lambdas))
     sq_sums = np.zeros(len(lambdas))
     n = cfg.n_samples
+    per_block = max(1, _DRAW_BLOCK // cfg.noise.dim)
     for ci, lo in enumerate(range(0, n, _SAMPLE_CHUNK)):
         m = min(lo + _SAMPLE_CHUNK, n) - lo
-        theta = sample(cfg.noise, _chunk_rng(cfg.seed, ci, 0), m)
-        z = theta @ cfg.phi_vector / (cfg.c * sigma)
+        rng = _chunk_rng(cfg.seed, ci, 0)
+        z = np.empty(m)
+        for d0 in range(0, m, per_block):
+            theta = sample(cfg.noise, rng, min(per_block, m - d0))
+            z[d0:d0 + len(theta)] = theta @ cfg.phi_vector / (cfg.c * sigma)
         for j, lam in enumerate(lambdas):
             w = np.exp(lam * z)
             sums[j] += float(np.sum(w))

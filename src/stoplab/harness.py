@@ -479,9 +479,9 @@ def run_experiment(cfg: RunConfig) -> Report:
     are reported, not gated: E(k) = ||phi_{k+1}||^2 + w_k (f(x_k) - f*), so
     they reduce to w_k (f(x_k) - f*) >= -tol and ||phi_{k+1}||^2 >= 0.
     """
+    env = _envelope(cfg)  # may raise ConfigError; nothing is written before it
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    env = _envelope(cfg)
     t = env.B / env.gamma2
     checks = []
     summary = {}

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .objectives import Objective
 from .sgdm import ScheduleVariant, Variant, dim_sum, phi, sq_norm
 from .series import gamma1 as _gamma1_bracket
@@ -140,7 +141,10 @@ class EnvelopeParams:
 def envelope_constants(
     sched: ScheduleVariant, sigma: float, E0: float, tol: float = 1e-6
 ) -> EnvelopeParams:
-    """Assemble C1 = L g2 E0 + L s^2 (1 + s^2 g1 g2) g1 and its slope twin C2."""
+    """Assemble C1 = L g2 E0 + L s^2 (1 + s^2 g1 g2) g1 and its slope twin C2.
+
+    Raises ConfigError when gamma2, C1 or C2 exceeds the float range.
+    """
     if not (1e-12 < tol < 1e-3):
         raise ValueError("tol must lie in (1e-12, 1e-3)")
     g1_lo, g1_w = _gamma1_bracket(sched, tol)
@@ -150,10 +154,13 @@ def envelope_constants(
     L = sched.L
     s2 = sigma * sigma
     cross = L * s2 * (1.0 + s2 * g1 * g2) * g1
+    C1, C2 = L * g2 * E0 + cross, L * g2 + cross
+    if not (math.isfinite(C1) and math.isfinite(C2)):
+        raise ConfigError([f"C1, C2 exceed the float range for schedule {sched.variant.value} "
+                           f"(L = {L:g}) at sigma = {sigma:g}, E0 = {E0:g}"])
     return EnvelopeParams(
         sched=sched, sigma=sigma, E0=E0,
-        gamma1=g1, gamma2=g2, gamma1_tail=g1_w, gamma2_tail=g2_w,
-        C1=L * g2 * E0 + cross, C2=L * g2 + cross,
+        gamma1=g1, gamma2=g2, gamma1_tail=g1_w, gamma2_tail=g2_w, C1=C1, C2=C2,
     )
 
 

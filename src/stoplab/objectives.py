@@ -6,8 +6,10 @@ numerically estimated optimum.  All evaluations accept batched inputs: ``x``
 may have shape ``(dim,)`` or ``(..., dim)``.
 
 Batched reductions deliberately avoid BLAS matrix products: ``np.sum`` over a
-fixed-length axis uses the same pairwise order regardless of batch size, which
-keeps ensemble runs bitwise reproducible under different worker splits.
+fixed-length axis uses the same pairwise order regardless of batch size, and
+least squares sums G u over the columns of G = A^T A in sequence (G itself is
+formed once, with BLAS, at construction).  So a point's bits do not depend on
+its batch, which keeps ensemble runs bitwise reproducible under any worker split.
 """
 
 from dataclasses import dataclass, field
@@ -30,7 +32,7 @@ class Objective:
 
     ``params`` is kind-specific:
       quadratic      -- {"diag": (dim,), "center": (dim,)}
-      least_squares  -- {"A": (m, dim), "b": (m,)}
+      least_squares  -- {"A": (m, dim), "b": (m,), "gram": (dim, dim) A^T A}
       huberized_abs  -- {"delta": float, "center": (dim,)}
     """
 
@@ -101,8 +103,10 @@ def _power_iteration_largest_eig(M: np.ndarray, tol: float = 1e-10) -> float:
 def least_squares(A, b) -> Objective:
     """f(x) = 1/2 ||Ax - b||^2 with full-column-rank A.
 
-    L is the top eigenvalue of A^T A (power iteration, 1e-10 relative);
-    the minimizer solves the normal equations.
+    L is the top eigenvalue of G = A^T A (power iteration, 1e-10 relative),
+    x* solves G x* = A^T b and f* = 1/2 ||A x* - b||^2.  f and grad f are
+    evaluated as f* + 1/2 <G u, u> and G u, u = x - x*: an identity once
+    G x* = A^T b, with grad f(x*) = 0 exactly.  G (numpy's syrk) is symmetric.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -114,16 +118,15 @@ def least_squares(A, b) -> Objective:
         raise ValueError("A must have full column rank")
     L = _power_iteration_largest_eig(gram)
     x_star = np.linalg.solve(gram, A.T @ b)
-    obj = Objective(
+    r = A @ x_star - b
+    return Objective(
         dim=dim,
         kind=ObjectiveKind.LEAST_SQUARES,
-        params={"A": A, "b": b},
+        params={"A": A, "b": b, "gram": gram},
         smoothness=L,
         minimizer=x_star,
-        min_value=0.0,  # placeholder, fixed below
+        min_value=0.5 * float(r @ r),
     )
-    object.__setattr__(obj, "min_value", float(eval_objective(obj, x_star)))
-    return obj
 
 
 def least_squares_random(dim: int, m: int, seed: int) -> Objective:
@@ -157,6 +160,16 @@ def huberized_abs(dim: int, delta: float = 1.0, center=None) -> Objective:
     )
 
 
+def _gram_times(obj: Objective, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(G u, u) for u = x - x*; G u summed over the columns of G in sequence."""
+    G = obj.params["gram"]
+    u = x - obj.minimizer
+    gu = u[..., 0, None] * G[0]
+    for j in range(1, obj.dim):
+        gu += u[..., j, None] * G[j]
+    return gu, u
+
+
 def eval_objective(obj: Objective, x) -> np.ndarray:
     """f(x); batched over leading axes of x."""
     x = _check_dim(obj, x)
@@ -165,11 +178,8 @@ def eval_objective(obj: Objective, x) -> np.ndarray:
         u = x - obj.params["center"]
         return 0.5 * np.sum(d * u * u, axis=-1)
     if obj.kind is ObjectiveKind.LEAST_SQUARES:
-        A = obj.params["A"]
-        b = obj.params["b"]
-        # residual via broadcast-and-sum, not gemm (see module docstring)
-        r = np.sum(A * x[..., None, :], axis=-1) - b
-        return 0.5 * np.sum(r * r, axis=-1)
+        gu, u = _gram_times(obj, x)
+        return obj.min_value + 0.5 * np.sum(gu * u, axis=-1)
     delta = obj.params["delta"]
     u = x - obj.params["center"]
     au = np.abs(u)
@@ -183,10 +193,7 @@ def grad(obj: Objective, x) -> np.ndarray:
     if obj.kind is ObjectiveKind.QUADRATIC:
         return obj.params["diag"] * (x - obj.params["center"])
     if obj.kind is ObjectiveKind.LEAST_SQUARES:
-        A = obj.params["A"]
-        b = obj.params["b"]
-        r = np.sum(A * x[..., None, :], axis=-1) - b
-        return np.sum(r[..., :, None] * A, axis=-2)
+        return _gram_times(obj, x)[0]
     delta = obj.params["delta"]
     u = x - obj.params["center"]
     return np.clip(u / delta, -1.0, 1.0)

@@ -52,6 +52,9 @@ _TERM_REL = 128 * _U
 _SUM_REL = _TERM_REL + 3 * _U  # a partial sum: its terms' error, and two fsums
 _SF_REL = 2.0**-40
 _J = 6
+# gamma2 above half the largest float is a config error: the upper end, moved
+# outward by its rounding allowance, must stay finite.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max / 2.0)
 
 
 def _bound(side: int, *terms) -> float:
@@ -154,6 +157,9 @@ def gamma2(sched: ScheduleVariant, sigma: float, tol: float) -> tuple[float, flo
                         (-0.5 * s2 * s2 * a2_hi, _TERM_REL))
         log_hi = _bound(1, (log_partial, _SUM_REL), (s2 * a1_hi, _TERM_REL),
                         (-0.5 * s2 * s2 * a2_lo, _TERM_REL), (s2**3 / 3.0 * a3_hi, _TERM_REL))
+        if log_hi >= _LOG_FLOAT_MAX:
+            raise ConfigError([f"gamma2 exceeds the float range for schedule {sched.variant.value} "
+                               f"(L = {sched.L:g}) at sigma = {sigma:g}: log gamma2 >= {log_lo:.6g}"])
         lo = _bound(-1, (math.exp(log_lo), _TERM_REL))
         hi = _bound(1, (math.exp(log_hi), _TERM_REL))
         if hi - lo <= tol * lo:

@@ -2,7 +2,8 @@
 
 stoplab computes every pathwise quantity online, one streamed step at a time.
 The functions here recompute the same quantities from whole stored paths with
-vectorized series formulas, so a test can compare the two.  The rest are
+vectorized series formulas, so a test can compare the two.  The residual
+form of least squares checks the lab's centered Gram form.  The rest are
 exact references: the weight series to 50 digits (mpmath), zeta(s), and the
 weighted chi-square tail (Imhof inversion).  All are deliberately separate
 code and are not used by the package.
@@ -108,6 +109,13 @@ def log_N_series(S, M, sched, sigma, gamma2_value, t) -> np.ndarray:
     weighted = np.concatenate(
         [np.zeros(S.shape[:-1] + (1,)), np.cumsum(a * S[..., :-1], axis=-1)], axis=-1)
     return gamma2_value / prefix * t * M - s2 * gamma2_value * t * weighted
+
+
+def least_squares_residual_form(obj, x):
+    """(f(x), grad f(x)) = (1/2 ||Ax - b||^2, A^T (Ax - b)) from the objective's A and b."""
+    A, b = obj.params["A"], obj.params["b"]
+    r = np.asarray(x) @ A.T - b
+    return 0.5 * np.sum(r * r, axis=-1), r @ A
 
 
 def eta_margin_one_shot(sched) -> float:

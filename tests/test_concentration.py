@@ -175,3 +175,29 @@ def test_tail_check_sub_blocks_change_no_bit(monkeypatch, kind, dim):
     assert len(norms) > 1
     assert tiny == default
     assert np.array_equal(np.concatenate(norms), default_norms)
+
+
+def test_mgf_check_memory_does_not_grow_with_the_chunk():
+    # one 2^15-draw chunk at d = 64 held 2^21 doubles at once: a 32 MiB peak
+    import tracemalloc
+    noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 64, 1.0)
+    cfg = MgfCheckConfig([1.0], 1 << 15, noise, np.ones(64), seed=3)
+    tracemalloc.start()
+    try:
+        mgf_check(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * (1 << 20)
+
+
+@pytest.mark.parametrize("kind", [NoiseKind.GAUSSIAN_ISOTROPIC, NoiseKind.BOUNDED_SPHERE])
+@pytest.mark.parametrize("dim", [2, 16, 64])
+def test_mgf_sub_blocks_change_no_bit(monkeypatch, kind, dim):
+    # against whole-chunk draws; the run crosses a chunk boundary
+    noise = calibrate(kind, dim, 1.0)
+    phi = np.linspace(-1.0, 2.0, dim)
+    cfg = MgfCheckConfig([-2.0, -0.5, 0.5, 1.0, 2.0], (1 << 15) + 777, noise, phi, seed=5)
+    blocked = mgf_check(cfg)
+    monkeypatch.setattr(concentration, "_DRAW_BLOCK", 1 << 40)
+    assert mgf_check(cfg) == blocked

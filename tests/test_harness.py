@@ -1,9 +1,12 @@
 import csv
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stoplab import harness
 from stoplab.errors import ConfigError
@@ -353,3 +356,62 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_base_raw(tmp_path, K=0)))
     assert main(["run", str(bad)]) == 2
+
+
+# L = 1e-3 is below the objective's smoothness (2) by a factor of 2000, so
+# a_k and with it log gamma2 grow as 1/L^2: at sigma = 1, log gamma2 exceeds
+# 709 and gamma2 a float; at sigma = 0.05015, gamma2 is about 1.6e307 but
+# C1 and C2 overflow.
+@pytest.mark.parametrize("sigma,match", [(1.0, "gamma2 exceeds"), (0.05015, "C1, C2 exceed")],
+                         ids=["gamma2", "C1-C2"])
+def test_float_overflow_in_the_envelope_is_a_config_error(tmp_path, capsys, sigma, match):
+    raw = _base_raw(tmp_path, schedule={"variant": "theorem-main", "L": 1e-3})
+    raw["noise"]["sigma"] = sigma
+    with pytest.raises(ConfigError, match=match) as exc:
+        run_experiment(parse_config(raw))
+    assert "theorem-main" in str(exc.value) and f"sigma = {sigma:g}" in str(exc.value)
+    assert not (tmp_path / "out").exists()
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    assert main(["run", str(cfgpath)]) == 2
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _reject_non_finite(name):
+    raise ValueError(f"report.json holds {name}")
+
+
+# Every schedule and noise level parse_config accepts either runs to a report
+# (strict JSON: no infinite constant) or is refused with a ConfigError before
+# any output is written; no other exception escapes.
+@example(variant="theorem-main", log10_L=-3.0, epsilon=0.25, c0_prime=100.0, sigma=0.05015)
+@example(variant="theorem-main", log10_L=-3.0, epsilon=0.25, c0_prime=100.0, sigma=1.0)
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from(["theorem-main", "proposition-eps"]),
+    log10_L=st.floats(-4.0, 3.0),
+    epsilon=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    c0_prime=st.floats(100.0, 1e6),
+    sigma=st.floats(0.0, 10.0),
+)
+def test_every_parsed_config_runs_or_raises_config_error(
+        variant, log10_L, epsilon, c0_prime, sigma):
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = _base_raw(Path(tmp), K=3, R=2,
+                        checks=["descent", "decomposition", "ville", "coverage", "constants"])
+        raw["noise"]["sigma"] = sigma
+        raw["schedule"] = {"variant": variant, "L": 10.0**log10_L,
+                           "epsilon": epsilon, "c0_prime": c0_prime}
+        try:
+            cfg = parse_config(raw)
+        except ConfigError:
+            return
+        try:
+            rep = run_experiment(cfg)
+        except ConfigError:
+            assert not (Path(tmp) / "out").exists()
+            return
+        assert {c["name"] for c in rep.checks} <= {*raw["checks"], "divergence"}
+        json.loads((Path(tmp) / "out" / "report.json").read_text(),
+                   parse_constant=_reject_non_finite)

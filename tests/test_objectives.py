@@ -7,6 +7,8 @@ from stoplab.objectives import (eval_objective, grad, huberized_abs,
                                 least_squares, least_squares_random, quadratic,
                                 sample_ball, verify_regularity)
 
+from oracles import least_squares_residual_form
+
 
 def _objectives():
     return [
@@ -37,13 +39,44 @@ def test_least_squares_minimizer_and_smoothness():
     A = rng.standard_normal((8, 4))
     b = rng.standard_normal(8)
     obj = least_squares(A, b)
-    # normal-equations optimum: gradient vanishes there
-    assert np.linalg.norm(grad(obj, obj.minimizer)) < 1e-9
+    # normal-equations optimum: the residual form's gradient vanishes there
+    assert np.linalg.norm(least_squares_residual_form(obj, obj.minimizer)[1]) < 1e-9
+    # the centered Gram form vanishes exactly at the x* it is centered on
+    assert not np.any(grad(obj, obj.minimizer))
+    assert eval_objective(obj, obj.minimizer) == obj.min_value
     # L matches the top eigenvalue of A^T A
     top = np.linalg.eigvalsh(A.T @ A)[-1]
     assert obj.smoothness == pytest.approx(top, rel=1e-8)
     assert obj.min_value == pytest.approx(
         0.5 * np.sum((A @ obj.minimizer - b) ** 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,m,seed", [(5, 12, 3), (16, 40, 7), (64, 96, 101)])
+def test_least_squares_gram_form_matches_residual_form(dim, m, seed):
+    obj = least_squares_random(dim, m, seed)
+    G = obj.params["gram"]
+    assert np.array_equal(G, G.T)
+    xs = sample_ball(obj, 200, np.random.default_rng(seed))
+    f, g = least_squares_residual_form(obj, xs)
+    gap = f - obj.min_value
+    np.testing.assert_array_less(
+        np.abs(eval_objective(obj, xs) - obj.min_value - gap), 1e-12 * gap)
+    np.testing.assert_array_less(
+        np.linalg.norm(grad(obj, xs) - g, axis=1), 1e-12 * np.linalg.norm(g, axis=1))
+
+
+def test_least_squares_grad_memory_is_one_batch():
+    # the residual form broadcast an (R, m, dim) product: about 6 MB here
+    import tracemalloc
+    obj = least_squares_random(64, 96, 5)
+    xs = sample_ball(obj, 128, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        grad(obj, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_least_squares_rejects_rank_deficient():
