@@ -10,6 +10,9 @@ fixed-length axis uses the same pairwise order regardless of batch size, and
 least squares sums G u over the columns of G = A^T A in sequence (G itself is
 formed once, with BLAS, at construction).  So a point's bits do not depend on
 its batch, which keeps ensemble runs bitwise reproducible under any worker split.
+The stream passes each step's gradient to ``eval_objective``, which forms the
+quadratic's and least squares' f from it with unchanged bits: one D u or G u
+per step, not two.
 """
 
 from dataclasses import dataclass, field
@@ -170,15 +173,22 @@ def _gram_times(obj: Objective, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gu, u
 
 
-def eval_objective(obj: Objective, x) -> np.ndarray:
-    """f(x); batched over leading axes of x."""
+def eval_objective(obj: Objective, x, g=None) -> np.ndarray:
+    """f(x); batched over leading axes of x.
+
+    ``g``, if given, must be ``grad(obj, x)`` for this same x.  The quadratic
+    and least squares then form f from it, as 1/2 <g, u> (plus f*), and skip
+    their own D u or G u: bitwise the value computed without it, since
+    d * u * u is evaluated as (d * u) * u = g * u and G u is the same column
+    loop.  Huber cannot recover h(u) from its clipped gradient and ignores g.
+    """
     x = _check_dim(obj, x)
     if obj.kind is ObjectiveKind.QUADRATIC:
-        d = obj.params["diag"]
         u = x - obj.params["center"]
-        return 0.5 * np.sum(d * u * u, axis=-1)
+        gu = obj.params["diag"] * u if g is None else g
+        return 0.5 * np.sum(gu * u, axis=-1)
     if obj.kind is ObjectiveKind.LEAST_SQUARES:
-        gu, u = _gram_times(obj, x)
+        gu, u = _gram_times(obj, x) if g is None else (g, x - obj.minimizer)
         return obj.min_value + 0.5 * np.sum(gu * u, axis=-1)
     delta = obj.params["delta"]
     u = x - obj.params["center"]

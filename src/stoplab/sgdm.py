@@ -52,6 +52,8 @@ class ScheduleVariant:
                 raise ValueError("epsilon must lie in (0, 0.5)")
             if self.c0_prime < 100.0:
                 raise ValueError("c0_prime must be >= 100")
+        if not self.log_power > 1.0:
+            raise ValueError("log power 1 + epsilon rounds to 1: the weight series diverges")
 
     @property
     def log_power(self) -> float:
@@ -221,7 +223,8 @@ def stream_ensemble(
 
     The state is held trajectory-minor, as (dim, R) arrays, and each sum
     over dim (``dim_sum``) is taken once per step.  f and grad f are
-    evaluated on a C-ordered (R, dim) copy of x_k.  Noise for each
+    evaluated on a C-ordered (R, dim) copy of x_k, f from that gradient
+    (bitwise f computed alone; Huber recomputes it).  Noise for each
     trajectory comes from its own Philox stream, drawn in step chunks;
     values and order match single-trajectory runs exactly.
     """
@@ -250,8 +253,9 @@ def stream_ensemble(
                     noise_block[:, :, i] = sample(noise, gen, m)
             theta = noise_block[off]
         x_rows = np.ascontiguousarray(x_curr.T)
-        fgap_curr = eval_objective(obj, x_rows) - f_star if k > 1 else fgap_prev
-        g = np.subtract(grad(obj, x_rows).T, theta, order="C")
+        gf = grad(obj, x_rows)
+        fgap_curr = eval_objective(obj, x_rows, gf) - f_star if k > 1 else fgap_prev
+        g = np.subtract(gf.T, theta, order="C")
         eta_k, a_k, w_k = eta(sched, k), a_coeff(sched, k), energy_weight(sched, k)
         x_next = _step_arrays(k, eta_k, x_prev, x_curr, g)
         worst = float(np.max(np.abs(x_next)))

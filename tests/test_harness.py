@@ -378,6 +378,20 @@ def test_float_overflow_in_the_envelope_is_a_config_error(tmp_path, capsys, sigm
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("epsilon", [1e-17, 5e-324])
+def test_epsilon_lost_to_rounding_is_a_config_error(tmp_path, capsys, epsilon):
+    # 1 + epsilon == 1 makes the weight series diverge: parse_config refuses
+    # the schedule, not run_experiment after parsing
+    raw = _base_raw(tmp_path, schedule={"variant": "proposition-eps", "epsilon": epsilon})
+    with pytest.raises(ConfigError, match="schedule: log power"):
+        parse_config(raw)
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    assert main(["run", str(cfgpath)]) == 2
+    assert "rounds to 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _reject_non_finite(name):
     raise ValueError(f"report.json holds {name}")
 

@@ -128,6 +128,46 @@ def test_regularity_certificates(obj):
     assert rep["minimizer_pass"]
 
 
+_GRAD_FED = [
+    quadratic(np.array([0.5, 2.0, 1.0])),
+    quadratic(np.array([0.5, 2.0, 1.0]), center=np.array([1.0, -1.0, 0.5])),
+    least_squares_random(5, 12, seed=3),
+    least_squares_random(16, 40, seed=7),
+    least_squares_random(64, 96, seed=101),
+    huberized_abs(3, delta=0.5, center=np.array([0.2, -0.3, 0.0])),
+]
+
+
+@pytest.mark.parametrize("obj", _GRAD_FED,
+                         ids=["quad", "quad-center", "lsq-5", "lsq-16", "lsq-64", "huber"])
+def test_gradient_fed_value_is_bitwise_the_plain_value(obj):
+    # the stream hands eval_objective the gradient it already has; f must
+    # come out with the bits of f computed alone
+    xs = sample_ball(obj, 128, np.random.default_rng(obj.dim))
+    for x in (xs[0], xs[:1], xs):
+        assert np.array_equal(eval_objective(obj, x, grad(obj, x)), eval_objective(obj, x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["quadratic", "least_squares", "huber"]),
+    dim=st.integers(1, 24),
+    n=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_gradient_fed_value_property(kind, dim, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "quadratic":
+        obj = quadratic(rng.uniform(0.1, 10.0, dim), center=rng.standard_normal(dim))
+    elif kind == "least_squares":
+        obj = least_squares_random(dim, dim + 1 + int(rng.integers(0, 2 * dim)), seed)
+    else:
+        obj = huberized_abs(dim, delta=float(rng.uniform(0.05, 5.0)),
+                            center=rng.standard_normal(dim))
+    xs = obj.minimizer + rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    assert np.array_equal(eval_objective(obj, xs, grad(obj, xs)), eval_objective(obj, xs))
+
+
 def test_dimension_mismatch_raises():
     obj = quadratic(np.array([1.0, 1.0]))
     with pytest.raises(DimensionMismatchError):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stoplab import objectives
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
-from stoplab.objectives import quadratic
+from stoplab.objectives import (eval_objective, huberized_abs, least_squares_random,
+                                quadratic)
 from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
                           dim_sum, energy, energy_weight, eta, phi, sq_norm,
                           stream_ensemble)
@@ -153,6 +155,37 @@ def test_trajectory_accessors():
     assert np.array_equal(last.phi_next_sq, sq_norm(phi_next))
     assert np.array_equal(last.E, energy(sq_norm(phi_next), last.fgap_curr,
                                          energy_weight(SCHED1, 10)))
+
+
+def test_stream_forms_one_gram_product_per_step(monkeypatch):
+    # f(x_k) comes from the step's gradient: one G(x - x*) per step, plus
+    # one for f(x_0)
+    obj = least_squares_random(16, 40, seed=7)
+    noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 16, 1.0)
+    sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
+    calls = []
+    gram_times = objectives._gram_times
+    monkeypatch.setattr(objectives, "_gram_times",
+                        lambda o, x: calls.append(x.shape) or gram_times(o, x))
+    K = 5
+    recs = list(stream_ensemble(obj, noise, sched, K, derive_seeds(3, 4),
+                                obj.minimizer + 1.0))
+    assert len(recs) == K
+    assert calls == [(4, 16)] * (K + 1)
+
+
+@pytest.mark.parametrize("obj", [
+    quadratic(np.array([0.5, 2.0, 1.0]), center=np.array([1.0, -1.0, 0.5])),
+    least_squares_random(16, 40, seed=7),
+    huberized_abs(3, delta=0.5, center=np.array([0.2, -0.3, 0.0])),
+], ids=["quadratic", "least-squares", "huber"])
+def test_stream_fgap_is_bitwise_the_plain_value(obj):
+    noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, obj.dim, 1.0)
+    sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
+    for rec in stream_ensemble(obj, noise, sched, 20, derive_seeds(5, 4),
+                               obj.minimizer + 1.0):
+        plain = eval_objective(obj, rec.x_curr) - obj.min_value
+        assert np.array_equal(rec.fgap_curr, plain)
 
 
 @settings(max_examples=60, deadline=None)
