@@ -24,7 +24,7 @@ import numpy as np
 
 from .mcstats import clopper_pearson
 from .noise import NoiseModel, sample
-from .sgdm import dim_sum
+from .objectives import dim_sum
 
 __all__ = ["MgfCheckConfig", "mgf_check", "weighted_square_tail_check"]
 
@@ -117,7 +117,7 @@ def _sq_norms(theta: np.ndarray) -> np.ndarray:
     """||theta||^2 over the last (dim) axis, adding the dim columns in sequence.
 
     The squares are laid out trajectory-minor, (dim, draws), and summed by
-    ``sgdm.dim_sum``: a few ufunc calls whatever the dim.  A last-axis
+    ``objectives.dim_sum``: a few ufunc calls whatever the dim.  A last-axis
     ``np.sum`` makes one inner-loop call per draw (ten times slower at
     d = 2), and a loop over the dim columns one call per column (eight
     times slower for a 54-draw block at d = 1200).

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .objectives import Objective
-from .sgdm import ScheduleVariant, Variant, dim_sum, phi, sq_norm
+from .objectives import Objective, dim_sum
+from .sgdm import ScheduleVariant, Variant, phi, sq_norm
 from .series import gamma1 as _gamma1_bracket
 from .series import gamma2 as _gamma2_bracket
 

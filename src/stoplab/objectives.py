@@ -2,17 +2,21 @@
 
 Every objective here ships with an analytically certified smoothness constant,
 minimizer and minimum value, so downstream envelope checks never depend on a
-numerically estimated optimum.  All evaluations accept batched inputs: ``x``
-may have shape ``(dim,)`` or ``(..., dim)``.
+numerically estimated optimum.  All evaluations accept a point of shape
+``(dim,)`` or a batch of shape ``(n, dim)``.
 
-Batched reductions deliberately avoid BLAS matrix products: ``np.sum`` over a
-fixed-length axis uses the same pairwise order regardless of batch size, and
-least squares sums G u over the columns of G = A^T A in sequence (G itself is
-formed once, with BLAS, at construction).  So a point's bits do not depend on
-its batch, which keeps ensemble runs bitwise reproducible under any worker split.
-The stream passes each step's gradient to ``eval_objective``, which forms the
-quadratic's and least squares' f from it with unchanged bits: one D u or G u
-per step, not two.
+They compute in the ensemble stream's trajectory-minor frame: a batch is
+read as its (dim, n) transpose, a view, and every sum over dim is taken by
+``dim_sum``, which adds the dim rows in sequence.  The stream hands in
+``x_k.T``, the (R, dim) view of its C-ordered (dim, R) state, so its points
+are worked on in place, with no copy.  Batched reductions avoid BLAS matrix
+products: least squares sums G u over the columns of G = A^T A in sequence
+(G itself is formed once, with BLAS, at construction).  So a point's bits
+depend neither on its batch nor on the batch's memory layout, which keeps
+ensemble runs bitwise reproducible under any worker split.  The stream
+passes each step's gradient to ``eval_objective``, which forms the
+quadratic's and least squares' f from it with unchanged bits: one D u or
+G u per step, not two.
 """
 
 from dataclasses import dataclass, field
@@ -55,11 +59,34 @@ class Objective:
 
 def _check_dim(obj: Objective, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != obj.dim:
+    if x.ndim not in (1, 2) or x.shape[-1] != obj.dim:
         raise DimensionMismatchError(
-            f"expected vectors of length {obj.dim}, got {x.shape[-1]}"
+            f"expected a point of length {obj.dim} or an (n, {obj.dim}) batch,"
+            f" got shape {x.shape}"
         )
     return x
+
+
+def _cols(a: np.ndarray) -> np.ndarray:
+    """The trajectory-minor (dim, n) view of a (dim,) point or an (n, dim) batch."""
+    return a[:, None] if a.ndim == 1 else a.T
+
+
+def dim_sum(v: np.ndarray) -> np.ndarray:
+    """Sum over the leading (dim) axis of a trajectory-minor array, in sequence.
+
+    ``v`` has shape (dim,) or (dim, R).  Every reduction over dim in the lab
+    goes through here, so a trajectory's sums depend neither on how many
+    trajectories share its block nor on the block's memory layout: numpy
+    adds the rows of a C-ordered block of width >= 2 one after another, the
+    fast path the stream's C-ordered (dim, R) state takes, but sums a single
+    column (or any layout where dim is the contiguous axis) pairwise, and
+    the two orders differ in the last bits from d = 8 on.
+    ``np.add.accumulate`` is sequential by definition and covers those cases.
+    """
+    if v.ndim == 2 and v.shape[1] > 1 and v.flags.c_contiguous:
+        return np.add.reduce(v, axis=0)
+    return np.add.accumulate(v, axis=0)[-1]
 
 
 def quadratic(diag, center=None) -> Objective:
@@ -164,49 +191,66 @@ def huberized_abs(dim: int, delta: float = 1.0, center=None) -> Objective:
 
 
 def _gram_times(obj: Objective, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(G u, u) for u = x - x*; G u summed over the columns of G in sequence."""
+    """(G u, u) for u = x - x*, both in the (dim, n) frame.
+
+    G u is accumulated over the columns of G in sequence (G is symmetric,
+    so its columns are its rows).
+    """
     G = obj.params["gram"]
-    u = x - obj.minimizer
-    gu = u[..., 0, None] * G[0]
+    ut = _cols(x) - obj.minimizer[:, None]
+    gut = G[:, 0, None] * ut[0]
     for j in range(1, obj.dim):
-        gu += u[..., j, None] * G[j]
-    return gu, u
+        gut += G[:, j, None] * ut[j]
+    return gut, ut
 
 
 def eval_objective(obj: Objective, x, g=None) -> np.ndarray:
-    """f(x); batched over leading axes of x.
+    """f(x) for a (dim,) point (a scalar) or an (n, dim) batch (an (n,) vector).
 
-    ``g``, if given, must be ``grad(obj, x)`` for this same x.  The quadratic
-    and least squares then form f from it, as 1/2 <g, u> (plus f*), and skip
+    Computed in the (dim, n) frame, with the sum over dim taken by
+    ``dim_sum``: any layout of the batch gives the same bits, and the
+    ``.T`` view of a C-ordered (dim, n) array is read in place.  ``g``, if
+    given, must be ``grad(obj, x)`` for this same x.  The quadratic and
+    least squares then form f from it, as 1/2 <g, u> (plus f*), and skip
     their own D u or G u: bitwise the value computed without it, since
     d * u * u is evaluated as (d * u) * u = g * u and G u is the same column
     loop.  Huber cannot recover h(u) from its clipped gradient and ignores g.
     """
     x = _check_dim(obj, x)
     if obj.kind is ObjectiveKind.QUADRATIC:
-        u = x - obj.params["center"]
-        gu = obj.params["diag"] * u if g is None else g
-        return 0.5 * np.sum(gu * u, axis=-1)
-    if obj.kind is ObjectiveKind.LEAST_SQUARES:
-        gu, u = _gram_times(obj, x) if g is None else (g, x - obj.minimizer)
-        return obj.min_value + 0.5 * np.sum(gu * u, axis=-1)
-    delta = obj.params["delta"]
-    u = x - obj.params["center"]
-    au = np.abs(u)
-    h = np.where(au <= delta, u * u / (2.0 * delta), au - delta / 2.0)
-    return np.sum(h, axis=-1)
+        ut = _cols(x) - obj.params["center"][:, None]
+        gut = obj.params["diag"][:, None] * ut if g is None else _cols(g)
+        f = 0.5 * dim_sum(gut * ut)
+    elif obj.kind is ObjectiveKind.LEAST_SQUARES:
+        if g is None:
+            gut, ut = _gram_times(obj, x)
+        else:
+            gut, ut = _cols(g), _cols(x) - obj.minimizer[:, None]
+        f = obj.min_value + 0.5 * dim_sum(gut * ut)
+    else:
+        delta = obj.params["delta"]
+        ut = _cols(x) - obj.params["center"][:, None]
+        aut = np.abs(ut)
+        f = dim_sum(np.where(aut <= delta, ut * ut / (2.0 * delta), aut - delta / 2.0))
+    return f[0] if x.ndim == 1 else f
 
 
 def grad(obj: Objective, x) -> np.ndarray:
-    """Exact gradient of f at x; batched over leading axes of x."""
+    """Exact gradient of f, in the form of x: (dim,) or (n, dim).
+
+    Computed in the (dim, n) frame like ``eval_objective``; for a batch the
+    result is the transpose of a (dim, n) array, so the stream gets back
+    the C-ordered (dim, R) layout of its own state.
+    """
     x = _check_dim(obj, x)
     if obj.kind is ObjectiveKind.QUADRATIC:
-        return obj.params["diag"] * (x - obj.params["center"])
-    if obj.kind is ObjectiveKind.LEAST_SQUARES:
-        return _gram_times(obj, x)[0]
-    delta = obj.params["delta"]
-    u = x - obj.params["center"]
-    return np.clip(u / delta, -1.0, 1.0)
+        gt = obj.params["diag"][:, None] * (_cols(x) - obj.params["center"][:, None])
+    elif obj.kind is ObjectiveKind.LEAST_SQUARES:
+        gt = _gram_times(obj, x)[0]
+    else:
+        ut = _cols(x) - obj.params["center"][:, None]
+        gt = np.clip(ut / obj.params["delta"], -1.0, 1.0)
+    return gt[:, 0] if x.ndim == 1 else gt.T
 
 
 def sample_ball(obj: Objective, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -13,8 +13,8 @@ Natural logarithms throughout.
 records, from which every check keeps only online statistics.  It vectorizes
 across trajectories, in a trajectory-minor (dim, R) layout, while giving
 every trajectory its own counter-based random stream and summing over dim
-in one fixed order (``dim_sum``), so results are bitwise independent of how
-trajectories are grouped into batches.
+in one fixed order (``objectives.dim_sum``), so results are bitwise
+independent of how trajectories are grouped into batches.
 """
 
 import math
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .noise import NoiseKind, NoiseModel, sample
-from .objectives import Objective, eval_objective, grad
+from .objectives import Objective, dim_sum, eval_objective, grad
 
 DIVERGENCE_RADIUS = 1e12
 _NOISE_CHUNK = 1024
@@ -102,22 +102,6 @@ def _step_arrays(k: int, eta_k: float, x_prev, x_curr, g):
     return x_curr + momentum * (x_curr - x_prev) - lr * g
 
 
-def dim_sum(v: np.ndarray) -> np.ndarray:
-    """Sum over the leading (dim) axis of a trajectory-minor array, in sequence.
-
-    ``v`` has shape (dim,) or (dim, R).  Every reduction over dim in the lab
-    goes through here, so a trajectory's sums never depend on how many
-    trajectories share its block: numpy adds the rows of a C-ordered block
-    of width >= 2 one after another, but sums a single column (or any
-    layout where dim is the contiguous axis) pairwise, and the two orders
-    differ in the last bits from d = 8 on.  ``np.add.accumulate`` is
-    sequential by definition and covers those cases.
-    """
-    if v.ndim == 2 and v.shape[1] > 1 and v.flags.c_contiguous:
-        return np.add.reduce(v, axis=0)
-    return np.add.accumulate(v, axis=0)[-1]
-
-
 def sq_norm(v: np.ndarray) -> np.ndarray:
     """Squared euclidean norm over the leading (dim) axis, via ``dim_sum``.
 
@@ -155,16 +139,44 @@ def energy(phi_next_sq, fgap_k, w_k: float):
     return phi_next_sq + w_k * fgap_k
 
 
+# numpy's SeedSequence constants: the entropy hash, the pool mix, the output hash
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+
+
+def _hashmix(v: np.ndarray, init: int, mult: int, i: int) -> np.ndarray:
+    """SeedSequence's i-th hash of the uint32 words ``v``; its constant runs init * mult^i."""
+    h = init * pow(mult, i, 1 << 32) % (1 << 32)
+    v = (v ^ np.uint32(h)) * np.uint32(h * mult % (1 << 32))
+    return v ^ (v >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
 def derive_seeds(base_seed: int, n: int, start: int = 0) -> np.ndarray:
     """64-bit seeds of trajectories start..start+n-1 from (base_seed, index), counter style.
 
-    A seed depends on its trajectory's index only, so a block's seeds are
-    the matching slice of the whole run's.
+    Seed i is ``SeedSequence(entropy=base_seed, spawn_key=(i,))
+    .generate_state(1, uint64)``, computed for all indices at once as uint32
+    array arithmetic.  The base seed (at most two words) fills the pool,
+    zero-padded to its four words, so the pool after the first 16 hashes is
+    ``SeedSequence(entropy=base_seed).pool`` for every index.  The index, one
+    spawn-key word below 2^32, is then mixed into pool words 0 and 1, the
+    two that the 64-bit output reads.  A seed depends on its trajectory's
+    index only, so a block's seeds are the matching slice of the whole run's.
     """
-    out = np.empty(n, dtype=np.uint64)
-    for i in range(n):
-        ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(start + i,))
-        out[i] = ss.generate_state(1, np.uint64)[0]
+    if not (0 <= base_seed < 1 << 64 and 0 <= start and 0 <= n and start + n <= 1 << 32):
+        raise ValueError("derive_seeds needs a 64-bit base seed and indices below 2^32")
+    index = np.arange(start, start + n, dtype=np.uint32)
+    pool = np.random.SeedSequence(entropy=int(base_seed)).pool
+    out = np.zeros(n, dtype=np.uint64)
+    for j in (0, 1):
+        p = _mix(np.full(n, pool[j]), _hashmix(index, _INIT_A, _MULT_A, 16 + j))
+        out |= _hashmix(p, _INIT_B, _MULT_B, j).astype(np.uint64) << np.uint64(32 * j)
     return out
 
 
@@ -223,8 +235,10 @@ def stream_ensemble(
 
     The state is held trajectory-minor, as (dim, R) arrays, and each sum
     over dim (``dim_sum``) is taken once per step.  f and grad f are
-    evaluated on a C-ordered (R, dim) copy of x_k, f from that gradient
-    (bitwise f computed alone; Huber recomputes it).  Noise for each
+    evaluated on ``x_k.T``, the (R, dim) view of the C-ordered state, which
+    the objectives read in place; f comes from that gradient (bitwise f
+    computed alone; Huber recomputes it).  Step 1's f is f(x_0) as well,
+    since x_1 = x_0, so E(0) needs no objective call of its own.  Noise for each
     trajectory comes from its own Philox stream, drawn in step chunks;
     values and order match single-trajectory runs exactly.
     """
@@ -237,10 +251,8 @@ def stream_ensemble(
     f_star = obj.min_value
     gens = None if noise.kind is NoiseKind.NONE else _trajectory_generators(seeds)
     theta = np.zeros((obj.dim, R))
-    fgap_prev = eval_objective(obj, np.ascontiguousarray(x_curr.T)) - f_star
     phi_k = phi(1, x_prev, x_curr, x_star)
     phi_sq = sq_norm(phi_k)
-    E_prev = energy(phi_sq, fgap_prev, energy_weight(sched, 0))
     noise_block = None
     for k in range(1, K + 1):
         if gens is not None:
@@ -252,9 +264,11 @@ def stream_ensemble(
                 for i, gen in enumerate(gens):
                     noise_block[:, :, i] = sample(noise, gen, m)
             theta = noise_block[off]
-        x_rows = np.ascontiguousarray(x_curr.T)
-        gf = grad(obj, x_rows)
-        fgap_curr = eval_objective(obj, x_rows, gf) - f_star if k > 1 else fgap_prev
+        gf = grad(obj, x_curr.T)
+        fgap_curr = eval_objective(obj, x_curr.T, gf) - f_star
+        if k == 1:
+            fgap_prev = fgap_curr  # x_1 = x_0
+            E_prev = energy(phi_sq, fgap_prev, energy_weight(sched, 0))
         g = np.subtract(gf.T, theta, order="C")
         eta_k, a_k, w_k = eta(sched, k), a_coeff(sched, k), energy_weight(sched, k)
         x_next = _step_arrays(k, eta_k, x_prev, x_curr, g)

@@ -49,8 +49,9 @@ class RuleTracker:
     envelope rule stops at the first k with f(x_k) - f* > U[k], where ``U``
     holds the envelope indexed by k.  With k_max = K it is the adversarial
     rule that makes the anytime guarantee tight: first violation at
-    k <= K - 1, else K.  Once every trajectory has its tau, ``update``
-    returns at once.
+    k <= K - 1, else K.  ``update`` writes only on a step where some
+    trajectory stops, and once every trajectory has its tau it returns at
+    once.
     """
 
     kind: RuleKind
@@ -89,6 +90,8 @@ class RuleTracker:
             return  # fixed-k stops only at its cap
         else:
             new = self._triggered(rec) & (self.tau == 0)
+            if not new.any():
+                return
         self.tau[new] = rec.k
         self.fgap[new] = rec.fgap_curr[new]
         self._all_stopped = rec.k == self.k_max or bool(self.tau.all())

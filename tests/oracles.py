@@ -3,7 +3,8 @@
 stoplab computes every pathwise quantity online, one streamed step at a time.
 The functions here recompute the same quantities from whole stored paths with
 vectorized series formulas, so a test can compare the two.  The residual
-form of least squares checks the lab's centered Gram form.  The rest are
+form of least squares checks the lab's centered Gram form, and the
+per-index ``SeedSequence`` loop checks the vectorized seed derivation.  The rest are
 exact references: the weight series to 50 digits (mpmath), zeta(s), and the
 weighted chi-square tail (Imhof inversion).  All are deliberately separate
 code and are not used by the package.
@@ -116,6 +117,15 @@ def least_squares_residual_form(obj, x):
     A, b = obj.params["A"], obj.params["b"]
     r = np.asarray(x) @ A.T - b
     return 0.5 * np.sum(r * r, axis=-1), r @ A
+
+
+def seeds_by_seed_sequence(base_seed: int, n: int, start: int = 0) -> np.ndarray:
+    """Seeds of trajectories start..start+n-1, one numpy ``SeedSequence`` per index."""
+    out = np.empty(n, dtype=np.uint64)
+    for i in range(n):
+        ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(start + i,))
+        out[i] = ss.generate_state(1, np.uint64)[0]
+    return out
 
 
 def eta_margin_one_shot(sched) -> float:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,12 +170,52 @@ def test_gradient_fed_value_property(kind, dim, n, seed):
     assert np.array_equal(eval_objective(obj, xs, grad(obj, xs)), eval_objective(obj, xs))
 
 
+@functools.cache
+def _layout_objective(kind: str, dim: int):
+    rng = np.random.default_rng(dim)
+    if kind == "quadratic":
+        return quadratic(rng.uniform(0.5, 2.0, dim), center=rng.standard_normal(dim))
+    if kind == "least-squares":
+        # a scaled identity plus one dense row: a dense G whose top eigenvalue
+        # stands apart, so the instance is cheap to certify even at d = 1200
+        A = np.vstack([np.diag(rng.uniform(1.0, 2.0, dim)), rng.standard_normal((1, dim))])
+        return least_squares(A, rng.standard_normal(dim + 1))
+    return huberized_abs(dim, delta=0.5, center=rng.standard_normal(dim))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 64, 1200])
+@pytest.mark.parametrize("kind", ["quadratic", "least-squares", "huber"])
+def test_layouts_give_the_same_bits(kind, dim):
+    # a C-ordered (R, d) batch, the .T view of a C-ordered (d, R) array (the
+    # stream's state) and each row alone are the same points: grad and f,
+    # with and without the gradient fed in, must agree bitwise
+    obj = _layout_objective(kind, dim)
+    R = 5
+    rows = obj.minimizer + np.random.default_rng(dim + 1).standard_normal((R, dim))
+    minor = np.ascontiguousarray(rows.T).T
+    assert rows.flags.c_contiguous and minor.base.flags.c_contiguous
+    g, f = grad(obj, rows), eval_objective(obj, rows)
+    assert g.shape == (R, dim) and f.shape == (R,)
+    for x in (rows, minor):
+        gx = grad(obj, x)
+        assert np.array_equal(gx, g)
+        assert np.array_equal(eval_objective(obj, x), f)
+        assert np.array_equal(eval_objective(obj, x, gx), f)
+    for i in range(R):
+        gi = grad(obj, rows[i])
+        assert gi.shape == (dim,) and np.array_equal(gi, g[i])
+        assert eval_objective(obj, rows[i]) == f[i]
+        assert eval_objective(obj, rows[i], gi) == f[i]
+
+
 def test_dimension_mismatch_raises():
     obj = quadratic(np.array([1.0, 1.0]))
     with pytest.raises(DimensionMismatchError):
         eval_objective(obj, np.zeros(3))
     with pytest.raises(DimensionMismatchError):
         grad(obj, np.zeros(1))
+    with pytest.raises(DimensionMismatchError):
+        grad(obj, np.zeros((2, 3, 2)))
 
 
 @settings(max_examples=50, deadline=None)

@@ -12,7 +12,7 @@ from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
                           dim_sum, energy, energy_weight, eta, phi, sq_norm,
                           stream_ensemble)
 
-from oracles import run_paths
+from oracles import run_paths, seeds_by_seed_sequence
 
 SCHED1 = ScheduleVariant(Variant.THEOREM_MAIN, L=1.0)
 ZERO2 = NoiseModel(NoiseKind.NONE, dim=2, sigma_certificate=0.0, scale=0.0)
@@ -131,6 +131,29 @@ def test_block_seeds_are_the_slice_of_the_run(lo, hi):
     assert np.array_equal(derive_seeds(123, hi - lo, start=lo), derive_seeds(123, 8)[lo:hi])
 
 
+@pytest.mark.parametrize("base_seed", [0, 1, 2024, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1])
+def test_derive_seeds_matches_seed_sequence_bitwise(base_seed):
+    for start in (0, 17, 2**20):
+        for n in (0, 1, 1000):
+            seeds = derive_seeds(base_seed, n, start=start)
+            assert seeds.dtype == np.uint64
+            assert np.array_equal(seeds, seeds_by_seed_sequence(base_seed, n, start))
+    # the last indices it accepts
+    assert np.array_equal(derive_seeds(base_seed, 3, start=2**32 - 3),
+                          seeds_by_seed_sequence(base_seed, 3, 2**32 - 3))
+    # a block's seeds are the matching slice of the whole run's
+    run = derive_seeds(base_seed, 1000)
+    for lo, hi in ((0, 1), (17, 500), (999, 1000), (400, 400)):
+        assert np.array_equal(derive_seeds(base_seed, hi - lo, start=lo), run[lo:hi])
+
+
+def test_derive_seeds_rejects_out_of_range():
+    # indices from 2^32 on would take a second spawn-key word
+    for base_seed, n, start in ((-1, 1, 0), (2**64, 1, 0), (0, 1, -1), (0, 2, 2**32 - 1)):
+        with pytest.raises(ValueError):
+            derive_seeds(base_seed, n, start=start)
+
+
 def test_trajectory_accessors():
     # consecutive records chain: step k+1 starts where step k ended, the
     # last record carries x_{K+1}, f(x_K) - f* and E(K), and each record
@@ -158,8 +181,8 @@ def test_trajectory_accessors():
 
 
 def test_stream_forms_one_gram_product_per_step(monkeypatch):
-    # f(x_k) comes from the step's gradient: one G(x - x*) per step, plus
-    # one for f(x_0)
+    # f(x_k) comes from the step's gradient: one G(x - x*) per step, and
+    # step 1's f is f(x_0), since x_1 = x_0
     obj = least_squares_random(16, 40, seed=7)
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 16, 1.0)
     sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
@@ -171,7 +194,7 @@ def test_stream_forms_one_gram_product_per_step(monkeypatch):
     recs = list(stream_ensemble(obj, noise, sched, K, derive_seeds(3, 4),
                                 obj.minimizer + 1.0))
     assert len(recs) == K
-    assert calls == [(4, 16)] * (K + 1)
+    assert calls == [(4, 16)] * K
 
 
 @pytest.mark.parametrize("obj", [
@@ -186,6 +209,11 @@ def test_stream_fgap_is_bitwise_the_plain_value(obj):
                                obj.minimizer + 1.0):
         plain = eval_objective(obj, rec.x_curr) - obj.min_value
         assert np.array_equal(rec.fgap_curr, plain)
+        if rec.k == 1:
+            # step 1's f is f(x_0), since x_1 = x_0, and E(0) is formed from it
+            assert np.array_equal(rec.fgap_prev, plain)
+            assert np.array_equal(rec.E_prev,
+                                  energy(rec.phi_sq, plain, energy_weight(sched, 0)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -121,6 +121,32 @@ def test_adversarial_tau_construction():
     assert list(rule.within(U)) == [True, False, False, False]
 
 
+def test_envelope_rule_matches_per_step_oracle():
+    # U is built so that trajectories stop at k = 3 (two of them), at k = 7
+    # and never (so at k_max); gaps keep crossing U after the stop, and the
+    # rule must keep the first crossing, step by step
+    k_max = 12
+    U = np.full(k_max + 1, 1.0)
+    U[0] = np.inf
+    rng = np.random.default_rng(4)
+    f_gaps = rng.uniform(0.0, 0.9, (4, k_max + 1))
+    f_gaps[0, [3, 5, 12]] = [1.5, 2.0, 3.0]
+    f_gaps[1, [3, 4]] = [1.25, 4.0]
+    f_gaps[2, [7, 11]] = [1.75, 5.0]
+    rule = RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, k_max, U=U)
+    tau, fgap = np.zeros(4, dtype=int), np.zeros(4)
+    for k in range(1, k_max + 3):
+        rule.update(SimpleNamespace(k=k, fgap_curr=f_gaps[:, min(k, k_max)]))
+        for i in range(4):
+            if tau[i] == 0 and k <= k_max and (k == k_max or f_gaps[i, k] > U[k]):
+                tau[i], fgap[i] = k, f_gaps[i, k]
+        assert np.array_equal(rule.tau, tau)
+        assert np.array_equal(rule.fgap, fgap)
+        assert rule._all_stopped == (k >= k_max or bool(tau.all()))
+    assert list(tau) == [3, 3, 7, k_max]
+    assert list(fgap) == [1.5, 1.25, 1.75, f_gaps[3, k_max]]
+
+
 def test_adversarial_identity_with_sup_statement():
     obj = quadratic(np.array([1.0, 2.0]))
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
