@@ -12,7 +12,6 @@ results are bitwise identical for any worker count.  Outputs are
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -444,6 +443,8 @@ def _ensemble_stats(cfg: RunConfig, env: EnvelopeParams) -> dict:
     R = cfg.R
     if workers <= 1 or R == 1:
         return _merge_blocks([_run_block(cfg, env, 0, R)])
+    from concurrent.futures import ProcessPoolExecutor  # only a multi-worker run pays this import
+
     per = -(-R // workers)
     spans = [(lo, min(lo + per, R)) for lo in range(0, R, per)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,16 +1,22 @@
 """Small Monte Carlo statistics helpers shared by the verification suites."""
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 
 def clopper_pearson(successes: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Exact two-sided binomial confidence interval for a frequency."""
+    """Exact two-sided binomial confidence interval for a frequency.
+
+    Each end is a beta quantile, taken as the inverse regularized incomplete
+    beta ``betaincinv(a, b, p)``.  On scipy 1.17.1 it is bitwise equal to
+    ``scipy.stats.beta.ppf(p, a, b)`` (tested against that form in
+    ``tests/oracles.py``); older scipy versions were not checked.
+    """
     if n <= 0:
         raise ValueError("n must be positive")
     alpha = 1.0 - confidence
-    lo = 0.0 if successes == 0 else float(stats.beta.ppf(alpha / 2.0, successes, n - successes + 1))
-    hi = 1.0 if successes == n else float(stats.beta.ppf(1.0 - alpha / 2.0, successes + 1, n - successes))
+    lo = 0.0 if successes == 0 else float(special.betaincinv(successes, n - successes + 1, alpha / 2.0))
+    hi = 1.0 if successes == n else float(special.betaincinv(successes + 1, n - successes, 1.0 - alpha / 2.0))
     return lo, hi
 
 

@@ -108,8 +108,6 @@ def _partial_sums(sched: ScheduleVariant, transform):
     Each doubling evaluates only the terms N/2+1..N and fsums them; the
     running value is the fsum of those block sums.
     """
-    if sched.log_power <= 1.0:
-        raise ConfigError(["weight series diverges (log power <= 1)"])
     block_sums, first = [], 1
     for e in range(12, 21):
         N = 1 << e

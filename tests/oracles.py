@@ -4,7 +4,8 @@ stoplab computes every pathwise quantity online, one streamed step at a time.
 The functions here recompute the same quantities from whole stored paths with
 vectorized series formulas, so a test can compare the two.  The residual
 form of least squares checks the lab's centered Gram form, and the
-per-index ``SeedSequence`` loop checks the vectorized seed derivation.  The rest are
+per-index ``SeedSequence`` loop checks the vectorized seed derivation, and
+``scipy.stats.beta.ppf`` checks the Clopper-Pearson ends.  The rest are
 exact references: the weight series to 50 digits (mpmath), zeta(s), and the
 weighted chi-square tail (Imhof inversion).  All are deliberately separate
 code and are not used by the package.
@@ -126,6 +127,17 @@ def seeds_by_seed_sequence(base_seed: int, n: int, start: int = 0) -> np.ndarray
         ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(start + i,))
         out[i] = ss.generate_state(1, np.uint64)[0]
     return out
+
+
+def clopper_pearson_beta_ppf(successes, n, confidence: float):
+    """Clopper-Pearson (lo, hi) arrays as ``scipy.stats.beta`` quantiles, vectorized."""
+    from scipy.stats import beta
+
+    k, n = np.asarray(successes), np.asarray(n)
+    alpha = 1.0 - confidence
+    lo = np.where(k == 0, 0.0, beta.ppf(alpha / 2.0, k, n - k + 1))
+    hi = np.where(k == n, 1.0, beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+    return lo, hi
 
 
 def eta_margin_one_shot(sched) -> float:

@@ -10,7 +10,7 @@ from stoplab.mcstats import clopper_pearson
 from stoplab.noise import NoiseKind, calibrate
 from stoplab.sgdm import ScheduleVariant, Variant, a_coeff
 
-from oracles import weighted_square_tail_oracle
+from oracles import clopper_pearson_beta_ppf, weighted_square_tail_oracle
 
 GAUSS2 = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
 SPHERE3 = calibrate(NoiseKind.BOUNDED_SPHERE, 3, 1.0)
@@ -118,6 +118,23 @@ def test_clopper_pearson_basics():
     assert lo < 0.5 < hi
     with pytest.raises(ValueError):
         clopper_pearson(1, 0)
+
+
+@pytest.mark.parametrize("confidence", [0.99, 0.95])
+def test_clopper_pearson_is_bitwise_the_beta_quantile(confidence):
+    # every k for n <= 1001, then the edges and sampled k at large n
+    ns = np.arange(1, 1002)
+    n = np.repeat(ns, ns + 1)
+    k = np.concatenate([np.arange(m + 1) for m in ns])
+    rng = np.random.default_rng(7)
+    for big in (10**4, 10**5, 10**6):
+        ks = np.concatenate([[0, 1, 2, big // 2, big - 2, big - 1, big],
+                             rng.integers(0, big + 1, size=200)])
+        n = np.concatenate([n, np.full(ks.size, big)])
+        k = np.concatenate([k, ks])
+    lo, hi = clopper_pearson_beta_ppf(k, n, confidence)
+    got = np.array([clopper_pearson(s, m, confidence) for s, m in zip(k.tolist(), n.tolist())])
+    assert np.array_equal(got[:, 0], lo) and np.array_equal(got[:, 1], hi)
 
 
 @pytest.mark.parametrize("dim", [2, 16])

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -356,6 +358,19 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_base_raw(tmp_path, K=0)))
     assert main(["run", str(bad)]) == 2
+
+
+def test_cli_import_loads_no_scipy_stats_and_no_process_pool():
+    # a fresh interpreter: scipy.stats costs about 0.8 s of import, and the
+    # process pool is imported only when a run asks for workers
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import sys, stoplab.cli; print(' '.join(m for m in ('scipy.special', "
+            "'scipy.stats', 'multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["scipy.special"]
 
 
 # L = 1e-3 is below the objective's smoothness (2) by a factor of 2000, so

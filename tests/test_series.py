@@ -209,12 +209,16 @@ def test_tolerance_validation():
         gamma2(SCHED, 1.0, 1.5)
 
 
-def test_divergent_series_rejected():
-    class _Fake:
-        log_power = 1.0
-        a_coefficient_scale = 1.0
-    with pytest.raises(ConfigError):
-        gamma1(_Fake(), 1e-3)
+def test_divergent_series_rejected(monkeypatch):
+    # 1 + epsilon == 1 gives log power 1, a divergent weight series: the
+    # schedule refuses it when it is built, before any bracket is computed
+    def _no_bracket(*args):
+        raise AssertionError("a bracket was computed")
+    monkeypatch.setattr(series, "_partial_sums", _no_bracket)
+    for epsilon in (1e-17, 5e-324):
+        assert 1.0 + epsilon == 1.0
+        with pytest.raises(ValueError, match="rounds to 1"):
+            gamma1(ScheduleVariant(Variant.PROPOSITION_EPS, L=1.0, epsilon=epsilon), 1e-3)
 
 
 def test_zeta_known_values():

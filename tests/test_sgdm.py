@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stoplab import objectives
+from stoplab.errors import DivergenceError
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import (eval_objective, huberized_abs, least_squares_random,
                                 quadratic)
-from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
-                          dim_sum, energy, energy_weight, eta, phi, sq_norm,
+from stoplab.sgdm import (DIVERGENCE_RADIUS, ScheduleVariant, Variant, a_coeff,
+                          derive_seeds, dim_sum, energy, energy_weight, eta, phi, sq_norm,
                           stream_ensemble)
 
 from oracles import run_paths, seeds_by_seed_sequence
@@ -178,6 +179,28 @@ def test_trajectory_accessors():
     assert np.array_equal(last.phi_next_sq, sq_norm(phi_next))
     assert np.array_equal(last.E, energy(sq_norm(phi_next), last.fgap_curr,
                                          energy_weight(SCHED1, 10)))
+
+
+def test_stream_raises_divergence_at_the_first_step_past_the_radius():
+    # schedule L = 1 against smoothness 1000: the iterates blow up, and the
+    # stream raises at the first step whose x_{k+1} leaves the radius
+    # (k = 11, pinned from the guard's np.max(np.abs(.)) form)
+    obj = quadratic(np.array([1e3, 1.0]))
+    noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
+    recs = []
+    with pytest.raises(DivergenceError) as err:
+        for rec in stream_ensemble(obj, noise, SCHED1, 2000, [1, 2, 3], np.array([1.0, -1.0])):
+            recs.append(rec)
+    assert err.value.step == 11 == len(recs) + 1
+    assert err.value.norm == 1636147887750.4604
+    assert np.abs(recs[-1].x_next).max() <= DIVERGENCE_RADIUS
+
+
+def test_stream_counts_nan_as_divergence():
+    obj = quadratic(np.array([1.0, 1.0]))
+    with pytest.raises(DivergenceError) as err:
+        next(stream_ensemble(obj, ZERO2, SCHED1, 5, [1, 2], np.array([math.nan, 0.0])))
+    assert err.value.step == 1 and math.isnan(err.value.norm)
 
 
 def test_stream_forms_one_gram_product_per_step(monkeypatch):
