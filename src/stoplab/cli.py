@@ -13,9 +13,9 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError
-from .harness import CHECK_NAMES, load_config, parse_config, run_experiment
+from .harness import (CHECK_NAMES, GRAMMAR, build_schedule, load_config, parse_config,
+                      run_experiment)
 from .lyapunov import envelope_constants
-from .sgdm import ScheduleVariant, Variant
 
 
 def _print_report(checks, passed):
@@ -44,15 +44,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    try:
-        variant = Variant(args.schedule)
-    except ValueError:
-        raise ConfigError([f"unknown schedule {args.schedule!r}"])
-    if variant is Variant.PROPOSITION_EPS:
-        sched = ScheduleVariant(variant, args.L, epsilon=args.epsilon,
-                                c0_prime=args.c0_prime)
-    else:
-        sched = ScheduleVariant(variant, args.L)
+    problems = [key.problem(flag, value) for flag, key, value in (
+        ("--sigma", GRAMMAR["noise"]["sigma"], args.sigma),
+        ("--tol", GRAMMAR["options"]["gamma_tol"], args.tol)) if not key.accepts(value)]
+    sched = build_schedule({"variant": args.schedule, "L": args.L, "epsilon": args.epsilon,
+                            "c0_prime": args.c0_prime}, args.L, problems)
+    if problems:
+        raise ConfigError(problems)
     env = envelope_constants(sched, args.sigma, args.E0, args.tol)
     print(f"schedule={args.schedule} L={args.L} sigma={args.sigma} "
           f"E0={args.E0} tol={args.tol}")
@@ -117,7 +115,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("constants", help="print certified envelope constants")
-    p.add_argument("schedule", choices=[v.value for v in Variant])
+    p.add_argument("schedule", choices=GRAMMAR["schedule"]["variant"].names)
     p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-6)

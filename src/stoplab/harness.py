@@ -1,18 +1,25 @@
 """Experiment orchestration: config parsing, seeded ensembles, checks, reports.
 
-A run is described by a single JSON config (grammar documented in the README);
-unknown keys are hard errors listing every violation at once.  Trajectories
-are streamed in contiguous index blocks — optionally across worker processes
-(``STOPLAB_WORKERS``) — with all per-trajectory statistics computed online, so
-results are bitwise identical for any worker count.  Outputs are
-``report.json`` plus ``trajectory_<i>.csv`` / ``coverage.csv`` /
-``constants.csv``; floats are serialized with shortest round-trip formatting.
+A run is described by a single JSON config.  Its grammar is declared once, in
+``GRAMMAR``: each key's default and the values it accepts (numbers are always
+finite).  ``parse_config`` walks every section against it and lists every
+problem (unknown keys, missing required keys, refused values, and what the
+objective, noise, schedule and rule builders refuse) before raising
+``ConfigError``.  Trajectories are streamed in contiguous index blocks —
+optionally across worker processes (``STOPLAB_WORKERS``) — with all
+per-trajectory statistics computed online, so results are bitwise identical
+for any worker count.  Outputs are ``report.json`` plus ``trajectory_<i>.csv``
+/ ``coverage.csv`` / ``constants.csv``; floats are serialized with shortest
+round-trip formatting.
 """
 
 import csv
 import json
+import math
 import os
-from dataclasses import dataclass, field
+import reprlib
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +37,8 @@ from .sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds, energy,
                    energy_weight, eta_bound_margin, phi, sq_norm, stream_ensemble)
 from .stopping import RuleKind, RuleTracker, coverage_verdict
 
-__all__ = ["RunConfig", "Report", "load_config", "parse_config", "run_experiment"]
+__all__ = ["GRAMMAR", "OBJECTIVES", "RunConfig", "Report", "build_schedule", "load_config",
+           "parse_config", "run_experiment"]
 
 SCHEMA_VERSION = "1"
 CHECK_NAMES = (
@@ -38,58 +46,134 @@ CHECK_NAMES = (
     "mgf", "tail", "coverage", "constants",
 )
 
-_TOP_KEYS = {
-    "objective", "noise", "schedule", "K", "R", "base_seed", "x0",
-    "betas", "rules", "checks", "output_dir", "options",
-}
+REQUIRED = object()  # the default of a key that every document must give
 
-_DEFAULT_OPTIONS = {
-    "gamma_tol": 1e-6,
-    "supermartingale_ks": [1, 2, 5, 10, 50],
-    "n_branches": 100_000,
-    "mgf_lambdas": [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0],
-    "mgf_n_samples": 1_000_000,
-    "tail_omegas": [1.0, 2.0, 3.0],
-    "tail_n_runs": 100_000,
-    "tail_c_len": 100,
-    "ville_bound": 0.1,
-    "csv_trajectories": 2,
-    "envelope_sigma": None,   # override for zero-noise runs that still want U
-}
-
-# What each check accepts of its option, beyond the default's type; a value
-# outside is a config error, raised before any output is written.
-_OPTION_RANGES = {
-    "gamma_tol": (lambda v: 1e-12 < v < 1e-3, "must lie in (1e-12, 1e-3)"),
-    "supermartingale_ks": (lambda v: all(k >= 1 for k in v), "entries must be >= 1"),
-    "n_branches": (lambda v: v >= 1000, "must be >= 1000"),
-    "mgf_n_samples": (lambda v: v >= 1, "must be >= 1"),
-    "tail_c_len": (lambda v: v >= 1, "must be >= 1"),
-    "ville_bound": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-}
-
-_RULE_KINDS = {k.value: k for k in RuleKind}
+# The singular and plural noun of each value type, as error texts use them.
+_NOUNS = {"integer": ("an integer", "integers"), "number": ("a number", "numbers"),
+          "string": ("a string", "strings"), "mapping": ("a mapping", "mappings"),
+          "name": ("one of", "names from")}
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+@dataclass(frozen=True)
+class Key:
+    """One config key: its default and the values it accepts.
 
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _matches_default(value, default) -> bool:
-    """Whether an option value has its default's type (lists element-wise).
-
-    A None default (``envelope_sigma``) stands for an optional number.
+    ``type`` is one of ``_NOUNS``.  Integers and numbers are finite (booleans
+    are neither) and lie in [lo, hi], or in (lo, hi) when ``open``; a name is
+    one of ``names``.  With ``many`` the key takes a list of such values, at
+    least one if ``nonempty``; ``optional`` also takes null.
     """
-    if isinstance(default, list):
-        return isinstance(value, (list, tuple)) and all(
-            _matches_default(v, default[0]) for v in value)
-    if default is None:
-        return value is None or _is_number(value)
-    return _is_int(value) if isinstance(default, int) else _is_number(value)
+
+    type: str
+    default: object = REQUIRED
+    lo: float = -math.inf
+    hi: float = math.inf
+    open: bool = False
+    names: tuple = ()
+    many: bool = False
+    nonempty: bool = False
+    optional: bool = False
+
+    def _takes(self, v) -> bool:
+        if self.type == "name":
+            return isinstance(v, str) and v in self.names
+        if self.type in ("string", "mapping"):
+            return isinstance(v, str if self.type == "string" else dict)
+        if isinstance(v, bool) or not isinstance(v, int if self.type == "integer" else (int, float)):
+            return False
+        if not abs(v) <= sys.float_info.max:  # also false for nan
+            return False
+        return self.lo < v < self.hi if self.open else self.lo <= v <= self.hi
+
+    def accepts(self, value) -> bool:
+        if value is None:
+            return self.optional
+        if not self.many:
+            return self._takes(value)
+        return (isinstance(value, (list, tuple)) and (len(value) > 0 or not self.nonempty)
+                and all(map(self._takes, value)))
+
+    @property
+    def must(self) -> str:
+        """What the values must be, as in "K must be an integer >= 2"."""
+        what = _NOUNS[self.type][self.many]
+        if self.names:
+            what += f" {list(self.names)}"
+        elif self.hi < math.inf:
+            ends = "()" if self.open else "[]"
+            what += f" in {ends[0]}{self.lo!r}, {self.hi!r}{ends[1]}"
+        elif self.lo > -math.inf:
+            what += f" {'>' if self.open else '>='} {self.lo!r}"
+        if self.many:
+            what = f"a {'nonempty ' if self.nonempty else ''}list of {what}"
+        return "be " + what + (" or null" if self.optional else "")
+
+    def problem(self, name: str, value) -> str:
+        return f"{name} must {self.must}, not {reprlib.repr(value)}"
+
+
+_NOISE_KINDS = {"none": NoiseKind.NONE, "gaussian-isotropic": NoiseKind.GAUSSIAN_ISOTROPIC,
+                "bounded-sphere": NoiseKind.BOUNDED_SPHERE}
+_CENTER = Key("number", None, many=True, optional=True)  # None: the origin
+_SEED = dict(lo=0, hi=2**64 - 1)
+
+# Each objective kind's keys, beside its "kind".
+OBJECTIVES = {
+    "quadratic": {"diag": Key("number", [1.0], lo=0, open=True, many=True, nonempty=True),
+                  "center": _CENTER},
+    "least-squares": {"dim": Key("integer", 5, lo=1), "m": Key("integer", 12, lo=1),
+                      "seed": Key("integer", 0, **_SEED)},
+    "huberized-abs": {"dim": Key("integer", 1, lo=1),
+                      "delta": Key("number", 1.0, lo=0, open=True), "center": _CENTER},
+}
+
+# Every key of every section; "" is the top level and "rules" each entry of
+# the rules list.
+GRAMMAR = {
+    "": {
+        "objective": Key("mapping"), "noise": Key("mapping"), "schedule": Key("mapping"),
+        "K": Key("integer", lo=2), "R": Key("integer", lo=1),
+        "base_seed": Key("integer", **_SEED), "x0": Key("number", many=True),
+        "betas": Key("number", [0.05, 0.1], lo=0, hi=0.5, open=True, many=True),
+        "rules": Key("mapping", [], many=True),
+        "checks": Key("name", list(CHECK_NAMES), names=CHECK_NAMES, many=True),
+        "output_dir": Key("string", "runs/out"),
+        "options": Key("mapping", {}),
+    },
+    "objective": {"kind": Key("name", names=tuple(OBJECTIVES))},
+    "noise": {"kind": Key("name", names=tuple(_NOISE_KINDS)),
+              "sigma": Key("number", 0.0, lo=0)},
+    "schedule": {
+        "variant": Key("name", names=tuple(v.value for v in Variant)),
+        "L": Key("number", None, lo=0, open=True),  # None: the objective's smoothness
+        "epsilon": Key("number", 0.3, lo=0, hi=0.5, open=True),
+        "c0_prime": Key("number", 100.0, lo=100),
+    },
+    "rules": {
+        "kind": Key("name", names=tuple(k.value for k in RuleKind)),
+        "epsilon": Key("number", None, lo=0, open=True, optional=True),
+        "k_max": Key("integer", None, lo=1),  # None: K
+        "beta": Key("number", None, lo=0, hi=0.5, open=True, optional=True),
+    },
+    "options": {
+        "gamma_tol": Key("number", 1e-6, lo=1e-12, hi=1e-3, open=True),
+        "supermartingale_ks": Key("integer", [1, 2, 5, 10, 50], lo=1, many=True,
+                                  nonempty=True),
+        "n_branches": Key("integer", 100_000, lo=1000),
+        # beyond |lambda| = 30 the bound exp(3 lambda^2 / 4) leaves the float range
+        "mgf_lambdas": Key("number", [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], lo=-30, hi=30,
+                           many=True, nonempty=True),
+        "mgf_n_samples": Key("integer", 1_000_000, lo=1000),
+        "tail_omegas": Key("number", [1.0, 2.0, 3.0], lo=0, open=True, many=True,
+                           nonempty=True),
+        "tail_n_runs": Key("integer", 100_000, lo=100),
+        "tail_c_len": Key("integer", 100, lo=1),
+        "ville_bound": Key("number", 0.1, lo=0, hi=1, open=True),
+        "csv_trajectories": Key("integer", 2, lo=0),
+        # overrides the noise's sigma in U, for zero-noise runs that still want U
+        "envelope_sigma": Key("number", None, lo=0, optional=True),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -120,205 +204,110 @@ class Report:
     output_dir: str
 
 
-# Each objective kind's keys, each with a value of the type it must have.
-_OBJECTIVE_KEYS = {
-    "quadratic": {"diag": [0.0], "center": [0.0]},
-    "least-squares": {"dim": 0, "m": 0, "seed": 0},
-    "huberized-abs": {"dim": 0, "delta": 0.0, "center": [0.0]},
-}
+def _walk(keys: dict, doc: dict, where: str, problems: list) -> dict:
+    """``doc``'s accepted values, with the defaults of the keys it leaves out.
+
+    A refused value is left out.  Each refused value, the missing required
+    keys and the unknown keys add a problem.
+    """
+    prefix = f"{where}: " if where else ""
+    values, missing = {}, []
+    for name, key in keys.items():
+        if name not in doc:
+            if key.default is REQUIRED:
+                missing.append(name)
+            else:
+                values[name] = key.default
+        elif key.accepts(doc[name]):
+            values[name] = doc[name]
+        else:
+            problems.append(key.problem(prefix + name, doc[name]))
+    if missing:
+        problems.append(f"{prefix}missing required keys {missing}")
+    unknown = sorted(set(doc) - set(keys), key=str)
+    if unknown:
+        problems.append(f"{prefix}unknown keys {unknown}")
+    return values
 
 
-def _build_objective(spec, problems) -> Objective | None:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        problems.append("objective must be a mapping with a 'kind'")
-        return None
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _OBJECTIVE_KEYS:
-        problems.append(f"objective: unknown kind {kind!r}")
-        return None
-    types = _OBJECTIVE_KEYS[kind]
-    bad = set(spec) - {"kind"} - set(types)
-    if bad:
-        problems.append(f"objective: unknown keys {sorted(bad)}")
-    wrong = sorted(k for k in set(spec) & set(types) if not (
-        _matches_default(spec[k], types[k]) or (k == "center" and spec[k] is None)))
-    if wrong:
-        problems.append(f"objective: {wrong} must be integers (dim, m, seed), "
-                        "a number (delta) or lists of numbers (diag, center)")
-        return None
-    center = spec.get("center")
-    center = None if center is None else np.asarray(center, dtype=float)
-    try:
-        if kind == "quadratic":
-            return quadratic(np.asarray(spec.get("diag", [1.0]), dtype=float), center)
-        if kind == "least-squares":
-            return least_squares_random(spec.get("dim", 5), spec.get("m", 12),
-                                        spec.get("seed", 0))
-        return huberized_abs(spec.get("dim", 1), float(spec.get("delta", 1.0)), center)
-    except (ValueError, TypeError) as exc:
-        problems.append(f"objective: {exc}")
-        return None
+def _section(where: str, doc: dict, keys: dict, build, problems: list):
+    """``build`` of ``doc``'s values once every key checks out, else None.
 
-
-def _build_noise(spec, dim, problems) -> NoiseModel | None:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        problems.append("noise must be a mapping with a 'kind'")
-        return None
-    bad = set(spec) - {"kind", "sigma"}
-    if bad:
-        problems.append(f"noise: unknown keys {sorted(bad)}")
-    kinds = {"none": NoiseKind.NONE, "gaussian-isotropic": NoiseKind.GAUSSIAN_ISOTROPIC,
-             "bounded-sphere": NoiseKind.BOUNDED_SPHERE}
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in kinds:
-        problems.append(f"noise: unknown kind {kind!r}")
-        return None
-    sigma = spec.get("sigma", 0.0)
-    if not _is_number(sigma):
-        problems.append("noise: sigma must be a number")
+    A ValueError that ``build`` raises is a problem too.
+    """
+    values = _walk(keys, doc, where, problems)
+    if len(values) < len(keys):
         return None
     try:
-        return calibrate(kinds[kind], dim, float(sigma))
+        return build(values)
     except ValueError as exc:
-        problems.append(f"noise: {exc}")
+        problems.append(f"{where}: {exc}")
         return None
 
 
-def _build_schedule(spec, obj, problems) -> ScheduleVariant | None:
-    if not isinstance(spec, dict) or "variant" not in spec:
-        problems.append("schedule must be a mapping with a 'variant'")
-        return None
-    bad = set(spec) - {"variant", "L", "epsilon", "c0_prime"}
-    if bad:
-        problems.append(f"schedule: unknown keys {sorted(bad)}")
-    variants = {v.value: v for v in Variant}
-    name = spec.get("variant")
-    if not isinstance(name, str) or name not in variants:
-        problems.append(f"schedule: unknown variant {name!r}")
-        return None
-    bad = sorted(k for k in ("L", "epsilon", "c0_prime") if k in spec and not _is_number(spec[k]))
-    if bad:
-        problems.append(f"schedule: {bad} must be numbers")
-        return None
-    L = float(spec.get("L", obj.smoothness if obj else 1.0))
-    try:
-        if variants[name] is Variant.PROPOSITION_EPS:
-            return ScheduleVariant(variants[name], L, epsilon=float(spec.get("epsilon", 0.3)),
-                                   c0_prime=float(spec.get("c0_prime", 100.0)))
-        return ScheduleVariant(variants[name], L)
-    except ValueError as exc:
-        problems.append(f"schedule: {exc}")
-        return None
+def _build_objective(v) -> Objective:
+    if v["kind"] == "quadratic":
+        return quadratic(v["diag"], v["center"])
+    if v["kind"] == "least-squares":
+        return least_squares_random(v["dim"], v["m"], v["seed"])
+    return huberized_abs(v["dim"], float(v["delta"]), v["center"])
+
+
+def build_schedule(doc: dict, smoothness: float, problems: list) -> ScheduleVariant | None:
+    """The schedule a ``GRAMMAR["schedule"]`` document describes, or None.
+
+    ``smoothness`` is L when the document leaves it out.
+    """
+    def build(v):
+        L = float(smoothness if v["L"] is None else v["L"])
+        if v["variant"] == Variant.PROPOSITION_EPS.value:
+            return ScheduleVariant(Variant.PROPOSITION_EPS, L, epsilon=float(v["epsilon"]),
+                                   c0_prime=float(v["c0_prime"]))
+        return ScheduleVariant(Variant(v["variant"]), L)
+    return _section("schedule", doc, GRAMMAR["schedule"], build, problems)
 
 
 def parse_config(raw: dict) -> RunConfig:
-    """Validate a config document, collecting every violation before raising."""
-    problems = []
+    """Validate a config document against ``GRAMMAR``, listing every problem before raising."""
     if not isinstance(raw, dict):
         raise ConfigError(["config document must be a mapping"])
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        problems.append(f"unknown top-level keys: {sorted(unknown)}")
-    missing = {"objective", "noise", "schedule", "K", "R", "base_seed", "x0"} - set(raw)
-    if missing:
-        problems.append(f"missing required keys: {sorted(missing)}")
-        raise ConfigError(problems)
+    problems = []
+    top = _walk(GRAMMAR[""], raw, "", problems)
+    obj = noise = sched = None
+    if "objective" in top:
+        kind = top["objective"].get("kind")
+        keys = dict(GRAMMAR["objective"],
+                    **OBJECTIVES.get(kind if isinstance(kind, str) else None, {}))
+        obj = _section("objective", top["objective"], keys, _build_objective, problems)
+    if "noise" in top:
+        noise = _section("noise", top["noise"], GRAMMAR["noise"], lambda v: obj and calibrate(
+            _NOISE_KINDS[v["kind"]], obj.dim, float(v["sigma"])), problems)
+    if "schedule" in top:
+        sched = build_schedule(top["schedule"], obj.smoothness if obj else 1.0, problems)
+    if obj and "x0" in top and len(top["x0"]) != obj.dim:
+        problems.append(f"x0 must have length {obj.dim}, not {len(top['x0'])}")
+    betas = tuple(float(b) for b in top.get("betas", ()))
 
-    obj = _build_objective(raw["objective"], problems)
-    noise = obj and _build_noise(raw["noise"], obj.dim, problems)
-    sched = _build_schedule(raw["schedule"], obj, problems)
-
-    K, R = raw.get("K"), raw.get("R")
-    if not _is_int(K) or K < 2:
-        problems.append("K must be an integer >= 2")
-    if not _is_int(R) or R < 1:
-        problems.append("R must be an integer >= 1")
-    base_seed = raw.get("base_seed")
-    if not _is_int(base_seed) or not 0 <= base_seed < 2**64:
-        problems.append("base_seed must be a 64-bit nonnegative integer")
-
-    x0 = None
-    if not _matches_default(raw["x0"], [0.0]):
-        problems.append("x0 must be a list of numbers")
-    else:
-        x0 = np.asarray(raw["x0"], dtype=float)
-        if obj is not None and x0.shape != (obj.dim,):
-            problems.append(f"x0 must have length {obj.dim}")
-
-    betas = raw.get("betas", [0.05, 0.1])
-    if not isinstance(betas, (list, tuple)) or not all(_is_number(b) and 0.0 < b < 0.5 for b in betas):
-        problems.append("betas must be a list of numbers that all lie in (0, 0.5)")
-        betas = []
-    betas = tuple(float(b) for b in betas)
-
-    rules = []
-    rule_specs = raw.get("rules", [])
-    if not isinstance(rule_specs, (list, tuple)):
-        problems.append("rules must be a list")
-        rule_specs = []
-    for i, rs in enumerate(rule_specs):
-        name = rs.get("kind") if isinstance(rs, dict) else None
-        if not isinstance(name, str) or name not in _RULE_KINDS:
-            problems.append(f"rules[{i}]: kind must be one of {sorted(_RULE_KINDS)}")
-            continue
-        bad = set(rs) - {"kind", "epsilon", "k_max", "beta"}
-        if bad:
-            problems.append(f"rules[{i}]: unknown keys {sorted(bad)}")
-        kind = _RULE_KINDS[name]
-        k_max = rs.get("k_max", K if _is_int(K) else 2)
-        if not _is_int(k_max) or k_max < 1 or (_is_int(K) and k_max > K):
-            problems.append(f"rules[{i}]: k_max must be an integer in [1, K]")
-            continue
-        epsilon, beta = rs.get("epsilon"), rs.get("beta")
-        if not (epsilon is None or _is_number(epsilon)):
-            problems.append(f"rules[{i}]: epsilon must be a number")
-            continue
-        if not (beta is None or (_is_number(beta) and 0.0 < beta < 0.5)):
-            problems.append(f"rules[{i}]: beta must be a number in (0, 0.5)")
-            continue
-        if kind is RuleKind.FIRST_ENVELOPE_VIOLATION and beta is None and not betas:
-            problems.append(f"rules[{i}]: {kind.value} needs a beta when betas is empty")
-            continue
-        try:
-            RuleTracker(kind, k_max, epsilon)  # the rule's own parameter checks
-        except ValueError as exc:
-            problems.append(f"rules[{i}]: {exc}")
-            continue
-        rules.append((kind, None if epsilon is None else float(epsilon), k_max,
-                      None if beta is None else float(beta)))
-
-    checks = raw.get("checks", list(CHECK_NAMES))
-    if not isinstance(checks, (list, tuple)) or not all(isinstance(c, str) for c in checks):
-        problems.append("checks must be a list of check names")
-        checks = []
-    checks = tuple(checks)
-    bad_checks = set(checks) - set(CHECK_NAMES)
-    if bad_checks:
-        problems.append(f"unknown checks: {sorted(bad_checks)}")
-
-    options = dict(_DEFAULT_OPTIONS)
-    extra = raw.get("options", {})
-    if not isinstance(extra, dict):
-        problems.append("options must be a mapping")
-    else:
-        bad = set(extra) - set(_DEFAULT_OPTIONS)
-        if bad:
-            problems.append(f"options: unknown keys {sorted(bad)}")
-        for key in sorted(set(extra) & set(_DEFAULT_OPTIONS)):
-            if not _matches_default(extra[key], _DEFAULT_OPTIONS[key]):
-                problems.append(f"options: {key} must have the type of its default "
-                                f"{_DEFAULT_OPTIONS[key]!r}")
-            elif key in _OPTION_RANGES and not _OPTION_RANGES[key][0](extra[key]):
-                problems.append(f"options: {key} {_OPTION_RANGES[key][1]}")
-            else:
-                options[key] = extra[key]
+    def build_rule(v):
+        kind = RuleKind(v["kind"])
+        k_max = top.get("K", 2) if v["k_max"] is None else v["k_max"]
+        if k_max > top.get("K", k_max):
+            raise ValueError(f"k_max must be <= K = {top['K']}, not {k_max}")
+        if kind is RuleKind.FIRST_ENVELOPE_VIOLATION and v["beta"] is None and not betas:
+            raise ValueError(f"{kind.value} needs a beta when betas is empty")
+        RuleTracker(kind, k_max, v["epsilon"])  # the rule's own parameter checks
+        return (kind, None if v["epsilon"] is None else float(v["epsilon"]), k_max,
+                None if v["beta"] is None else float(v["beta"]))
+    rules = tuple(_section(f"rules[{i}]", spec, GRAMMAR["rules"], build_rule, problems)
+                  for i, spec in enumerate(top.get("rules", ())))
+    options = _walk(GRAMMAR["options"], top.get("options", {}), "options", problems)
 
     if problems:
         raise ConfigError(problems)
     return RunConfig(
-        raw=raw, objective=obj, noise=noise, sched=sched, K=K, R=R,
-        base_seed=base_seed, x0=x0, betas=betas, rules=tuple(rules),
-        checks=checks, output_dir=str(raw.get("output_dir", "runs/out")),
+        raw=raw, objective=obj, noise=noise, sched=sched, K=top["K"], R=top["R"],
+        base_seed=top["base_seed"], x0=np.asarray(top["x0"], dtype=float), betas=betas,
+        rules=rules, checks=tuple(top["checks"]), output_dir=top["output_dir"],
         options=options,
     )
 

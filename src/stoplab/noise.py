@@ -65,27 +65,6 @@ def sample(model: NoiseModel, rng: np.random.Generator, n: int | None = None) ->
     return model.scale * z / norms
 
 
-def variance_diagnostic(model: NoiseModel, n_samples: int, rng: np.random.Generator) -> dict:
-    """Monte Carlo check of E[||theta||^2] <= sigma^2 (Jensen from the MGF bound)."""
-    if n_samples < 100:
-        raise ValueError("n_samples must be >= 100")
-    sq = np.empty(n_samples)
-    chunk = 1 << 16
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
-        th = sample(model, rng, hi - lo)
-        sq[lo:hi] = np.sum(th * th, axis=-1)
-    est = float(np.mean(sq))
-    stderr = float(np.std(sq, ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
-    bound = model.sigma_certificate**2
-    return {
-        "estimate": est,
-        "ci_halfwidth": 3.0 * stderr,
-        "bound": bound,
-        "pass": est <= bound + 3.0 * stderr + 1e-12,
-    }
-
-
 def mgf_certificate_check(model: NoiseModel, n_samples: int, rng: np.random.Generator) -> dict:
     """Monte Carlo estimate of E[exp(||theta||^2 / sigma^2)] against e.
 

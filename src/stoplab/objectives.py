@@ -19,6 +19,7 @@ quadratic's and least squares' f from it with unchanged bits: one D u or
 G u per step, not two.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -53,8 +54,9 @@ class Objective:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        if self.smoothness <= 0:
-            raise ValueError("smoothness must be positive")
+        if not (0 < self.smoothness < math.inf and 2.0 / self.smoothness < math.inf):
+            raise ValueError("smoothness must be positive and finite, with 2 / smoothness "
+                             "finite (the descent residual divides by it)")
 
 
 def _check_dim(obj: Objective, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -80,6 +81,7 @@ _MALFORMED = {
     "R-bool": lambda raw: raw.update(R=True),
     "base-seed-bool": lambda raw: raw.update(base_seed=True),
     "rule-k-max-bool": lambda raw: raw.update(rules=[{"kind": "fixed-k", "k_max": True}]),
+    "rule-k-max-above-K": lambda raw: raw.update(rules=[{"kind": "fixed-k", "k_max": 51}]),
     "option-wrong-type": lambda raw: raw["options"].update(n_branches="many"),
     # x0 = [0.0] so that a bool dim coerced to 1 would have matched it
     "lsq-dim-bool": lambda raw: raw.update(
@@ -91,6 +93,11 @@ _MALFORMED = {
     "huber-delta-string": lambda raw: raw.update(
         objective={"kind": "huberized-abs", "dim": 2, "delta": "1"}),
     "diag-bool": lambda raw: raw["objective"].update(diag=[1.0, True]),
+    # 2 / L overflowed, and the descent check reported NaN
+    "diag-subnormal": lambda raw: raw["objective"].update(diag=[5e-324, 5e-324]),
+    # L = 1 / delta = inf, refused only by the gamma1 bracket after 2^20 terms
+    "huber-delta-subnormal": lambda raw: raw.update(
+        objective={"kind": "huberized-abs", "dim": 2, "delta": 1e-310}),
     "center-bool": lambda raw: raw["objective"].update(center=[0.0, False]),
     "x0-bool": lambda raw: raw.update(x0=[True, -1.0]),
     "objective-kind-list": lambda raw: raw["objective"].update(kind=["quadratic"]),
@@ -98,6 +105,11 @@ _MALFORMED = {
     "noise-kind-list": lambda raw: raw["noise"].update(kind=["gaussian-isotropic"]),
     "schedule-variant-list": lambda raw: raw["schedule"].update(variant=["theorem-main"]),
     "rule-kind-list": lambda raw: raw.update(rules=[{"kind": ["fixed-k"], "k_max": 10}]),
+    # a negative certificate once gave the envelope constants of sigma = 1
+    "noise-sigma-negative-none": lambda raw: raw.update(noise={"kind": "none", "sigma": -1.0}),
+    "x0-infinite": lambda raw: raw.update(x0=[float("inf"), -1.0]),
+    # once passed through str()
+    "output-dir-not-a-string": lambda raw: raw.update(output_dir=5),
 }
 
 
@@ -107,6 +119,10 @@ def test_parse_config_rejects_malformed_values(tmp_path, case):
     _MALFORMED[case](raw)
     with pytest.raises(ConfigError):
         parse_config(raw)
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    assert main(["run", str(cfgpath)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_exits_2_on_malformed_values(tmp_path, capsys):
@@ -141,6 +157,22 @@ _OUT_OF_RANGE = {
     "mgf-n-samples-zero": {"mgf_n_samples": 0},
     "ville-bound-above-1": {"ville_bound": 2.0},
     "ville-bound-zero": {"ville_bound": 0.0},
+    # these once crashed after output_dir was made, gave a verdict from one
+    # sample, left an enabled check without a record, checked against a bound
+    # above 1, acted as sigma = 1 or died in fsum on -inf + inf
+    "tail-n-runs-zero": {"tail_n_runs": 0},
+    "tail-n-runs-below-100": {"tail_n_runs": 99},
+    "mgf-n-samples-one": {"mgf_n_samples": 1},
+    "mgf-n-samples-below-1000": {"mgf_n_samples": 999},
+    "mgf-lambdas-empty": {"mgf_lambdas": []},
+    "supermartingale-ks-empty": {"supermartingale_ks": []},
+    "tail-omegas-empty": {"tail_omegas": []},
+    "tail-omega-negative": {"tail_omegas": [-1.0]},
+    "envelope-sigma-negative": {"envelope_sigma": -1.0},
+    "envelope-sigma-infinite": {"envelope_sigma": float("inf")},
+    # exp(3 lambda^2 / 4) overflowed with an OverflowError after output_dir was made
+    "mgf-lambda-beyond-30": {"mgf_lambdas": [1.0, 31.0]},
+    "csv-trajectories-negative": {"csv_trajectories": -1},
 }
 
 
@@ -154,6 +186,25 @@ def test_out_of_range_options_exit_2_before_any_output(tmp_path, case):
     cfgpath = tmp_path / "cfg.json"
     cfgpath.write_text(json.dumps(raw))
     assert main(["run", str(cfgpath)]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_problem_is_listed_at_once(tmp_path, capsys):
+    raw = _base_raw(tmp_path, checks=list(CHECK_NAMES))
+    for case in _OUT_OF_RANGE.values():
+        raw["options"].update(case)
+    raw["noise"] = {"kind": "none", "sigma": -1.0}
+    expected = ["noise: sigma"] + [f"options: {key}" for key in raw["options"]]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert len(exc.value.problems) == len(expected)
+    for where in expected:
+        assert any(p.startswith(f"{where} must") for p in exc.value.problems), where
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    assert main(["run", str(cfgpath)]) == 2
+    err = capsys.readouterr().err
+    assert all(f"config error: {where} must" in err for where in expected)
     assert not (tmp_path / "out").exists()
 
 
@@ -341,6 +392,14 @@ def test_cli_run_and_verify(tmp_path, capsys):
 def test_cli_constants_and_sweep(tmp_path, capsys):
     assert main(["constants", "theorem-main", "--sigma", "1.0"]) == 0
     assert "gamma1 in [" in capsys.readouterr().out
+    # once a ValueError traceback with exit 1, or the constants of sigma = 1
+    for args, problem in ((["--epsilon", "0.7"], "schedule: epsilon must"),
+                          (["--L", "0"], "schedule: L must"),
+                          (["--tol", "0.5"], "--tol must"),
+                          (["--sigma", "-1"], "--sigma must")):
+        assert main(["constants", "proposition-eps", *args]) == 2
+        captured = capsys.readouterr()
+        assert problem in captured.err and captured.out == ""
     raw = _base_raw(tmp_path, checks=["descent"], K=20, R=4)
     cfgpath = tmp_path / "cfg.json"
     cfgpath.write_text(json.dumps(raw))
@@ -411,36 +470,162 @@ def _reject_non_finite(name):
     raise ValueError(f"report.json holds {name}")
 
 
-# Every schedule and noise level parse_config accepts either runs to a report
-# (strict JSON: no infinite constant) or is refused with a ConfigError before
-# any output is written; no other exception escapes.
-@example(variant="theorem-main", log10_L=-3.0, epsilon=0.25, c0_prime=100.0, sigma=0.05015)
-@example(variant="theorem-main", log10_L=-3.0, epsilon=0.25, c0_prime=100.0, sigma=1.0)
-@settings(max_examples=60, deadline=None)
+_DROP = object()  # a drawn edit that deletes its key
+
+
+def _inside(key, size=None):
+    """Values ``key`` accepts, small enough for a run at tiny R and K.
+
+    ``size`` fixes the length of a list (an objective's dimension).
+    """
+    if key.type == "name":
+        one = st.sampled_from(key.names)
+    elif key.type == "integer":
+        one = st.integers(key.lo, key.lo + 8)
+        if key.hi < math.inf:
+            one |= st.just(key.hi)
+    else:
+        lo = key.lo if key.lo > -math.inf else -10.0
+        hi = key.hi if key.hi < math.inf else max(lo, 0.0) + 10.0
+        one = st.floats(lo, hi, exclude_min=key.open, exclude_max=key.open and key.hi < math.inf)
+    if key.many:
+        one = st.lists(one, min_size=size or int(key.nonempty), max_size=size or 3)
+    return st.none() | one if key.optional else one
+
+
+def _outside(key):
+    """Values ``key`` refuses, by construction."""
+    if key.type == "name":
+        one = ["no-such-name", [key.names[0]]]
+    elif key.type in ("string", "mapping"):
+        one = [5, [] if key.type == "mapping" else {}]
+    else:
+        integer = key.type == "integer"
+        one = [True, "1", math.inf, math.nan] + ([2.5] if integer else [])
+        for end, away in ((key.lo, -math.inf), (key.hi, math.inf)):
+            if math.isfinite(end):
+                beyond = end + (1 if away > 0 else -1) if integer else math.nextafter(end, away)
+                one.append(end if key.open else beyond)
+    if key.many:
+        one = [[v] for v in one] + ["x"] + ([[]] if key.nonempty else [])
+    return st.sampled_from(one if key.optional else one + [None])
+
+
+@st.composite
+def _edits(draw):
+    """Every key of every ``GRAMMAR`` section drawn in range, then up to two refused.
+
+    Returns (section, key, value) edits, section "" being the top level and
+    "rules" the first rule, and the (section, key) pairs drawn out of range
+    or dropped; a refused section hides its keys, so none of them is drawn
+    with it.  Schedule values and the noise's sigma are the test's own.
+    """
+    grammar = harness.GRAMMAR
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(sorted(harness.OBJECTIVES)))
+    objective = {"kind": kind}
+    for name, key in harness.OBJECTIVES[kind].items():
+        if name == "dim":
+            objective[name] = dim
+        elif name in ("diag", "center") or draw(st.booleans()):
+            objective[name] = draw(_inside(key, dim if key.many else None))
+    rules = [{name: draw(_inside(key)) for name, key in grammar["rules"].items()}
+             for _ in range(draw(st.integers(0, 2)))]
+    edits = [("", "objective", objective), ("", "rules", rules),
+             ("", "x0", draw(_inside(grammar[""]["x0"], dim))),
+             ("noise", "kind", draw(_inside(grammar["noise"]["kind"])))]
+    edits += [("", name, draw(_inside(grammar[""][name])))
+              for name in ("K", "R", "base_seed", "checks")]
+    if draw(st.booleans()):
+        edits.append(("", "betas", draw(_inside(grammar[""]["betas"]))))
+    # every option is given: the defaults' Monte Carlo sizes take seconds
+    edits += [("options", name, draw(_inside(key)))
+              for name, key in grammar["options"].items()]
+
+    targets = [("", name) for name in grammar[""]]
+    targets += [("objective", name) for name in objective]
+    targets += [(section, name) for section in ("noise", "schedule", "options")
+                for name in grammar[section]]
+    targets += [("rules", name) for name in grammar["rules"]] if rules else []
+    bad = draw(st.lists(st.sampled_from(targets), max_size=2, unique=True))
+    bad = [(section, name) for section, name in bad if ("", section) not in bad]
+    for section, name in bad:
+        table = harness.OBJECTIVES[kind] if section == "objective" else grammar[section or ""]
+        key = table.get(name, grammar["objective"].get(name))
+        refused = _outside(key)
+        if key.default is harness.REQUIRED:
+            refused |= st.just(_DROP)
+        edits.append((section, name, draw(refused)))
+    return edits, bad
+
+
+def _apply(raw, edits):
+    for section, name, value in edits:
+        node = raw if not section else raw["rules"][0] if section == "rules" else raw[section]
+        if value is _DROP:
+            del node[name]
+        else:
+            node[name] = value
+
+
+# Every document parse_config accepts either runs to a report (strict JSON:
+# no infinite constant) or is refused with a ConfigError before any output is
+# written; every document with a key out of range is refused, with that key
+# named; no other exception escapes.
+@example(variant="theorem-main", log10_L=-3.0, epsilon=0.25, c0_prime=100.0, sigma=0.05015,
+         edits=([], []))
+@example(variant="theorem-main", log10_L=-3.0, epsilon=0.25, c0_prime=100.0, sigma=1.0,
+         edits=([], []))
+@settings(max_examples=200, deadline=None)
 @given(
     variant=st.sampled_from(["theorem-main", "proposition-eps"]),
     log10_L=st.floats(-4.0, 3.0),
     epsilon=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
     c0_prime=st.floats(100.0, 1e6),
     sigma=st.floats(0.0, 10.0),
+    edits=_edits(),
 )
 def test_every_parsed_config_runs_or_raises_config_error(
-        variant, log10_L, epsilon, c0_prime, sigma):
+        variant, log10_L, epsilon, c0_prime, sigma, edits):
     with tempfile.TemporaryDirectory() as tmp:
         raw = _base_raw(Path(tmp), K=3, R=2,
                         checks=["descent", "decomposition", "ville", "coverage", "constants"])
         raw["noise"]["sigma"] = sigma
         raw["schedule"] = {"variant": variant, "L": 10.0**log10_L,
                            "epsilon": epsilon, "c0_prime": c0_prime}
+        changes, bad = edits
+        _apply(raw, changes)
         try:
             cfg = parse_config(raw)
-        except ConfigError:
+        except ConfigError as exc:
+            for section, name in bad:
+                assert any(f"{name} must" in p or repr(name) in p
+                           for p in exc.problems), (section, name, exc.problems)
             return
+        assert not bad, bad
         try:
             rep = run_experiment(cfg)
         except ConfigError:
             assert not (Path(tmp) / "out").exists()
             return
-        assert {c["name"] for c in rep.checks} <= {*raw["checks"], "divergence"}
+        names = {c["name"] for c in rep.checks}
+        assert names <= {*raw["checks"], "divergence"}
+        if "divergence" not in names:
+            # an enabled check leaves a record; only coverage may have no betas
+            assert set(raw["checks"]) - ({"coverage"} if not cfg.betas else set()) <= names
         json.loads((Path(tmp) / "out" / "report.json").read_text(),
                    parse_constant=_reject_non_finite)
+
+
+def test_readme_configuration_lists_every_grammar_key():
+    # one table row per key, with the value text the key's errors use
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Configuration"):]
+    section = section[:section.index("\n## ")]
+    tables = {"": harness.GRAMMAR[""], "objective.": harness.GRAMMAR["objective"],
+              **{f"{kind}.": keys for kind, keys in harness.OBJECTIVES.items()},
+              **{f"{name}.": harness.GRAMMAR[name] for name in ("noise", "schedule", "options")},
+              "rules[].": harness.GRAMMAR["rules"]}
+    for prefix, keys in tables.items():
+        for name, key in keys.items():
+            assert f"| `{prefix}{name}` | {key.must.removeprefix('be ')} |" in section, prefix + name

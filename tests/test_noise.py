@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stoplab.errors import CalibrationError
 from stoplab.noise import (NoiseKind, NoiseModel, calibrate,
-                           mgf_certificate_check, sample, variance_diagnostic)
+                           mgf_certificate_check, sample)
 
 
 def _rng(seed=0):
@@ -49,14 +49,6 @@ def test_chunked_draws_match_single_draws():
     r = _rng(9)
     singles = np.stack([sample(m, r) for _ in range(64)])
     assert np.array_equal(batch, singles)
-
-
-@pytest.mark.parametrize("kind", [NoiseKind.GAUSSIAN_ISOTROPIC, NoiseKind.BOUNDED_SPHERE])
-def test_variance_diagnostic(kind):
-    m = calibrate(kind, 4, 1.0)
-    rep = variance_diagnostic(m, 100_000, _rng(17))
-    assert rep["pass"]
-    assert rep["estimate"] <= 1.0 + rep["ci_halfwidth"]
 
 
 @pytest.mark.parametrize("kind,dim", [
