@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError
-from .harness import (CHECK_NAMES, GRAMMAR, build_schedule, load_config, parse_config,
+from .harness import (CHECK_NAMES, GRAMMAR, Key, build_schedule, load_config, parse_config,
                       run_experiment)
 from .lyapunov import envelope_constants
 
@@ -46,7 +46,8 @@ def _cmd_verify(args) -> int:
 def _cmd_constants(args) -> int:
     problems = [key.problem(flag, value) for flag, key, value in (
         ("--sigma", GRAMMAR["noise"]["sigma"], args.sigma),
-        ("--tol", GRAMMAR["options"]["gamma_tol"], args.tol)) if not key.accepts(value)]
+        ("--tol", GRAMMAR["options"]["gamma_tol"], args.tol),
+        ("--E0", Key("number", lo=0), args.E0)) if not key.accepts(value)]
     sched = build_schedule({"variant": args.schedule, "L": args.L, "epsilon": args.epsilon,
                             "c0_prime": args.c0_prime}, args.L, problems)
     if problems:

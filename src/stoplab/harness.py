@@ -33,6 +33,7 @@ from .martingale import (MartingaleTracker, alpha_for_bound,
 from .noise import NoiseKind, NoiseModel, calibrate
 from .objectives import (Objective, eval_objective, huberized_abs,
                          least_squares_random, quadratic)
+from .series import gamma2_range_problem
 from .sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds, energy,
                    energy_weight, eta_bound_margin, phi, sq_norm, stream_ensemble)
 from .stopping import RuleKind, RuleTracker, coverage_verdict
@@ -301,6 +302,12 @@ def parse_config(raw: dict) -> RunConfig:
     rules = tuple(_section(f"rules[{i}]", spec, GRAMMAR["rules"], build_rule, problems)
                   for i, spec in enumerate(top.get("rules", ())))
     options = _walk(GRAMMAR["options"], top.get("options", {}), "options", problems)
+    if sched and noise and "envelope_sigma" in options:
+        key, sigma = (("noise.sigma", noise.sigma_certificate) if options["envelope_sigma"] is None
+                      else ("options.envelope_sigma", options["envelope_sigma"]))
+        problem = gamma2_range_problem(sched, float(sigma))
+        if problem:
+            problems.append(f"{key}: {problem}")
 
     if problems:
         raise ConfigError(problems)

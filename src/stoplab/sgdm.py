@@ -54,6 +54,15 @@ class ScheduleVariant:
                 raise ValueError("c0_prime must be >= 100")
         if not self.log_power > 1.0:
             raise ValueError("log power 1 + epsilon rounds to 1: the weight series diverges")
+        # the gamma brackets (``series``) keep every a_k^m and C^-m, m <= 3, a
+        # normal float for a coefficient C = a_coefficient_scale in [2^-256, 2^256]
+        log2_c = 2.0 * math.log2(self.L)
+        if self.variant is Variant.PROPOSITION_EPS:
+            log2_c += math.log2(self.c0_prime)
+        if not abs(log2_c) <= 256.0:
+            what = (f"L^2 c0_prime (L = {self.L:g}, c0_prime = {self.c0_prime:g})"
+                    if self.variant is Variant.PROPOSITION_EPS else f"L^2 (L = {self.L:g})")
+            raise ValueError(f"a_k's coefficient {what} is 2^{log2_c:.6g}, outside [2^-256, 2^256]")
 
     @property
     def log_power(self) -> float:

@@ -6,8 +6,8 @@ vectorized series formulas, so a test can compare the two.  The residual
 form of least squares checks the lab's centered Gram form, and the
 per-index ``SeedSequence`` loop checks the vectorized seed derivation, and
 ``scipy.stats.beta.ppf`` checks the Clopper-Pearson ends.  The rest are
-exact references: the weight series to 50 digits (mpmath), zeta(s), and the
-weighted chi-square tail (Imhof inversion).  All are deliberately separate
+exact references: the weight series and binomial tails to 50 digits
+(mpmath), zeta(s), and the weighted chi-square tail (Imhof inversion).  All are deliberately separate
 code and are not used by the package.
 """
 
@@ -138,6 +138,29 @@ def clopper_pearson_beta_ppf(successes, n, confidence: float):
     lo = np.where(k == 0, 0.0, beta.ppf(alpha / 2.0, k, n - k + 1))
     hi = np.where(k == n, 1.0, beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
     return lo, hi
+
+
+def binomial_tail_mp(k: int, n: int, x: float, upper: bool, dps: int = 50):
+    """P(Bin(n, x) >= k) if ``upper`` else P(Bin(n, x) <= k), to dps digits (mpmath).
+
+    Sums the pmf from k outward, by the ratio of neighbouring terms, until a
+    term is below 10^-(dps+5) of the sum.  At a Clopper-Pearson end, k lies
+    beyond the mean on the summed side, so the terms fall from the start.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps + 10):
+        x = mp.mpf(x)
+        q = 1 - x
+        term = mp.binomial(n, k) * x**k * q**(n - k)
+        total, j, floor = mp.mpf(0), k, mp.mpf(10) ** (-dps - 5)
+        while 0 <= j <= n:
+            total += term
+            if term < floor * total:
+                break
+            term *= (n - j) / mp.mpf(j + 1) * x / q if upper else j / mp.mpf(n - j + 1) * q / x
+            j += 1 if upper else -1
+        return +total
 
 
 def eta_margin_one_shot(sched) -> float:

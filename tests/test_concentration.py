@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,7 @@ from stoplab.mcstats import clopper_pearson
 from stoplab.noise import NoiseKind, calibrate
 from stoplab.sgdm import ScheduleVariant, Variant, a_coeff
 
-from oracles import clopper_pearson_beta_ppf, weighted_square_tail_oracle
+from oracles import binomial_tail_mp, clopper_pearson_beta_ppf, weighted_square_tail_oracle
 
 GAUSS2 = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
 SPHERE3 = calibrate(NoiseKind.BOUNDED_SPHERE, 3, 1.0)
@@ -121,7 +122,7 @@ def test_clopper_pearson_basics():
 
 
 @pytest.mark.parametrize("confidence", [0.99, 0.95])
-def test_clopper_pearson_is_bitwise_the_beta_quantile(confidence):
+def test_clopper_pearson_brackets_the_beta_quantile(confidence):
     # every k for n <= 1001, then the edges and sampled k at large n
     ns = np.arange(1, 1002)
     n = np.repeat(ns, ns + 1)
@@ -132,9 +133,40 @@ def test_clopper_pearson_is_bitwise_the_beta_quantile(confidence):
                              rng.integers(0, big + 1, size=200)])
         n = np.concatenate([n, np.full(ks.size, big)])
         k = np.concatenate([k, ks])
-    lo, hi = clopper_pearson_beta_ppf(k, n, confidence)
-    got = np.array([clopper_pearson(s, m, confidence) for s, m in zip(k.tolist(), n.tolist())])
-    assert np.array_equal(got[:, 0], lo) and np.array_equal(got[:, 1], hi)
+    lo, hi = clopper_pearson(k, n, confidence)
+    assert np.all(lo[k == 0] == 0.0) and np.all(hi[k == n] == 1.0)
+    # within 1e-12 (relative) of scipy's quantile, the width clopper_pearson
+    # states; at n >= 1e4 scipy's own error reaches 1e-11
+    ref_lo, ref_hi = clopper_pearson_beta_ppf(k, n, confidence)
+    width = np.where(n <= 1001, 1e-12, 2e-11)
+    assert np.all(np.abs(lo - ref_lo) <= width * ref_lo)
+    assert np.all(np.abs(hi - ref_hi) <= width * ref_hi)
+    # outward of the 50-digit quantile and within 1e-12 of it: the binomial
+    # tail at each end is at most alpha/2, and beyond it 1e-12 further in
+    half = mpmath.mpf((1.0 - confidence) / 2.0)
+    sample = np.concatenate([rng.choice(np.flatnonzero(n <= 1001), 8, replace=False),
+                             rng.choice(np.flatnonzero(n > 1001), 8, replace=False),
+                             np.flatnonzero((n == 10**6) & np.isin(k, [1, 10**6 // 2, 10**6 - 1]))])
+    for i in sample:
+        kk, nn = int(k[i]), int(n[i])
+        if kk > 0:
+            assert binomial_tail_mp(kk, nn, lo[i], upper=True) <= half
+            assert binomial_tail_mp(kk, nn, lo[i] * (1.0 + 1e-12), upper=True) > half
+        if kk < nn:
+            assert binomial_tail_mp(kk, nn, hi[i], upper=False) <= half
+            assert binomial_tail_mp(kk, nn, hi[i] * (1.0 - 1e-12), upper=False) > half
+
+
+def test_clopper_pearson_is_vectorized_and_scalar_gives_floats():
+    lo, hi = clopper_pearson(np.array([[0, 3], [7, 10]]), 10)
+    assert lo.shape == hi.shape == (2, 2)
+    for kk, a, b in zip([0, 3, 7, 10], lo.ravel(), hi.ravel()):
+        assert clopper_pearson(kk, 10) == (a, b)
+        assert type(clopper_pearson(kk, 10)[0]) is float
+    with pytest.raises(ValueError):
+        clopper_pearson(11, 10)
+    with pytest.raises(ValueError):
+        clopper_pearson(1, 10, confidence=1.0)
 
 
 @pytest.mark.parametrize("dim", [2, 16])

@@ -110,6 +110,14 @@ _MALFORMED = {
     "x0-infinite": lambda raw: raw.update(x0=[float("inf"), -1.0]),
     # once passed through str()
     "output-dir-not-a-string": lambda raw: raw.update(output_dir=5),
+    # each once a bare OverflowError, ZeroDivisionError or ValueError from
+    # the envelope's float arithmetic, with exit 1 and a traceback
+    "schedule-L-huge": lambda raw: raw["schedule"].update(L=1e300),
+    "schedule-L-tiny": lambda raw: raw["schedule"].update(L=1e-300),
+    "diag-huge": lambda raw: raw["objective"].update(diag=[1.0, 1e300]),
+    "noise-sigma-huge": lambda raw: raw["noise"].update(sigma=1e150),
+    "noise-sigma-overflows": lambda raw: raw["noise"].update(sigma=1e300),
+    "envelope-sigma-overflows": lambda raw: raw["options"].update(envelope_sigma=1e300),
 }
 
 
@@ -396,7 +404,9 @@ def test_cli_constants_and_sweep(tmp_path, capsys):
     for args, problem in ((["--epsilon", "0.7"], "schedule: epsilon must"),
                           (["--L", "0"], "schedule: L must"),
                           (["--tol", "0.5"], "--tol must"),
-                          (["--sigma", "-1"], "--sigma must")):
+                          (["--sigma", "-1"], "--sigma must"),
+                          # once constants for a negative initial energy, exit 0
+                          (["--E0", "-1"], "--E0 must")):
         assert main(["constants", "proposition-eps", *args]) == 2
         captured = capsys.readouterr()
         assert problem in captured.err and captured.out == ""
@@ -419,17 +429,32 @@ def test_cli_usage_and_config_errors(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
 
 
-def test_cli_import_loads_no_scipy_stats_and_no_process_pool():
-    # a fresh interpreter: scipy.stats costs about 0.8 s of import, and the
-    # process pool is imported only when a run asks for workers
+def test_cli_import_loads_no_scipy_and_no_process_pool():
+    # a fresh interpreter: scipy is a test dependency only, and the process
+    # pool is imported only when a run asks for workers
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    code = ("import sys, stoplab.cli; print(' '.join(m for m in ('scipy.special', "
-            "'scipy.stats', 'multiprocessing', 'concurrent.futures.process') "
-            "if m in sys.modules))")
+    code = ("import sys, stoplab.cli; print(' '.join(m for m in sys.modules if m == 'scipy' "
+            "or m.startswith('scipy.') or m in ('multiprocessing', 'concurrent.futures.process')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["scipy.special"]
+    assert out.stdout.split() == []
+
+
+def test_cli_run_needs_no_scipy(tmp_path):
+    # scipy blocked: importing any scipy module raises ImportError
+    raw = _base_raw(tmp_path, K=20, R=8, checks=["coverage", "tail", "constants"],
+                    options={"tail_n_runs": 1000, "csv_trajectories": 1})
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import sys; sys.modules['scipy'] = None; from stoplab.cli import main; "
+            f"sys.exit(main(['run', {str(cfgpath)!r}]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert {c["name"] for c in report["checks"]} == {"coverage", "tail", "constants"}
 
 
 # L = 1e-3 is below the objective's smoothness (2) by a factor of 2000, so
