@@ -10,7 +10,7 @@ read as its (dim, n) transpose, a view, and every sum over dim is taken by
 ``dim_sum``, which adds the dim rows in sequence.  The stream hands in
 ``x_k.T``, the (R, dim) view of its C-ordered (dim, R) state, so its points
 are worked on in place, with no copy.  Batched reductions avoid BLAS matrix
-products: least squares sums G u over the columns of G = A^T A in sequence
+products: least squares adds G u over the columns of G = A^T A in sequence
 (G itself is formed once, with BLAS, at construction).  So a point's bits
 depend neither on its batch nor on the batch's memory layout, which keeps
 ensemble runs bitwise reproducible under any worker split.  The stream
@@ -195,15 +195,15 @@ def huberized_abs(dim: int, delta: float = 1.0, center=None) -> Objective:
 def _gram_times(obj: Objective, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(G u, u) for u = x - x*, both in the (dim, n) frame.
 
-    G u is accumulated over the columns of G in sequence (G is symmetric,
-    so its columns are its rows).
+    One unbuffered einsum, ``"ji,jr->ir"`` (G is exactly symmetric): j is
+    its outer loop, so every width and layout builds ((G[i,0] u[0] +
+    G[i,1] u[1]) + G[i,2] u[2]) + ..., a rounded multiply and add per term.
+    BLAS (``G @ u``, ``optimize=True``) blocks the columns and ``"ij,..."``
+    reorders the sum for some widths and layouts, each giving other bits.
+    ``tests/test_objectives.py`` pins the order against a column loop.
     """
-    G = obj.params["gram"]
     ut = _cols(x) - obj.minimizer[:, None]
-    gut = G[:, 0, None] * ut[0]
-    for j in range(1, obj.dim):
-        gut += G[:, j, None] * ut[j]
-    return gut, ut
+    return np.einsum("ji,jr->ir", obj.params["gram"], ut, optimize=False), ut
 
 
 def eval_objective(obj: Objective, x, g=None) -> np.ndarray:
@@ -215,8 +215,8 @@ def eval_objective(obj: Objective, x, g=None) -> np.ndarray:
     given, must be ``grad(obj, x)`` for this same x.  The quadratic and
     least squares then form f from it, as 1/2 <g, u> (plus f*), and skip
     their own D u or G u: bitwise the value computed without it, since
-    d * u * u is evaluated as (d * u) * u = g * u and G u is the same column
-    loop.  Huber cannot recover h(u) from its clipped gradient and ignores g.
+    d * u * u is evaluated as (d * u) * u = g * u and G u is the same
+    product.  Huber cannot recover h(u) from its clipped gradient and ignores g.
     """
     x = _check_dim(obj, x)
     if obj.kind is ObjectiveKind.QUADRATIC:

@@ -3,8 +3,9 @@
 stoplab computes every pathwise quantity online, one streamed step at a time.
 The functions here recompute the same quantities from whole stored paths with
 vectorized series formulas, so a test can compare the two.  The residual
-form of least squares checks the lab's centered Gram form, and the
-per-index ``SeedSequence`` loop checks the vectorized seed derivation, and
+form of least squares checks the lab's centered Gram form, the column loop
+pins the summation order of its G u product, the per-index
+``SeedSequence`` loop checks the vectorized seed derivation, and
 ``scipy.stats.beta.ppf`` checks the Clopper-Pearson ends.  The rest are
 exact references: the weight series and binomial tails to 50 digits
 (mpmath), zeta(s), and the weighted chi-square tail (Imhof inversion).  All are deliberately separate
@@ -118,6 +119,19 @@ def least_squares_residual_form(obj, x):
     A, b = obj.params["A"], obj.params["b"]
     r = np.asarray(x) @ A.T - b
     return 0.5 * np.sum(r * r, axis=-1), r @ A
+
+
+def gram_times_by_columns(G: np.ndarray, ut: np.ndarray) -> np.ndarray:
+    """G u for a (dim, n) block u, accumulated over the columns of G in sequence.
+
+    Each entry is ((G[i,0] u[0] + G[i,1] u[1]) + G[i,2] u[2]) + ..., one
+    rounded multiply and one rounded add per term: the order the lab's
+    least-squares product must reproduce bit for bit.
+    """
+    gut = G[:, 0, None] * ut[0]
+    for j in range(1, G.shape[1]):
+        gut += G[:, j, None] * ut[j]
+    return gut
 
 
 def seeds_by_seed_sequence(base_seed: int, n: int, start: int = 0) -> np.ndarray:

@@ -323,13 +323,15 @@ def test_worker_count_does_not_change_results(tmp_path):
     assert da["summary"] == db["summary"]
 
 
-def test_block_width_does_not_change_results(tmp_path, monkeypatch):
+@pytest.mark.parametrize("dim", [16, 64])
+def test_block_width_does_not_change_results(tmp_path, monkeypatch, dim):
     # numpy sums a (dim, 1) column pairwise but adds the rows of a wider
     # block one by one, and from d = 8 on the two orders differ in the last
     # bits.  R = 3 on 2 workers gives a block of width 1; so does a
     # single-trajectory stream.  Both must match the width-3 run bitwise.
-    dim = 16
-    objective = {"kind": "least-squares", "dim": dim, "m": 24, "seed": 5}
+    # d = 64 is the lsq-d64 benchmark's shape.
+    m = dim + 8
+    objective = {"kind": "least-squares", "dim": dim, "m": m, "seed": 5}
     raw = _base_raw(tmp_path, objective=objective, x0=[1.0] * dim, R=3, K=40,
                     rules=[{"kind": "first-envelope-violation"}],
                     checks=["descent", "decomposition", "ville", "coverage"],
@@ -347,7 +349,7 @@ def test_block_width_does_not_change_results(tmp_path, monkeypatch):
     assert docs["1"]["checks"] == docs["2"]["checks"]
     assert docs["1"]["summary"] == docs["2"]["summary"]
 
-    obj = least_squares_random(dim, 24, 5)
+    obj = least_squares_random(dim, m, 5)
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, dim, 1.0)
     sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
     seeds = derive_seeds(3, 3)

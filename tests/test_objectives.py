@@ -9,7 +9,7 @@ from stoplab.objectives import (eval_objective, grad, huberized_abs,
                                 least_squares, least_squares_random, quadratic,
                                 sample_ball, verify_regularity)
 
-from oracles import least_squares_residual_form
+from oracles import gram_times_by_columns, least_squares_residual_form
 
 
 def _objectives():
@@ -65,6 +65,40 @@ def test_least_squares_gram_form_matches_residual_form(dim, m, seed):
         np.abs(eval_objective(obj, xs) - obj.min_value - gap), 1e-12 * gap)
     np.testing.assert_array_less(
         np.linalg.norm(grad(obj, xs) - g, axis=1), 1e-12 * np.linalg.norm(g, axis=1))
+
+
+@functools.cache
+def _spread_least_squares(dim: int):
+    # columns scaled over 10^+-2.5, so G's entries spread over 10^+-5
+    rng = np.random.default_rng(dim)
+    A = rng.standard_normal((dim + 3, dim)) * 10.0 ** rng.uniform(-2.5, 2.5, dim)
+    return least_squares(A, rng.standard_normal(dim + 3))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 16, 64, 65, 257])
+def test_least_squares_gram_product_follows_the_column_order(dim):
+    # G u must be built in the oracle's order, one rounded multiply and add
+    # per column of G.  This test fails on a numpy build that fuses the
+    # multiply-add (an FMA baseline, aarch64 NEON) or reorders the
+    # contraction; the stream's bits, and their independence of the worker
+    # split, rest on that order.
+    obj = _spread_least_squares(dim)
+    G = obj.params["gram"]
+    rng = np.random.default_rng(dim + 1)
+    for R in (1, 2, 3, 128, 129, 1000):
+        rows = obj.minimizer + (rng.standard_normal((R, dim))
+                                * 10.0 ** rng.uniform(-5, 5, (R, dim)))
+        points = [rows, np.asfortranarray(rows)] + ([rows[0]] if R == 1 else [])
+        for x in points:
+            ut = np.atleast_2d(x).T - obj.minimizer[:, None]
+            gut = gram_times_by_columns(G, ut)
+            f = obj.min_value + 0.5 * np.add.accumulate(gut * ut, axis=0)[-1]
+            if x.ndim == 1:
+                gut, f = gut[:, 0], f[0]
+            g = grad(obj, x)
+            assert np.array_equal(g, gut.T), (R, x.ndim, x.flags.f_contiguous)
+            assert np.array_equal(eval_objective(obj, x), f), (R, x.ndim)
+            assert np.array_equal(eval_objective(obj, x, g), f), (R, x.ndim)
 
 
 def test_least_squares_grad_memory_is_one_batch():
