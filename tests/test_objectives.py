@@ -1,5 +1,6 @@
 import functools
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,11 +47,21 @@ def test_least_squares_minimizer_and_smoothness():
     # the centered Gram form vanishes exactly at the x* it is centered on
     assert not np.any(grad(obj, obj.minimizer))
     assert eval_objective(obj, obj.minimizer) == obj.min_value
-    # L matches the top eigenvalue of A^T A
-    top = np.linalg.eigvalsh(A.T @ A)[-1]
-    assert obj.smoothness == pytest.approx(top, rel=1e-8)
     assert obj.min_value == pytest.approx(
         0.5 * np.sum((A @ obj.minimizer - b) ** 2), rel=1e-12)
+    # L bounds the exact top eigenvalue of the floating-point G from above,
+    # by no more than its stated 16 d u allowance (plus eigvalsh's own error,
+    # at most as large, and the final ulp); m = d + 1 gives the worst-
+    # conditioned instances
+    for dim in (1, 2, 3, 5, 8, 16):
+        for m in (dim + 1, 2 * dim + 3):
+            for seed in range(20):
+                obj = least_squares_random(dim, m, seed)
+                with mpmath.workdps(50):
+                    top = max(mpmath.eigsy(mpmath.matrix(obj.params["gram"].tolist()),
+                                           eigvals_only=True))
+                    over = (mpmath.mpf(obj.smoothness) - top) / top
+                assert 0 <= over <= 2 * 16 * dim * 2.0**-53 + 2.0**-51, (dim, m, seed)
 
 
 @pytest.mark.parametrize("dim,m,seed", [(5, 12, 3), (16, 40, 7), (64, 96, 101)])
