@@ -10,7 +10,7 @@ read as its (dim, n) transpose, a view, and every sum over dim is taken by
 ``dim_sum``, which adds the dim rows in sequence.  The stream hands in
 ``x_k.T``, the (R, dim) view of its C-ordered (dim, R) state, so its points
 are worked on in place, with no copy.  Batched reductions avoid BLAS matrix
-products: least squares adds G u over the columns of G = A^T A in sequence
+products: least squares sums G u over the columns of G = A^T A in sequence
 (G itself is formed once, with BLAS, at construction).  So a point's bits
 depend neither on its batch nor on the batch's memory layout, which keeps
 ensemble runs bitwise reproducible under any worker split.  The stream

@@ -78,24 +78,19 @@ def test_least_squares_gram_form_matches_residual_form(dim, m, seed):
         np.linalg.norm(grad(obj, xs) - g, axis=1), 1e-12 * np.linalg.norm(g, axis=1))
 
 
-@functools.cache
-def _spread_least_squares(dim: int):
-    # columns scaled over 10^+-2.5, so G's entries spread over 10^+-5
-    rng = np.random.default_rng(dim)
-    A = rng.standard_normal((dim + 3, dim)) * 10.0 ** rng.uniform(-2.5, 2.5, dim)
-    return least_squares(A, rng.standard_normal(dim + 3))
-
-
 @pytest.mark.parametrize("dim", [1, 2, 5, 16, 64, 65, 257])
 def test_least_squares_gram_product_follows_the_column_order(dim):
     # G u must be built in the oracle's order, one rounded multiply and add
     # per column of G.  This test fails on a numpy build that fuses the
     # multiply-add (an FMA baseline, aarch64 NEON) or reorders the
     # contraction; the stream's bits, and their independence of the worker
-    # split, rest on that order.
-    obj = _spread_least_squares(dim)
+    # split, rest on that order.  Columns of A scaled over 10^+-2.5 spread
+    # G's entries over 10^+-5, and u's entries spread as far, so that any
+    # change of order shows in the rounding.
+    rng = np.random.default_rng(dim)
+    A = rng.standard_normal((dim + 3, dim)) * 10.0 ** rng.uniform(-2.5, 2.5, dim)
+    obj = least_squares(A, rng.standard_normal(dim + 3))
     G = obj.params["gram"]
-    rng = np.random.default_rng(dim + 1)
     for R in (1, 2, 3, 128, 129, 1000):
         rows = obj.minimizer + (rng.standard_normal((R, dim))
                                 * 10.0 ** rng.uniform(-5, 5, (R, dim)))
