@@ -17,7 +17,7 @@ exceedance frequencies (normal approximations fail when exp(-Omega) is small).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ import numpy as np
 from .mcstats import clopper_pearson
 from .noise import NoiseModel, sample
 from .objectives import dim_sum
+from .sgdm import spawn_seed
 
 __all__ = ["MgfCheckConfig", "mgf_check", "weighted_square_tail_check"]
 
@@ -32,26 +33,18 @@ _SAMPLE_CHUNK = 1 << 15
 _DRAW_BLOCK = 1 << 16
 
 
-def _chunk_rng(seed: int, chunk_index: int, tag: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, chunk_index))
-    return np.random.Generator(np.random.Philox(key=int(ss.generate_state(1, np.uint64)[0])))
-
-
 @dataclass
 class MgfCheckConfig:
     """Inputs for the scaled-MGF check along a fixed direction.
 
     ``phi_vector`` plays the conditionally deterministic direction; its norm
-    is the scale c.  ``c`` may be given explicitly to override ``||phi||``
-    (it must then still dominate |<theta, phi>| / ||theta||, which holds for
-    any c >= ||phi|| by Cauchy-Schwarz).
+    is the scale c.
     """
 
     lambda_grid: Sequence[float]
     n_samples: int
     noise: NoiseModel
     phi_vector: np.ndarray
-    c: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -60,10 +53,6 @@ class MgfCheckConfig:
             raise ValueError("phi_vector must have the noise model's dimension")
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
-        if self.c is None:
-            self.c = float(np.linalg.norm(self.phi_vector))
-        elif self.c < float(np.linalg.norm(self.phi_vector)):
-            raise ValueError("explicit c must be >= ||phi||")
 
 
 def mgf_check(cfg: MgfCheckConfig) -> list[dict]:
@@ -75,11 +64,12 @@ def mgf_check(cfg: MgfCheckConfig) -> list[dict]:
     skipped (the bound holds trivially).
     """
     sigma = cfg.noise.sigma_certificate
+    c = float(np.linalg.norm(cfg.phi_vector))
     lambdas = [float(l) for l in cfg.lambda_grid]
-    if cfg.c == 0.0 or sigma == 0.0:
+    if c == 0.0 or sigma == 0.0:
         return [
             {"lambda": lam, "estimate": 1.0, "rel_stderr": 0.0,
-             "bound": math.exp(0.75 * lam * lam), "skipped": cfg.c == 0.0, "pass": True}
+             "bound": math.exp(0.75 * lam * lam), "skipped": c == 0.0, "pass": True}
             for lam in lambdas
         ]
     # One pass over the noise stream serves every lambda.  A chunk is drawn
@@ -91,11 +81,11 @@ def mgf_check(cfg: MgfCheckConfig) -> list[dict]:
     per_block = max(1, _DRAW_BLOCK // cfg.noise.dim)
     for ci, lo in enumerate(range(0, n, _SAMPLE_CHUNK)):
         m = min(lo + _SAMPLE_CHUNK, n) - lo
-        rng = _chunk_rng(cfg.seed, ci, 0)
+        rng = np.random.Generator(np.random.Philox(key=spawn_seed(cfg.seed, 0, ci)))
         z = np.empty(m)
         for d0 in range(0, m, per_block):
             theta = sample(cfg.noise, rng, min(per_block, m - d0))
-            z[d0:d0 + len(theta)] = theta @ cfg.phi_vector / (cfg.c * sigma)
+            z[d0:d0 + len(theta)] = theta @ cfg.phi_vector / (c * sigma)
         for j, lam in enumerate(lambdas):
             w = np.exp(lam * z)
             sums[j] += float(np.sum(w))
@@ -155,7 +145,7 @@ def weighted_square_tail_check(
     per_block = max(1, _DRAW_BLOCK // noise.dim)
     for ci, lo in enumerate(range(0, n_runs, per_chunk)):
         m = min(lo + per_chunk, n_runs) - lo
-        rng = _chunk_rng(seed, ci, 1)
+        rng = np.random.Generator(np.random.Philox(key=spawn_seed(seed, 1, ci)))
         sq = [_sq_norms(sample(noise, rng, min(per_block, m * L - d0)))
               for d0 in range(0, m * L, per_block)]
         # a lone sub-block (d <= 2) is used as is: copying it slowed d = 2 by a third

@@ -34,8 +34,8 @@ from .noise import NoiseKind, NoiseModel, calibrate
 from .objectives import (Objective, eval_objective, huberized_abs,
                          least_squares_random, quadratic)
 from .series import gamma2_range_problem
-from .sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds, energy,
-                   energy_weight, eta_bound_margin, phi, sq_norm, stream_ensemble)
+from .sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds, energy, energy_weight,
+                   eta_bound_margin, phi, spawn_seed, sq_norm, stream_ensemble)
 from .stopping import RuleKind, RuleTracker, coverage_verdict
 
 __all__ = ["GRAMMAR", "OBJECTIVES", "RunConfig", "Report", "build_schedule", "load_config",
@@ -342,25 +342,32 @@ def _envelope(cfg: RunConfig) -> EnvelopeParams:
 
 
 def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
-    """Stream trajectories lo..hi-1 and reduce all per-trajectory statistics.
+    """Stream trajectories lo..hi-1 and reduce the per-trajectory statistics.
 
     Top-level so process pools can pickle it; the run's config and envelope
-    are plain values, computed once by ``run_experiment``.
+    are plain values, computed once by ``run_experiment``.  The step residuals
+    and their minima ("mins") are computed only for the descent and
+    decomposition checks, and the martingale tracker runs only for ville; the
+    trajectory CSVs read both (their residual_* and S, M columns).  The
+    envelope flags and rule trackers always run; with no betas and no rules
+    they do nothing.
     """
     obj, sched, K = cfg.objective, cfg.sched, cfg.K
     n = hi - lo
     seeds = derive_seeds(cfg.base_seed, hi - lo, start=lo)
-    t = env.B / env.gamma2
     ks = np.arange(0, K + 1)
     rule_betas = {r[3] for r in cfg.rules if r[3] is not None}
     U = {b: np.concatenate([[np.inf], envelope_U(env, b, ks[1:])])
          for b in set(cfg.betas) | rule_betas}
 
+    n_csv = int(cfg.options["csv_trajectories"])
+    residuals = n_csv > 0 or "descent" in cfg.checks or "decomposition" in cfg.checks
+    martingale = n_csv > 0 or "ville" in cfg.checks
     mins = {name: np.full(n, np.inf) for name in (
         "descent", "descent_margin", "decomp", "decomp_margin",
         "decomp_mid", "decomp_mid_margin", "p1_margin", "sandwich_margin",
-    )}
-    tracker = MartingaleTracker(env.sigma, env.gamma2, t)
+    )} if residuals else None
+    tracker = MartingaleTracker(env.sigma, env.gamma2, env.B / env.gamma2) if martingale else None
     all_within = {b: np.ones(n, dtype=bool) for b in cfg.betas}
     adversarial = {b: RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, K, U=U[b])
                    for b in cfg.betas}
@@ -370,26 +377,25 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
     rules = [RuleTracker(kind, k_max, epsilon, U.get(first_beta if rbeta is None else rbeta))
              for kind, epsilon, k_max, rbeta in cfg.rules]
 
-    n_csv = int(cfg.options["csv_trajectories"])
     traced = [i for i in range(lo, hi) if i < n_csv]
     rows = {i: [] for i in traced}
 
     for rec in stream_ensemble(obj, cfg.noise, sched, K, seeds, cfg.x0):
         k = rec.k
-        res = step_residuals(rec, obj)
-        tol = res["tol"]
-        np.minimum(mins["descent"], res["descent"], out=mins["descent"])
-        np.minimum(mins["descent_margin"], res["descent"] + tol, out=mins["descent_margin"])
-        np.minimum(mins["decomp"], res["decomp"], out=mins["decomp"])
-        np.minimum(mins["decomp_margin"], res["decomp"] + tol, out=mins["decomp_margin"])
-        np.minimum(mins["decomp_mid"], res["decomp_mid"], out=mins["decomp_mid"])
-        np.minimum(mins["decomp_mid_margin"], res["decomp_mid"] + tol, out=mins["decomp_mid_margin"])
-        p1 = rec.E_prev - res["phi_sq"] + tol
-        if k == K:
-            p1 = np.minimum(p1, rec.E - res["phi_next_sq"] + tol)
-        np.minimum(mins["p1_margin"], p1, out=mins["p1_margin"])
-        np.minimum(mins["sandwich_margin"], res["sandwich_margin"], out=mins["sandwich_margin"])
-        tracker.update(rec)
+        if residuals:
+            res = step_residuals(rec, obj)
+            tol = res["tol"]
+            for name in ("descent", "decomp", "decomp_mid"):
+                np.minimum(mins[name], res[name], out=mins[name])
+                np.minimum(mins[name + "_margin"], res[name] + tol, out=mins[name + "_margin"])
+            p1 = rec.E_prev - res["phi_sq"] + tol
+            if k == K:
+                p1 = np.minimum(p1, rec.E - res["phi_next_sq"] + tol)
+            np.minimum(mins["p1_margin"], p1, out=mins["p1_margin"])
+            np.minimum(mins["sandwich_margin"], res["sandwich_margin"],
+                       out=mins["sandwich_margin"])
+        if martingale:
+            tracker.update(rec)
         for b in cfg.betas:
             all_within[b] &= ~(rec.fgap_curr > U[b][k])
         for rule in [*adversarial.values(), *rules]:
@@ -404,40 +410,42 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
                 float(tracker.S_last[r]), float(rec.E[r] - tracker.S_last[r]),
                 float(res["descent"][r]), float(res["decomp"][r]),
             ))
-    tracker.finish(rec)
 
     # per beta: the all-k statement, the adversarial rule, then each configured rule
-    covered = {b: [all_within[b], adversarial[b].within(U[b])]
-               + [rule.within(U[b]) for rule in rules] for b in cfg.betas}
-    return {
-        "mins": mins,
-        "sup_logN": tracker.sup_logN, "sup_E": tracker.sup_E,
-        "E0": tracker.E0, "S_last": tracker.S_last,
-        "covered": covered, "rows": rows,
-    }
+    out = {"covered": {b: [all_within[b], adversarial[b].within(U[b])]
+                       + [rule.within(U[b]) for rule in rules] for b in cfg.betas},
+           "rows": rows}
+    if residuals:
+        out["mins"] = mins
+    if martingale:
+        tracker.finish(rec)
+        out.update(sup_logN=tracker.sup_logN, sup_E=tracker.sup_E, S_last=tracker.S_last)
+    return out
+
+
+def _concat(parts: list):
+    """The blocks' arrays joined in block order, through nested dicts and lists."""
+    if isinstance(parts[0], dict):
+        return {key: _concat([p[key] for p in parts]) for key in parts[0]}
+    if isinstance(parts[0], list):
+        return [_concat(list(column)) for column in zip(*parts)]
+    return np.concatenate(parts)
 
 
 def _merge_blocks(blocks: list) -> dict:
-    out = {}
-    first = blocks[0]
-    out["mins"] = {k: np.concatenate([b["mins"][k] for b in blocks]) for k in first["mins"]}
-    for key in ("sup_logN", "sup_E", "E0", "S_last"):
-        out[key] = np.concatenate([b[key] for b in blocks])
-    out["covered"] = {
-        beta: [np.concatenate([b["covered"][beta][j] for b in blocks])
-               for j in range(len(entries))]
-        for beta, entries in first["covered"].items()
-    }
-    out["rows"] = {}
-    for b in blocks:
-        out["rows"].update(b["rows"])
+    """One block result for the whole run; each block's trajectory rows are kept as they are."""
+    out = _concat([{key: v for key, v in b.items() if key != "rows"} for b in blocks])
+    out["rows"] = {i: rows for b in blocks for i, rows in b["rows"].items()}
     return out
 
 
 def _ensemble_stats(cfg: RunConfig, env: EnvelopeParams) -> dict:
-    workers = int(os.environ.get("STOPLAB_WORKERS", "1"))
+    text = os.environ.get("STOPLAB_WORKERS", "1")
+    workers = int(text) if text.isdecimal() else 0
+    if workers < 1:
+        raise ConfigError([Key("integer", lo=1).problem("STOPLAB_WORKERS", text)])
     R = cfg.R
-    if workers <= 1 or R == 1:
+    if workers == 1 or R == 1:
         return _merge_blocks([_run_block(cfg, env, 0, R)])
     from concurrent.futures import ProcessPoolExecutor  # only a multi-worker run pays this import
 
@@ -464,11 +472,6 @@ def _check_record(name, params, estimate, ci, bound, passed, **extra):
     return rec
 
 
-def _supermartingale_seed(base_seed: int) -> int:
-    ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(1 << 20,))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def run_experiment(cfg: RunConfig) -> Report:
     """Run the configured ensemble, execute enabled checks, write artifacts.
 
@@ -476,12 +479,10 @@ def run_experiment(cfg: RunConfig) -> Report:
     are reported, not gated: E(k) = ||phi_{k+1}||^2 + w_k (f(x_k) - f*), so
     they reduce to w_k (f(x_k) - f*) >= -tol and ||phi_{k+1}||^2 >= 0.
     """
-    env = _envelope(cfg)  # may raise ConfigError; nothing is written before it
+    env = _envelope(cfg)  # may raise ConfigError, as may the ensemble; neither writes
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     t = env.B / env.gamma2
     checks = []
-    summary = {}
 
     try:
         stats = _ensemble_stats(cfg, env)
@@ -490,13 +491,15 @@ def run_experiment(cfg: RunConfig) -> Report:
                                     None, None, False))
         report = Report(config=cfg.raw, checks=checks, summary={}, passed=False,
                         output_dir=str(outdir))
+        outdir.mkdir(parents=True, exist_ok=True)
         _write_report(report, outdir)
         return report
+    outdir.mkdir(parents=True, exist_ok=True)
 
-    E0 = float(stats["E0"][0])
-    summary["E0"] = E0
-    summary["sup_E_max"] = float(np.max(stats["sup_E"]))
-    summary["S_final_max"] = float(np.max(stats["S_last"]))
+    summary = {"E0": env.E0}
+    if "sup_E" in stats:
+        summary["sup_E_max"] = float(np.max(stats["sup_E"]))
+        summary["S_final_max"] = float(np.max(stats["S_last"]))
     summary["t"] = t
 
     if "descent" in cfg.checks:
@@ -521,7 +524,7 @@ def run_experiment(cfg: RunConfig) -> Report:
             sandwich_margin_min=float(np.min(m["sandwich_margin"])),
         ))
     if "supermartingale" in cfg.checks:
-        seed = _supermartingale_seed(cfg.base_seed)
+        seed = spawn_seed(cfg.base_seed, 1 << 20)
         for k in cfg.options["supermartingale_ks"]:
             r = check_supermartingale(
                 cfg.objective, cfg.noise, cfg.sched, cfg.x0, seed, int(k), t,
@@ -535,8 +538,8 @@ def run_experiment(cfg: RunConfig) -> Report:
             ))
     if "ville" in cfg.checks:
         target = float(cfg.options["ville_bound"])
-        alpha = alpha_for_bound(target, t, env.gamma2, E0)
-        vm = ville_monitor(stats["sup_logN"], t, alpha, env.gamma2, E0)
+        alpha = alpha_for_bound(target, t, env.gamma2, env.E0)
+        vm = ville_monitor(stats["sup_logN"], t, alpha, env.gamma2, env.E0)
         checks.append(_check_record(
             "ville", {"alpha": alpha, "t": t, "R": cfg.R},
             vm["empirical_rate"], vm["ci_halfwidth"], vm["bound"], vm["pass"],

@@ -20,7 +20,8 @@ import numpy as np
 from .mcstats import bootstrap_upper_quantile
 from .noise import NoiseModel, sample
 from .objectives import Objective, grad
-from .sgdm import ScheduleVariant, _step_arrays, energy, phi, sq_norm, stream_ensemble
+from .sgdm import (ScheduleVariant, _step_arrays, energy, phi, spawn_seed, sq_norm,
+                   stream_ensemble)
 
 __all__ = [
     "log_N", "check_supermartingale", "ville_monitor",
@@ -55,8 +56,7 @@ def _branch_thetas(noise: NoiseModel, prefix_seed: int, k: int, n: int) -> np.nd
     out = np.empty((noise.dim, n))
     for ci, lo in enumerate(range(0, n, _BRANCH_CHUNK)):
         hi = min(lo + _BRANCH_CHUNK, n)
-        ss = np.random.SeedSequence(entropy=prefix_seed, spawn_key=(k, ci))
-        rng = np.random.Generator(np.random.Philox(key=int(ss.generate_state(1, np.uint64)[0])))
+        rng = np.random.Generator(np.random.Philox(key=spawn_seed(prefix_seed, k, ci)))
         out[:, lo:hi] = sample(noise, rng, hi - lo).T
     return out
 
@@ -161,8 +161,8 @@ class MartingaleTracker:
     """Online per-trajectory martingale statistics over a streamed ensemble.
 
     Feed ``update`` with each StepRecord and ``finish`` with the last one;
-    afterwards ``sup_logN``, ``sup_E``, ``S_last`` and ``E0`` hold arrays over
-    the ensemble.  Before the first update S, W and the prefix product hold
+    afterwards ``sup_logN``, ``sup_E`` and ``S_last`` hold arrays over the
+    ensemble.  Before the first update S, W and the prefix product hold
     their k = 0 values 0, 0 and 1.
     """
 
@@ -171,7 +171,6 @@ class MartingaleTracker:
     t: float
     sup_logN: np.ndarray | None = None
     sup_E: np.ndarray | None = None
-    E0: np.ndarray | None = None
     S_last: np.ndarray | float = 0.0
     _W: np.ndarray | float = field(default=0.0, repr=False)
     _prefix_prod: float = field(default=1.0, repr=False)
@@ -182,7 +181,6 @@ class MartingaleTracker:
 
     def update(self, rec):
         if self.sup_logN is None:
-            self.E0 = rec.E_prev.copy()
             self.sup_E = rec.E_prev.copy()
             self.sup_logN = self._logN(rec.E_prev)
         else:

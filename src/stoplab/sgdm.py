@@ -189,6 +189,12 @@ def derive_seeds(base_seed: int, n: int, start: int = 0) -> np.ndarray:
     return out
 
 
+def spawn_seed(seed: int, *spawn_key: int) -> int:
+    """The Philox key of stream ``spawn_key`` under ``seed``; ``derive_seeds`` gives keys (i,)."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 def _trajectory_generators(seeds: Sequence[int]):
     return [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
 

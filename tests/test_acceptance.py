@@ -1,35 +1,35 @@
 """End-to-end verification suite.
 
 One test per numbered criterion, each printing a single PASS/FAIL line.
-Heavy ensembles are shared through module-scoped fixtures: the 3x3
-noise-by-objective grid backs the pathwise criteria, and one long coverage
-ensemble backs the envelope and stopping-time criteria.
+The ensemble criteria run the harness itself, from ``parse_config``
+documents: 01-03, 09, 10 and 12 read the per-trajectory minima and coverage
+flags of ``harness._ensemble_stats``, and 06 reads ``run_experiment``'s ville
+record.  Each document enables only the checks its criterion reads, so a
+block computes the step residuals only for descent and decomposition, runs
+the martingale tracker only for ville, and, with ``csv_trajectories: 0``,
+writes no trajectory rows.  Heavy ensembles are shared through module-scoped
+fixtures: the 3x3 noise-by-objective grid backs the pathwise criteria, and
+one long coverage ensemble backs the envelope and stopping-time criteria.
 """
 
-import csv
-import json
 import math
 import os
 
 import numpy as np
 import pytest
 
+from stoplab import harness
 from stoplab.concentration import (MgfCheckConfig, mgf_check,
                                    weighted_square_tail_check)
 from stoplab.harness import parse_config, run_experiment
-from stoplab.lyapunov import envelope_constants, envelope_U, step_residuals
-from stoplab.martingale import (MartingaleTracker, alpha_for_bound,
-                                check_supermartingale)
+from stoplab.lyapunov import envelope_constants, envelope_U
+from stoplab.martingale import check_supermartingale
 from stoplab.mcstats import clopper_pearson
 from stoplab.noise import NoiseKind, calibrate
-from stoplab.objectives import (eval_objective, huberized_abs,
-                                least_squares_random, quadratic)
+from stoplab.objectives import least_squares_random
 from stoplab.series import gamma1, gamma2
-from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
-                          energy, energy_weight, eta, phi, sq_norm,
-                          stream_ensemble)
-from stoplab.stopping import (PathTree, RuleKind, RuleTracker,
-                              baseline_envelope, tree_min_coverage)
+from stoplab.sgdm import ScheduleVariant, Variant, a_coeff, eta
+from stoplab.stopping import PathTree, baseline_envelope, tree_min_coverage
 
 from oracles import riemann_zeta
 
@@ -44,74 +44,63 @@ def _announce(num: int, name: str, ok: bool, detail: str = ""):
     print(f"\n[{status}] criterion {num:02d} {name}{suffix}")
 
 
-def _grid_objectives():
+def _doc(objective, noise, x0, **over) -> dict:
+    """A run document with no betas, rules or trajectory CSVs unless ``over`` sets them."""
+    raw = {"objective": objective, "noise": noise, "schedule": {"variant": "theorem-main"},
+           "x0": [float(v) for v in x0], "betas": [], "rules": [],
+           "options": {"csv_trajectories": 0}}
+    raw.update(over)
+    return raw
+
+
+def _grid_configs() -> dict:
+    """The 3x3 objective-by-noise grid at R=100, K=10^4, base seed 101."""
     ls = least_squares_random(5, 8, 0)
-    return [
-        ("quadratic-d1", quadratic(np.array([1.0])), np.array([2.0])),
-        ("least-squares-d5", ls,
+    objectives = [
+        ("quadratic-d1", {"kind": "quadratic", "diag": [1.0]}, [2.0]),
+        ("least-squares-d5", {"kind": "least-squares", "dim": 5, "m": 8, "seed": 0},
          ls.minimizer + np.array([1.0, -0.5, 0.25, 0.75, -1.0])),
-        ("huberized-d3", huberized_abs(3, delta=0.5),
-         np.array([1.5, -1.0, 0.5])),
+        ("huberized-d3", {"kind": "huberized-abs", "dim": 3, "delta": 0.5}, [1.5, -1.0, 0.5]),
     ]
+    noises = [("zero", {"kind": "none", "sigma": 0.0}),
+              ("gaussian", {"kind": "gaussian-isotropic", "sigma": 1.0}),
+              ("sphere", {"kind": "bounded-sphere", "sigma": 1.0})]
+    return {(oname, nname): parse_config(_doc(
+                objective, noise, x0, K=K_GRID, R=R_GRID, base_seed=101,
+                checks=["descent", "decomposition"]))
+            for oname, objective, x0 in objectives for nname, noise in noises}
 
 
-def _grid_noises(dim: int):
-    return [
-        ("zero", calibrate(NoiseKind.NONE, dim, 0.0)),
-        ("gaussian", calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, dim, 1.0)),
-        ("sphere", calibrate(NoiseKind.BOUNDED_SPHERE, dim, 1.0)),
-    ]
-
-
-def _initial_energy(obj, sched, x0):
-    fgap0 = float(eval_objective(obj, x0)) - obj.min_value
-    return float(energy(sq_norm(phi(1, x0, x0, obj.minimizer)), fgap0, energy_weight(sched, 0)))
+def _stats(cfg) -> dict:
+    return harness._ensemble_stats(cfg, harness._envelope(cfg))
 
 
 @pytest.fixture(scope="module")
 def grid_mins():
-    """Worst per-step margins over the 3x3 grid at R=100, K=10^4."""
-    out = {}
-    for oname, obj, x0 in _grid_objectives():
-        sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
-        for nname, noise in _grid_noises(obj.dim):
-            seeds = derive_seeds(101, R_GRID)
-            mins = {"descent": np.inf, "decomp": np.inf, "decomp_mid": np.inf,
-                    "p1": np.inf, "sandwich": np.inf}
-            for rec in stream_ensemble(obj, noise, sched, K_GRID, seeds, x0):
-                r = step_residuals(rec, obj)
-                tol = r["tol"]
-                mins["descent"] = min(mins["descent"],
-                                      float(np.min(r["descent"] + tol)))
-                mins["decomp"] = min(mins["decomp"],
-                                     float(np.min(r["decomp"] + tol)))
-                mins["decomp_mid"] = min(mins["decomp_mid"],
-                                         float(np.min(r["decomp_mid"] + tol)))
-                mins["p1"] = min(mins["p1"],
-                                 float(np.min(rec.E + tol - r["phi_next_sq"])))
-                mins["sandwich"] = min(mins["sandwich"],
-                                       float(np.min(r["sandwich_margin"] + tol)))
-            out[(oname, nname)] = mins
-    return out
+    """The harness's per-trajectory worst margins over the 3x3 grid."""
+    return {key: _stats(cfg)["mins"] for key, cfg in _grid_configs().items()}
+
+
+def _worst(grid_mins, name: str) -> float:
+    return min(float(np.min(m[name])) for m in grid_mins.values())
 
 
 def test_criterion_01_pathwise_energy_decay(grid_mins):
-    worst = min(m["descent"] for m in grid_mins.values())
+    worst = _worst(grid_mins, "descent_margin")
     ok = worst >= 0.0
     _announce(1, "pathwise-energy-decay", ok, f"worst margin {worst:.3e}")
     assert ok, f"energy-decay residual below tolerance: {worst}"
 
 
 def test_criterion_02_noise_only_decomposition(grid_mins):
-    worst = min(m["decomp"] for m in grid_mins.values())
-    worst_mid = min(m["decomp_mid"] for m in grid_mins.values())
+    worst = _worst(grid_mins, "decomp_margin")
+    worst_mid = _worst(grid_mins, "decomp_mid_margin")
     # the step size condition eta_k <= k / (16 L^2) for k = 1..10^6
     ks = np.arange(1, 1_000_001, dtype=float)
     step_ok = True
-    for _, obj, _ in _grid_objectives():
-        sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
+    for sched in {cfg.sched for cfg in _grid_configs().values()}:
         lhs = np.asarray(eta(sched, ks))
-        step_ok &= bool(np.all(lhs <= ks / (16.0 * obj.smoothness**2)))
+        step_ok &= bool(np.all(lhs <= ks / (16.0 * sched.L**2)))
     ok = worst >= 0.0 and worst_mid >= 0.0 and step_ok
     _announce(2, "noise-only-decomposition", ok,
               f"worst final {worst:.3e}, worst intermediate {worst_mid:.3e}")
@@ -120,8 +109,8 @@ def test_criterion_02_noise_only_decomposition(grid_mins):
 
 
 def test_criterion_03_momentum_vector_sandwich(grid_mins):
-    worst_p1 = min(m["p1"] for m in grid_mins.values())
-    worst_sw = min(m["sandwich"] for m in grid_mins.values())
+    worst_p1 = _worst(grid_mins, "p1_margin")
+    worst_sw = _worst(grid_mins, "sandwich_margin")
     ok = worst_p1 >= 0.0 and worst_sw >= 0.0
     _announce(3, "momentum-vector-sandwich", ok,
               f"worst ||phi||^2 margin {worst_p1:.3e}, "
@@ -179,22 +168,20 @@ def test_criterion_04_weight_series_oracle():
 def test_criterion_05_conditional_drift():
     results = []
     deterministic_ok = True
-    for oname, obj, x0 in _grid_objectives():
-        sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
-        for nname, noise in _grid_noises(obj.dim):
-            sigma = noise.sigma_certificate
+    for (oname, nname), cfg in _grid_configs().items():
+        sigma = cfg.noise.sigma_certificate
+        if sigma == 0.0:
+            g2u = 1.0
+        else:
+            v, w = gamma2(cfg.sched, sigma, 1e-6)
+            g2u = v + w
+        t = 1.0 / g2u
+        for k in (1, 2, 5, 10, 50):
+            r = check_supermartingale(cfg.objective, cfg.noise, cfg.sched, cfg.x0, 77, k, t,
+                                      100_000, gamma2_value=g2u)
+            results.append(((oname, nname, k), r))
             if sigma == 0.0:
-                g2u = 1.0
-            else:
-                v, w = gamma2(sched, sigma, 1e-6)
-                g2u = v + w
-            t = 1.0 / g2u
-            for k in (1, 2, 5, 10, 50):
-                r = check_supermartingale(obj, noise, sched, x0, 77, k, t,
-                                          100_000, gamma2_value=g2u)
-                results.append(((oname, nname, k), r))
-                if sigma == 0.0:
-                    deterministic_ok &= r["ci_halfwidth"] <= 1e-15
+                deterministic_ok &= r["ci_halfwidth"] <= 1e-15
     ok = all(r["pass"] for _, r in results) and deterministic_ok
     worst = max(r["estimate"] - 3.0 * r["ci_halfwidth"] for _, r in results)
     _announce(5, "conditional-drift", ok,
@@ -203,25 +190,21 @@ def test_criterion_05_conditional_drift():
     assert ok, f"drift estimate above noise floor for {bad}"
 
 
-def test_criterion_06_anytime_exceedance():
-    obj = quadratic(np.array([1.0, 2.0]))
-    noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
-    sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
-    x0 = np.array([2.0, -1.0])
-    sigma = 1.0
-    v, w = gamma2(sched, sigma, 1e-6)
-    g2u = v + w
-    t = 1.0 / g2u
-    R, K = 10_000, 1000
-    tracker = MartingaleTracker(sigma, g2u, t)
-    for rec in stream_ensemble(obj, noise, sched, K, derive_seeds(303, R), x0):
-        tracker.update(rec)
-    tracker.finish(rec)
-    E0 = float(tracker.E0[0])
-    alpha = alpha_for_bound(0.1, t, g2u, E0)
-    rate = float(np.mean(tracker.sup_logN >= alpha * t))
-    limit = 0.1 + 1.3 / math.sqrt(R)
-    ok = rate <= limit
+def _quadratic_doc(schedule: dict, **over) -> dict:
+    """The d = 2 quadratic with Gaussian noise, sigma = 1, from x0 = (2, -1)."""
+    return _doc({"kind": "quadratic", "diag": [1.0, 2.0]},
+                {"kind": "gaussian-isotropic", "sigma": 1.0}, [2.0, -1.0],
+                schedule=schedule, **over)
+
+
+def test_criterion_06_anytime_exceedance(tmp_path):
+    # Ville's bound at 0.1, t = 1 / gamma2 and a slack of 1.3 / sqrt(R)
+    cfg = parse_config(_quadratic_doc({"variant": "theorem-main"}, R=10_000, K=1000,
+                                      base_seed=303, checks=["ville"],
+                                      output_dir=str(tmp_path)))
+    (ville,) = run_experiment(cfg).checks
+    rate, limit = ville["estimate"], ville["bound"] + ville["ci"]
+    ok = ville["pass"]
     _announce(6, "anytime-exceedance", ok,
               f"rate {rate:.4f} vs bound-with-slack {limit:.4f}")
     assert ok, (rate, limit)
@@ -260,46 +243,22 @@ def test_criterion_08_weighted_square_tail():
     assert ok, reports
 
 
-def _stream_coverage(obj, noise, sched, x0, seeds, K, U_by_beta):
-    """One streamed pass recording envelope hits and first violations.
+def _coverage_config(schedule: dict, rules=()):
+    """The coverage run at R=1000, K=10^5, base seed 2024.
 
-    ``U_by_beta`` holds envelope values for k = 1..K; the first-violation
-    rule at k_max = K is the adversarial stopping time.
+    Its ``_stats(cfg)["covered"][beta]`` holds the flags of the all-k
+    statement, of the adversarial rule, then of each rule.
     """
-    R = len(seeds)
-    state = {
-        b: {"within": np.ones(R, dtype=bool),
-            "rule": RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, K,
-                                U=np.concatenate([[np.inf], U]))}
-        for b, U in U_by_beta.items()
-    }
-    fgap_k1 = None
-    for rec in stream_ensemble(obj, noise, sched, K, seeds, x0):
-        k = rec.k
-        if k == 1:
-            fgap_k1 = rec.fgap_curr.copy()
-        for b, U in U_by_beta.items():
-            st = state[b]
-            st["within"] &= ~(rec.fgap_curr > U[k - 1])
-            st["rule"].update(rec)
-    for st in state.values():
-        st["tau"], st["fgap_tau"] = st["rule"].tau, st["rule"].fgap
-    return state, fgap_k1, rec.fgap_curr.copy()
+    return parse_config(_quadratic_doc(schedule, R=R_COV, K=K_COV, base_seed=2024,
+                                       betas=list(BETAS), rules=list(rules),
+                                       checks=["coverage"]))
 
 
 @pytest.fixture(scope="module")
 def theorem_cov():
-    obj = quadratic(np.array([1.0, 2.0]))
-    noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
-    sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
-    x0 = np.array([2.0, -1.0])
-    env = envelope_constants(sched, 1.0, _initial_energy(obj, sched, x0))
-    ks = np.arange(1, K_COV + 1)
-    U = {b: np.asarray(envelope_U(env, b, ks)) for b in BETAS}
-    state, fgap_k1, last = _stream_coverage(
-        obj, noise, sched, x0, derive_seeds(2024, R_COV), K_COV, U)
-    return {"obj": obj, "sched": sched, "env": env, "U": U, "state": state,
-            "fgap_k1": fgap_k1, "last": last}
+    return _stats(_coverage_config({"variant": "theorem-main"}, rules=[
+        {"kind": "iterate-delta", "epsilon": 1e-3},
+        {"kind": "value-delta", "epsilon": 1e-4}]))["covered"]
 
 
 @pytest.mark.slow
@@ -307,7 +266,7 @@ def test_criterion_09_envelope_coverage(theorem_cov):
     ok = True
     details = []
     for b in BETAS:
-        hits = int(np.sum(theorem_cov["state"][b]["within"]))
+        hits = int(np.sum(theorem_cov[b][0]))
         lo, _ = clopper_pearson(hits, R_COV)
         ok &= (hits == R_COV) or (lo >= 1.0 - 2.0 * b)
         details.append(f"beta={b}: {hits}/{R_COV}, 99% lower {lo:.4f}")
@@ -320,14 +279,12 @@ def test_criterion_10_stopping_time_transfer(theorem_cov):
     ok = True
     details = []
     for b in BETAS:
-        st = theorem_cov["state"][b]
-        U = theorem_cov["U"][b]
-        stopped_within = st["fgap_tau"] <= U[st["tau"] - 1]
-        identity = bool(np.array_equal(stopped_within, st["within"]))
+        within, stopped_within, *rules = theorem_cov[b]
+        identity = bool(np.array_equal(stopped_within, within))
         adv_cov = float(np.mean(stopped_within))
-        # both step-delta rules fire at k = 1 (the start is repeated), so
+        # both step-delta rules stop at k = 1 (the start is repeated), so
         # their stopped value gap is the deterministic first-step gap
-        rule_cov = float(np.mean(theorem_cov["fgap_k1"] <= U[0]))
+        rule_cov = min(float(np.mean(r)) for r in rules)
         ok &= identity and rule_cov >= adv_cov
         details.append(f"beta={b}: identity {identity}, "
                        f"rules {rule_cov:.3f} >= adversarial {adv_cov:.3f}")
@@ -353,25 +310,18 @@ def test_criterion_11_toy_tree_equivalence(m):
 @pytest.mark.slow
 @pytest.mark.parametrize("eps", [0.1, 0.3, 0.49])
 def test_criterion_12_eps_schedule_variant(eps):
-    obj = quadratic(np.array([1.0, 2.0]))
-    noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
-    sched = ScheduleVariant(Variant.PROPOSITION_EPS, L=obj.smoothness,
-                            epsilon=eps)
-    x0 = np.array([2.0, -1.0])
+    cfg = _coverage_config({"variant": "proposition-eps", "epsilon": eps})
+    sched = cfg.sched
     zeta_ok = abs(riemann_zeta(2.0) - math.pi**2 / 6.0) <= 1e-10
     v1, w1 = gamma1(sched, 1e-6)
     v2, w2 = gamma2(sched, 1.0, 1e-6)
     series_ok = (v1 + w1 <= riemann_zeta(1.0 + eps)
                  and v2 + w2 <= math.exp(riemann_zeta(1.0 + eps)))
-    env = envelope_constants(sched, 1.0, _initial_energy(obj, sched, x0))
-    ks = np.arange(1, K_COV + 1)
-    U = {b: np.asarray(envelope_U(env, b, ks)) for b in BETAS}
-    state, _, _ = _stream_coverage(obj, noise, sched, x0,
-                                   derive_seeds(2024, R_COV), K_COV, U)
+    covered = _stats(cfg)["covered"]
     cov_ok = True
     details = []
     for b in BETAS:
-        hits = int(np.sum(state[b]["within"]))
+        hits = int(np.sum(covered[b][0]))
         lo, _ = clopper_pearson(hits, R_COV)
         cov_ok &= (hits == R_COV) or (lo >= 1.0 - 2.0 * b)
         details.append(f"beta={b}: {hits}/{R_COV}")

@@ -51,13 +51,6 @@ def test_mgf_two_sided_in_lambda():
     assert all(r["pass"] for r in reports)
 
 
-def test_mgf_explicit_c_must_dominate():
-    with pytest.raises(ValueError):
-        MgfCheckConfig([1.0], 1000, GAUSS2, np.array([3.0, 4.0]), c=4.0)
-    cfg = MgfCheckConfig([1.0], 50_000, GAUSS2, np.array([3.0, 4.0]), c=10.0)
-    assert mgf_check(cfg)[0]["pass"]
-
-
 def test_mgf_config_validation():
     with pytest.raises(ValueError):
         MgfCheckConfig([1.0], 0, GAUSS2, np.array([1.0, 0.0]))

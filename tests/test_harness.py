@@ -17,6 +17,7 @@ from stoplab.harness import (CHECK_NAMES, load_config, parse_config,
                              run_experiment)
 from stoplab.cli import main
 from stoplab.lyapunov import step_residuals
+from stoplab.martingale import MartingaleTracker
 from stoplab.noise import NoiseKind, calibrate
 from stoplab.objectives import least_squares_random
 from stoplab.sgdm import ScheduleVariant, Variant, derive_seeds, stream_ensemble
@@ -153,6 +154,16 @@ def test_cli_run_exits_2_on_list_kinds(tmp_path, case):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_run_exits_2_on_malformed_workers(tmp_path, monkeypatch, capsys):
+    # once a ValueError traceback with exit 1, after output_dir was made
+    monkeypatch.setenv("STOPLAB_WORKERS", "two")
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(_base_raw(tmp_path)))
+    assert main(["run", str(cfgpath)]) == 2
+    assert "STOPLAB_WORKERS must be an integer >= 1, not 'two'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # Option values a check refuses (once only after output_dir was made, with
 # exit code 1, the code of a failed check), and Ville bounds outside (0, 1),
 # where 2.0 made the Ville check pass against a bound above 1.
@@ -250,6 +261,44 @@ def test_envelope_computed_once_per_run(tmp_path, monkeypatch):
     monkeypatch.setenv("STOPLAB_WORKERS", "1")
     run_experiment(parse_config(_base_raw(tmp_path)))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("objective,x0", [
+    ({"kind": "quadratic", "diag": [1.0, 2.0]}, [2.0, -1.0]),
+    ({"kind": "quadratic", "diag": list(np.linspace(1.0, 2.0, 1200))},
+     list(np.linspace(-1.0, 3.0, 1200))),
+    ({"kind": "least-squares", "dim": 5, "m": 12, "seed": 0}, [0.5, -1.0, 2.0, 0.25, 1.5]),
+    ({"kind": "least-squares", "dim": 64, "m": 96, "seed": 3}, list(np.linspace(-2.0, 2.0, 64))),
+    ({"kind": "huberized-abs", "dim": 3, "delta": 0.5}, [1.5, -1.0, 0.25]),
+], ids=["quadratic-d2", "quadratic-d1200", "least-squares-d5", "least-squares-d64", "huber-d3"])
+def test_envelope_E0_is_the_streams_E0(tmp_path, objective, x0):
+    # a run's one E(0), which the summary and Ville's alpha read, is the
+    # envelope's: it must be every trajectory's stream E(0), bit for bit
+    cfg = parse_config(_base_raw(tmp_path, objective=objective, x0=x0, R=3))
+    rec = next(stream_ensemble(cfg.objective, cfg.noise, cfg.sched, 2,
+                               derive_seeds(cfg.base_seed, cfg.R), cfg.x0))
+    assert np.all(rec.E_prev == harness._envelope(cfg).E0)
+
+
+def test_coverage_only_run_skips_residuals_and_tracker(tmp_path, monkeypatch):
+    raw = _base_raw(tmp_path, betas=[0.05, 0.1], checks=["descent", "decomposition", "ville",
+                                                          "coverage"],
+                    rules=[{"kind": "fixed-k", "k_max": 10},
+                           {"kind": "first-envelope-violation", "beta": 0.1}],
+                    options={"csv_trajectories": 0})
+    full = run_experiment(parse_config(dict(raw, output_dir=str(tmp_path / "full"))))
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a coverage-only run reads no residuals and no tracker")
+
+    monkeypatch.setattr(harness, "step_residuals", unread)
+    monkeypatch.setattr(MartingaleTracker, "update", unread)
+    lean = run_experiment(parse_config(dict(raw, checks=["coverage"],
+                                            output_dir=str(tmp_path / "lean"))))
+    assert full.passed and lean.passed
+    assert ((tmp_path / "lean" / "coverage.csv").read_bytes()
+            == (tmp_path / "full" / "coverage.csv").read_bytes())
+    assert lean.summary == {"E0": full.summary["E0"], "t": full.summary["t"]}
 
 
 def test_load_config_errors(tmp_path):

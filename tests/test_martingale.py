@@ -127,7 +127,6 @@ def test_tracker_matches_full_reference(g2):
     for i in range(5):
         assert tracker.sup_logN[i] == np.max(logN[i])
         assert tracker.S_last[i] == S[i, -1]
-        assert tracker.E0[i] == M[i, 0]
 
 
 def test_ville_bound_and_monitor(g2):
