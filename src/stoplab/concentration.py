@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .mcstats import clopper_pearson
-from .noise import NoiseModel, sample
+from .noise import NoiseModel, philox, sample
 from .objectives import dim_sum
 from .sgdm import spawn_seed
 
@@ -81,7 +81,7 @@ def mgf_check(cfg: MgfCheckConfig) -> list[dict]:
     per_block = max(1, _DRAW_BLOCK // cfg.noise.dim)
     for ci, lo in enumerate(range(0, n, _SAMPLE_CHUNK)):
         m = min(lo + _SAMPLE_CHUNK, n) - lo
-        rng = np.random.Generator(np.random.Philox(key=spawn_seed(cfg.seed, 0, ci)))
+        rng = philox(spawn_seed(cfg.seed, 0, ci))
         z = np.empty(m)
         for d0 in range(0, m, per_block):
             theta = sample(cfg.noise, rng, min(per_block, m - d0))
@@ -145,7 +145,7 @@ def weighted_square_tail_check(
     per_block = max(1, _DRAW_BLOCK // noise.dim)
     for ci, lo in enumerate(range(0, n_runs, per_chunk)):
         m = min(lo + per_chunk, n_runs) - lo
-        rng = np.random.Generator(np.random.Philox(key=spawn_seed(seed, 1, ci)))
+        rng = philox(spawn_seed(seed, 1, ci))
         sq = [_sq_norms(sample(noise, rng, min(per_block, m * L - d0)))
               for d0 in range(0, m * L, per_block)]
         # a lone sub-block (d <= 2) is used as is: copying it slowed d = 2 by a third

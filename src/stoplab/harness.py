@@ -34,8 +34,9 @@ from .noise import NoiseKind, NoiseModel, calibrate
 from .objectives import (Objective, eval_objective, huberized_abs,
                          least_squares_random, quadratic)
 from .series import gamma2_range_problem
-from .sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds, energy, energy_weight,
-                   eta_bound_margin, phi, spawn_seed, sq_norm, stream_ensemble)
+from .sgdm import (ScheduleVariant, StepSlab, Variant, a_coeff, derive_seeds, displacement_sq,
+                   energy, energy_weight, eta_bound_margin, phi, spawn_seed, sq_norm,
+                   stream_ensemble)
 from .stopping import RuleKind, RuleTracker, coverage_verdict
 
 __all__ = ["GRAMMAR", "OBJECTIVES", "RunConfig", "Report", "build_schedule", "load_config",
@@ -341,16 +342,95 @@ def _envelope(cfg: RunConfig) -> EnvelopeParams:
     return envelope_constants(cfg.sched, float(sigma), E0, float(cfg.options["gamma_tol"]))
 
 
+# A slab's (B, R) float arrays, its fields and the consumers' temporaries
+# alike, hold at most this many bytes during one flush.
+_SLAB_BYTES = 1 << 20
+# The first row of these slab fields is the previous step's value, read
+# from the record field named here at k = 1.
+_CARRIED = {"E": "E_prev", "fgap_curr": "fgap_prev", "phi_next_sq": "phi_sq"}
+
+
+def _slab_rows(width: int, arrays: int) -> int:
+    """Steps per slab, for ``arrays`` (B, R) arrays live at once at R = ``width``."""
+    return max(1, _SLAB_BYTES // (8 * width * arrays))
+
+
+def _slabs(records, reads, rows: int, K: int):
+    """The streamed records as StepSlabs of ``rows`` steps; the last one ends at k = K.
+
+    Each record's (R,) vectors are copied into row buffers, one per field
+    ``reads()`` names when a slab starts; a carried field's row 0 is the
+    previous step's value.  The buffers are reused, so a slab's arrays are
+    valid until the next one is taken.
+    """
+    bufs = {}
+    cols = {"k": [], "eta_k": [], "a_k": [], "w_k": []}
+    for rec in records:
+        if rec.k == 1:
+            bufs = {f: np.empty((min(rows, K) + 1, len(rec.fgap_curr))) for f in reads()}
+            for f, prev in _CARRIED.items():
+                if f in bufs:
+                    bufs[f][0] = getattr(rec, prev)
+        for c, v in cols.items():
+            v.append(getattr(rec, c))
+        j = len(cols["k"])
+        for f, buf in bufs.items():
+            buf[j] = displacement_sq(rec) if f == "step_sq" else getattr(rec, f)
+        if j < rows and rec.k < K:
+            continue
+        slab = StepSlab(**{c: np.array(v)[:, None] for c, v in cols.items()})
+        for f, buf in bufs.items():
+            setattr(slab, f, buf[1:j + 1])
+            if f in _CARRIED:
+                setattr(slab, _CARRIED[f], buf[:j])
+        yield slab
+        cols = {c: [] for c in cols}
+        bufs = {f: bufs[f] for f in reads()}
+        for f in _CARRIED:
+            if f in bufs:
+                bufs[f][0] = bufs[f][j]
+
+
+def _lower_minima(mins: dict, slab: StepSlab, obj, K: int, cols: list) -> list:
+    """Lower each running minimum by the slab's least row; the descent and decomp columns ``cols``.
+
+    The residual rows are gone on return, before the tracker forms its own.
+    """
+    res = step_residuals(slab, obj)
+    tol = res["tol"]
+    for name in ("descent", "decomp", "decomp_mid"):
+        np.minimum(mins[name], res[name].min(axis=0), out=mins[name])
+        np.minimum(mins[name + "_margin"], (res[name] + tol).min(axis=0),
+                   out=mins[name + "_margin"])
+    p1 = slab.E_prev - res["phi_sq"] + tol
+    if slab.k[-1, 0] == K:
+        p1[-1] = np.minimum(p1[-1], slab.E[-1] - res["phi_next_sq"][-1] + tol[-1])
+    np.minimum(mins["p1_margin"], p1.min(axis=0), out=mins["p1_margin"])
+    np.minimum(mins["sandwich_margin"], res["sandwich_margin"].min(axis=0),
+               out=mins["sandwich_margin"])
+    return [(res["descent"][:, r].tolist(), res["decomp"][:, r].tolist()) for r in cols]
+
+
+def _martingale_columns(tracker: MartingaleTracker, slab: StepSlab, cols: list) -> list:
+    """Feed the tracker the slab; the S and M = E - S columns ``cols``."""
+    S = tracker.update(slab)
+    return [(S[:, r].tolist(), (slab.E[:, r] - S[:, r]).tolist()) for r in cols]
+
+
 def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
     """Stream trajectories lo..hi-1 and reduce the per-trajectory statistics.
 
     Top-level so process pools can pickle it; the run's config and envelope
-    are plain values, computed once by ``run_experiment``.  The step residuals
-    and their minima ("mins") are computed only for the descent and
-    decomposition checks, and the martingale tracker runs only for ville; the
-    trajectory CSVs read both (their residual_* and S, M columns).  The
-    envelope flags and rule trackers always run; with no betas and no rules
-    they do nothing.
+    are plain values, computed once by ``run_experiment``.  The consumers
+    work on slabs of steps (``_slabs``), each slab holding only the fields
+    the enabled consumers read, and as many steps as fit ``_SLAB_BYTES``.
+    The step residuals and their minima ("mins") are computed only for the
+    descent and decomposition checks, and the martingale tracker runs only
+    for ville; the trajectory CSVs read both (their residual_* and S, M
+    columns).  The envelope flags and rule trackers always run; with no
+    betas and no rules they do nothing.  Every consumer works row by row or
+    reduces with an exact min or max, so the results are bitwise those of a
+    step-by-step loop for any slab length.
     """
     obj, sched, K = cfg.objective, cfg.sched, cfg.K
     n = hi - lo
@@ -376,40 +456,44 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
     first_beta = cfg.betas[0] if cfg.betas else None
     rules = [RuleTracker(kind, k_max, epsilon, U.get(first_beta if rbeta is None else rbeta))
              for kind, epsilon, k_max, rbeta in cfg.rules]
+    trackers = [*adversarial.values(), *rules]
 
     traced = [i for i in range(lo, hi) if i < n_csv]
     rows = {i: [] for i in traced}
 
-    for rec in stream_ensemble(obj, cfg.noise, sched, K, seeds, cfg.x0):
-        k = rec.k
+    # the fields each consumer reads, and the most (B, R) arrays that it
+    # holds at once besides them (counted with tracemalloc)
+    reads, scratch = ({"fgap_curr"} if cfg.betas or traced else set()), 2
+    if martingale:
+        reads |= {"E", "theta_sq"}
+        scratch = 5
+    if residuals:
+        reads |= {"E", "fgap_curr", "phi_next_sq", "theta_sq", "theta_phi", "g_sq", "grad_sq"}
+        scratch = 9
+
+    def slab_fields():
+        return reads.union(*(t.reads for t in trackers))
+
+    B = _slab_rows(n, len(slab_fields()) + scratch)
+    cols = [i - lo for i in traced]
+    res_cols = S_cols = []
+    stream = stream_ensemble(obj, cfg.noise, sched, K, seeds, cfg.x0)
+    for slab in _slabs(stream, slab_fields, B, K):
+        k = slab.k
         if residuals:
-            res = step_residuals(rec, obj)
-            tol = res["tol"]
-            for name in ("descent", "decomp", "decomp_mid"):
-                np.minimum(mins[name], res[name], out=mins[name])
-                np.minimum(mins[name + "_margin"], res[name] + tol, out=mins[name + "_margin"])
-            p1 = rec.E_prev - res["phi_sq"] + tol
-            if k == K:
-                p1 = np.minimum(p1, rec.E - res["phi_next_sq"] + tol)
-            np.minimum(mins["p1_margin"], p1, out=mins["p1_margin"])
-            np.minimum(mins["sandwich_margin"], res["sandwich_margin"],
-                       out=mins["sandwich_margin"])
+            res_cols = _lower_minima(mins, slab, obj, K, cols)
         if martingale:
-            tracker.update(rec)
+            S_cols = _martingale_columns(tracker, slab, cols)
         for b in cfg.betas:
-            all_within[b] &= ~(rec.fgap_curr > U[b][k])
-        for rule in [*adversarial.values(), *rules]:
-            rule.update(rec)
-        for i in traced:
-            r = i - lo
-            if k == 1:
-                rows[i].append((0, float(rec.fgap_prev[r]), float(rec.E_prev[r]),
-                                0.0, float(rec.E_prev[r]), "", ""))
-            rows[i].append((
-                k, float(rec.fgap_curr[r]), float(rec.E[r]),
-                float(tracker.S_last[r]), float(rec.E[r] - tracker.S_last[r]),
-                float(res["descent"][r]), float(res["decomp"][r]),
-            ))
+            all_within[b] &= ~np.any(slab.fgap_curr > U[b][k], axis=0)
+        for rule in trackers:
+            rule.update(slab)
+        for i, r, res_col, S_col in zip(traced, cols, res_cols, S_cols):
+            if k[0, 0] == 1:
+                rows[i].append((0, float(slab.fgap_prev[0, r]), float(slab.E_prev[0, r]),
+                                0.0, float(slab.E_prev[0, r]), "", ""))
+            rows[i].extend(zip(k[:, 0].tolist(), slab.fgap_curr[:, r].tolist(),
+                               slab.E[:, r].tolist(), *S_col, *res_col))
 
     # per beta: the all-k statement, the adversarial rule, then each configured rule
     out = {"covered": {b: [all_within[b], adversarial[b].within(U[b])]
@@ -418,7 +502,7 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
     if residuals:
         out["mins"] = mins
     if martingale:
-        tracker.finish(rec)
+        tracker.finish(slab)
         out.update(sup_logN=tracker.sup_logN, sup_E=tracker.sup_E, S_last=tracker.S_last)
     return out
 
@@ -451,7 +535,7 @@ def _ensemble_stats(cfg: RunConfig, env: EnvelopeParams) -> dict:
 
     per = -(-R // workers)
     spans = [(lo, min(lo + per, R)) for lo in range(0, R, per)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
         futures = [pool.submit(_run_block, cfg, env, lo, hi) for lo, hi in spans]
         blocks = [f.result() for f in futures]
     return _merge_blocks(blocks)
@@ -572,15 +656,16 @@ def run_experiment(cfg: RunConfig) -> Report:
     coverage_rows = []
     if "coverage" in cfg.checks:
         names = ["sup", "adversarial"] + [kind.value for kind, *_ in cfg.rules]
-        for b in cfg.betas:
-            for name, within in zip(names, stats["covered"][b]):
-                v = coverage_verdict(within, b)
-                coverage_rows.append([b, name, cfg.R, cfg.K, v["frequency"],
-                                      v["ci_lo"], v["ci_hi"], v["bound"], v["pass"]])
-                checks.append(_check_record(
-                    "coverage", {"beta": b, "rule": name, "R": cfg.R, "K": cfg.K},
-                    v["frequency"], (v["ci_lo"], v["ci_hi"]), v["bound"], v["pass"],
-                ))
+        cells = [(b, name) for b in cfg.betas for name in names]
+        v = coverage_verdict([w for b in cfg.betas for w in stats["covered"][b]],
+                             [b for b, _ in cells]) if cells else None
+        for j, (b, name) in enumerate(cells):
+            row = [v[key][j] for key in ("frequency", "ci_lo", "ci_hi", "bound", "pass")]
+            coverage_rows.append([b, name, cfg.R, cfg.K, *row])
+            checks.append(_check_record(
+                "coverage", {"beta": b, "rule": name, "R": cfg.R, "K": cfg.K},
+                row[0], (row[1], row[2]), row[3], row[4],
+            ))
     if "constants" in cfg.checks:
         brackets_ok = (env.gamma1_tail <= cfg.options["gamma_tol"] * env.gamma1
                        and env.gamma2_tail <= cfg.options["gamma_tol"] * env.gamma2)

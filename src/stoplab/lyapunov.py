@@ -10,8 +10,9 @@ not on average) first by a gradient-form right-hand side and then by the
 noise-only decomposition a_k ||theta_k||^2 + sqrt(a_k) <theta_k, phi_k> with
 phi_k = k (x_k - x_{k-1}) + (x_k - x*).  The residual functions here return
 RHS - LHS, which must stay above a small magnitude-relative negative tolerance
-on every step of every run.  They read one streamed ``StepRecord`` at a time
-and return (R,) vectors, one entry per trajectory.
+on every step of every run.  ``step_residuals`` reads a slab of streamed
+steps (``sgdm.StepSlab``) and returns a row per step and an entry per
+trajectory.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .objectives import Objective, dim_sum
-from .sgdm import ScheduleVariant, Variant, phi, sq_norm
+from .sgdm import ScheduleVariant, Variant, as_slab, phi, sq_norm
 from .series import gamma1 as _gamma1_bracket
 from .series import gamma2 as _gamma2_bracket
 
@@ -74,13 +75,17 @@ def deep_descent_links(rec, obj: Objective) -> dict:
 
 
 def step_residuals(rec, obj: Objective) -> dict:
-    """All per-step inequality residuals from one streamed ensemble record.
+    """All per-step inequality residuals of a slab of streamed steps.
 
-    Arithmetic on the record's (R,) vectors and schedule scalars only: the
-    row sums over dim and eta_k, a_k, w_k come with the record.  Returns a
-    dict of arrays: the three decay residuals, the squared norms entering
-    the momentum-vector bound ||phi_{k+1}||^2 <= E(k), the margin of the
-    value sandwich 4 sqrt((k+1) eta_k) (f(x_k) - f*) <= E(k), and the
+    ``rec`` is a ``StepSlab`` or a lone ``StepRecord`` (a one-row slab).
+    Arithmetic on its per-trajectory rows and its (B, 1) columns of k,
+    eta_k, a_k and w_k only: the row sums over dim and the schedule scalars
+    come with the stream.  Each entry is computed as it is for one step, so
+    every row is bitwise that step's value (``np.sqrt`` and ``math.sqrt``
+    both round correctly).  Returns a dict of (B, R) arrays, or of (R,)
+    arrays for a lone record: the three decay residuals, the squared norms
+    entering the momentum-vector bound ||phi_{k+1}||^2 <= E(k), the margin
+    of the value sandwich 4 sqrt((k+1) eta_k) (f(x_k) - f*) <= E(k), and the
     per-step tolerance.
 
     E(k) = ||phi_{k+1}||^2 + w_k (f(x_k) - f*) by construction (``sgdm.energy``),
@@ -89,33 +94,37 @@ def step_residuals(rec, obj: Objective) -> dict:
     >= 0 whenever f >= f*; the sandwich margin is ||phi_{k+1}||^2 itself.
     They can fail only through rounding or a value below f*.
     """
-    k = rec.k
-    e_k = rec.eta_k
-    sq = math.sqrt(e_k / k)
-    a_k = rec.a_k
-    inner, th_sq, gf_sq = rec.theta_phi, rec.theta_sq, rec.grad_sq
-    dE = rec.E - rec.E_prev
+    s = as_slab(rec)
+    k = s.k
+    e_k = s.eta_k
+    sq = np.sqrt(e_k / k)
+    a_k = s.a_k
+    inner, th_sq, gf_sq = s.theta_phi, s.theta_sq, s.grad_sq
+    dE = s.E - s.E_prev
+    grad_term = 2.0 / obj.smoothness * sq * gf_sq
+    noise_term = 4.0 * sq * inner
     descent = (
-        4.0 * e_k / k * rec.g_sq
-        - 2.0 / obj.smoothness * sq * gf_sq
-        - 2.0 * sq * rec.fgap_curr
-        + 4.0 * sq * inner
+        4.0 * e_k / k * s.g_sq
+        - grad_term
+        - 2.0 * sq * s.fgap_curr
+        + noise_term
     ) - dE
-    decomp = a_k * th_sq + math.sqrt(a_k) * inner - dE
+    decomp = a_k * th_sq + np.sqrt(a_k) * inner - dE
     decomp_mid = (
         8.0 * e_k / k * (th_sq + gf_sq)
-        - 2.0 / obj.smoothness * sq * gf_sq
-        + 4.0 * sq * inner
+        - grad_term
+        + noise_term
     ) - dE
-    return {
+    out = {
         "descent": descent,
         "decomp": decomp,
         "decomp_mid": decomp_mid,
-        "phi_sq": rec.phi_sq,
-        "phi_next_sq": rec.phi_next_sq,
-        "sandwich_margin": rec.E - rec.w_k * rec.fgap_curr,
-        "tol": residual_tolerance(rec.E, rec.E_prev),
+        "phi_sq": s.phi_sq,
+        "phi_next_sq": s.phi_next_sq,
+        "sandwich_margin": s.E - s.w_k * s.fgap_curr,
+        "tol": residual_tolerance(s.E, s.E_prev),
     }
+    return out if s is rec else {key: v[0] for key, v in out.items()}
 
 
 @dataclass(frozen=True)

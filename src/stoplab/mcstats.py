@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from .noise import philox
+
 _U = 2.0**-53
 _CF_TOL = 2.0**-50  # a continued fraction stops once a step moves it by at most this
 _STEPS = 5000  # continued-fraction or root-finding steps before giving up
@@ -263,7 +265,7 @@ def clopper_pearson(successes, n, confidence: float = 0.99):
 def bootstrap_upper_quantile(values: np.ndarray, stat=np.mean, n_boot: int = 200,
                              q: float = 0.99, seed: int = 0) -> float:
     """One-sided bootstrap upper confidence bound for a statistic of the sample."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = philox(seed)
     n = values.shape[0]
     reps = np.empty(n_boot)
     for b in range(n_boot):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import CalibrationError
 
@@ -47,6 +48,27 @@ def calibrate(kind: NoiseKind, dim: int, sigma_certificate: float) -> NoiseModel
         scale = sigma_certificate * math.sqrt((1.0 - math.exp(-2.0 / dim)) / 2.0)
         return NoiseModel(kind, dim, float(sigma_certificate), scale)
     return NoiseModel(kind, dim, float(sigma_certificate), float(sigma_certificate))
+
+
+class _PhiloxKey(ISeedSequence):
+    """A seed sequence that hands Philox its key as is: words [key, 0]."""
+
+    def __init__(self, key: int):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array([self.key, 0], dtype=np.uint64)
+
+
+def philox(key: int) -> np.random.Generator:
+    """A generator on ``Philox(key=key)``'s stream, for a key in [0, 2^64).
+
+    ``Philox(key=...)`` also seeds a throwaway ``SeedSequence`` from OS
+    entropy, which costs more than the rest of the construction; a key-only
+    seed sequence skips it.  The state and every draw are those of
+    ``Philox(key=key)``.
+    """
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
 def sample(model: NoiseModel, rng: np.random.Generator, n: int | None = None) -> np.ndarray:

@@ -26,6 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .noise import philox
 
 
 class ObjectiveKind(Enum):
@@ -148,7 +149,7 @@ def least_squares(A, b) -> Objective:
 
 def least_squares_random(dim: int, m: int, seed: int) -> Objective:
     """A deterministic anisotropic least-squares instance for experiments."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = philox(seed)
     A = rng.standard_normal((m, dim))
     b = rng.standard_normal(m)
     return least_squares(A, b)
@@ -257,7 +258,7 @@ def verify_regularity(obj: Objective, n_pairs: int, rng_seed: int) -> dict:
     """
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    rng = np.random.Generator(np.random.Philox(key=rng_seed))
+    rng = philox(rng_seed)
     xs = sample_ball(obj, n_pairs, rng)
     ys = sample_ball(obj, n_pairs, rng)
     gx = grad(obj, xs)

@@ -20,16 +20,21 @@ independent of how trajectories are grouped into batches.
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DivergenceError
-from .noise import NoiseKind, NoiseModel, sample
+from .noise import NoiseKind, NoiseModel, philox, sample
 from .objectives import Objective, dim_sum, eval_objective, grad
 
 DIVERGENCE_RADIUS = 1e12
+# A noise block holds at most 1024 steps and, above a few thousand
+# trajectories, at most 16 MiB: the largest benchmark workload's block,
+# cov-wide's 500 steps at d = 2 and R = 1000, is 8.0e6 bytes.
 _NOISE_CHUNK = 1024
+_NOISE_BYTES = 1 << 24
 
 
 class Variant(Enum):
@@ -196,7 +201,7 @@ def spawn_seed(seed: int, *spawn_key: int) -> int:
 
 
 def _trajectory_generators(seeds: Sequence[int]):
-    return [np.random.Generator(np.random.Philox(key=int(s))) for s in seeds]
+    return [philox(s) for s in seeds]
 
 
 @dataclass
@@ -238,6 +243,44 @@ class StepRecord:
     w_k: float
 
 
+class StepSlab(SimpleNamespace):
+    """B consecutive steps of an ensemble run, the unit the per-step consumers work on.
+
+    ``k``, ``eta_k``, ``a_k`` and ``w_k`` are (B, 1) columns.  Every other
+    field is named as in ``StepRecord`` and is a (B, R) array whose row j is
+    that record field at step ``k[j]``; ``E_prev``, ``fgap_prev`` and
+    ``phi_sq`` are row shifts of ``E``, ``fgap_curr`` and ``phi_next_sq``.
+    ``step_sq`` is ||x_k - x_{k-1}||^2 (``displacement_sq``).  A slab holds
+    only the fields its consumers read.
+    """
+
+
+class _OneRow(StepSlab):
+    """A lone StepRecord, or any object with some of its fields, read as a one-row slab."""
+
+    def __init__(self, rec):
+        super().__init__(_rec=rec)
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        rec = self._rec
+        v = np.asarray(displacement_sq(rec) if name == "step_sq" else getattr(rec, name))
+        v = v.reshape(1, -1 if v.ndim else 1)
+        setattr(self, name, v)
+        return v
+
+
+def as_slab(rec) -> StepSlab:
+    """``rec`` if it is a StepSlab, else ``rec`` as a one-row slab."""
+    return rec if isinstance(rec, StepSlab) else _OneRow(rec)
+
+
+def displacement_sq(rec) -> np.ndarray:
+    """||x_k - x_{k-1}||^2 per trajectory, in the stream's (dim, R) layout."""
+    return sq_norm(rec.x_curr.T - rec.x_prev.T)
+
+
 def stream_ensemble(
     obj: Objective,
     noise: NoiseModel,
@@ -254,8 +297,9 @@ def stream_ensemble(
     the objectives read in place; f comes from that gradient (bitwise f
     computed alone; Huber recomputes it).  Step 1's f is f(x_0) as well,
     since x_1 = x_0, so E(0) needs no objective call of its own.  Noise for each
-    trajectory comes from its own Philox stream, drawn in step chunks;
-    values and order match single-trajectory runs exactly.
+    trajectory comes from its own Philox stream, drawn in blocks of up to
+    1024 steps and ``_NOISE_BYTES`` bytes; each stream is read in order, so
+    values match single-trajectory runs and any block length exactly.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -269,12 +313,13 @@ def stream_ensemble(
     phi_k = phi(1, x_prev, x_curr, x_star)
     phi_sq = sq_norm(phi_k)
     noise_block = None
+    chunk = min(max(_NOISE_BYTES // (8 * obj.dim * R), 1), _NOISE_CHUNK)
     for k in range(1, K + 1):
         if gens is not None:
-            off = (k - 1) % _NOISE_CHUNK
+            off = (k - 1) % chunk
             if off == 0:
                 # the next m steps' noise, drawn straight into (m, dim, R)
-                m = min(_NOISE_CHUNK, K - (k - 1))
+                m = min(chunk, K - (k - 1))
                 noise_block = np.empty((m, obj.dim, R))
                 for i, gen in enumerate(gens):
                     noise_block[:, :, i] = sample(noise, gen, m)

@@ -18,7 +18,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .mcstats import clopper_pearson
-from .sgdm import sq_norm
+from .noise import philox
+from .sgdm import as_slab
 
 __all__ = [
     "RuleKind", "RuleTracker", "coverage_verdict", "baseline_envelope",
@@ -37,11 +38,12 @@ class RuleKind(Enum):
 class RuleTracker:
     """A capped stopping rule evaluated online over a streamed ensemble.
 
-    Feed ``update`` with each StepRecord.  Each trajectory stops at the first
-    k in 1..k_max whose predicate holds, else at k_max; ``tau`` and ``fgap``
-    then hold the stopping step and f(x_tau) - f* per trajectory.  The
-    decision at k reads only x_0..x_k and the value gaps they induce, so tau
-    is a stopping time of the iterate filtration.
+    Feed ``update`` with each slab of steps (``sgdm.StepSlab``, or a lone
+    StepRecord) in order.  Each trajectory stops at the first k in 1..k_max
+    whose predicate holds, else at k_max; ``tau`` and ``fgap`` then hold the
+    stopping step and f(x_tau) - f* per trajectory.  The decision at k reads
+    only x_0..x_k and the value gaps they induce, so tau is a stopping time
+    of the iterate filtration.
 
     The delta rules trigger when the iterate displacement, or the value-gap
     change, falls to ``epsilon`` or below; since the recurrence starts from a
@@ -49,9 +51,10 @@ class RuleTracker:
     envelope rule stops at the first k with f(x_k) - f* > U[k], where ``U``
     holds the envelope indexed by k.  With k_max = K it is the adversarial
     rule that makes the anytime guarantee tight: first violation at
-    k <= K - 1, else K.  ``update`` writes only on a step where some
-    trajectory stops, and once every trajectory has its tau it returns at
-    once.
+    k <= K - 1, else K.  Within a slab a path's stop is the first row where
+    the predicate holds, rows past k_max masked and the k_max row forced.
+    ``update`` writes only when some trajectory stops, and once every
+    trajectory has its tau it returns at once.
     """
 
     kind: RuleKind
@@ -70,51 +73,70 @@ class RuleTracker:
         ):
             raise ValueError("delta rules need a positive epsilon")
 
-    def _triggered(self, rec) -> np.ndarray:
+    @property
+    def reads(self) -> tuple:
+        """The slab fields ``update`` still reads: none once every trajectory has stopped."""
+        if self._all_stopped:
+            return ()
+        return ("fgap_curr", "step_sq") if self.kind is RuleKind.ITERATE_DELTA else ("fgap_curr",)
+
+    def _triggered(self, s) -> np.ndarray:
         if self.kind is RuleKind.ITERATE_DELTA:
-            # the displacement in the stream's trajectory-minor (dim, R) layout
-            return np.sqrt(sq_norm(rec.x_curr.T - rec.x_prev.T)) <= self.epsilon
+            return np.sqrt(s.step_sq) <= self.epsilon
         if self.kind is RuleKind.VALUE_DELTA:
-            return np.abs(rec.fgap_curr - rec.fgap_prev) <= self.epsilon
-        return rec.fgap_curr > self.U[rec.k]
+            return np.abs(s.fgap_curr - s.fgap_prev) <= self.epsilon
+        if self.kind is RuleKind.FIXED_K:
+            return np.zeros(s.fgap_curr.shape, dtype=bool)
+        return s.fgap_curr > self.U[s.k]
 
     def update(self, rec):
+        s = as_slab(rec)
         if self.tau is None:
-            self.tau = np.zeros(rec.fgap_curr.shape, dtype=int)
-            self.fgap = np.zeros(rec.fgap_curr.shape)
-        if self._all_stopped or rec.k > self.k_max:
+            self.tau = np.zeros(s.fgap_curr.shape[1], dtype=int)
+            self.fgap = np.zeros(s.fgap_curr.shape[1])
+        k = s.k[:, 0]
+        if self._all_stopped or k[0] > self.k_max:
             return
-        if rec.k == self.k_max:
-            new = self.tau == 0
-        elif self.kind is RuleKind.FIXED_K:
+        if self.kind is RuleKind.FIXED_K and k[-1] < self.k_max:
             return  # fixed-k stops only at its cap
-        else:
-            new = self._triggered(rec) & (self.tau == 0)
-            if not new.any():
-                return
-        self.tau[new] = rec.k
-        self.fgap[new] = rec.fgap_curr[new]
-        self._all_stopped = rec.k == self.k_max or bool(self.tau.all())
+        stop = self._triggered(s)
+        cap = self.k_max - k[0]  # the k_max row: a slab's steps are consecutive
+        if cap < len(k):
+            stop[cap + 1:] = False
+            stop[cap] = True
+        stop &= self.tau == 0
+        new = np.flatnonzero(stop.any(axis=0))
+        if new.size == 0:
+            return
+        row = stop[:, new].argmax(axis=0)
+        self.tau[new] = k[row]
+        self.fgap[new] = s.fgap_curr[row, new]
+        self._all_stopped = k[-1] >= self.k_max or bool(self.tau.all())
 
     def within(self, U: np.ndarray) -> np.ndarray:
         """Per trajectory: f(x_tau) - f* <= U[tau]."""
         return self.fgap <= U[self.tau]
 
 
-def coverage_verdict(within: np.ndarray, beta: float) -> dict:
+def coverage_verdict(within: np.ndarray, beta) -> dict:
     """Frequency of ``within`` against the guaranteed level 1 - 2 beta.
 
     Pass means the Clopper-Pearson 99% lower endpoint clears the level, or
-    every trajectory is covered.
+    every trajectory is covered.  ``within`` may stack n (R,) indicator rows
+    as an (n, R) array, with ``beta`` one level or n of them; every entry is
+    then a list with one value per row, all ends from one Clopper-Pearson
+    call.
     """
-    R = within.shape[0]
-    hits = int(np.sum(within))
+    within = np.asarray(within)
+    R = within.shape[-1]
+    hits = np.atleast_1d(np.sum(within, axis=-1))
     ci_lo, ci_hi = clopper_pearson(hits, R, 0.99)
-    level = 1.0 - 2.0 * beta
-    return {
-        "frequency": hits / R, "ci_lo": ci_lo, "ci_hi": ci_hi,
-        "bound": level, "pass": ci_lo >= level or hits == R,
+    level = np.broadcast_to(1.0 - 2.0 * np.asarray(beta, dtype=float), hits.shape)
+    out = {
+        "frequency": (hits / R).tolist(), "ci_lo": ci_lo.tolist(), "ci_hi": ci_hi.tolist(),
+        "bound": level.tolist(), "pass": ((ci_lo >= level) | (hits == R)).tolist(),
     }
+    return out if within.ndim > 1 else {key: v[0] for key, v in out.items()}
 
 
 def baseline_envelope(eta_param: float, beta: float, k) -> np.ndarray | float:
@@ -160,7 +182,7 @@ class PathTree:
 
 def random_tree(depth: int, seed: int, low: float = 0.0, high: float = 1.0) -> PathTree:
     """A random consistent tree: paths sharing a prefix share node values."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = philox(seed)
     n = 1 << depth
     values = np.empty((n, depth + 1))
     values[:, 0] = rng.uniform(low, high)

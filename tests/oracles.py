@@ -1,8 +1,9 @@
 """Independent reference implementations used by the tests.
 
-stoplab computes every pathwise quantity online, one streamed step at a time.
+stoplab computes every pathwise quantity online, on slabs of streamed steps.
 The functions here recompute the same quantities from whole stored paths with
-vectorized series formulas, so a test can compare the two.  The residual
+vectorized series formulas, or one step at a time as the harness did before
+it took slabs (``block_by_step``), so a test can compare the two.  The residual
 form of least squares checks the lab's centered Gram form, the column loop
 pins the summation order of its G u product, the per-index
 ``SeedSequence`` loop checks the vectorized seed derivation, and
@@ -18,7 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from stoplab.sgdm import a_coeff, eta, stream_ensemble
+from stoplab.lyapunov import envelope_U
+from stoplab.sgdm import a_coeff, derive_seeds, eta, sq_norm, stream_ensemble
+from stoplab.stopping import RuleKind
 
 
 @dataclass
@@ -112,6 +115,106 @@ def log_N_series(S, M, sched, sigma, gamma2_value, t) -> np.ndarray:
     weighted = np.concatenate(
         [np.zeros(S.shape[:-1] + (1,)), np.cumsum(a * S[..., :-1], axis=-1)], axis=-1)
     return gamma2_value / prefix * t * M - s2 * gamma2_value * t * weighted
+
+
+def stops_by_step(kind, k_max: int, epsilon, U, f_gaps, step_sq=None):
+    """(tau, f(x_tau) - f*) of a capped rule, one step at a time.
+
+    ``f_gaps`` holds f(x_k) - f* for k = 0..K as (K+1, R) rows, ``step_sq``
+    ||x_k - x_{k-1}||^2 for k = 1..K.  At each k <= k_max a path that has not
+    stopped stops if the rule's predicate holds, and at k_max in any case.
+    """
+    R = f_gaps.shape[1]
+    tau, fgap = np.zeros(R, dtype=int), np.zeros(R)
+    for k in range(1, min(k_max, f_gaps.shape[0] - 1) + 1):
+        if k == k_max:
+            hit = np.ones(R, dtype=bool)
+        elif kind is RuleKind.ITERATE_DELTA:
+            hit = np.sqrt(step_sq[k - 1]) <= epsilon
+        elif kind is RuleKind.VALUE_DELTA:
+            hit = np.abs(f_gaps[k] - f_gaps[k - 1]) <= epsilon
+        elif kind is RuleKind.FIXED_K:
+            hit = np.zeros(R, dtype=bool)
+        else:
+            hit = f_gaps[k] > U[k]
+        new = hit & (tau == 0)
+        tau[new], fgap[new] = k, f_gaps[k][new]
+    return tau, fgap
+
+
+def block_by_step(cfg, env, lo: int, hi: int) -> dict:
+    """``harness._run_block``'s results for trajectories lo..hi-1, one streamed step at a time.
+
+    The step-by-step loop the harness ran before it took slabs of steps,
+    with every consumer written out for one record: the decay residuals and
+    their running minima, S, W and the prefix product advanced by one step
+    and log N^t(k-1) raised into its running supremum, the envelope flags,
+    the trajectory CSV rows, and each rule's stop (``stops_by_step`` on the
+    stored value gaps).  Every consumer runs, whatever ``cfg.checks`` holds.
+    """
+    obj, K, n = cfg.objective, cfg.K, hi - lo
+    ks = np.arange(1, K + 1)
+    U = {b: np.concatenate([[np.inf], envelope_U(env, b, ks)])
+         for b in {*cfg.betas, *(r[3] for r in cfg.rules if r[3] is not None)}}
+    names = ("descent", "descent_margin", "decomp", "decomp_margin",
+             "decomp_mid", "decomp_mid_margin", "p1_margin", "sandwich_margin")
+    mins = {name: np.full(n, np.inf) for name in names}
+    sigma, g2, t = env.sigma, env.gamma2, env.B / env.gamma2
+    S, W, prod, sup_logN, sup_E = 0.0, 0.0, 1.0, None, None
+    all_within = {b: np.ones(n, dtype=bool) for b in cfg.betas}
+    rows = {i: [] for i in range(lo, hi) if i < cfg.options["csv_trajectories"]}
+    f_gaps, step_sq = [], []
+    for rec in stream_ensemble(obj, cfg.noise, cfg.sched, K,
+                               derive_seeds(cfg.base_seed, n, start=lo), cfg.x0):
+        k = rec.k
+        if k == 1:
+            f_gaps.append(rec.fgap_prev)
+        f_gaps.append(rec.fgap_curr)
+        step_sq.append(sq_norm(rec.x_curr.T - rec.x_prev.T))
+        sq = math.sqrt(rec.eta_k / k)
+        dE = rec.E - rec.E_prev
+        descent = (4.0 * rec.eta_k / k * rec.g_sq - 2.0 / obj.smoothness * sq * rec.grad_sq
+                   - 2.0 * sq * rec.fgap_curr + 4.0 * sq * rec.theta_phi) - dE
+        decomp = rec.a_k * rec.theta_sq + math.sqrt(rec.a_k) * rec.theta_phi - dE
+        mid = (8.0 * rec.eta_k / k * (rec.theta_sq + rec.grad_sq)
+               - 2.0 / obj.smoothness * sq * rec.grad_sq + 4.0 * sq * rec.theta_phi) - dE
+        tol = np.maximum(1e-9 * (1.0 + np.abs(rec.E) + np.abs(rec.E_prev)), 1e-12)
+        p1 = rec.E_prev - rec.phi_sq + tol
+        if k == K:
+            p1 = np.minimum(p1, rec.E - rec.phi_next_sq + tol)
+        for name, v in zip(names, (descent, descent + tol, decomp, decomp + tol, mid, mid + tol,
+                                   p1, rec.E - rec.w_k * rec.fgap_curr)):
+            np.minimum(mins[name], v, out=mins[name])
+        logN = g2 / prod * t * (rec.E_prev - S) - sigma**2 * g2 * t * W
+        sup_logN = logN if sup_logN is None else np.maximum(sup_logN, logN)
+        sup_E = rec.E_prev if sup_E is None else np.maximum(sup_E, rec.E_prev)
+        S, W, prod = S + rec.a_k * rec.theta_sq, W + rec.a_k * S, prod * (1.0 + sigma**2 * rec.a_k)
+        for b in cfg.betas:
+            all_within[b] &= ~(rec.fgap_curr > U[b][k])
+        for i, r in rows.items():
+            if k == 1:
+                r.append((0, float(rec.fgap_prev[i - lo]), float(rec.E_prev[i - lo]),
+                          0.0, float(rec.E_prev[i - lo]), "", ""))
+            r.append((k, float(rec.fgap_curr[i - lo]), float(rec.E[i - lo]), float(S[i - lo]),
+                      float(rec.E[i - lo] - S[i - lo]), float(descent[i - lo]),
+                      float(decomp[i - lo])))
+    sup_logN = np.maximum(sup_logN, g2 / prod * t * (rec.E - S) - sigma**2 * g2 * t * W)
+    sup_E = np.maximum(sup_E, rec.E)
+
+    f_gaps, step_sq = np.array(f_gaps), np.array(step_sq)
+
+    def within(kind, epsilon, k_max, U_rule, U_b):
+        tau, fgap = stops_by_step(kind, k_max, epsilon, U_rule, f_gaps, step_sq)
+        return fgap <= U_b[tau]
+    # a configured rule without a beta stops on the first beta's envelope
+    first = cfg.betas[0] if cfg.betas else None
+    covered = {b: [all_within[b],
+                   within(RuleKind.FIRST_ENVELOPE_VIOLATION, None, K, U[b], U[b])]
+               + [within(kind, epsilon, k_max, U.get(first if rb is None else rb), U[b])
+                  for kind, epsilon, k_max, rb in cfg.rules]
+               for b in cfg.betas}
+    return {"covered": covered, "rows": rows, "mins": mins, "sup_logN": sup_logN,
+            "sup_E": sup_E, "S_last": S}
 
 
 def least_squares_residual_form(obj, x):

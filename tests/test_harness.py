@@ -22,6 +22,8 @@ from stoplab.noise import NoiseKind, calibrate
 from stoplab.objectives import least_squares_random
 from stoplab.sgdm import ScheduleVariant, Variant, derive_seeds, stream_ensemble
 
+from oracles import block_by_step
+
 
 def _base_raw(tmp_path, **over):
     raw = {
@@ -413,6 +415,87 @@ def test_block_width_does_not_change_results(tmp_path, monkeypatch, dim):
             ra, rb = step_residuals(a, obj), step_residuals(b, obj)
             for key in keys:
                 assert ra[key][i] == rb[key][0], (a.k, key)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_block_is_the_oracles(got, want, keys):
+    for key in keys:
+        if key == "covered":
+            assert got[key].keys() == want[key].keys()
+            for b in want[key]:
+                assert len(got[key][b]) == len(want[key][b])
+                assert all(map(_same_bits, got[key][b], want[key][b])), b
+        elif key == "mins":
+            assert got[key].keys() == want[key].keys()
+            assert all(_same_bits(got[key][m], want[key][m]) for m in want[key])
+        elif key == "rows":
+            assert {i: [tuple(map(repr, r)) for r in rows] for i, rows in got[key].items()} == \
+                   {i: [tuple(map(repr, r)) for r in rows] for i, rows in want[key].items()}
+        else:
+            assert _same_bits(got[key], want[key]), key
+
+
+@pytest.mark.parametrize("B", [1, 2, 7, 23, 40])
+def test_slab_block_matches_the_step_by_step_oracle(tmp_path, monkeypatch, B):
+    # K = 23 is no multiple of 2 or 7.  The fixed-k caps stop every path on
+    # the first and on the last row of the second slab, the envelope rule's
+    # cap falls inside it, and with sigma 8 against an envelope at beta 0.49
+    # (envelope_sigma 1e-3, x0 = x*) the envelope rules stop at k = 3..15
+    K = 23
+    raw = _base_raw(tmp_path, K=K, R=40, x0=[0.0, 0.0], betas=[0.49, 0.3],
+                    noise={"kind": "gaussian-isotropic", "sigma": 8.0},
+                    checks=["descent", "decomposition", "ville", "coverage"],
+                    rules=[{"kind": "iterate-delta", "epsilon": 1e-3},
+                           {"kind": "value-delta", "epsilon": 1e-4},
+                           {"kind": "fixed-k", "k_max": min(B + 1, K)},
+                           {"kind": "fixed-k", "k_max": min(2 * B, K)},
+                           {"kind": "first-envelope-violation", "beta": 0.49,
+                            "k_max": min(B + B // 2 + 1, K)}],
+                    options={"csv_trajectories": 3, "envelope_sigma": 1e-3})
+    cfg = parse_config(raw)
+    env = harness._envelope(cfg)
+    monkeypatch.setattr(harness, "_slab_rows", lambda width, arrays: B)
+    want = block_by_step(cfg, env, 0, cfg.R)
+    _assert_block_is_the_oracles(harness._run_block(cfg, env, 0, cfg.R), want,
+                                 ("covered", "rows", "mins", "sup_logN", "sup_E", "S_last"))
+    # the envelope rules stop at varied steps, so the flags are not all true
+    assert not want["covered"][0.49][0].all()
+    # a block of the run's trajectories 30..39 is the matching slice
+    tail = harness._run_block(cfg, env, 30, 40)
+    assert _same_bits(tail["sup_logN"], want["sup_logN"][30:])
+
+
+@pytest.mark.parametrize("B", [1, 3, 50])
+def test_slab_block_matches_the_oracle_at_R1_and_coverage_only(tmp_path, monkeypatch, B):
+    monkeypatch.setattr(harness, "_slab_rows", lambda width, arrays: B)
+    raw = _base_raw(tmp_path, R=1, betas=[0.05, 0.1], checks=["descent", "ville", "coverage"],
+                    rules=[{"kind": "fixed-k", "k_max": 17}, {"kind": "first-envelope-violation"}],
+                    options={"csv_trajectories": 1})
+    cfg = parse_config(raw)
+    env = harness._envelope(cfg)
+    _assert_block_is_the_oracles(harness._run_block(cfg, env, 0, 1), block_by_step(cfg, env, 0, 1),
+                                 ("covered", "rows", "mins", "sup_logN", "sup_E", "S_last"))
+    lean = parse_config(dict(raw, R=6, checks=["coverage"], options={"csv_trajectories": 0}))
+    got = harness._run_block(lean, env, 0, 6)
+    assert set(got) == {"covered", "rows"}
+    _assert_block_is_the_oracles(got, block_by_step(lean, env, 0, 6), ("covered", "rows"))
+
+
+def test_pool_forks_one_worker_per_block(tmp_path, monkeypatch):
+    import multiprocessing
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the pool's workers are forked by another process")
+    forks = []
+    os.register_at_fork(after_in_parent=lambda: forks.append(1))
+    monkeypatch.setenv("STOPLAB_WORKERS", "4")
+    rep = run_experiment(parse_config(_base_raw(tmp_path, R=2, K=5)))
+    assert rep.passed
+    assert len(forks) == 2
 
 
 def test_rules_appear_in_coverage(tmp_path):

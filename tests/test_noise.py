@@ -6,11 +6,22 @@ from hypothesis import given, settings, strategies as st
 
 from stoplab.errors import CalibrationError
 from stoplab.noise import (NoiseKind, NoiseModel, calibrate,
-                           mgf_certificate_check, sample)
+                           mgf_certificate_check, philox, sample)
+from stoplab.sgdm import spawn_seed
 
 
 def _rng(seed=0):
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+@pytest.mark.parametrize("key", [0, 1, 12345, 2**63, 2**64 - 1, spawn_seed(7, 1 << 20)])
+def test_philox_is_the_keyed_philox(key):
+    # the key-only seed sequence changes no state and no draw of Philox(key=...)
+    ours, ref = philox(key), np.random.Generator(np.random.Philox(key=key))
+    assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
+    assert np.array_equal(ours.standard_normal(1000), ref.standard_normal(1000))
+    assert np.array_equal(ours.integers(0, 1 << 62, 100), ref.integers(0, 1 << 62, 100))
+    assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
 
 
 def test_gaussian_calibration_formula():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoplab import objectives
+from stoplab import objectives, sgdm
 from stoplab.errors import DivergenceError
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import (eval_objective, huberized_abs, least_squares_random,
@@ -179,6 +179,26 @@ def test_trajectory_accessors():
     assert np.array_equal(last.phi_next_sq, sq_norm(phi_next))
     assert np.array_equal(last.E, energy(sq_norm(phi_next), last.fgap_curr,
                                          energy_weight(SCHED1, 10)))
+
+
+def test_noise_blocks_are_bounded_by_bytes(monkeypatch):
+    # a block holds at most _NOISE_BYTES of noise, and at least one step; each
+    # trajectory's stream is read in order, so no bit moves
+    obj = quadratic(np.array([1.0, 2.0]))
+    noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
+    sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
+    seeds, x0 = derive_seeds(4, 5), np.array([2.0, -1.0])
+    ref = list(stream_ensemble(obj, noise, sched, 10, seeds, x0))
+    draws, real = [], sgdm.sample
+    monkeypatch.setattr(sgdm, "sample", lambda model, rng, n=None: draws.append(n) or real(model, rng, n))
+    for budget, blocks in ((3 * 8 * 2 * 5, [3, 3, 3, 1]), (1, [1] * 10)):
+        monkeypatch.setattr(sgdm, "_NOISE_BYTES", budget)
+        draws.clear()
+        got = list(stream_ensemble(obj, noise, sched, 10, seeds, x0))
+        assert draws == [m for m in blocks for _ in seeds]
+        for a, b in zip(ref, got, strict=True):
+            assert np.array_equal(a.theta, b.theta) and np.array_equal(a.x_next, b.x_next)
+            assert np.array_equal(a.E, b.E)
 
 
 def test_stream_raises_divergence_at_the_first_step_past_the_radius():

@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 from stoplab.lyapunov import envelope_constants, envelope_U
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import quadratic
-from stoplab.sgdm import ScheduleVariant, Variant, derive_seeds, stream_ensemble
+from stoplab.mcstats import clopper_pearson
+from stoplab.sgdm import ScheduleVariant, StepSlab, Variant, derive_seeds, stream_ensemble
 from stoplab.stopping import (PathTree, RuleKind, RuleTracker,
                               baseline_envelope, coverage_verdict,
                               enumerate_stopping_times, random_tree,
                               tree_min_coverage)
 
-from oracles import run_paths
+from oracles import run_paths, stops_by_step
 
 SCHED = ScheduleVariant(Variant.THEOREM_MAIN, L=1.0)
 ZERO1 = NoiseModel(NoiseKind.NONE, dim=1, sigma_certificate=0.0, scale=0.0)
@@ -147,6 +148,47 @@ def test_envelope_rule_matches_per_step_oracle():
     assert list(fgap) == [1.5, 1.25, 1.75, f_gaps[3, k_max]]
 
 
+def _slab_rules(f_gaps, step_sq, rules, B):
+    """Feed ``rules`` the path in slabs of B consecutive steps, as the harness does."""
+    K = len(f_gaps) - 1
+    for lo in range(1, K + 1, B):
+        hi = min(lo + B, K + 1)
+        slab = StepSlab(k=np.arange(lo, hi)[:, None], fgap_curr=f_gaps[lo:hi],
+                        fgap_prev=f_gaps[lo - 1:hi - 1], step_sq=step_sq[lo - 1:hi - 1])
+        for rule in rules:
+            rule.update(slab)
+
+
+@pytest.mark.parametrize("B", [1, 2, 7, 12, 30])
+def test_rules_on_slabs_match_the_step_by_step_oracle(B):
+    # K = 12 in slabs of 7 rows is k = 1..7 and 8..12: paths stop on a first
+    # row (k = 1, 8), a last row (k = 7, K) and inside (k = 4), cross again
+    # after their stop, and carry NaN gaps (NaN triggers nothing)
+    K = 12
+    rng = np.random.default_rng(12)
+    f_gaps = rng.uniform(0.0, 0.9, (K + 1, 8))
+    U = np.full(K + 1, 1.0)
+    U[0] = np.inf
+    for path, ks in enumerate(([1, 5], [7, 8], [8, 11], [4], [K], [])):
+        f_gaps[ks, path] = 2.0 + path
+    f_gaps[[2, 3], 6] = np.nan  # a NaN gap, then its successor, never triggers
+    f_gaps[5:, 7] = np.nan      # a path that is NaN from k = 5 on stops at the cap with NaN
+    f_gaps[9, 2] = f_gaps[8, 2]  # an unchanged gap: value-delta fires at k = 9
+    step_sq = rng.uniform(1e-4, 1.0, (K, 8))
+    step_sq[[0, 6, 7], [3, 1, 4]] = 0.0  # iterate-delta fires at k = 1, 7 and 8
+    rules = [RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, k_max, U=U) for k_max in (K, 10, 7, 8)]
+    rules += [RuleTracker(RuleKind.VALUE_DELTA, K, epsilon=1e-12),
+              RuleTracker(RuleKind.ITERATE_DELTA, 10, epsilon=1e-9),
+              RuleTracker(RuleKind.FIXED_K, 3), RuleTracker(RuleKind.FIXED_K, 8)]
+    _slab_rules(f_gaps, step_sq, rules, B)
+    for rule in rules:
+        tau, fgap = stops_by_step(rule.kind, rule.k_max, rule.epsilon, U, f_gaps, step_sq)
+        assert np.array_equal(rule.tau, tau), (rule.kind, rule.k_max)
+        assert rule.fgap.tobytes() == fgap.tobytes(), (rule.kind, rule.k_max)
+    assert list(rules[0].tau) == [1, 7, 8, 4, K, K, K, K]
+    assert np.isnan(rules[0].fgap[7])
+
+
 def test_adversarial_identity_with_sup_statement():
     obj = quadratic(np.array([1.0, 2.0]))
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
@@ -178,6 +220,21 @@ def test_coverage_report():
     assert rep["frequency"] == 0.85 and rep["bound"] == 0.9 and not rep["pass"]
     rep = coverage_verdict(np.arange(200) < 197, beta=0.05)
     assert rep["ci_lo"] >= 0.9 and rep["pass"]
+
+
+@pytest.mark.parametrize("R", [8, 128, 200, 1000, 10_000])
+def test_coverage_rows_in_one_call_are_the_rows_one_by_one(R):
+    # one Clopper-Pearson call for every row gives each row's own verdict, bit
+    # for bit: from no hits to all hits, and densely near R, where coverage lives
+    hits = np.unique(np.r_[np.linspace(0, R, 25).astype(int), np.arange(max(R - 30, 0), R + 1)])
+    within = np.arange(R)[None, :] < hits[:, None]
+    betas = np.resize([0.05, 0.1, 0.25], len(hits))
+    rows = coverage_verdict(within, betas)
+    for j, (w, beta) in enumerate(zip(within, betas)):
+        one = coverage_verdict(w, float(beta))
+        assert {key: v[j] for key, v in rows.items()} == one
+        assert type(one["ci_lo"]) is float and type(one["pass"]) is bool
+    assert clopper_pearson(hits, R)[0].tolist() == rows["ci_lo"]
 
 
 def test_baseline_envelope_values():
