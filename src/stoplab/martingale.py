@@ -51,8 +51,8 @@ def _advance(S, W, prefix_prod, a, theta_sq, sigma: float):
     prod(k) = prod(k-1) (1 + s^2 a_k), the last as a (B+1, 1) column.  The
     rows are added one after another, so each is bitwise the step-by-step
     value.  A row at a time, not ``np.add.accumulate`` down the columns:
-    that makes one inner-loop call per column, three times slower at
-    R = 1000 and ten rows.
+    that makes one inner-loop call per column, twice as slow at R = 1000
+    and 17 rows.
     """
     S_rows = np.empty((theta_sq.shape[0] + 1, theta_sq.shape[1]))
     S_rows[0] = S
