@@ -52,7 +52,7 @@ class RuleTracker:
     holds the envelope indexed by k.  With k_max = K it is the adversarial
     rule that makes the anytime guarantee tight: first violation at
     k <= K - 1, else K.  Within a slab a path's stop is the first row where
-    the predicate holds, rows past k_max masked and the k_max row forced.
+    the predicate holds, with the k_max row forced.
     ``update`` writes only when some trajectory stops, and once every
     trajectory has its tau it returns at once.
     """
@@ -102,8 +102,7 @@ class RuleTracker:
         stop = self._triggered(s)
         cap = self.k_max - k[0]  # the k_max row: a slab's steps are consecutive
         if cap < len(k):
-            stop[cap + 1:] = False
-            stop[cap] = True
+            stop[cap] = True  # so no later row is a first stop
         stop &= self.tau == 0
         new = np.flatnonzero(stop.any(axis=0))
         if new.size == 0:
