@@ -127,9 +127,13 @@ def check_supermartingale(
     x_k1 = _step_arrays(k, rec.eta_k, x_km1, x_k, g)
     phi_next_sq = sq_norm(phi(k + 1, x_k, x_k1, obj.minimizer[:, None]))
     E_k = energy(phi_next_sq, rec.fgap_curr[0], rec.w_k)
-    S, W, prod = _advance(S_km1, W_km1, prod_km1, np.array([[rec.a_k]]),
-                          sq_norm(thetas)[None], sigma)
-    logN_k = log_N(E_k, S[1], W[1], prod[1, 0], sigma, gamma2_value, t)
+    # _advance's step for every branch at once, without its rows: W(k) and the
+    # product do not depend on the branch, so they stay one value each
+    a_k = rec.a_k
+    S_k = S_km1 + a_k * sq_norm(thetas)
+    W_k = W_km1 + a_k * S_km1
+    prod_k = prod_km1 * (1.0 + sigma**2 * a_k)
+    logN_k = log_N(E_k, S_k, W_k, prod_k, sigma, gamma2_value, t)
 
     shift = max(float(np.max(logN_k)), logN_prev)
     w = np.exp(logN_k - shift)
