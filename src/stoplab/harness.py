@@ -615,15 +615,15 @@ def run_experiment(cfg: RunConfig) -> Report:
             sandwich_margin_min=float(np.min(m["sandwich_margin"])),
         ))
     if "supermartingale" in cfg.checks:
-        seed = spawn_seed(cfg.base_seed, 1 << 20)
-        for k in cfg.options["supermartingale_ks"]:
-            r = check_supermartingale(
-                cfg.objective, cfg.noise, cfg.sched, cfg.x0, seed, int(k), t,
-                int(cfg.options["n_branches"]), gamma2_value=env.gamma2, B=env.B,
-            )
+        ks = [int(k) for k in cfg.options["supermartingale_ks"]]
+        n_branches = int(cfg.options["n_branches"])
+        records = check_supermartingale(
+            cfg.objective, cfg.noise, cfg.sched, cfg.x0, spawn_seed(cfg.base_seed, 1 << 20),
+            ks, t, n_branches, gamma2_value=env.gamma2, B=env.B,
+        )
+        for k, r in zip(ks, records):
             checks.append(_check_record(
-                "supermartingale", {"k": int(k), "t": t,
-                                    "n_branches": int(cfg.options["n_branches"])},
+                "supermartingale", {"k": k, "t": t, "n_branches": n_branches},
                 r["estimate"], r["ci_halfwidth"], 0.0, r["pass"],
                 bootstrap_hi=r["bootstrap_hi"],
             ))

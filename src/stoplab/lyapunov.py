@@ -21,57 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .objectives import Objective, dim_sum
-from .sgdm import ScheduleVariant, Variant, as_slab, phi, sq_norm
+from .objectives import Objective
+from .sgdm import ScheduleVariant, Variant, as_slab
 from .series import gamma1 as _gamma1_bracket
 from .series import gamma2 as _gamma2_bracket
 
 __all__ = [
     "EnvelopeParams", "residual_tolerance", "step_residuals",
-    "deep_descent_links", "envelope_constants", "envelope_U",
+    "envelope_constants", "envelope_U",
 ]
 
 
 def residual_tolerance(E_k, E_km1) -> np.ndarray:
     """Magnitude-relative tolerance 1e-9 (1 + |E(k)| + |E(k-1)|), floored at 1e-12."""
     return np.maximum(1e-9 * (1.0 + np.abs(E_k) + np.abs(E_km1)), 1e-12)
-
-
-def deep_descent_links(rec, obj: Objective) -> dict:
-    """Verify each link of the energy-decay derivation separately at one step.
-
-    Works on a StepRecord and returns per-trajectory residuals for: the
-    recurrence identity (k+2)(x_{k+1}-x_k) - k(x_k - x_{k-1}) = -2 sqrt(eta_k/k) g_k
-    (abs error), the raw differencing bound, and the post-substitution bound.
-    All must be >= -tol (identity: <= tol in absolute value).
-    """
-    k = rec.k
-    # back to the stream's trajectory-minor (dim, R) state
-    x_km1, x_k, x_k1, g = rec.x_prev.T, rec.x_curr.T, rec.x_next.T, rec.g.T
-    x_star = obj.minimizer[:, None]
-    e_k = rec.eta_k
-    sq = math.sqrt(e_k / k)
-    dE = rec.E - rec.E_prev
-    delta = 2.0 * (x_k1 - x_k) + k * (x_k1 - 2.0 * x_k + x_km1)
-    identity_err = np.max(np.abs(delta + 2.0 * sq * g), axis=0)
-    f_diff = rec.fgap_curr - rec.fgap_prev  # f(x_k) - f(x_{k-1})
-    rhs_diff = (
-        2.0 * dim_sum(delta * phi(k + 1, x_k, x_k1, x_star))
-        - sq_norm(delta)
-        + 4.0 * math.sqrt(k * e_k) * f_diff
-        + 2.0 * sq * rec.fgap_curr
-    )
-    rhs_mid1 = (
-        -4.0 * sq * dim_sum(g * (x_k + (k + 2.0) * (x_k1 - x_k) - x_star))
-        - 4.0 * e_k / k * rec.g_sq
-        + 4.0 * math.sqrt(k * e_k) * f_diff
-        + 2.0 * sq * rec.fgap_curr
-    )
-    return {
-        "recurrence_identity_abs_err": identity_err,
-        "differencing_residual": rhs_diff - dE,
-        "substituted_residual": rhs_mid1 - dE,
-    }
 
 
 def step_residuals(rec, obj: Objective) -> dict:

@@ -82,47 +82,19 @@ def _branch_thetas(noise: NoiseModel, prefix_seed: int, k: int, n: int) -> np.nd
     return out
 
 
-def check_supermartingale(
-    obj: Objective,
-    noise: NoiseModel,
-    sched: ScheduleVariant,
-    x0,
-    prefix_seed: int,
-    k: int,
-    t: float,
-    n_branches: int,
-    gamma2_value: float,
-    B: float = 1.0,
-) -> dict:
-    """Branching Monte Carlo check of E[N^t(k) | F_{k-1}] <= N^t(k-1).
+def _branch_logN(obj: Objective, noise: NoiseModel, rec, tracker: "MartingaleTracker",
+                 prefix_seed: int, n: int) -> tuple[float, np.ndarray]:
+    """log N^t(k-1) of the prefix, and log N^t(k) on each of n branches of its step k.
 
-    Streams one trajectory prefix to step k-1 through the tracker, then draws
-    independent noise continuations for step k.  The estimate and half-width are reported after
-    a common exp-shift so the comparison is overflow-free; pass means
-    estimate <= 3 * ci_halfwidth (zero-noise runs are a deterministic single
-    branch).  A one-sided 99% bootstrap bound on the shifted mean is included
-    because N has a heavy right tail.  ``gamma2_value`` is the certified upper
-    end of the gamma2 bracket (``EnvelopeParams.gamma2``).
+    ``rec`` is the prefix's record at k and ``tracker`` holds its state at
+    k-1; the prefix's own theta_k is replaced by the branches' draws.
     """
-    if n_branches < 1000:
-        raise ValueError("n_branches must be >= 1000")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    sigma = noise.sigma_certificate
-    if not 0.0 < t <= B / gamma2_value + 1e-15:
-        raise ValueError("t must lie in (0, B / gamma2]")
-    # The prefix path runs to step k; its own theta_k is replaced by branches.
-    tracker = MartingaleTracker(sigma, gamma2_value, t)
-    for rec in stream_ensemble(obj, noise, sched, k, [prefix_seed], x0):
-        if rec.k == k:
-            break
-        tracker.update(rec)
+    sigma, gamma2_value, t = tracker.sigma, tracker.gamma2_value, tracker.t
     S_km1, W_km1, prod_km1 = tracker.S_last, tracker._W, tracker._prefix_prod
     logN_prev = float(log_N(rec.E_prev, S_km1, W_km1, prod_km1, sigma, gamma2_value, t)[0])
-
     # the branches as columns of a trajectory-minor (dim, n) block
-    x_km1, x_k = rec.x_prev.T, rec.x_curr.T
-    thetas = _branch_thetas(noise, prefix_seed, k, n_branches)
+    k, x_km1, x_k = rec.k, rec.x_prev.T, rec.x_curr.T
+    thetas = _branch_thetas(noise, prefix_seed, k, n)
     g = np.subtract(grad(obj, rec.x_curr[0])[:, None], thetas, order="C")
     x_k1 = _step_arrays(k, rec.eta_k, x_km1, x_k, g)
     phi_next_sq = sq_norm(phi(k + 1, x_k, x_k1, obj.minimizer[:, None]))
@@ -133,22 +105,71 @@ def check_supermartingale(
     S_k = S_km1 + a_k * sq_norm(thetas)
     W_k = W_km1 + a_k * S_km1
     prod_k = prod_km1 * (1.0 + sigma**2 * a_k)
-    logN_k = log_N(E_k, S_k, W_k, prod_k, sigma, gamma2_value, t)
+    return logN_prev, log_N(E_k, S_k, W_k, prod_k, sigma, gamma2_value, t)
 
-    shift = max(float(np.max(logN_k)), logN_prev)
-    w = np.exp(logN_k - shift)
-    mean_w = float(np.mean(w))
-    prev_w = math.exp(logN_prev - shift)
-    estimate = mean_w - prev_w
-    stderr = float(np.std(w, ddof=1) / math.sqrt(n_branches)) if n_branches > 1 else 0.0
-    boot_hi = bootstrap_upper_quantile(w, seed=prefix_seed) - prev_w if stderr > 0 else estimate
-    return {
-        "estimate": estimate,
-        "ci_halfwidth": stderr,
-        "bootstrap_hi": boot_hi,
-        "shift": shift,
-        "pass": estimate <= 3.0 * stderr + 1e-12,
-    }
+
+def check_supermartingale(
+    obj: Objective,
+    noise: NoiseModel,
+    sched: ScheduleVariant,
+    x0,
+    prefix_seed: int,
+    ks,
+    t: float,
+    n_branches: int,
+    gamma2_value: float,
+    B: float = 1.0,
+) -> list[dict]:
+    """Branching Monte Carlo check of E[N^t(k) | F_{k-1}] <= N^t(k-1) at each k in ``ks``.
+
+    Streams one trajectory prefix through the tracker, once, to max(ks).  At
+    each k it branches: n_branches independent noise continuations replace
+    the prefix's own theta_k, from the tracker's state at k-1.  Each k's
+    estimate and half-width are reported after its own exp-shift, so the
+    comparison is overflow-free; pass means estimate <= 3 * ci_halfwidth
+    (zero-noise runs are a deterministic single branch).  A one-sided 99%
+    bootstrap bound on each shifted mean is included because N has a heavy
+    right tail: one bootstrap over the (len(set(ks)), n_branches) shifted
+    weights, whose resample indices every k shares.  ``gamma2_value`` is the
+    certified upper end of the gamma2 bracket (``EnvelopeParams.gamma2``).
+    Returns one record per entry of ``ks``, in its order; a bare int k is
+    read as [k].
+    """
+    ks = [int(k) for k in ([ks] if np.ndim(ks) == 0 else ks)]
+    if n_branches < 1000:
+        raise ValueError("n_branches must be >= 1000")
+    if not ks or min(ks) < 1:
+        raise ValueError("ks must hold at least one step, each >= 1")
+    sigma = noise.sigma_certificate
+    if not 0.0 < t <= B / gamma2_value + 1e-15:
+        raise ValueError("t must lie in (0, B / gamma2]")
+    row = {k: j for j, k in enumerate(sorted(set(ks)))}
+    w = np.empty((len(row), n_branches))
+    shift, prev_w = np.empty(len(row)), np.empty(len(row))
+    tracker = MartingaleTracker(sigma, gamma2_value, t)
+    for rec in stream_ensemble(obj, noise, sched, max(ks), [prefix_seed], x0):
+        j = row.get(rec.k)
+        if j is not None:
+            logN_prev, logN_k = _branch_logN(obj, noise, rec, tracker, prefix_seed, n_branches)
+            shift[j] = max(float(np.max(logN_k)), logN_prev)
+            np.exp(logN_k - shift[j], out=w[j])
+            prev_w[j] = math.exp(logN_prev - shift[j])
+        tracker.update(rec)
+
+    # a row at a time: each row's mean and deviation keep a one-k call's bits
+    estimate = np.array([np.mean(wj) for wj in w]) - prev_w
+    stderr = np.array([np.std(wj, ddof=1) for wj in w]) / math.sqrt(n_branches)
+    boot_hi = estimate
+    if np.any(stderr > 0):
+        boot_hi = np.where(stderr > 0, bootstrap_upper_quantile(w, seed=prefix_seed) - prev_w,
+                           estimate)
+    return [{
+        "estimate": float(estimate[j]),
+        "ci_halfwidth": float(stderr[j]),
+        "bootstrap_hi": float(boot_hi[j]),
+        "shift": float(shift[j]),
+        "pass": bool(estimate[j] <= 3.0 * stderr[j] + 1e-12),
+    } for j in map(row.get, ks)]
 
 
 def ville_bound(alpha: float, t: float, gamma2_value: float, E0: float) -> float:

@@ -262,12 +262,22 @@ def clopper_pearson(successes, n, confidence: float = 0.99):
     return lo.reshape(k.shape), hi.reshape(k.shape)
 
 
-def bootstrap_upper_quantile(values: np.ndarray, stat=np.mean, n_boot: int = 200,
-                             q: float = 0.99, seed: int = 0) -> float:
-    """One-sided bootstrap upper confidence bound for a statistic of the sample."""
+def bootstrap_upper_quantile(values: np.ndarray, n_boot: int = 200, q: float = 0.99,
+                             seed: int = 0) -> np.ndarray:
+    """One-sided bootstrap upper confidence bounds for the mean of each row of ``values``.
+
+    ``values`` is (m, n); returns the m rows' q-quantiles of their resampled
+    means.  Each resample draws its n indices once, and every row is gathered
+    by them into one reused (n,) buffer, whose ``np.mean`` is the pairwise sum
+    of a row resampled on its own: each row's bound is bitwise the one it has
+    alone.
+    """
     rng = philox(seed)
-    n = values.shape[0]
-    reps = np.empty(n_boot)
+    m, n = values.shape
+    reps = np.empty((m, n_boot))
+    buf = np.empty(n)
     for b in range(n_boot):
-        reps[b] = stat(values[rng.integers(0, n, size=n)])
-    return float(np.quantile(reps, q))
+        idx = rng.integers(0, n, size=n)
+        for j in range(m):
+            reps[j, b] = np.mean(np.take(values[j], idx, out=buf))
+    return np.quantile(reps, q, axis=1)

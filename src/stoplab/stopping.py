@@ -5,26 +5,19 @@ value gap f(x_tau) - f* stays below the envelope U(beta, tau) with
 probability at least 1 - 2 beta.  Its sharpness is witnessed by the
 adversarial rule that stops at the first envelope violation: coverage under
 that rule equals the probability that the whole prefix stays inside the
-envelope, so no adapted rule can do worse.  A small exhaustively-enumerable
-path tree makes that equivalence checkable exactly.
+envelope, so no adapted rule can do worse.
 """
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 
 from .mcstats import clopper_pearson
-from .noise import philox
 from .sgdm import as_slab
 
-__all__ = [
-    "RuleKind", "RuleTracker", "coverage_verdict", "baseline_envelope",
-    "PathTree", "random_tree", "enumerate_stopping_times", "tree_min_coverage",
-]
+__all__ = ["RuleKind", "RuleTracker", "coverage_verdict", "baseline_envelope"]
 
 
 class RuleKind(Enum):
@@ -154,88 +147,3 @@ def baseline_envelope(eta_param: float, beta: float, k) -> np.ndarray | float:
         + eta_param * np.log(math.pi**2 * k * k / (6.0 * beta)) * np.log(k)
     )
     return float(val) if val.ndim == 0 else val
-
-
-@dataclass(frozen=True)
-class PathTree:
-    """A complete binary tree of equally likely value paths.
-
-    ``values[p, k]`` is the observed value-gap on path p at step k (k = 0 is
-    the common root).  Path index bits give the branch taken at each step,
-    most significant bit first, so two paths share a history prefix of length
-    k iff their indices agree in the top k bits.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        n, steps = self.values.shape
-        d = steps - 1
-        if n != 1 << d or d < 1 or d > 4 or n > 16:
-            raise ValueError("tree must be complete binary with <= 4 steps and <= 16 paths")
-
-    @property
-    def depth(self) -> int:
-        return self.values.shape[1] - 1
-
-
-def random_tree(depth: int, seed: int, low: float = 0.0, high: float = 1.0) -> PathTree:
-    """A random consistent tree: paths sharing a prefix share node values."""
-    rng = philox(seed)
-    n = 1 << depth
-    values = np.empty((n, depth + 1))
-    values[:, 0] = rng.uniform(low, high)
-    for k in range(1, depth + 1):
-        node_vals = rng.uniform(low, high, 1 << k)
-        values[:, k] = node_vals[np.arange(n) >> (depth - k)]
-    return PathTree(values)
-
-
-def enumerate_stopping_times(depth: int):
-    """Yield every adapted stopping time on the depth-d binary tree as a
-    per-path tau array with values in 1..depth.
-
-    A rule consists of one stop/continue decision per interior history node
-    at steps 1..depth-1 (2^k nodes at step k), with a forced stop at depth.
-    There are 2^(2 + 4 + ... + 2^(depth-1)) such rules: 64 for depth 3.
-    """
-    n_paths = 1 << depth
-    nodes = [(k, h) for k in range(1, depth) for h in range(1 << k)]
-    for bits in product((False, True), repeat=len(nodes)):
-        stop = dict(zip(nodes, bits))
-        taus = np.empty(n_paths, dtype=int)
-        for p in range(n_paths):
-            tau = depth
-            for k in range(1, depth):
-                if stop[(k, p >> (depth - k))]:
-                    tau = k
-                    break
-            taus[p] = tau
-        yield taus
-
-
-def tree_min_coverage(tree: PathTree, U: np.ndarray) -> dict:
-    """Exhaustive minimum of Pr(value at tau <= U(tau)) over all stopping times.
-
-    Also reports the sup-statement probability Pr(forall k <= depth: value(k)
-    <= U(k)) and the coverage of the first-violation rule; the three agree on
-    any tree, which is the finite-space form of the tight-envelope
-    equivalence.
-    """
-    n_paths, d = tree.values.shape[0], tree.depth
-    best = 1.0
-    best_taus = None
-    for taus in enumerate_stopping_times(d):
-        cov = float(np.mean(tree.values[np.arange(n_paths), taus] <= U[taus]))
-        if cov < best:
-            best, best_taus = cov, taus.copy()
-    sup_prob = float(np.mean(np.all(tree.values[:, 1:] <= U[1: d + 1], axis=-1)))
-    # a tree step carries only value gaps, all the first-violation rule reads
-    adv = RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, d, U=U)
-    for k in range(1, d + 1):
-        adv.update(SimpleNamespace(k=k, fgap_curr=tree.values[:, k]))
-    adv_cov = float(np.mean(adv.within(U)))
-    return {
-        "min_coverage": best, "argmin_taus": best_taus,
-        "sup_probability": sup_prob, "adversarial_coverage": adv_cov,
-    }

@@ -7,21 +7,28 @@ it took slabs (``block_by_step``), so a test can compare the two.  The residual
 form of least squares checks the lab's centered Gram form, the column loop
 pins the summation order of its G u product, the per-index
 ``SeedSequence`` loop checks the vectorized seed derivation, and
-``scipy.stats.beta.ppf`` checks the Clopper-Pearson ends.  The rest are
+``scipy.stats.beta.ppf`` checks the Clopper-Pearson ends, and a row-by-row
+loop checks the bootstrap's shared resamples.  ``deep_descent_links``
+checks each link of the energy-decay derivation at one step, and the path
+tree enumerates every stopping time of a small binary tree.  The rest are
 exact references: the weight series and binomial tails to 50 digits
-(mpmath), zeta(s), and the weighted chi-square tail (Imhof inversion).  All are deliberately separate
-code and are not used by the package.
+(mpmath), zeta(s), and the weighted chi-square tail (Imhof inversion).  All
+are deliberately separate code and are not used by the package.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import product
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
 from stoplab.lyapunov import envelope_U
-from stoplab.sgdm import a_coeff, derive_seeds, eta, sq_norm, stream_ensemble
-from stoplab.stopping import RuleKind
+from stoplab.noise import philox
+from stoplab.objectives import dim_sum
+from stoplab.sgdm import a_coeff, derive_seeds, eta, phi, sq_norm, stream_ensemble
+from stoplab.stopping import RuleKind, RuleTracker
 
 
 @dataclass
@@ -97,6 +104,43 @@ def residual_series(p: Paths, sched, obj) -> dict:
             "decomp_mid": mid - dE, "E": E}
 
 
+def deep_descent_links(rec, obj) -> dict:
+    """Verify each link of the energy-decay derivation separately at one step.
+
+    Works on a StepRecord (one record of ``stream_ensemble``) and returns per-trajectory residuals for: the
+    recurrence identity (k+2)(x_{k+1}-x_k) - k(x_k - x_{k-1}) = -2 sqrt(eta_k/k) g_k
+    (abs error), the raw differencing bound, and the post-substitution bound.
+    All must be >= -tol (identity: <= tol in absolute value).
+    """
+    k = rec.k
+    # back to the stream's trajectory-minor (dim, R) state
+    x_km1, x_k, x_k1, g = rec.x_prev.T, rec.x_curr.T, rec.x_next.T, rec.g.T
+    x_star = obj.minimizer[:, None]
+    e_k = rec.eta_k
+    sq = math.sqrt(e_k / k)
+    dE = rec.E - rec.E_prev
+    delta = 2.0 * (x_k1 - x_k) + k * (x_k1 - 2.0 * x_k + x_km1)
+    identity_err = np.max(np.abs(delta + 2.0 * sq * g), axis=0)
+    f_diff = rec.fgap_curr - rec.fgap_prev  # f(x_k) - f(x_{k-1})
+    rhs_diff = (
+        2.0 * dim_sum(delta * phi(k + 1, x_k, x_k1, x_star))
+        - sq_norm(delta)
+        + 4.0 * math.sqrt(k * e_k) * f_diff
+        + 2.0 * sq * rec.fgap_curr
+    )
+    rhs_mid1 = (
+        -4.0 * sq * dim_sum(g * (x_k + (k + 2.0) * (x_k1 - x_k) - x_star))
+        - 4.0 * e_k / k * rec.g_sq
+        + 4.0 * math.sqrt(k * e_k) * f_diff
+        + 2.0 * sq * rec.fgap_curr
+    )
+    return {
+        "recurrence_identity_abs_err": identity_err,
+        "differencing_residual": rhs_diff - dE,
+        "substituted_residual": rhs_mid1 - dE,
+    }
+
+
 def S_M(p: Paths, sched, obj):
     """S(k) = sum_{l<=k} a_l ||theta_l||^2 and M(k) = E(k) - S(k), k = 0..K."""
     a = np.asarray(a_coeff(sched, np.arange(1, p.K + 1)))
@@ -140,6 +184,91 @@ def stops_by_step(kind, k_max: int, epsilon, U, f_gaps, step_sq=None):
         new = hit & (tau == 0)
         tau[new], fgap[new] = k, f_gaps[k][new]
     return tau, fgap
+
+
+@dataclass(frozen=True)
+class PathTree:
+    """A complete binary tree of equally likely value paths.
+
+    ``values[p, k]`` is the observed value-gap on path p at step k (k = 0 is
+    the common root).  Path index bits give the branch taken at each step,
+    most significant bit first, so two paths share a history prefix of length
+    k iff their indices agree in the top k bits.
+    """
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        n, steps = self.values.shape
+        d = steps - 1
+        if n != 1 << d or d < 1 or d > 4 or n > 16:
+            raise ValueError("tree must be complete binary with <= 4 steps and <= 16 paths")
+
+    @property
+    def depth(self) -> int:
+        return self.values.shape[1] - 1
+
+
+def random_tree(depth: int, seed: int, low: float = 0.0, high: float = 1.0) -> PathTree:
+    """A random consistent tree: paths sharing a prefix share node values."""
+    rng = philox(seed)
+    n = 1 << depth
+    values = np.empty((n, depth + 1))
+    values[:, 0] = rng.uniform(low, high)
+    for k in range(1, depth + 1):
+        node_vals = rng.uniform(low, high, 1 << k)
+        values[:, k] = node_vals[np.arange(n) >> (depth - k)]
+    return PathTree(values)
+
+
+def enumerate_stopping_times(depth: int):
+    """Yield every adapted stopping time on the depth-d binary tree as a
+    per-path tau array with values in 1..depth.
+
+    A rule consists of one stop/continue decision per interior history node
+    at steps 1..depth-1 (2^k nodes at step k), with a forced stop at depth.
+    There are 2^(2 + 4 + ... + 2^(depth-1)) such rules: 64 for depth 3.
+    """
+    n_paths = 1 << depth
+    nodes = [(k, h) for k in range(1, depth) for h in range(1 << k)]
+    for bits in product((False, True), repeat=len(nodes)):
+        stop = dict(zip(nodes, bits))
+        taus = np.empty(n_paths, dtype=int)
+        for p in range(n_paths):
+            tau = depth
+            for k in range(1, depth):
+                if stop[(k, p >> (depth - k))]:
+                    tau = k
+                    break
+            taus[p] = tau
+        yield taus
+
+
+def tree_min_coverage(tree: PathTree, U: np.ndarray) -> dict:
+    """Exhaustive minimum of Pr(value at tau <= U(tau)) over all stopping times.
+
+    Also reports the sup-statement probability Pr(forall k <= depth: value(k)
+    <= U(k)) and the coverage of the first-violation rule; the three agree on
+    any tree, which is the finite-space form of the tight-envelope
+    equivalence.
+    """
+    n_paths, d = tree.values.shape[0], tree.depth
+    best = 1.0
+    best_taus = None
+    for taus in enumerate_stopping_times(d):
+        cov = float(np.mean(tree.values[np.arange(n_paths), taus] <= U[taus]))
+        if cov < best:
+            best, best_taus = cov, taus.copy()
+    sup_prob = float(np.mean(np.all(tree.values[:, 1:] <= U[1: d + 1], axis=-1)))
+    # a tree step carries only value gaps, all the first-violation rule reads
+    adv = RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, d, U=U)
+    for k in range(1, d + 1):
+        adv.update(SimpleNamespace(k=k, fgap_curr=tree.values[:, k]))
+    adv_cov = float(np.mean(adv.within(U)))
+    return {
+        "min_coverage": best, "argmin_taus": best_taus,
+        "sup_probability": sup_prob, "adversarial_coverage": adv_cov,
+    }
 
 
 def block_by_step(cfg, env, lo: int, hi: int) -> dict:
@@ -255,6 +384,19 @@ def clopper_pearson_beta_ppf(successes, n, confidence: float):
     lo = np.where(k == 0, 0.0, beta.ppf(alpha / 2.0, k, n - k + 1))
     hi = np.where(k == n, 1.0, beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
     return lo, hi
+
+
+def bootstrap_row_oracle(row: np.ndarray, n_boot: int, q: float, seed: int) -> float:
+    """The bootstrap's q-quantile of ``row``'s resampled means, on its own.
+
+    One resample at a time, each a fresh ``rng.integers`` draw and the mean
+    of its gather, from numpy's own ``Philox(key=seed)``: the bound
+    ``mcstats.bootstrap_upper_quantile`` gives each row of a stack.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    n = row.shape[0]
+    reps = [np.mean(row[rng.integers(0, n, size=n)]) for _ in range(n_boot)]
+    return float(np.quantile(reps, q))
 
 
 def binomial_tail_mp(k: int, n: int, x: float, upper: bool, dps: int = 50):

@@ -29,9 +29,9 @@ from stoplab.noise import NoiseKind, calibrate
 from stoplab.objectives import least_squares_random
 from stoplab.series import gamma1, gamma2
 from stoplab.sgdm import ScheduleVariant, Variant, a_coeff, eta
-from stoplab.stopping import PathTree, baseline_envelope, tree_min_coverage
+from stoplab.stopping import baseline_envelope
 
-from oracles import riemann_zeta
+from oracles import PathTree, riemann_zeta, tree_min_coverage
 
 R_GRID, K_GRID = 100, 10_000
 R_COV, K_COV = 1000, 100_000
@@ -176,9 +176,10 @@ def test_criterion_05_conditional_drift():
             v, w = gamma2(cfg.sched, sigma, 1e-6)
             g2u = v + w
         t = 1.0 / g2u
-        for k in (1, 2, 5, 10, 50):
-            r = check_supermartingale(cfg.objective, cfg.noise, cfg.sched, cfg.x0, 77, k, t,
-                                      100_000, gamma2_value=g2u)
+        ks = (1, 2, 5, 10, 50)
+        records = check_supermartingale(cfg.objective, cfg.noise, cfg.sched, cfg.x0, 77, ks, t,
+                                        100_000, gamma2_value=g2u)
+        for k, r in zip(ks, records, strict=True):
             results.append(((oname, nname, k), r))
             if sigma == 0.0:
                 deterministic_ok &= r["ci_halfwidth"] <= 1e-15

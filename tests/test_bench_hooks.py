@@ -103,3 +103,28 @@ def test_trace_spans_reach_every_check_layer(tmp_path):
     for name in ("series.gamma1", "series.gamma2", "lyapunov.envelope_constants",
                  "mcstats.bootstrap", "concentration.tail"):
         assert name in names, name
+
+
+def test_probe_branch_check_is_one_call_with_one_bootstrap():
+    # the benchmark's probe passes one int k and its own branch count; the
+    # traced stream workloads read their branch and bootstrap metrics per call
+    from stoplab import martingale, noise, objectives, series, sgdm
+
+    trace = _load_trace()
+    obj = objectives.quadratic(np.array([1.0, 2.0]))
+    gauss = noise.calibrate(noise.NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
+    sched = sgdm.ScheduleVariant(sgdm.Variant.THEOREM_MAIN, L=2.0)
+    value, width = series.gamma2(sched, 1.0, 1e-6)
+    g2 = value + width
+    tracer = trace.Tracer()
+    try:
+        trace.install(tracer)
+        (record,) = martingale.check_supermartingale(
+            obj, gauss, sched, np.array([2.0, -1.0]), 5, 3, 1.0 / g2, 1000,
+            gamma2_value=g2, B=1.0)
+    finally:
+        tracer.restore()
+    names = [span[1] for span in tracer.spans]
+    assert names.count("martingale.branch_check") == 1
+    assert names.count("mcstats.bootstrap") == 1
+    assert record["pass"]

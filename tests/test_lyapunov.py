@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stoplab.lyapunov import (deep_descent_links, envelope_constants,
-                              envelope_U, residual_tolerance,
-                              step_residuals)
+from stoplab.lyapunov import (envelope_constants, envelope_U,
+                              residual_tolerance, step_residuals)
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import least_squares_random, quadratic
 from stoplab.sgdm import (ScheduleVariant, Variant, derive_seeds, energy,
                           energy_weight, phi, sq_norm, stream_ensemble)
 
-from oracles import phi_series, residual_series, run_paths
+from oracles import deep_descent_links, phi_series, residual_series, run_paths
 
 SCHED1 = ScheduleVariant(Variant.THEOREM_MAIN, L=1.0)
 

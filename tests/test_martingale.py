@@ -6,13 +6,14 @@ import pytest
 from stoplab.martingale import (MartingaleTracker, alpha_for_bound,
                                 check_supermartingale, log_N, ville_bound,
                                 ville_monitor)
+from stoplab.mcstats import bootstrap_upper_quantile
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import quadratic
 from stoplab.series import gamma2
 from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
                           stream_ensemble)
 
-from oracles import S_M, log_N_series, run_paths
+from oracles import S_M, bootstrap_row_oracle, log_N_series, run_paths
 
 OBJ = quadratic(np.array([1.0, 0.5, 2.0]))
 SCHED = ScheduleVariant(Variant.THEOREM_MAIN, L=OBJ.smoothness)
@@ -90,32 +91,49 @@ def test_zero_noise_N_is_nonincreasing(g2):
 @pytest.mark.parametrize("k", [1, 3, 25])
 def test_supermartingale_estimate_negative(k, g2):
     r = check_supermartingale(OBJ, NOISE, SCHED, X0, 11, k, 1.0 / g2, 5000,
-                              gamma2_value=g2)
+                              gamma2_value=g2)[0]
     assert r["pass"]
     # with these constants the drift is strictly negative, well past noise
     assert r["estimate"] < -3.0 * r["ci_halfwidth"]
     assert r["bootstrap_hi"] < 0.0
 
 
+def test_supermartingale_many_ks_match_one_k_calls(g2):
+    # one prefix and one bootstrap for every k, in the given order, repeats
+    # included: each record is bitwise that of its own one-k call
+    ks = [5, 1, 25, 5]
+    many = check_supermartingale(OBJ, NOISE, SCHED, X0, 11, ks, 1.0 / g2, 5000,
+                                 gamma2_value=g2)
+    for k, r in zip(ks, many, strict=True):
+        (one,) = check_supermartingale(OBJ, NOISE, SCHED, X0, 11, [k], 1.0 / g2, 5000,
+                                       gamma2_value=g2)
+        assert {key: float(v).hex() for key, v in r.items()} == {
+            key: float(v).hex() for key, v in one.items()}, k
+
+
 def test_supermartingale_zero_noise_deterministic(g2):
     zero = NoiseModel(NoiseKind.NONE, dim=3, sigma_certificate=0.0, scale=0.0)
     r = check_supermartingale(OBJ, zero, SCHED, X0, 11, 5, 1.0 / g2, 1000,
-                              gamma2_value=g2)
+                              gamma2_value=g2)[0]
     assert r["pass"]
     assert r["ci_halfwidth"] <= 1e-15
     assert r["estimate"] <= 0.0
 
 
 def test_supermartingale_validation(g2):
-    with pytest.raises(ValueError):
-        check_supermartingale(OBJ, NOISE, SCHED, X0, 1, 5, 1.0 / g2, 10,
-                              gamma2_value=g2)
-    with pytest.raises(ValueError):
-        check_supermartingale(OBJ, NOISE, SCHED, X0, 1, 0, 1.0 / g2, 1000,
-                              gamma2_value=g2)
-    with pytest.raises(ValueError):
-        check_supermartingale(OBJ, NOISE, SCHED, X0, 1, 5, 2.0 / g2, 1000,
-                              gamma2_value=g2)
+    # too few branches, a step below 1, no step at all, and t above B / gamma2
+    for ks, n, t in [(5, 10, 1.0), (0, 1000, 1.0), ([3, 0], 1000, 1.0), ([], 1000, 1.0),
+                     (5, 1000, 2.0)]:
+        with pytest.raises(ValueError):
+            check_supermartingale(OBJ, NOISE, SCHED, X0, 1, ks, t / g2, n, gamma2_value=g2)
+
+
+def test_bootstrap_rows_match_row_by_row_oracle():
+    values = np.random.default_rng(4).lognormal(size=(3, 1001))
+    got = bootstrap_upper_quantile(values, n_boot=50, seed=9)
+    assert got.shape == (3,)
+    for j, row in enumerate(values):
+        assert got[j] == bootstrap_row_oracle(row, n_boot=50, q=0.99, seed=9)
 
 
 def test_tracker_matches_full_reference(g2):

@@ -9,12 +9,11 @@ from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import quadratic
 from stoplab.mcstats import clopper_pearson
 from stoplab.sgdm import ScheduleVariant, StepSlab, Variant, derive_seeds, stream_ensemble
-from stoplab.stopping import (PathTree, RuleKind, RuleTracker,
-                              baseline_envelope, coverage_verdict,
-                              enumerate_stopping_times, random_tree,
-                              tree_min_coverage)
+from stoplab.stopping import (RuleKind, RuleTracker, baseline_envelope,
+                              coverage_verdict)
 
-from oracles import run_paths, stops_by_step
+from oracles import (PathTree, enumerate_stopping_times, random_tree, run_paths,
+                     stops_by_step, tree_min_coverage)
 
 SCHED = ScheduleVariant(Variant.THEOREM_MAIN, L=1.0)
 ZERO1 = NoiseModel(NoiseKind.NONE, dim=1, sigma_certificate=0.0, scale=0.0)
