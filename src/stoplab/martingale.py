@@ -95,14 +95,18 @@ def _branch_logN(obj: Objective, noise: NoiseModel, rec, tracker: "MartingaleTra
     # the branches as columns of a trajectory-minor (dim, n) block
     k, x_km1, x_k = rec.k, rec.x_prev.T, rec.x_curr.T
     thetas = _branch_thetas(noise, prefix_seed, k, n)
+    theta_sq = sq_norm(thetas)
     g = np.subtract(grad(obj, rec.x_curr[0])[:, None], thetas, order="C")
+    del thetas  # each (dim, n) block is freed once read, to bound the peak
     x_k1 = _step_arrays(k, rec.eta_k, x_km1, x_k, g)
+    del g
     phi_next_sq = sq_norm(phi(k + 1, x_k, x_k1, obj.minimizer[:, None]))
+    del x_k1
     E_k = energy(phi_next_sq, rec.fgap_curr[0], rec.w_k)
     # _advance's step for every branch at once, without its rows: W(k) and the
     # product do not depend on the branch, so they stay one value each
     a_k = rec.a_k
-    S_k = S_km1 + a_k * sq_norm(thetas)
+    S_k = S_km1 + a_k * theta_sq
     W_k = W_km1 + a_k * S_km1
     prod_k = prod_km1 * (1.0 + sigma**2 * a_k)
     return logN_prev, log_N(E_k, S_k, W_k, prod_k, sigma, gamma2_value, t)
