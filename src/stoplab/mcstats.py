@@ -270,7 +270,8 @@ def bootstrap_upper_quantile(values: np.ndarray, n_boot: int = 200, q: float = 0
     means.  Each resample draws its n indices once, and every row is gathered
     by them into one reused (n,) buffer, whose ``np.mean`` is the pairwise sum
     of a row resampled on its own: each row's bound is bitwise the one it has
-    alone.
+    alone.  The gather clips, which moves no index in [0, n); ``np.take``'s
+    default mode would gather into a buffer of its own and copy that.
     """
     rng = philox(seed)
     m, n = values.shape
@@ -279,5 +280,5 @@ def bootstrap_upper_quantile(values: np.ndarray, n_boot: int = 200, q: float = 0
     for b in range(n_boot):
         idx = rng.integers(0, n, size=n)
         for j in range(m):
-            reps[j, b] = np.mean(np.take(values[j], idx, out=buf))
+            reps[j, b] = np.mean(np.take(values[j], idx, out=buf, mode="clip"))
     return np.quantile(reps, q, axis=1)
