@@ -144,13 +144,12 @@ def check_supermartingale(
         raise ValueError("n_branches must be >= 1000")
     if not ks or min(ks) < 1:
         raise ValueError("ks must hold at least one step, each >= 1")
-    sigma = noise.sigma_certificate
     if not 0.0 < t <= B / gamma2_value + 1e-15:
         raise ValueError("t must lie in (0, B / gamma2]")
     row = {k: j for j, k in enumerate(sorted(set(ks)))}
     w = np.empty((len(row), n_branches))
     shift, prev_w = np.empty(len(row)), np.empty(len(row))
-    tracker = MartingaleTracker(sigma, gamma2_value, t)
+    tracker = MartingaleTracker(noise.sigma_certificate, gamma2_value, t)
     for rec in stream_ensemble(obj, noise, sched, max(ks), [prefix_seed], x0):
         j = row.get(rec.k)
         if j is not None:
