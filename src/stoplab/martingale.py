@@ -131,7 +131,8 @@ def check_supermartingale(
     the prefix's own theta_k, from the tracker's state at k-1.  Each k's
     estimate and half-width are reported after its own exp-shift, so the
     comparison is overflow-free; pass means estimate <= 3 * ci_halfwidth
-    (zero-noise runs are a deterministic single branch).  A one-sided 99%
+    (with no noise every branch is the same, and the half-width is rounding).
+    A one-sided 99%
     bootstrap bound on each shifted mean is included because N has a heavy
     right tail: one bootstrap over the (len(set(ks)), n_branches) shifted
     weights, whose resample indices every k shares.  ``gamma2_value`` is the
