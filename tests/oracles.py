@@ -107,10 +107,11 @@ def residual_series(p: Paths, sched, obj) -> dict:
 def deep_descent_links(rec, obj) -> dict:
     """Verify each link of the energy-decay derivation separately at one step.
 
-    Works on a StepRecord (one record of ``stream_ensemble``) and returns per-trajectory residuals for: the
-    recurrence identity (k+2)(x_{k+1}-x_k) - k(x_k - x_{k-1}) = -2 sqrt(eta_k/k) g_k
-    (abs error), the raw differencing bound, and the post-substitution bound.
-    All must be >= -tol (identity: <= tol in absolute value).
+    Works on one StepRecord of ``stream_ensemble`` and returns per-trajectory
+    residuals for: the recurrence identity
+    (k+2)(x_{k+1}-x_k) - k(x_k - x_{k-1}) = -2 sqrt(eta_k/k) g_k (abs error),
+    the raw differencing bound, and the post-substitution bound.  All must
+    be >= -tol (identity: <= tol in absolute value).
     """
     k = rec.k
     # back to the stream's trajectory-minor (dim, R) state
