@@ -23,14 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from .mcstats import clopper_pearson
-from .noise import NoiseModel, philox, sample
+from .noise import _DRAW_BLOCK, NoiseModel, philox, sample
 from .objectives import dim_sum
 from .sgdm import spawn_seed
 
 __all__ = ["MgfCheckConfig", "mgf_check", "weighted_square_tail_check"]
 
 _SAMPLE_CHUNK = 1 << 15
-_DRAW_BLOCK = 1 << 16
 
 
 @dataclass

@@ -361,7 +361,9 @@ def _slabs(records, reads, rows: int, K: int):
     Each record's (R,) vectors are copied into row buffers, one per field
     ``reads()`` names when a slab starts; a carried field's row 0 is the
     previous step's value.  The buffers are reused, so a slab's arrays are
-    valid until the next one is taken.
+    valid until the next one is taken.  Each record is dropped before the
+    next is pulled: its ``theta`` views the stream's noise block, which is
+    then freed before the stream draws the next one.
     """
     bufs = {}
     cols = {"k": [], "eta_k": [], "a_k": [], "w_k": []}
@@ -383,7 +385,9 @@ def _slabs(records, reads, rows: int, K: int):
         j = len(cols["k"])
         for f, buf in bufs.items():
             buf[j] = displacement_sq(rec) if f == "step_sq" else getattr(rec, f)
-        if j < rows and rec.k < K:
+        last = rec.k == K
+        del rec
+        if j < rows and not last:
             continue
         slab = StepSlab(**{c: np.array(v)[:, None] for c, v in cols.items()})
         for f, buf in bufs.items():
@@ -552,8 +556,7 @@ def _write_csv(path: Path, header: list, rows: list):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        w.writerows(rows)  # the csv writer writes a float with repr
 
 
 def _check_record(name, params, estimate, ci, bound, passed, **extra):

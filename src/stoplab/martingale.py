@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mcstats import bootstrap_upper_quantile
-from .noise import NoiseModel, philox, sample
+from .noise import _DRAW_BLOCK, NoiseKind, NoiseModel, philox, sample
 from .objectives import Objective, grad
 from .sgdm import (ScheduleVariant, _step_arrays, as_slab, energy, phi, spawn_seed,
                    sq_norm, stream_ensemble)
@@ -69,47 +69,47 @@ def _advance(S, W, prefix_prod, a, theta_sq, sigma: float):
     return S_rows, W_rows, prod_rows
 
 
-def _branch_thetas(noise: NoiseModel, prefix_seed: int, k: int, n: int) -> np.ndarray:
-    """Noise continuations from chunk-keyed counter streams (parallel-safe).
-
-    Trajectory-minor: column j of the (dim, n) result is branch j's draw.
-    """
-    out = np.empty((noise.dim, n))
-    for ci, lo in enumerate(range(0, n, _BRANCH_CHUNK)):
-        hi = min(lo + _BRANCH_CHUNK, n)
-        rng = philox(spawn_seed(prefix_seed, k, ci))
-        out[:, lo:hi] = sample(noise, rng, hi - lo).T
-    return out
-
-
 def _branch_logN(obj: Objective, noise: NoiseModel, rec, tracker: "MartingaleTracker",
-                 prefix_seed: int, n: int) -> tuple[float, np.ndarray]:
-    """log N^t(k-1) of the prefix, and log N^t(k) on each of n branches of its step k.
+                 prefix_seed: int, out: np.ndarray) -> float:
+    """log N^t(k-1) of the prefix; log N^t(k) on each branch of its step k goes into ``out``.
 
     ``rec`` is the prefix's record at k and ``tracker`` holds its state at
-    k-1; the prefix's own theta_k is replaced by the branches' draws.
+    k-1; the prefix's own theta_k is replaced by the branches' draws, one
+    counter stream per ``_BRANCH_CHUNK`` branches (parallel-safe).  A chunk
+    is drawn and stepped in sub-blocks of at most ``_DRAW_BLOCK`` doubles,
+    each a trajectory-minor (dim, p) block.  The step is elementwise or a
+    ``dim_sum`` and each stream is read in order, so ``out`` holds the bits
+    of one (dim, n) step, while the memory held besides it is one
+    sub-block's.  With no noise every branch is the same: one is stepped and
+    ``out`` filled with it.
     """
     sigma, gamma2_value, t = tracker.sigma, tracker.gamma2_value, tracker.t
     S_km1, W_km1, prod_km1 = tracker.S_last, tracker._W, tracker._prefix_prod
     logN_prev = float(log_N(rec.E_prev, S_km1, W_km1, prod_km1, sigma, gamma2_value, t)[0])
-    # the branches as columns of a trajectory-minor (dim, n) block
     k, x_km1, x_k = rec.k, rec.x_prev.T, rec.x_curr.T
-    thetas = _branch_thetas(noise, prefix_seed, k, n)
-    theta_sq = sq_norm(thetas)
-    g = np.subtract(grad(obj, rec.x_curr[0])[:, None], thetas, order="C")
-    del thetas  # each (dim, n) block is freed once read, to bound the peak
-    x_k1 = _step_arrays(k, rec.eta_k, x_km1, x_k, g)
-    del g
-    phi_next_sq = sq_norm(phi(k + 1, x_k, x_k1, obj.minimizer[:, None]))
-    del x_k1
-    E_k = energy(phi_next_sq, rec.fgap_curr[0], rec.w_k)
+    grad_k, x_star = grad(obj, rec.x_curr[0])[:, None], obj.minimizer[:, None]
     # _advance's step for every branch at once, without its rows: W(k) and the
     # product do not depend on the branch, so they stay one value each
     a_k = rec.a_k
-    S_k = S_km1 + a_k * theta_sq
     W_k = W_km1 + a_k * S_km1
     prod_k = prod_km1 * (1.0 + sigma**2 * a_k)
-    return logN_prev, log_N(E_k, S_k, W_k, prod_k, sigma, gamma2_value, t)
+
+    def step(thetas):
+        x_k1 = _step_arrays(k, rec.eta_k, x_km1, x_k, np.subtract(grad_k, thetas, order="C"))
+        E_k = energy(sq_norm(phi(k + 1, x_k, x_k1, x_star)), rec.fgap_curr[0], rec.w_k)
+        return log_N(E_k, S_km1 + a_k * sq_norm(thetas), W_k, prod_k, sigma, gamma2_value, t)
+
+    if noise.kind is NoiseKind.NONE:
+        out[:] = step(np.zeros((noise.dim, 1)))
+        return logN_prev
+    per_block = max(1, _DRAW_BLOCK // noise.dim)
+    for ci, lo in enumerate(range(0, len(out), _BRANCH_CHUNK)):
+        hi = min(lo + _BRANCH_CHUNK, len(out))
+        rng = philox(spawn_seed(prefix_seed, k, ci))
+        for a in range(lo, hi, per_block):
+            b = min(a + per_block, hi)
+            out[a:b] = step(sample(noise, rng, b - a).T)
+    return logN_prev
 
 
 def check_supermartingale(
@@ -128,14 +128,16 @@ def check_supermartingale(
 
     Streams one trajectory prefix through the tracker, once, to max(ks).  At
     each k it branches: n_branches independent noise continuations replace
-    the prefix's own theta_k, from the tracker's state at k-1.  Each k's
-    estimate and half-width are reported after its own exp-shift, so the
-    comparison is overflow-free; pass means estimate <= 3 * ci_halfwidth
-    (with no noise every branch is the same, and the half-width is rounding).
-    A one-sided 99%
-    bootstrap bound on each shifted mean is included because N has a heavy
-    right tail: one bootstrap over the (len(set(ks)), n_branches) shifted
-    weights, whose resample indices every k shares.  ``gamma2_value`` is the
+    the prefix's own theta_k, from the tracker's state at k-1, and their
+    log N^t(k) is written into that k's row of the (len(set(ks)),
+    n_branches) weights and exp-shifted there, so the comparison is
+    overflow-free.  Besides the weight rows, the step holds one sub-block of
+    branches at a time (``_branch_logN``).  Pass means estimate <= 3 *
+    ci_halfwidth (with no noise every branch is the same, and the half-width
+    is rounding).  A one-sided 99% bootstrap bound on each shifted mean is
+    included because N has a heavy right tail: one bootstrap over the
+    weights, whose resample indices every k shares; with no noise it is the
+    estimate, and no resample is drawn.  ``gamma2_value`` is the
     certified upper end of the gamma2 bracket (``EnvelopeParams.gamma2``).
     Returns one record per entry of ``ks``, in its order; a bare int k is
     read as [k].
@@ -154,9 +156,10 @@ def check_supermartingale(
     for rec in stream_ensemble(obj, noise, sched, max(ks), [prefix_seed], x0):
         j = row.get(rec.k)
         if j is not None:
-            logN_prev, logN_k = _branch_logN(obj, noise, rec, tracker, prefix_seed, n_branches)
-            shift[j] = max(float(np.max(logN_k)), logN_prev)
-            np.exp(logN_k - shift[j], out=w[j])
+            logN_prev = _branch_logN(obj, noise, rec, tracker, prefix_seed, w[j])
+            shift[j] = max(float(np.max(w[j])), logN_prev)
+            np.subtract(w[j], shift[j], out=w[j])
+            np.exp(w[j], out=w[j])
             prev_w[j] = math.exp(logN_prev - shift[j])
         tracker.update(rec)
 
@@ -164,7 +167,9 @@ def check_supermartingale(
     estimate = np.array([np.mean(wj) for wj in w]) - prev_w
     stderr = np.array([np.std(wj, ddof=1) for wj in w]) / math.sqrt(n_branches)
     boot_hi = estimate
-    if np.any(stderr > 0):
+    # with no noise each row is constant, and so is every resample's mean:
+    # the bootstrap would return the estimate
+    if noise.kind is not NoiseKind.NONE and np.any(stderr > 0):
         boot_hi = np.where(stderr > 0, bootstrap_upper_quantile(w, seed=prefix_seed) - prev_w,
                            estimate)
     return [{

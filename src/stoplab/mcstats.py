@@ -271,7 +271,9 @@ def bootstrap_upper_quantile(values: np.ndarray, n_boot: int = 200, q: float = 0
     by them into one reused (n,) buffer, whose ``np.mean`` is the pairwise sum
     of a row resampled on its own: each row's bound is bitwise the one it has
     alone.  The gather clips, which moves no index in [0, n); ``np.take``'s
-    default mode would gather into a buffer of its own and copy that.
+    default mode would gather into a buffer of its own and copy that.  A
+    resample's indices are dropped before the next ones are drawn, so one
+    index array is alive at a time.
     """
     rng = philox(seed)
     m, n = values.shape
@@ -281,4 +283,5 @@ def bootstrap_upper_quantile(values: np.ndarray, n_boot: int = 200, q: float = 0
         idx = rng.integers(0, n, size=n)
         for j in range(m):
             reps[j, b] = np.mean(np.take(values[j], idx, out=buf, mode="clip"))
+        del idx
     return np.quantile(reps, q, axis=1)

@@ -15,6 +15,10 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import CalibrationError
 
+# A batch of noise is drawn in sub-blocks of at most this many doubles.  A
+# stream is read in order, so the sub-blocks' draws are the batch's bits.
+_DRAW_BLOCK = 1 << 16
+
 
 class NoiseKind(Enum):
     NONE = "none"

@@ -32,7 +32,8 @@ from .objectives import Objective, dim_sum, eval_objective, grad
 DIVERGENCE_RADIUS = 1e12
 # A noise block holds at most 1024 steps and, above a few thousand
 # trajectories, at most 16 MiB: the largest benchmark workload's block,
-# cov-wide's 500 steps at d = 2 and R = 1000, is 8.0e6 bytes.
+# cov-wide's 500 steps at d = 2 and R = 1000, is 8.0e6 bytes.  A run holds
+# one block at a time: the spent one is freed before the next is drawn.
 _NOISE_CHUNK = 1024
 _NOISE_BYTES = 1 << 24
 
@@ -319,6 +320,9 @@ def stream_ensemble(
             off = (k - 1) % chunk
             if off == 0:
                 # the next m steps' noise, drawn straight into (m, dim, R)
+                # once the spent block and its theta view are dropped (a
+                # record's theta views the block, so harness._slabs drops each record)
+                noise_block = theta = None
                 m = min(chunk, K - (k - 1))
                 noise_block = np.empty((m, obj.dim, R))
                 for i, gen in enumerate(gens):

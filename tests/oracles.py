@@ -8,7 +8,9 @@ form of least squares checks the lab's centered Gram form, the column loop
 pins the summation order of its G u product, the per-index
 ``SeedSequence`` loop checks the vectorized seed derivation, and
 ``scipy.stats.beta.ppf`` checks the Clopper-Pearson ends, and a row-by-row
-loop checks the bootstrap's shared resamples.  ``deep_descent_links``
+loop checks the bootstrap's shared resamples, and
+``supermartingale_whole_block`` steps each k's branches as one block, as
+the branching check did before it took sub-blocks.  ``deep_descent_links``
 checks each link of the energy-decay derivation at one step, and the path
 tree enumerates every stopping time of a small binary tree.  The rest are
 exact references: the weight series and binomial tails to 50 digits
@@ -25,9 +27,11 @@ from typing import Sequence
 import numpy as np
 
 from stoplab.lyapunov import envelope_U
-from stoplab.noise import philox
-from stoplab.objectives import dim_sum
-from stoplab.sgdm import a_coeff, derive_seeds, eta, phi, sq_norm, stream_ensemble
+from stoplab.martingale import _BRANCH_CHUNK, MartingaleTracker, log_N
+from stoplab.noise import philox, sample
+from stoplab.objectives import dim_sum, grad
+from stoplab.sgdm import (_step_arrays, a_coeff, derive_seeds, energy, eta, phi, spawn_seed,
+                          sq_norm, stream_ensemble)
 from stoplab.stopping import RuleKind, RuleTracker
 
 
@@ -398,6 +402,46 @@ def bootstrap_row_oracle(row: np.ndarray, n_boot: int, q: float, seed: int) -> f
     n = row.shape[0]
     reps = [np.mean(row[rng.integers(0, n, size=n)]) for _ in range(n_boot)]
     return float(np.quantile(reps, q))
+
+
+def supermartingale_whole_block(obj, noise, sched, x0, prefix_seed: int, ks, t: float,
+                                n_branches: int, gamma2_value: float) -> list[dict]:
+    """``martingale.check_supermartingale``'s records, each k's branches stepped as one block.
+
+    Every branch's draw goes into one trajectory-minor (dim, n) array, chunk
+    by chunk from the check's counter streams, and the step takes the whole
+    array at once, holding several (dim, n) arrays.  Each k's weights are
+    bootstrapped on their own (``bootstrap_row_oracle``), with no noise too.
+    """
+    sigma = noise.sigma_certificate
+    tracker = MartingaleTracker(sigma, gamma2_value, t)
+    out = {}
+    for rec in stream_ensemble(obj, noise, sched, max(ks), [prefix_seed], x0):
+        k = rec.k
+        if k in ks:
+            S, W, prod = tracker.S_last, tracker._W, tracker._prefix_prod
+            logN_prev = float(log_N(rec.E_prev, S, W, prod, sigma, gamma2_value, t)[0])
+            thetas = np.empty((noise.dim, n_branches))
+            for ci, lo in enumerate(range(0, n_branches, _BRANCH_CHUNK)):
+                hi = min(lo + _BRANCH_CHUNK, n_branches)
+                thetas[:, lo:hi] = sample(noise, philox(spawn_seed(prefix_seed, k, ci)), hi - lo).T
+            g = np.subtract(grad(obj, rec.x_curr[0])[:, None], thetas, order="C")
+            x_k1 = _step_arrays(k, rec.eta_k, rec.x_prev.T, rec.x_curr.T, g)
+            E_k = energy(sq_norm(phi(k + 1, rec.x_curr.T, x_k1, obj.minimizer[:, None])),
+                         rec.fgap_curr[0], rec.w_k)
+            logN = log_N(E_k, S + rec.a_k * sq_norm(thetas), W + rec.a_k * S,
+                         prod * (1.0 + sigma**2 * rec.a_k), sigma, gamma2_value, t)
+            shift = max(float(np.max(logN)), logN_prev)
+            w = np.exp(logN - shift)
+            prev_w = math.exp(logN_prev - shift)
+            estimate = float(np.mean(w) - prev_w)
+            stderr = float(np.std(w, ddof=1) / math.sqrt(n_branches))
+            boot_hi = (bootstrap_row_oracle(w, 200, 0.99, prefix_seed) - prev_w
+                       if stderr > 0 else estimate)
+            out[k] = {"estimate": estimate, "ci_halfwidth": stderr, "bootstrap_hi": boot_hi,
+                      "shift": shift, "pass": estimate <= 3.0 * stderr + 1e-12}
+        tracker.update(rec)
+    return [out[k] for k in ks]
 
 
 def binomial_tail_mp(k: int, n: int, x: float, upper: bool, dps: int = 50):

@@ -485,6 +485,30 @@ def test_slab_block_matches_the_oracle_at_R1_and_coverage_only(tmp_path, monkeyp
     _assert_block_is_the_oracles(got, block_by_step(lean, env, 0, 6), ("covered", "rows"))
 
 
+def test_run_block_holds_one_noise_block(tmp_path, monkeypatch):
+    # the stream frees its spent noise block, and _slabs the record whose
+    # theta views it, before the next block is drawn: a run of three 1 MiB
+    # blocks peaks where a run of one does, not a block higher
+    import tracemalloc
+    from stoplab import sgdm
+    R, d, m = 512, 8, 32
+    block = m * d * R * 8
+    monkeypatch.setattr(sgdm, "_NOISE_BYTES", block)
+    peaks = []
+    for K in (m, 3 * m):
+        cfg = parse_config(_base_raw(tmp_path, K=K, R=R, x0=[1.0] * d, checks=["ville"],
+                                     objective={"kind": "quadratic", "diag": [1.0] * d},
+                                     options={"csv_trajectories": 0}))
+        env = harness._envelope(cfg)
+        tracemalloc.start()
+        try:
+            harness._run_block(cfg, env, 0, R)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < block // 4, peaks
+
+
 def test_pool_forks_one_worker_per_block(tmp_path, monkeypatch):
     import multiprocessing
 

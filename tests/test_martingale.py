@@ -1,19 +1,22 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from stoplab import martingale
 from stoplab.martingale import (MartingaleTracker, alpha_for_bound,
                                 check_supermartingale, log_N, ville_bound,
                                 ville_monitor)
 from stoplab.mcstats import bootstrap_upper_quantile
-from stoplab.noise import NoiseKind, NoiseModel, calibrate
-from stoplab.objectives import quadratic
+from stoplab.noise import _DRAW_BLOCK, NoiseKind, NoiseModel, calibrate
+from stoplab.objectives import huberized_abs, least_squares_random, quadratic
 from stoplab.series import gamma2
 from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
                           stream_ensemble)
 
-from oracles import S_M, bootstrap_row_oracle, log_N_series, run_paths
+from oracles import (S_M, bootstrap_row_oracle, log_N_series, run_paths,
+                     supermartingale_whole_block)
 
 OBJ = quadratic(np.array([1.0, 0.5, 2.0]))
 SCHED = ScheduleVariant(Variant.THEOREM_MAIN, L=OBJ.smoothness)
@@ -126,6 +129,71 @@ def test_supermartingale_validation(g2):
                      (5, 1000, 2.0)]:
         with pytest.raises(ValueError):
             check_supermartingale(OBJ, NOISE, SCHED, X0, 1, ks, t / g2, n, gamma2_value=g2)
+
+
+@functools.cache
+def _problem(objective: str, d: int):
+    """The objective, its schedule and the certified gamma2 at SIGMA."""
+    obj = {"quadratic": lambda: quadratic(np.linspace(1.0, 2.0, d)),
+           "least-squares": lambda: least_squares_random(d, d + 8, 5),
+           "huber": lambda: huberized_abs(d)}[objective]()
+    sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
+    value, width = gamma2(sched, SIGMA, 1e-6)
+    return obj, sched, value + width
+
+
+_OBJECTIVES = ("quadratic", "least-squares", "huber")
+# A 4096-branch chunk is one sub-block at d = 2, four at d = 64 and 75 and a
+# part at d = 1200; n = 4097 and 9000 cross chunk boundaries.  At d = 1200
+# the oracle's (dim, n) arrays are 9.6 MB a piece at n = 1000, so one case
+# takes n = 4097.
+_SUB_BLOCK_CASES = (
+    [(d, n, kind, objective) for d in (2, 64) for n in (1000, 4097, 9000)
+     for kind in NoiseKind for objective in _OBJECTIVES]
+    + [(1200, 1000, kind, objective) for kind in NoiseKind for objective in _OBJECTIVES]
+    + [(1200, 4097, NoiseKind.BOUNDED_SPHERE, "quadratic")])
+
+
+@pytest.mark.parametrize("d, n, kind, objective", _SUB_BLOCK_CASES)
+def test_branch_sub_blocks_match_the_whole_block_oracle(monkeypatch, d, n, kind, objective):
+    # every record, the zero-noise one without its bootstrap included, is
+    # bitwise that of stepping each k's branches as one (dim, n) block; the
+    # draws come in sub-blocks of at most _DRAW_BLOCK doubles, and with no
+    # noise there are none
+    obj, sched, g2 = _problem(objective, d)
+    noise = calibrate(kind, d, SIGMA)
+    x0, ks = obj.minimizer + 1.0, [3, 1]
+    draws, real = [], martingale.sample
+    monkeypatch.setattr(martingale, "sample",
+                        lambda model, rng, m=None: draws.append(m) or real(model, rng, m))
+    got = check_supermartingale(obj, noise, sched, x0, 11, ks, 1.0 / g2, n, gamma2_value=g2)
+    assert sum(draws) == (0 if kind is NoiseKind.NONE else len(ks) * n)
+    assert max(draws, default=1) <= max(1, _DRAW_BLOCK // d)
+    want = supermartingale_whole_block(obj, noise, sched, x0, 11, ks, 1.0 / g2, n, g2)
+    assert [{key: float(v).hex() for key, v in r.items()} for r in got] == [
+        {key: float(v).hex() for key, v in r.items()} for r in want]
+
+
+@pytest.mark.parametrize("d, kind", [(64, NoiseKind.GAUSSIAN_ISOTROPIC),
+                                     (1200, NoiseKind.BOUNDED_SPHERE)])
+def test_branch_check_memory_does_not_grow_with_branches_times_dim(d, kind):
+    # one sub-block of branches is alive at a time, so from 4096 to 16384
+    # branches the traced peak grows by the (n,) weight row and bootstrap
+    # arrays only; stepping them as one (dim, n) block grew it by 18 MiB at
+    # d = 64 and by 300 MiB at d = 1200
+    import tracemalloc
+    obj, sched, g2 = _problem("quadratic", d)
+    noise = calibrate(kind, d, SIGMA)
+    peaks = []
+    for n in (4096, 16384):
+        tracemalloc.start()
+        try:
+            check_supermartingale(obj, noise, sched, obj.minimizer + 1.0, 11, [2], 1.0 / g2, n,
+                                  gamma2_value=g2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20, peaks
 
 
 def test_bootstrap_rows_match_row_by_row_oracle():
