@@ -24,8 +24,7 @@ import numpy as np
 
 from .mcstats import clopper_pearson
 from .noise import _DRAW_BLOCK, NoiseModel, philox, sample
-from .objectives import dim_sum
-from .sgdm import spawn_seed
+from .sgdm import spawn_seed, sq_norm
 
 __all__ = ["MgfCheckConfig", "mgf_check", "weighted_square_tail_check"]
 
@@ -102,19 +101,6 @@ def mgf_check(cfg: MgfCheckConfig) -> list[dict]:
     return reports
 
 
-def _sq_norms(theta: np.ndarray) -> np.ndarray:
-    """||theta||^2 over the last (dim) axis, adding the dim columns in sequence.
-
-    The squares are laid out trajectory-minor, (dim, draws), and summed by
-    ``objectives.dim_sum``: a few ufunc calls whatever the dim.  A last-axis
-    ``np.sum`` makes one inner-loop call per draw (ten times slower at
-    d = 2), and a loop over the dim columns one call per column (eight
-    times slower for a 54-draw block at d = 1200).
-    """
-    t = theta.reshape(-1, theta.shape[-1]).T
-    return dim_sum(np.multiply(t, t, order="C")).reshape(theta.shape[:-1])
-
-
 def weighted_square_tail_check(
     c_seq: Sequence[float],
     noise: NoiseModel,
@@ -145,7 +131,7 @@ def weighted_square_tail_check(
     for ci, lo in enumerate(range(0, n_runs, per_chunk)):
         m = min(lo + per_chunk, n_runs) - lo
         rng = philox(spawn_seed(seed, 1, ci))
-        sq = [_sq_norms(sample(noise, rng, min(per_block, m * L - d0)))
+        sq = [sq_norm(sample(noise, rng, min(per_block, m * L - d0)).T)
               for d0 in range(0, m * L, per_block)]
         # a lone sub-block (d <= 2) is used as is: copying it slowed d = 2 by a third
         sq = sq[0] if len(sq) == 1 else np.concatenate(sq)

@@ -346,7 +346,7 @@ def _envelope(cfg: RunConfig) -> EnvelopeParams:
 # alike, hold at most this many bytes during one flush.
 _SLAB_BYTES = 1 << 20
 # The first row of these slab fields is the previous step's value, read
-# from the record field named here at k = 1.
+# from the streamed step's field named here at k = 1.
 _CARRIED = {"E": "E_prev", "fgap_curr": "fgap_prev", "phi_next_sq": "phi_sq"}
 
 
@@ -355,20 +355,21 @@ def _slab_rows(width: int, arrays: int) -> int:
     return max(1, _SLAB_BYTES // (8 * width * arrays))
 
 
-def _slabs(records, reads, rows: int, K: int):
-    """The streamed records as StepSlabs of ``rows`` steps; the last one ends at k = K.
+def _slabs(steps, reads, rows: int, K: int):
+    """The streamed steps stacked into StepSlabs of ``rows`` steps; the last one ends at k = K.
 
-    Each record's (R,) vectors are copied into row buffers, one per field
-    ``reads()`` names when a slab starts; a carried field's row 0 is the
-    previous step's value.  The buffers are reused, so a slab's arrays are
-    valid until the next one is taken.  Each record is dropped before the
-    next is pulled: its ``theta`` views the stream's noise block, which is
-    then freed before the stream draws the next one.
+    Each step's row is copied into row buffers, one per field ``reads()``
+    names when a slab starts; a carried field's row 0 is the previous
+    step's value.  The buffers are reused, so a slab's arrays are valid
+    until the next one is taken.  Each step is dropped before the next is
+    pulled: its ``theta`` views the stream's noise block, which is then
+    freed before the stream draws the next one.
     """
     bufs = {}
     cols = {"k": [], "eta_k": [], "a_k": [], "w_k": []}
-    for rec in records:
-        if rec.k == 1:
+    for step in steps:
+        k = int(step.k[0, 0])
+        if k == 1:
             # glibc hands free memory at the top of its heap back to the OS
             # once it exceeds the trim threshold, 128 KiB at first, so the
             # arrays freed after each slab would be faulted in again for the
@@ -376,18 +377,17 @@ def _slabs(records, reads, rows: int, K: int):
             # fresh process).  Freeing one mmapped block of the slab budget
             # raises that threshold to twice the budget.
             np.empty(_SLAB_BYTES // 8)
-            bufs = {f: np.empty((min(rows, K) + 1, len(rec.fgap_curr))) for f in reads()}
+            bufs = {f: np.empty((min(rows, K) + 1, step.fgap_curr.shape[1])) for f in reads()}
             for f, prev in _CARRIED.items():
                 if f in bufs:
-                    bufs[f][0] = getattr(rec, prev)
+                    bufs[f][0] = getattr(step, prev)[0]
         for c, v in cols.items():
-            v.append(getattr(rec, c))
+            v.append(getattr(step, c)[0, 0])
         j = len(cols["k"])
         for f, buf in bufs.items():
-            buf[j] = displacement_sq(rec) if f == "step_sq" else getattr(rec, f)
-        last = rec.k == K
-        del rec
-        if j < rows and not last:
+            buf[j] = displacement_sq(step) if f == "step_sq" else getattr(step, f)[0]
+        del step
+        if j < rows and k != K:
             continue
         slab = StepSlab(**{c: np.array(v)[:, None] for c, v in cols.items()})
         for f, buf in bufs.items():

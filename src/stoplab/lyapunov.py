@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .objectives import Objective
-from .sgdm import ScheduleVariant, Variant, as_slab
+from .sgdm import ScheduleVariant, StepSlab, Variant
 from .series import gamma1 as _gamma1_bracket
 from .series import gamma2 as _gamma2_bracket
 
@@ -37,19 +37,17 @@ def residual_tolerance(E_k, E_km1) -> np.ndarray:
     return np.maximum(1e-9 * (1.0 + np.abs(E_k) + np.abs(E_km1)), 1e-12)
 
 
-def step_residuals(rec, obj: Objective) -> dict:
+def step_residuals(s: StepSlab, obj: Objective) -> dict:
     """All per-step inequality residuals of a slab of streamed steps.
 
-    ``rec`` is a ``StepSlab`` or a lone ``StepRecord`` (a one-row slab).
-    Arithmetic on its per-trajectory rows and its (B, 1) columns of k,
+    Arithmetic on the slab's (B, R) rows and its (B, 1) columns of k,
     eta_k, a_k and w_k only: the row sums over dim and the schedule scalars
     come with the stream.  Each entry is computed as it is for one step, so
     every row is bitwise that step's value (``np.sqrt`` and ``math.sqrt``
-    both round correctly).  Returns a dict of (B, R) arrays, or of (R,)
-    arrays for a lone record: the three decay residuals, the squared norms
-    entering the momentum-vector bound ||phi_{k+1}||^2 <= E(k), the margin
-    of the value sandwich 4 sqrt((k+1) eta_k) (f(x_k) - f*) <= E(k), and the
-    per-step tolerance.
+    both round correctly).  Returns a dict of (B, R) arrays: the three decay
+    residuals, the squared norms entering the momentum-vector bound
+    ||phi_{k+1}||^2 <= E(k), the margin of the value sandwich
+    4 sqrt((k+1) eta_k) (f(x_k) - f*) <= E(k), and the per-step tolerance.
 
     E(k) = ||phi_{k+1}||^2 + w_k (f(x_k) - f*) by construction (``sgdm.energy``),
     so these two bounds test no dynamics.  The P1 margin
@@ -57,7 +55,6 @@ def step_residuals(rec, obj: Objective) -> dict:
     >= 0 whenever f >= f*; the sandwich margin is ||phi_{k+1}||^2 itself.
     They can fail only through rounding or a value below f*.
     """
-    s = as_slab(rec)
     k = s.k
     e_k = s.eta_k
     sq = np.sqrt(e_k / k)
@@ -78,7 +75,7 @@ def step_residuals(rec, obj: Objective) -> dict:
         - grad_term
         + noise_term
     ) - dE
-    out = {
+    return {
         "descent": descent,
         "decomp": decomp,
         "decomp_mid": decomp_mid,
@@ -87,7 +84,6 @@ def step_residuals(rec, obj: Objective) -> dict:
         "sandwich_margin": s.E - s.w_k * s.fgap_curr,
         "tol": residual_tolerance(s.E, s.E_prev),
     }
-    return out if s is rec else {key: v[0] for key, v in out.items()}
 
 
 @dataclass(frozen=True)

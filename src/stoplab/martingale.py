@@ -20,8 +20,8 @@ import numpy as np
 from .mcstats import bootstrap_upper_quantile
 from .noise import _DRAW_BLOCK, NoiseKind, NoiseModel, philox, sample
 from .objectives import Objective, grad
-from .sgdm import (ScheduleVariant, _step_arrays, as_slab, energy, phi, spawn_seed,
-                   sq_norm, stream_ensemble)
+from .sgdm import (ScheduleVariant, StepSlab, _step_arrays, energy, phi, spawn_seed, sq_norm,
+                   stream_ensemble)
 
 __all__ = [
     "log_N", "check_supermartingale", "ville_monitor",
@@ -69,35 +69,34 @@ def _advance(S, W, prefix_prod, a, theta_sq, sigma: float):
     return S_rows, W_rows, prod_rows
 
 
-def _branch_logN(obj: Objective, noise: NoiseModel, rec, tracker: "MartingaleTracker",
-                 prefix_seed: int, out: np.ndarray) -> float:
+def _branch_logN(obj: Objective, noise: NoiseModel, s: StepSlab,
+                 tracker: "MartingaleTracker", prefix_seed: int, out: np.ndarray) -> float:
     """log N^t(k-1) of the prefix; log N^t(k) on each branch of its step k goes into ``out``.
 
-    ``rec`` is the prefix's record at k and ``tracker`` holds its state at
-    k-1; the prefix's own theta_k is replaced by the branches' draws, one
+    ``s`` is the prefix's one-row slab at k and ``tracker`` holds its state
+    at k-1; the prefix's own theta_k is replaced by the branches' draws, one
     counter stream per ``_BRANCH_CHUNK`` branches (parallel-safe).  A chunk
     is drawn and stepped in sub-blocks of at most ``_DRAW_BLOCK`` doubles,
-    each a trajectory-minor (dim, p) block.  The step is elementwise or a
-    ``dim_sum`` and each stream is read in order, so ``out`` holds the bits
-    of one (dim, n) step, while the memory held besides it is one
-    sub-block's.  With no noise every branch is the same: one is stepped and
-    ``out`` filled with it.
+    each a trajectory-minor (dim, p) block, and S, W and the prefix product
+    are advanced over each sub-block by ``_advance``.  The step is
+    elementwise or a ``dim_sum`` and each stream is read in order, so
+    ``out`` holds the bits of one (dim, n) step, while the memory held
+    besides it is one sub-block's.  With no noise every branch is the same:
+    one is stepped and ``out`` filled with it.
     """
     sigma, gamma2_value, t = tracker.sigma, tracker.gamma2_value, tracker.t
     S_km1, W_km1, prod_km1 = tracker.S_last, tracker._W, tracker._prefix_prod
-    logN_prev = float(log_N(rec.E_prev, S_km1, W_km1, prod_km1, sigma, gamma2_value, t)[0])
-    k, x_km1, x_k = rec.k, rec.x_prev.T, rec.x_curr.T
-    grad_k, x_star = grad(obj, rec.x_curr[0])[:, None], obj.minimizer[:, None]
-    # _advance's step for every branch at once, without its rows: W(k) and the
-    # product do not depend on the branch, so they stay one value each
-    a_k = rec.a_k
-    W_k = W_km1 + a_k * S_km1
-    prod_k = prod_km1 * (1.0 + sigma**2 * a_k)
+    logN_prev = float(log_N(s.E_prev[0], S_km1, W_km1, prod_km1, sigma, gamma2_value, t)[0])
+    k, eta_k = int(s.k[0, 0]), float(s.eta_k[0, 0])
+    fgap_k, w_k = s.fgap_curr[0, 0], s.w_k[0, 0]
+    x_km1, x_k = s.x_prev.T, s.x_curr.T
+    grad_k, x_star = grad(obj, s.x_curr[0])[:, None], obj.minimizer[:, None]
 
     def step(thetas):
-        x_k1 = _step_arrays(k, rec.eta_k, x_km1, x_k, np.subtract(grad_k, thetas, order="C"))
-        E_k = energy(sq_norm(phi(k + 1, x_k, x_k1, x_star)), rec.fgap_curr[0], rec.w_k)
-        return log_N(E_k, S_km1 + a_k * sq_norm(thetas), W_k, prod_k, sigma, gamma2_value, t)
+        x_k1 = _step_arrays(k, eta_k, x_km1, x_k, np.subtract(grad_k, thetas, order="C"))
+        E_k = energy(sq_norm(phi(k + 1, x_k, x_k1, x_star)), fgap_k, w_k)
+        S, W, prod = _advance(S_km1, W_km1, prod_km1, s.a_k, sq_norm(thetas)[None], sigma)
+        return log_N(E_k, S[1], W[1], prod[1], sigma, gamma2_value, t)
 
     if noise.kind is NoiseKind.NONE:
         out[:] = step(np.zeros((noise.dim, 1)))
@@ -153,15 +152,15 @@ def check_supermartingale(
     w = np.empty((len(row), n_branches))
     shift, prev_w = np.empty(len(row)), np.empty(len(row))
     tracker = MartingaleTracker(noise.sigma_certificate, gamma2_value, t)
-    for rec in stream_ensemble(obj, noise, sched, max(ks), [prefix_seed], x0):
-        j = row.get(rec.k)
+    for s in stream_ensemble(obj, noise, sched, max(ks), [prefix_seed], x0):
+        j = row.get(int(s.k[0, 0]))
         if j is not None:
-            logN_prev = _branch_logN(obj, noise, rec, tracker, prefix_seed, w[j])
+            logN_prev = _branch_logN(obj, noise, s, tracker, prefix_seed, w[j])
             shift[j] = max(float(np.max(w[j])), logN_prev)
             np.subtract(w[j], shift[j], out=w[j])
             np.exp(w[j], out=w[j])
             prev_w[j] = math.exp(logN_prev - shift[j])
-        tracker.update(rec)
+        tracker.update(s)
 
     # a row at a time: each row's mean and deviation keep a one-k call's bits
     estimate = np.array([np.mean(wj) for wj in w]) - prev_w
@@ -216,9 +215,9 @@ def ville_monitor(sup_logN: np.ndarray, t: float, alpha: float,
 class MartingaleTracker:
     """Online per-trajectory martingale statistics over a streamed ensemble.
 
-    Feed ``update`` with each slab of steps (``sgdm.StepSlab``, or a lone
-    StepRecord) in order and ``finish`` with the last one; afterwards
-    ``sup_logN``, ``sup_E`` and ``S_last`` hold arrays over the ensemble.
+    Feed ``update`` with each slab of steps (``sgdm.StepSlab``) in order and
+    ``finish`` with the last one; afterwards ``sup_logN``, ``sup_E`` and
+    ``S_last`` hold arrays over the ensemble.
     Before the first update S, W and the prefix product hold their k = 0
     values 0, 0 and 1.  A slab's log N^t(k-1) rows come from ``_advance``'s
     rows, and the suprema take a max over the rows and then over slabs, so
@@ -241,9 +240,8 @@ class MartingaleTracker:
             np.maximum(self.sup_logN, logN, out=self.sup_logN)
             np.maximum(self.sup_E, E, out=self.sup_E)
 
-    def update(self, rec) -> np.ndarray:
+    def update(self, s: StepSlab) -> np.ndarray:
         """Take in the slab's steps; returns S(k) at each of them, a (B, R) array."""
-        s = as_slab(rec)
         S, W, prod = _advance(self.S_last, self._W, self._prefix_prod, s.a_k, s.theta_sq,
                               self.sigma)
         logN = log_N(s.E_prev, S[:-1], W[:-1], prod[:-1], self.sigma, self.gamma2_value, self.t)
@@ -251,7 +249,7 @@ class MartingaleTracker:
         self.S_last, self._W, self._prefix_prod = S[-1].copy(), W[-1].copy(), float(prod[-1, 0])
         return S[1:]
 
-    def finish(self, rec):
-        E = as_slab(rec).E[-1]
+    def finish(self, s: StepSlab):
+        E = s.E[-1]
         self._raise_sups(log_N(E, self.S_last, self._W, self._prefix_prod,
                                self.sigma, self.gamma2_value, self.t), E)

@@ -9,12 +9,13 @@ with two step schedules: the log^2 schedule eta_k = 1 / (16 L^2 ln^2(k+2))
 and the heavier-damped variant eta_k = 1 / (16 L^2 C0' ln^(1+eps)(k+2)).
 Natural logarithms throughout.
 
-``stream_ensemble`` is the one trajectory runner: a generator over per-step
-records, from which every check keeps only online statistics.  It vectorizes
-across trajectories, in a trajectory-minor (dim, R) layout, while giving
-every trajectory its own counter-based random stream and summing over dim
-in one fixed order (``objectives.dim_sum``), so results are bitwise
-independent of how trajectories are grouped into batches.
+``stream_ensemble`` is the one trajectory runner: a generator over one-row
+``StepSlab``s, one per step, from which every check keeps only online
+statistics.  It vectorizes across trajectories, in a trajectory-minor
+(dim, R) layout, while giving every trajectory its own counter-based random
+stream and summing over dim in one fixed order (``objectives.dim_sum``), so
+results are bitwise independent of how trajectories are grouped into
+batches.
 """
 
 import math
@@ -124,9 +125,13 @@ def sq_norm(v: np.ndarray) -> np.ndarray:
     sum of nonnegative terms is at most about d u, u = 2^-53: (d - 1) u from
     the additions and u from rounding each square.  At d = 1200 that is
     1.3e-13, four orders of magnitude below the 1e-9 magnitude-relative
-    tolerance the pathwise residuals are held to.
+    tolerance the pathwise residuals are held to.  The squares are laid out
+    C-ordered whatever ``v``'s layout, so a (dim, n) block, or the transpose
+    of an (n, dim) draw block, takes ``dim_sum``'s row-add path: a few ufunc
+    calls whatever the dim, where a last-axis ``np.sum`` of the draw block
+    makes one inner-loop call per draw (ten times slower at d = 2).
     """
-    return dim_sum(v * v)
+    return dim_sum(np.multiply(v, v, order="C"))
 
 
 def phi(k, x_km1, x_k, x_star):
@@ -205,81 +210,35 @@ def _trajectory_generators(seeds: Sequence[int]):
     return [philox(s) for s in seeds]
 
 
-@dataclass
-class StepRecord:
-    """Everything observable at step k of a vectorized ensemble run.
-
-    Position, gradient and noise arrays are (R, dim) views of the stream's
-    trajectory-minor (dim, R) state, so their leading axis is the trajectory
-    (``.T`` gives back the C-ordered state).  Every other field is an (R,)
-    vector.  ``E_prev`` and ``E`` are the Lyapunov values E(k-1) and E(k);
-    E(k) needs x_{k+1}, so it is known once the step is taken, and step k+1
-    carries the same array as its ``E_prev``.  The row sums over dim are
-    computed once, here: ||theta_k||^2, <theta_k, phi_k>, ||g_k||^2,
-    ||grad f(x_k)||^2 (grad f taken as g_k + theta_k), ||phi_k||^2 (step
-    k-1's ``phi_next_sq``) and ||phi_{k+1}||^2, which is E(k)'s norm term.
-    So are the step's schedule scalars: ``eta_k``, ``a_k`` (``a_coeff``) and
-    ``w_k`` (``energy_weight``), which consumers read instead of recomputing.
-    The last record (k = K) holds x_{K+1}, f(x_K) - f* and E(K).
-    """
-
-    k: int
-    x_prev: np.ndarray
-    x_curr: np.ndarray
-    x_next: np.ndarray
-    fgap_prev: np.ndarray
-    fgap_curr: np.ndarray
-    E_prev: np.ndarray
-    E: np.ndarray
-    g: np.ndarray
-    theta: np.ndarray
-    theta_sq: np.ndarray
-    theta_phi: np.ndarray
-    g_sq: np.ndarray
-    grad_sq: np.ndarray
-    phi_sq: np.ndarray
-    phi_next_sq: np.ndarray
-    eta_k: float
-    a_k: float
-    w_k: float
-
-
 class StepSlab(SimpleNamespace):
     """B consecutive steps of an ensemble run, the unit the per-step consumers work on.
 
-    ``k``, ``eta_k``, ``a_k`` and ``w_k`` are (B, 1) columns.  Every other
-    field is named as in ``StepRecord`` and is a (B, R) array whose row j is
-    that record field at step ``k[j]``; ``E_prev``, ``fgap_prev`` and
-    ``phi_sq`` are row shifts of ``E``, ``fgap_curr`` and ``phi_next_sq``.
-    ``step_sq`` is ||x_k - x_{k-1}||^2 (``displacement_sq``).  A slab holds
-    only the fields its consumers read.
+    ``k``, ``eta_k``, ``a_k`` and ``w_k`` are (B, 1) columns: the step
+    numbers (integers) and the step's schedule scalars ``eta``, ``a_coeff``
+    and ``energy_weight``, which consumers read instead of recomputing.
+    The per-trajectory fields are (B, R) arrays whose row j belongs to step
+    ``k[j]``.  ``E_prev`` and ``E`` are the Lyapunov values E(k-1) and E(k);
+    E(k) needs x_{k+1}, so it is known once the step is taken.  The row sums
+    over dim are ||theta_k||^2 (``theta_sq``), <theta_k, phi_k>
+    (``theta_phi``), ||g_k||^2 (``g_sq``), ||grad f(x_k)||^2 (``grad_sq``,
+    grad f taken as g_k + theta_k), ||phi_k||^2 (``phi_sq``) and
+    ||phi_{k+1}||^2 (``phi_next_sq``, E(k)'s norm term); ``step_sq`` is
+    ||x_k - x_{k-1}||^2 (``displacement_sq``).  ``E_prev``, ``fgap_prev``
+    and ``phi_sq`` are row shifts of ``E``, ``fgap_curr`` and
+    ``phi_next_sq``.
+
+    The stream yields one-row slabs that also carry the step's positions,
+    gradient and noise, ``x_prev``, ``x_curr``, ``x_next``, ``g`` and
+    ``theta``: (R, dim) views of its trajectory-minor (dim, R) state, so
+    their leading axis is the trajectory (``.T`` gives back the C-ordered
+    state).  ``harness._slabs`` stacks those into B-row slabs that hold
+    only the fields their consumers read.
     """
 
 
-class _OneRow(StepSlab):
-    """A lone StepRecord, or any object with some of its fields, read as a one-row slab."""
-
-    def __init__(self, rec):
-        super().__init__(_rec=rec)
-
-    def __getattr__(self, name):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        rec = self._rec
-        v = np.asarray(displacement_sq(rec) if name == "step_sq" else getattr(rec, name))
-        v = v.reshape(1, -1 if v.ndim else 1)
-        setattr(self, name, v)
-        return v
-
-
-def as_slab(rec) -> StepSlab:
-    """``rec`` if it is a StepSlab, else ``rec`` as a one-row slab."""
-    return rec if isinstance(rec, StepSlab) else _OneRow(rec)
-
-
-def displacement_sq(rec) -> np.ndarray:
-    """||x_k - x_{k-1}||^2 per trajectory, in the stream's (dim, R) layout."""
-    return sq_norm(rec.x_curr.T - rec.x_prev.T)
+def displacement_sq(s: StepSlab) -> np.ndarray:
+    """||x_k - x_{k-1}||^2 per trajectory of a streamed step, in the stream's (dim, R) layout."""
+    return sq_norm(s.x_curr.T - s.x_prev.T)
 
 
 def stream_ensemble(
@@ -289,8 +248,8 @@ def stream_ensemble(
     K: int,
     seeds: Sequence[int],
     x0,
-) -> Iterator[StepRecord]:
-    """Yield a StepRecord for each k = 1..K; the only trajectory runner.
+) -> Iterator[StepSlab]:
+    """Yield a one-row StepSlab for each k = 1..K; the only trajectory runner.
 
     The state is held trajectory-minor, as (dim, R) arrays, and each sum
     over dim (``dim_sum``) is taken once per step.  f and grad f are
@@ -300,7 +259,9 @@ def stream_ensemble(
     since x_1 = x_0, so E(0) needs no objective call of its own.  Noise for each
     trajectory comes from its own Philox stream, drawn in blocks of up to
     1024 steps and ``_NOISE_BYTES`` bytes; each stream is read in order, so
-    values match single-trajectory runs and any block length exactly.
+    values match single-trajectory runs and any block length exactly.  The
+    carried rows are the same arrays: step k+1's ``E_prev``, ``fgap_prev``
+    and ``phi_sq`` are step k's ``E``, ``fgap_curr`` and ``phi_next_sq``.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -312,7 +273,7 @@ def stream_ensemble(
     gens = None if noise.kind is NoiseKind.NONE else _trajectory_generators(seeds)
     theta = np.zeros((obj.dim, R))
     phi_k = phi(1, x_prev, x_curr, x_star)
-    phi_sq = sq_norm(phi_k)
+    phi_sq = sq_norm(phi_k)[None]
     noise_block = None
     chunk = min(max(_NOISE_BYTES // (8 * obj.dim * R), 1), _NOISE_CHUNK)
     for k in range(1, K + 1):
@@ -321,7 +282,7 @@ def stream_ensemble(
             if off == 0:
                 # the next m steps' noise, drawn straight into (m, dim, R)
                 # once the spent block and its theta view are dropped (a
-                # record's theta views the block, so harness._slabs drops each record)
+                # slab's theta views the block, so harness._slabs drops each slab)
                 noise_block = theta = None
                 m = min(chunk, K - (k - 1))
                 noise_block = np.empty((m, obj.dim, R))
@@ -329,7 +290,7 @@ def stream_ensemble(
                     noise_block[:, :, i] = sample(noise, gen, m)
             theta = noise_block[off]
         gf = grad(obj, x_curr.T)
-        fgap_curr = eval_objective(obj, x_curr.T, gf) - f_star
+        fgap_curr = (eval_objective(obj, x_curr.T, gf) - f_star)[None]
         if k == 1:
             fgap_prev = fgap_curr  # x_1 = x_0
             E_prev = energy(phi_sq, fgap_prev, energy_weight(sched, 0))
@@ -340,15 +301,16 @@ def stream_ensemble(
         if not worst <= DIVERGENCE_RADIUS:
             raise DivergenceError(k, worst)
         phi_next = phi(k + 1, x_curr, x_next, x_star)
-        phi_next_sq = sq_norm(phi_next)
+        phi_next_sq = sq_norm(phi_next)[None]
         E_k = energy(phi_next_sq, fgap_curr, w_k)
-        yield StepRecord(
-            k=k, x_prev=x_prev.T, x_curr=x_curr.T, x_next=x_next.T,
+        yield StepSlab(
+            k=np.array(k, ndmin=2), eta_k=np.array(eta_k, ndmin=2),
+            a_k=np.array(a_k, ndmin=2), w_k=np.array(w_k, ndmin=2),
+            x_prev=x_prev.T, x_curr=x_curr.T, x_next=x_next.T, g=g.T, theta=theta.T,
             fgap_prev=fgap_prev, fgap_curr=fgap_curr, E_prev=E_prev, E=E_k,
-            g=g.T, theta=theta.T,
-            theta_sq=sq_norm(theta), theta_phi=dim_sum(theta * phi_k),
-            g_sq=sq_norm(g), grad_sq=sq_norm(g + theta),
-            phi_sq=phi_sq, phi_next_sq=phi_next_sq, eta_k=eta_k, a_k=a_k, w_k=w_k,
+            theta_sq=sq_norm(theta)[None], theta_phi=dim_sum(theta * phi_k)[None],
+            g_sq=sq_norm(g)[None], grad_sq=sq_norm(g + theta)[None],
+            phi_sq=phi_sq, phi_next_sq=phi_next_sq,
         )
         x_prev, x_curr, phi_k, phi_sq = x_curr, x_next, phi_next, phi_next_sq
         fgap_prev, E_prev = fgap_curr, E_k

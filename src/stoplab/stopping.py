@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .mcstats import clopper_pearson
-from .sgdm import as_slab
+from .sgdm import StepSlab
 
 __all__ = ["RuleKind", "RuleTracker", "coverage_verdict", "baseline_envelope"]
 
@@ -31,12 +31,12 @@ class RuleKind(Enum):
 class RuleTracker:
     """A capped stopping rule evaluated online over a streamed ensemble.
 
-    Feed ``update`` with each slab of steps (``sgdm.StepSlab``, or a lone
-    StepRecord) in order.  Each trajectory stops at the first k in 1..k_max
-    whose predicate holds, else at k_max; ``tau`` and ``fgap`` then hold the
-    stopping step and f(x_tau) - f* per trajectory.  The decision at k reads
-    only x_0..x_k and the value gaps they induce, so tau is a stopping time
-    of the iterate filtration.
+    Feed ``update`` with each slab of steps (``sgdm.StepSlab``) in order.
+    Each trajectory stops at the first k in 1..k_max whose predicate holds,
+    else at k_max; ``tau`` and ``fgap`` then hold the stopping step and
+    f(x_tau) - f* per trajectory.  The decision at k reads only x_0..x_k and
+    the value gaps they induce, so tau is a stopping time of the iterate
+    filtration.
 
     The delta rules trigger when the iterate displacement, or the value-gap
     change, falls to ``epsilon`` or below; since the recurrence starts from a
@@ -82,8 +82,7 @@ class RuleTracker:
             return np.zeros(s.fgap_curr.shape, dtype=bool)
         return s.fgap_curr > self.U[s.k]
 
-    def update(self, rec):
-        s = as_slab(rec)
+    def update(self, s: StepSlab):
         if self.tau is None:
             self.tau = np.zeros(s.fgap_curr.shape[1], dtype=int)
             self.fgap = np.zeros(s.fgap_curr.shape[1])

@@ -30,8 +30,8 @@ from stoplab.lyapunov import envelope_U
 from stoplab.martingale import _BRANCH_CHUNK, MartingaleTracker, log_N
 from stoplab.noise import philox, sample
 from stoplab.objectives import dim_sum, grad
-from stoplab.sgdm import (_step_arrays, a_coeff, derive_seeds, energy, eta, phi, spawn_seed,
-                          sq_norm, stream_ensemble)
+from stoplab.sgdm import (StepSlab, _step_arrays, a_coeff, derive_seeds, energy, eta, phi,
+                          spawn_seed, sq_norm, stream_ensemble)
 from stoplab.stopping import RuleKind, RuleTracker
 
 
@@ -49,11 +49,27 @@ class Paths:
         return self.gs.shape[1]
 
 
+_COLUMNS = ("k", "eta_k", "a_k", "w_k")
+_VIEWS = ("x_prev", "x_curr", "x_next", "g", "theta")
+
+
+def one_step(s) -> SimpleNamespace:
+    """A one-row slab of ``stream_ensemble`` as one step's values, for the step-by-step oracles.
+
+    Each (1, R) row becomes its (R,) vector and each (1, 1) column a Python
+    scalar (k an int); the (R, dim) position, gradient and noise views are
+    kept as they are.
+    """
+    return SimpleNamespace(**{
+        name: v if name in _VIEWS else v[0, 0].item() if name in _COLUMNS else v[0]
+        for name, v in vars(s).items()})
+
+
 def run_paths(obj, noise, sched, K, seeds, x0) -> Paths:
     """Store every streamed step of ``stream_ensemble``."""
     recs = list(stream_ensemble(obj, noise, sched, K, seeds, x0))
     xs = np.stack([recs[0].x_prev] + [r.x_curr for r in recs] + [recs[-1].x_next], axis=1)
-    f_gaps = np.stack([recs[0].fgap_prev] + [r.fgap_curr for r in recs], axis=1)
+    f_gaps = np.stack([recs[0].fgap_prev[0]] + [r.fgap_curr[0] for r in recs], axis=1)
     return Paths(xs=xs, gs=np.stack([r.g for r in recs], axis=1),
                  thetas=np.stack([r.theta for r in recs], axis=1), f_gaps=f_gaps)
 
@@ -108,15 +124,16 @@ def residual_series(p: Paths, sched, obj) -> dict:
             "decomp_mid": mid - dE, "E": E}
 
 
-def deep_descent_links(rec, obj) -> dict:
+def deep_descent_links(slab, obj) -> dict:
     """Verify each link of the energy-decay derivation separately at one step.
 
-    Works on one StepRecord of ``stream_ensemble`` and returns per-trajectory
+    Works on one streamed step of ``stream_ensemble`` and returns per-trajectory
     residuals for: the recurrence identity
     (k+2)(x_{k+1}-x_k) - k(x_k - x_{k-1}) = -2 sqrt(eta_k/k) g_k (abs error),
     the raw differencing bound, and the post-substitution bound.  All must
     be >= -tol (identity: <= tol in absolute value).
     """
+    rec = one_step(slab)
     k = rec.k
     # back to the stream's trajectory-minor (dim, R) state
     x_km1, x_k, x_k1, g = rec.x_prev.T, rec.x_curr.T, rec.x_next.T, rec.g.T
@@ -268,7 +285,7 @@ def tree_min_coverage(tree: PathTree, U: np.ndarray) -> dict:
     # a tree step carries only value gaps, all the first-violation rule reads
     adv = RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, d, U=U)
     for k in range(1, d + 1):
-        adv.update(SimpleNamespace(k=k, fgap_curr=tree.values[:, k]))
+        adv.update(StepSlab(k=np.array([[k]]), fgap_curr=tree.values[None, :, k]))
     adv_cov = float(np.mean(adv.within(U)))
     return {
         "min_coverage": best, "argmin_taus": best_taus,
@@ -280,7 +297,7 @@ def block_by_step(cfg, env, lo: int, hi: int) -> dict:
     """``harness._run_block``'s results for trajectories lo..hi-1, one streamed step at a time.
 
     The step-by-step loop the harness ran before it took slabs of steps,
-    with every consumer written out for one record: the decay residuals and
+    with every consumer written out for one step: the decay residuals and
     their running minima, S, W and the prefix product advanced by one step
     and log N^t(k-1) raised into its running supremum, the envelope flags,
     the trajectory CSV rows, and each rule's stop (``stops_by_step`` on the
@@ -298,8 +315,9 @@ def block_by_step(cfg, env, lo: int, hi: int) -> dict:
     all_within = {b: np.ones(n, dtype=bool) for b in cfg.betas}
     rows = {i: [] for i in range(lo, hi) if i < cfg.options["csv_trajectories"]}
     f_gaps, step_sq = [], []
-    for rec in stream_ensemble(obj, cfg.noise, cfg.sched, K,
-                               derive_seeds(cfg.base_seed, n, start=lo), cfg.x0):
+    for slab in stream_ensemble(obj, cfg.noise, cfg.sched, K,
+                                derive_seeds(cfg.base_seed, n, start=lo), cfg.x0):
+        rec = one_step(slab)
         k = rec.k
         if k == 1:
             f_gaps.append(rec.fgap_prev)
@@ -416,7 +434,8 @@ def supermartingale_whole_block(obj, noise, sched, x0, prefix_seed: int, ks, t: 
     sigma = noise.sigma_certificate
     tracker = MartingaleTracker(sigma, gamma2_value, t)
     out = {}
-    for rec in stream_ensemble(obj, noise, sched, max(ks), [prefix_seed], x0):
+    for slab in stream_ensemble(obj, noise, sched, max(ks), [prefix_seed], x0):
+        rec = one_step(slab)
         k = rec.k
         if k in ks:
             S, W, prod = tracker.S_last, tracker._W, tracker._prefix_prod
@@ -440,7 +459,7 @@ def supermartingale_whole_block(obj, noise, sched, x0, prefix_seed: int, ks, t: 
                        if stderr > 0 else estimate)
             out[k] = {"estimate": estimate, "ci_halfwidth": stderr, "bootstrap_hi": boot_hi,
                       "shift": shift, "pass": estimate <= 3.0 * stderr + 1e-12}
-        tracker.update(rec)
+        tracker.update(slab)
     return [out[k] for k in ks]
 
 

@@ -128,3 +128,23 @@ def test_probe_branch_check_is_one_call_with_one_bootstrap():
     assert names.count("martingale.branch_check") == 1
     assert names.count("mcstats.bootstrap") == 1
     assert record["pass"]
+
+
+def test_traced_child_counts_every_trajectory_step(tmp_path, monkeypatch):
+    # the benchmark's traced child end to end on the tiny cov-wide workload:
+    # it counts each streamed step's trajectories (R K in all) and derives
+    # every layer metric from its spans
+    import json
+    import math
+
+    monkeypatch.syspath_prepend(str(TRACE.parent))  # tracing_overhead imports reference
+    import workloads
+
+    trace = _load_trace()
+    raw = dict(workloads.generate("cov-wide", 3, tiny=True), output_dir=str(tmp_path / "run"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert trace.main(str(config), str(tmp_path)) == 0
+    metrics = json.loads((tmp_path / "trace.json").read_text())["metrics"]
+    assert metrics["sgdm.traj_steps"] == raw["R"] * raw["K"] == 1200
+    assert all(math.isfinite(v) for v in metrics.values()), metrics

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from stoplab import concentration
-from stoplab.concentration import (MgfCheckConfig, _sq_norms, mgf_check,
-                                   weighted_square_tail_check)
+from stoplab.concentration import MgfCheckConfig, mgf_check, weighted_square_tail_check
 from stoplab.mcstats import clopper_pearson
 from stoplab.noise import NoiseKind, calibrate
-from stoplab.sgdm import ScheduleVariant, Variant, a_coeff
+from stoplab.sgdm import ScheduleVariant, Variant, a_coeff, sq_norm
 
 from oracles import binomial_tail_mp, clopper_pearson_beta_ppf, weighted_square_tail_oracle
 
@@ -171,7 +170,7 @@ def test_tail_totals_sum_dim_columns_in_sequence(dim):
     theta = rng.standard_normal((300, 100, dim))
     c = np.asarray(a_coeff(ScheduleVariant(Variant.THEOREM_MAIN, L=1.0), np.arange(1, 101)))
     old = np.sum(c[None, :] * np.sum(theta * theta, axis=-1), axis=-1)
-    new = np.sum(c[None, :] * _sq_norms(theta), axis=-1)
+    new = np.sum(c[None, :] * sq_norm(np.moveaxis(theta, -1, 0)), axis=-1)
     if dim < 8:
         assert np.array_equal(new, old)
     else:
@@ -201,14 +200,14 @@ def test_tail_check_memory_does_not_grow_with_the_chunk():
 def test_tail_check_sub_blocks_change_no_bit(monkeypatch, kind, dim):
     c, noise = _tail_inputs(dim, kind, n_c=40)
     norms = []
-    real = concentration._sq_norms
+    real = concentration.sq_norm
 
     def recording(theta):
         out = real(theta)
         norms.append(out.ravel().copy())
         return out
 
-    monkeypatch.setattr(concentration, "_sq_norms", recording)
+    monkeypatch.setattr(concentration, "sq_norm", recording)
     omegas = [0.0, 0.1, 0.5, 1.0, 2.0]
     default = weighted_square_tail_check(c, noise, omegas, 100, seed=9)
     default_norms, norms[:] = np.concatenate(norms), []

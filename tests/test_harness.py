@@ -411,10 +411,10 @@ def test_block_width_does_not_change_results(tmp_path, monkeypatch, dim):
         solo = stream_ensemble(obj, noise, sched, 30, [int(seed)], x0)
         for a, b in zip(ens, solo):
             assert np.array_equal(a.x_next[i], b.x_next[0])
-            assert a.E[i] == b.E[0]
+            assert a.E[0, i] == b.E[0, 0]
             ra, rb = step_residuals(a, obj), step_residuals(b, obj)
             for key in keys:
-                assert ra[key][i] == rb[key][0], (a.k, key)
+                assert ra[key][0, i] == rb[key][0, 0], (a.k[0, 0], key)
 
 
 def _same_bits(a, b) -> bool:
@@ -486,7 +486,7 @@ def test_slab_block_matches_the_oracle_at_R1_and_coverage_only(tmp_path, monkeyp
 
 
 def test_run_block_holds_one_noise_block(tmp_path, monkeypatch):
-    # the stream frees its spent noise block, and _slabs the record whose
+    # the stream frees its spent noise block, and _slabs the step whose
     # theta views it, before the next block is drawn: a run of three 1 MiB
     # blocks peaks where a run of one does, not a block higher
     import tracemalloc

@@ -18,7 +18,7 @@ SCHED1 = ScheduleVariant(Variant.THEOREM_MAIN, L=1.0)
 
 @pytest.fixture(scope="module")
 def noisy_run():
-    """Every record of one noisy trajectory, with the per-step residuals."""
+    """Every streamed step of one noisy trajectory, with the per-step residuals."""
     obj = quadratic(np.array([1.0, 2.0]))
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
     sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
@@ -31,17 +31,17 @@ def test_initial_energy_hand_value():
     obj = quadratic(np.array([1.0]))
     zero = NoiseModel(NoiseKind.NONE, dim=1, sigma_certificate=0.0, scale=0.0)
     rec = next(stream_ensemble(obj, zero, SCHED1, 2, [0], np.array([2.0])))
-    assert rec.E_prev[0] == pytest.approx(6.885390081777927, rel=1e-13)
+    assert rec.E_prev[0, 0] == pytest.approx(6.885390081777927, rel=1e-13)
     x0 = np.array([2.0])
     assert energy(sq_norm(phi(1, x0, x0, obj.minimizer)), 2.0,
-                  energy_weight(SCHED1, 0)) == rec.E_prev[0]
+                  energy_weight(SCHED1, 0)) == rec.E_prev[0, 0]
 
 
 def test_zero_noise_energy_monotone():
     obj = quadratic(np.array([1.0, 0.5]))
     zero = NoiseModel(NoiseKind.NONE, dim=2, sigma_certificate=0.0, scale=0.0)
     recs = list(stream_ensemble(obj, zero, SCHED1, 300, [0], np.array([2.0, 1.0])))
-    E = np.array([recs[0].E_prev[0]] + [r.E[0] for r in recs])
+    E = np.array([recs[0].E_prev[0, 0]] + [r.E[0, 0] for r in recs])
     assert np.all(np.diff(E) <= 1e-12 * (1.0 + np.abs(E[:-1])))
 
 
@@ -72,7 +72,7 @@ def test_pointwise_checks_match_series(noisy_run):
     series = residual_series(paths, sched, obj)
     for k in (1, 7, 100, 400):
         for key in ("descent", "decomp", "decomp_mid"):
-            assert res[k - 1][key][0] == series[key][0, k - 1]
+            assert res[k - 1][key][0, 0] == series[key][0, k - 1]
     tol = residual_tolerance(series["E"][:, 1:], series["E"][:, :-1])
     assert np.all(series["descent"] >= -tol)
 
@@ -82,7 +82,7 @@ def test_deep_descent_links(noisy_run):
     for k in (1, 5, 50, 399):
         rec = recs[k - 1]
         links = deep_descent_links(rec, obj)
-        scale = 1e-9 * (1.0 + np.abs(rec.E))
+        scale = 1e-9 * (1.0 + np.abs(rec.E[0]))
         assert np.all(links["recurrence_identity_abs_err"] <= 1e-12 * (1 + k))
         assert np.all(links["differencing_residual"] >= -scale)
         assert np.all(links["substituted_residual"] >= -scale)
@@ -97,9 +97,9 @@ def test_step_residuals_match_full_path():
     stream = {"descent": [], "decomp": [], "E": []}
     for rec in stream_ensemble(obj, noise, sched, 120, seeds, x0):
         r = step_residuals(rec, obj)
-        stream["descent"].append(r["descent"])
-        stream["decomp"].append(r["decomp"])
-        stream["E"].append(rec.E)
+        stream["descent"].append(r["descent"][0])
+        stream["decomp"].append(r["decomp"][0])
+        stream["E"].append(rec.E[0])
     series = residual_series(run_paths(obj, noise, sched, 120, seeds, x0), sched, obj)
     for i in range(3):
         assert np.array_equal(np.array(stream["descent"])[:, i], series["descent"][i])
@@ -115,8 +115,8 @@ def test_phi_accessor(noisy_run):
     k = 5
     expected = k * (xs[k] - xs[k - 1]) + (xs[k] - obj.minimizer)
     assert np.array_equal(phis[k - 1], expected)
-    assert res[k - 1]["phi_sq"][0] == np.sum(expected * expected)
-    assert res[k - 1]["phi_next_sq"][0] == res[k]["phi_sq"][0]
+    assert res[k - 1]["phi_sq"][0, 0] == np.sum(expected * expected)
+    assert res[k - 1]["phi_next_sq"][0, 0] == res[k]["phi_sq"][0, 0]
 
 
 def test_envelope_constants_structure():
@@ -176,9 +176,10 @@ def test_energy_chain_and_checks_at_dim_1200(tmp_path):
     recs = list(stream_ensemble(obj, noise, sched, 12, derive_seeds(4, 3), x0))
     for prev, rec in zip(recs, recs[1:]):
         assert np.array_equal(rec.E_prev, prev.E)
-        phi_next = phi(rec.k + 1, rec.x_curr.T, rec.x_next.T, obj.minimizer[:, None])
-        assert np.array_equal(rec.E, energy(sq_norm(phi_next), rec.fgap_curr,
-                                            energy_weight(sched, rec.k)))
+        k = int(rec.k[0, 0])
+        phi_next = phi(k + 1, rec.x_curr.T, rec.x_next.T, obj.minimizer[:, None])
+        assert np.array_equal(rec.E[0], energy(sq_norm(phi_next), rec.fgap_curr[0],
+                                               energy_weight(sched, k)))
     raw = {
         "objective": {"kind": "quadratic", "diag": [float(v) for v in diag]},
         "noise": {"kind": "bounded-sphere", "sigma": 1.0},

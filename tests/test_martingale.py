@@ -59,7 +59,7 @@ def test_S_M_definitions(traj_trace, g2):
     # the tracker's online S(K) and E(K) - S(K) are the series' last entries
     tracker, last = _track(NOISE, 200, [7], g2)
     assert tracker.S_last[0] == S[-1]
-    assert last.E[0] - tracker.S_last[0] == M[-1]
+    assert last.E[0, 0] - tracker.S_last[0] == M[-1]
 
 
 def test_initial_value_identity(traj_trace, g2):

@@ -52,7 +52,7 @@ def test_first_step_hand_value():
     obj = quadratic(np.array([1.0]))
     zero = NoiseModel(NoiseKind.NONE, dim=1, sigma_certificate=0.0, scale=0.0)
     (rec,) = stream_ensemble(obj, zero, SCHED1, 1, [0], np.array([2.0]))
-    assert rec.k == 1
+    assert rec.k[0, 0] == 1
     assert rec.x_next[0, 0] == pytest.approx(1.696586924457721, rel=1e-14)
     assert np.array_equal(rec.x_prev, rec.x_curr)
     assert np.array_equal(rec.g, [[2.0]])
@@ -156,13 +156,13 @@ def test_derive_seeds_rejects_out_of_range():
 
 
 def test_trajectory_accessors():
-    # consecutive records chain: step k+1 starts where step k ended, the
-    # last record carries x_{K+1}, f(x_K) - f* and E(K), and each record
-    # carries its step's schedule scalars
+    # consecutive steps chain: step k+1 starts where step k ended, the
+    # last step carries x_{K+1}, f(x_K) - f* and E(K), and each step
+    # carries its schedule scalars
     obj = quadratic(np.array([1.0]))
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 1, 1.0)
     recs = list(stream_ensemble(obj, noise, SCHED1, 10, [3], np.array([2.0])))
-    assert [r.k for r in recs] == list(range(1, 11))
+    assert [r.k[0, 0] for r in recs] == list(range(1, 11))
     for prev, rec in zip(recs, recs[1:]):
         assert np.array_equal(rec.x_prev, prev.x_curr)
         assert np.array_equal(rec.x_curr, prev.x_next)
@@ -170,15 +170,39 @@ def test_trajectory_accessors():
         assert rec.E_prev is prev.E
         assert rec.phi_sq is prev.phi_next_sq
     for rec in recs:
-        assert rec.eta_k == eta(SCHED1, rec.k)
-        assert rec.a_k == a_coeff(SCHED1, rec.k)
-        assert rec.w_k == energy_weight(SCHED1, rec.k)
+        k = int(rec.k[0, 0])
+        assert rec.eta_k[0, 0] == eta(SCHED1, k)
+        assert rec.a_k[0, 0] == a_coeff(SCHED1, k)
+        assert rec.w_k[0, 0] == energy_weight(SCHED1, k)
     last = recs[-1]
-    np.testing.assert_allclose(last.fgap_curr, 0.5 * last.x_curr[:, 0] ** 2, rtol=1e-15)
+    np.testing.assert_allclose(last.fgap_curr[0], 0.5 * last.x_curr[:, 0] ** 2, rtol=1e-15)
     phi_next = phi(11, last.x_curr.T, last.x_next.T, obj.minimizer[:, None])
-    assert np.array_equal(last.phi_next_sq, sq_norm(phi_next))
-    assert np.array_equal(last.E, energy(sq_norm(phi_next), last.fgap_curr,
-                                         energy_weight(SCHED1, 10)))
+    assert np.array_equal(last.phi_next_sq[0], sq_norm(phi_next))
+    assert np.array_equal(last.E[0], energy(sq_norm(phi_next), last.fgap_curr[0],
+                                            energy_weight(SCHED1, 10)))
+
+
+@pytest.mark.parametrize("noise,R", [(calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0), 5),
+                                     (ZERO2, 1)], ids=["gaussian-R5", "none-R1"])
+def test_stream_yields_one_row_slabs(noise, R):
+    # one StepSlab per step: (1, 1) columns with an integer k, (1, R) rows,
+    # and (R, dim) position, gradient and noise views; the benchmark's trace
+    # counts a step's trajectories as x_curr's rows of each item with a theta
+    obj, dim = quadratic(np.array([1.0, 2.0])), 2
+    rows = ("fgap_prev", "fgap_curr", "E_prev", "E", "theta_sq", "theta_phi", "g_sq",
+            "grad_sq", "phi_sq", "phi_next_sq")
+    K = 4
+    steps = list(stream_ensemble(obj, noise, SCHED1, K, derive_seeds(2, R), np.ones(dim)))
+    assert len(steps) == K
+    for k, s in enumerate(steps, start=1):
+        assert type(s) is sgdm.StepSlab
+        for name in ("k", "eta_k", "a_k", "w_k"):
+            assert getattr(s, name).shape == (1, 1), name
+        assert np.issubdtype(s.k.dtype, np.integer) and s.k[0, 0] == k
+        for name in rows:
+            assert getattr(s, name).shape == (1, R), name
+        for name in ("x_prev", "x_curr", "x_next", "g", "theta"):
+            assert getattr(s, name).shape == (R, dim), name
 
 
 def test_noise_blocks_are_bounded_by_bytes(monkeypatch):
@@ -251,12 +275,12 @@ def test_stream_fgap_is_bitwise_the_plain_value(obj):
     for rec in stream_ensemble(obj, noise, sched, 20, derive_seeds(5, 4),
                                obj.minimizer + 1.0):
         plain = eval_objective(obj, rec.x_curr) - obj.min_value
-        assert np.array_equal(rec.fgap_curr, plain)
-        if rec.k == 1:
+        assert np.array_equal(rec.fgap_curr[0], plain)
+        if rec.k[0, 0] == 1:
             # step 1's f is f(x_0), since x_1 = x_0, and E(0) is formed from it
-            assert np.array_equal(rec.fgap_prev, plain)
-            assert np.array_equal(rec.E_prev,
-                                  energy(rec.phi_sq, plain, energy_weight(sched, 0)))
+            assert np.array_equal(rec.fgap_prev[0], plain)
+            assert np.array_equal(rec.E_prev[0],
+                                  energy(rec.phi_sq[0], plain, energy_weight(sched, 0)))
 
 
 @settings(max_examples=60, deadline=None)

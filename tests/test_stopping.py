@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +6,8 @@ from stoplab.lyapunov import envelope_constants, envelope_U
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import quadratic
 from stoplab.mcstats import clopper_pearson
-from stoplab.sgdm import ScheduleVariant, StepSlab, Variant, derive_seeds, stream_ensemble
+from stoplab.sgdm import (ScheduleVariant, StepSlab, Variant, derive_seeds, displacement_sq,
+                          stream_ensemble)
 from stoplab.stopping import (RuleKind, RuleTracker, baseline_envelope,
                               coverage_verdict)
 
@@ -19,10 +18,21 @@ SCHED = ScheduleVariant(Variant.THEOREM_MAIN, L=1.0)
 ZERO1 = NoiseModel(NoiseKind.NONE, dim=1, sigma_certificate=0.0, scale=0.0)
 
 
+def _with_step_sq(s):
+    """A streamed step with the ``step_sq`` row that ``harness._slabs`` adds to its slabs."""
+    s.step_sq = displacement_sq(s)[None]
+    return s
+
+
+def _gaps(k, f_gaps):
+    """A one-step slab that carries only k and the value gaps, all the envelope rule reads."""
+    return StepSlab(k=np.array([[k]]), fgap_curr=f_gaps[None])
+
+
 def _stop(rule, obj, noise, K, seeds, x0):
     """Feed a rule every streamed step; return its per-trajectory tau."""
     for rec in stream_ensemble(obj, noise, SCHED, K, seeds, x0):
-        rule.update(rec)
+        rule.update(_with_step_sq(rec))
     return rule.tau
 
 
@@ -82,7 +92,7 @@ def test_stopped_at_minimizer():
 
 
 def test_stopped_rules_ignore_later_steps():
-    # once every trajectory has its tau a rule reads no later step: records
+    # once every trajectory has its tau a rule reads no later step: steps
     # with NaN gaps and no positions leave tau and fgap untouched
     obj = quadratic(np.array([1.0, 2.0]))
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
@@ -94,12 +104,12 @@ def test_stopped_rules_ignore_later_steps():
     for rec in stream_ensemble(obj, noise, SCHED, 2, derive_seeds(8, 6),
                                np.array([2.0, -1.0])):
         for rule in rules:
-            rule.update(rec)
+            rule.update(_with_step_sq(rec))
     assert [list(r.tau) for r in rules] == [[1] * 6, [1] * 6, [2] * 6, [1] * 6]
     for rule in rules:
         tau, fgap = rule.tau.copy(), rule.fgap.copy()
         for k in range(3, 21):
-            rule.update(SimpleNamespace(k=k, fgap_curr=np.full(6, np.nan)))
+            rule.update(_gaps(k, np.full(6, np.nan)))
         assert np.array_equal(rule.tau, tau)
         assert np.array_equal(rule.fgap, fgap)
 
@@ -115,7 +125,7 @@ def test_adversarial_tau_construction():
     ])
     rule = RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, 5, U=U)
     for k in range(1, 6):
-        rule.update(SimpleNamespace(k=k, fgap_curr=f_gaps[:, k]))
+        rule.update(_gaps(k, f_gaps[:, k]))
     assert list(rule.tau) == [5, 3, 1, 5]
     assert list(rule.fgap) == [0.5, 2.0, 2.0, 2.0]
     assert list(rule.within(U)) == [True, False, False, False]
@@ -136,7 +146,7 @@ def test_envelope_rule_matches_per_step_oracle():
     rule = RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, k_max, U=U)
     tau, fgap = np.zeros(4, dtype=int), np.zeros(4)
     for k in range(1, k_max + 3):
-        rule.update(SimpleNamespace(k=k, fgap_curr=f_gaps[:, min(k, k_max)]))
+        rule.update(_gaps(k, f_gaps[:, min(k, k_max)]))
         for i in range(4):
             if tau[i] == 0 and k <= k_max and (k == k_max or f_gaps[i, k] > U[k]):
                 tau[i], fgap[i] = k, f_gaps[i, k]
@@ -203,7 +213,7 @@ def test_adversarial_identity_with_sup_statement():
     for rec in stream_ensemble(obj, noise, sched, 200, derive_seeds(5, 150),
                                np.array([2.0, -1.0])):
         rule.update(rec)
-        sup_within &= rec.fgap_curr <= U[rec.k]
+        sup_within &= rec.fgap_curr[0] <= U[rec.k[0, 0]]
     # per-trajectory indicator identity, and it is non-trivial here
     assert np.array_equal(rule.within(U), sup_within)
     assert 0 < int(np.sum(sup_within)) < 150
