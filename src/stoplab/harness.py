@@ -34,9 +34,9 @@ from .noise import NoiseKind, NoiseModel, calibrate
 from .objectives import (Objective, eval_objective, huberized_abs,
                          least_squares_random, quadratic)
 from .series import gamma2_range_problem
-from .sgdm import (ScheduleVariant, StepSlab, Variant, a_coeff, derive_seeds, displacement_sq,
-                   energy, energy_weight, eta_bound_margin, phi, spawn_seed, sq_norm,
-                   stream_ensemble)
+from .sgdm import (DIM_STACKS, STEP_ARRAYS, ScheduleVariant, StepSlab, Variant, _slab_rows,
+                   a_coeff, derive_seeds, energy, energy_weight, eta_bound_margin, phi,
+                   spawn_seed, sq_norm, stream_ensemble)
 from .stopping import RuleKind, RuleTracker, coverage_verdict
 
 __all__ = ["GRAMMAR", "OBJECTIVES", "RunConfig", "Report", "build_schedule", "load_config",
@@ -342,66 +342,6 @@ def _envelope(cfg: RunConfig) -> EnvelopeParams:
     return envelope_constants(cfg.sched, float(sigma), E0, float(cfg.options["gamma_tol"]))
 
 
-# A slab's (B, R) float arrays, its fields and the consumers' temporaries
-# alike, hold at most this many bytes during one flush.
-_SLAB_BYTES = 1 << 20
-# The first row of these slab fields is the previous step's value, read
-# from the streamed step's field named here at k = 1.
-_CARRIED = {"E": "E_prev", "fgap_curr": "fgap_prev", "phi_next_sq": "phi_sq"}
-
-
-def _slab_rows(width: int, arrays: int) -> int:
-    """Steps per slab, for ``arrays`` (B, R) arrays live at once at R = ``width``."""
-    return max(1, _SLAB_BYTES // (8 * width * arrays))
-
-
-def _slabs(steps, reads, rows: int, K: int):
-    """The streamed steps stacked into StepSlabs of ``rows`` steps; the last one ends at k = K.
-
-    Each step's row is copied into row buffers, one per field ``reads()``
-    names when a slab starts; a carried field's row 0 is the previous
-    step's value.  The buffers are reused, so a slab's arrays are valid
-    until the next one is taken.  Each step is dropped before the next is
-    pulled: its ``theta`` views the stream's noise block, which is then
-    freed before the stream draws the next one.
-    """
-    bufs = {}
-    cols = {"k": [], "eta_k": [], "a_k": [], "w_k": []}
-    for step in steps:
-        k = int(step.k[0, 0])
-        if k == 1:
-            # glibc hands free memory at the top of its heap back to the OS
-            # once it exceeds the trim threshold, 128 KiB at first, so the
-            # arrays freed after each slab would be faulted in again for the
-            # next (9600 against 2200 minor faults per cov-wide verdict in a
-            # fresh process).  Freeing one mmapped block of the slab budget
-            # raises that threshold to twice the budget.
-            np.empty(_SLAB_BYTES // 8)
-            bufs = {f: np.empty((min(rows, K) + 1, step.fgap_curr.shape[1])) for f in reads()}
-            for f, prev in _CARRIED.items():
-                if f in bufs:
-                    bufs[f][0] = getattr(step, prev)[0]
-        for c, v in cols.items():
-            v.append(getattr(step, c)[0, 0])
-        j = len(cols["k"])
-        for f, buf in bufs.items():
-            buf[j] = displacement_sq(step) if f == "step_sq" else getattr(step, f)[0]
-        del step
-        if j < rows and k != K:
-            continue
-        slab = StepSlab(**{c: np.array(v)[:, None] for c, v in cols.items()})
-        for f, buf in bufs.items():
-            setattr(slab, f, buf[1:j + 1])
-            if f in _CARRIED:
-                setattr(slab, _CARRIED[f], buf[:j])
-        yield slab
-        cols = {c: [] for c in cols}
-        bufs = {f: bufs[f] for f in reads()}
-        for f in _CARRIED:
-            if f in bufs:
-                bufs[f][0] = bufs[f][j]
-
-
 def _lower_minima(mins: dict, slab: StepSlab, obj, K: int, cols: list) -> list:
     """Lower each running minimum by the slab's least row; the descent and decomp columns ``cols``.
 
@@ -433,15 +373,13 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
 
     Top-level so process pools can pickle it; the run's config and envelope
     are plain values, computed once by ``run_experiment``.  The consumers
-    work on slabs of steps (``_slabs``), each slab holding only the fields
-    the enabled consumers read, and as many steps as fit ``_SLAB_BYTES``.
-    The step residuals and their minima ("mins") are computed only for the
-    descent and decomposition checks, and the martingale tracker runs only
-    for ville; the trajectory CSVs read both (their residual_* and S, M
-    columns).  The envelope flags and rule trackers always run; with no
-    betas and no rules they do nothing.  Every consumer works row by row or
-    reduces with an exact min or max, so the results are bitwise those of a
-    step-by-step loop for any slab length.
+    read the stream's slabs, each with only the fields they read and as many
+    steps as fit ``sgdm._SLAB_BYTES``, the stream's stacks counted.  The
+    step residuals and their minima ("mins") run only for the descent and
+    decomposition checks, the martingale tracker only for ville; the
+    trajectory CSVs read both.  The envelope flags and rule trackers always
+    run.  Every consumer works row by row or reduces with an exact min or
+    max, so the results are bitwise a step-by-step loop's for any slab length.
     """
     obj, sched, K = cfg.objective, cfg.sched, cfg.K
     n = hi - lo
@@ -476,25 +414,28 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
     # holds at once besides them (counted with tracemalloc)
     reads, scratch = ({"fgap_curr"} if cfg.betas or traced else set()), 2
     if martingale:
-        reads |= {"E", "theta_sq"}
+        reads |= {"E", "a_k", "theta_sq"}
         scratch = 5
     if residuals:
-        reads |= {"E", "fgap_curr", "phi_next_sq", "theta_sq", "theta_phi", "g_sq", "grad_sq"}
+        reads |= {"E", "a_k", "theta_sq", "theta_phi", "g_sq", "grad_sq"}
         scratch = 9
 
     def slab_fields():
         return reads.union(*(t.reads for t in trackers))
 
-    B = _slab_rows(n, len(slab_fields()) + scratch)
+    # 32 (R,) arrays of per-trajectory state: running minima, trackers, flags
+    B = _slab_rows(n, len(slab_fields()) + scratch + DIM_STACKS * obj.dim,
+                   32 + STEP_ARRAYS * obj.dim)
     cols = [i - lo for i in traced]
     res_cols = S_cols = []
-    stream = stream_ensemble(obj, cfg.noise, sched, K, seeds, cfg.x0)
-    for slab in _slabs(stream, slab_fields, B, K):
+    for slab in stream_ensemble(obj, cfg.noise, sched, K, seeds, cfg.x0, slab_fields, B):
         k = slab.k
         if residuals:
             res_cols = _lower_minima(mins, slab, obj, K, cols)
         if martingale:
             S_cols = _martingale_columns(tracker, slab, cols)
+            if k[-1, 0] == K:
+                tracker.finish(slab)
         for b in cfg.betas:
             all_within[b] &= ~np.any(slab.fgap_curr > U[b][k], axis=0)
         for rule in trackers:
@@ -505,6 +446,7 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
                                 0.0, float(slab.E_prev[0, r]), "", ""))
             rows[i].extend(zip(k[:, 0].tolist(), slab.fgap_curr[:, r].tolist(),
                                slab.E[:, r].tolist(), *S_col, *res_col))
+        del slab  # its theta views the noise block, freed before the next is drawn
 
     # per beta: the all-k statement, the adversarial rule, then each configured rule
     out = {"covered": {b: [all_within[b], adversarial[b].within(U[b])]
@@ -513,7 +455,6 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
     if residuals:
         out["mins"] = mins
     if martingale:
-        tracker.finish(slab)
         out.update(sup_logN=tracker.sup_logN, sup_E=tracker.sup_E, S_last=tracker.S_last)
     return out
 

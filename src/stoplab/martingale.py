@@ -20,8 +20,8 @@ import numpy as np
 from .mcstats import bootstrap_upper_quantile
 from .noise import _DRAW_BLOCK, NoiseKind, NoiseModel, philox, sample
 from .objectives import Objective, grad
-from .sgdm import (ScheduleVariant, StepSlab, _step_arrays, energy, phi, spawn_seed, sq_norm,
-                   stream_ensemble)
+from .sgdm import (DIM_STACKS, STEP_ARRAYS, STEP_FIELDS, ScheduleVariant, StepSlab, _slab_rows,
+                   _step_arrays, energy, phi, spawn_seed, sq_norm, stream_ensemble)
 
 __all__ = [
     "log_N", "check_supermartingale", "ville_monitor",
@@ -76,21 +76,20 @@ def _branch_logN(obj: Objective, noise: NoiseModel, s: StepSlab,
     ``s`` is the prefix's one-row slab at k and ``tracker`` holds its state
     at k-1; the prefix's own theta_k is replaced by the branches' draws, one
     counter stream per ``_BRANCH_CHUNK`` branches (parallel-safe).  A chunk
-    is drawn and stepped in sub-blocks of at most ``_DRAW_BLOCK`` doubles,
-    each a trajectory-minor (dim, p) block, and S, W and the prefix product
-    are advanced over each sub-block by ``_advance``.  The step is
-    elementwise or a ``dim_sum`` and each stream is read in order, so
-    ``out`` holds the bits of one (dim, n) step, while the memory held
-    besides it is one sub-block's.  With no noise every branch is the same:
-    one is stepped and ``out`` filled with it.
+    is drawn and stepped in trajectory-minor (dim, p) sub-blocks of at most
+    ``_DRAW_BLOCK`` doubles, S, W and the prefix product advanced over each
+    by ``_advance``.  The step is elementwise or a ``dim_sum`` and each
+    stream is read in order, so ``out`` holds the bits of one (dim, n) step
+    while the memory held besides it is one sub-block's.  With no noise
+    every branch is the same: one is stepped and ``out`` filled with it.
     """
     sigma, gamma2_value, t = tracker.sigma, tracker.gamma2_value, tracker.t
     S_km1, W_km1, prod_km1 = tracker.S_last, tracker._W, tracker._prefix_prod
     logN_prev = float(log_N(s.E_prev[0], S_km1, W_km1, prod_km1, sigma, gamma2_value, t)[0])
     k, eta_k = int(s.k[0, 0]), float(s.eta_k[0, 0])
     fgap_k, w_k = s.fgap_curr[0, 0], s.w_k[0, 0]
-    x_km1, x_k = s.x_prev.T, s.x_curr.T
-    grad_k, x_star = grad(obj, s.x_curr[0])[:, None], obj.minimizer[:, None]
+    x_km1, x_k, x_star = s.xs[0], s.xs[1], obj.minimizer[:, None]
+    grad_k = grad(obj, x_k[:, 0])[:, None]
 
     def step(thetas):
         x_k1 = _step_arrays(k, eta_k, x_km1, x_k, np.subtract(grad_k, thetas, order="C"))
@@ -125,21 +124,19 @@ def check_supermartingale(
 ) -> list[dict]:
     """Branching Monte Carlo check of E[N^t(k) | F_{k-1}] <= N^t(k-1) at each k in ``ks``.
 
-    Streams one trajectory prefix through the tracker, once, to max(ks).  At
-    each k it branches: n_branches independent noise continuations replace
-    the prefix's own theta_k, from the tracker's state at k-1, and their
-    log N^t(k) is written into that k's row of the (len(set(ks)),
-    n_branches) weights and exp-shifted there, so the comparison is
-    overflow-free.  Besides the weight rows, the step holds one sub-block of
-    branches at a time (``_branch_logN``).  Pass means estimate <= 3 *
-    ci_halfwidth (with no noise every branch is the same, and the half-width
-    is rounding).  A one-sided 99% bootstrap bound on each shifted mean is
-    included because N has a heavy right tail: one bootstrap over the
-    weights, whose resample indices every k shares; with no noise it is the
-    estimate, and no resample is drawn.  ``gamma2_value`` is the
-    certified upper end of the gamma2 bracket (``EnvelopeParams.gamma2``).
-    Returns one record per entry of ``ks``, in its order; a bare int k is
-    read as [k].
+    Streams one trajectory prefix through the tracker, once, to max(ks), in
+    slabs cut at each k.  At each k, n_branches independent noise
+    continuations replace the prefix's theta_k, from the tracker's state at
+    k-1; their log N^t(k) fill that k's row of the (len(set(ks)), n_branches)
+    weights, exp-shifted there to stay overflow-free, and the step holds one
+    sub-block of branches besides (``_branch_logN``).  Pass means estimate
+    <= 3 * ci_halfwidth (with no noise every branch is the same and the
+    half-width is rounding).  N has a heavy right tail, so a one-sided 99%
+    bootstrap bound on each shifted mean is included: one bootstrap whose
+    resample indices every k shares; with no noise it is the estimate.
+    ``gamma2_value`` is the certified upper end of the gamma2 bracket
+    (``EnvelopeParams.gamma2``).  Returns one record per entry of ``ks``, in
+    its order; a bare int k is read as [k].
     """
     ks = [int(k) for k in ([ks] if np.ndim(ks) == 0 else ks)]
     if n_branches < 1000:
@@ -152,15 +149,23 @@ def check_supermartingale(
     w = np.empty((len(row), n_branches))
     shift, prev_w = np.empty(len(row)), np.empty(len(row))
     tracker = MartingaleTracker(noise.sigma_certificate, gamma2_value, t)
-    for s in stream_ensemble(obj, noise, sched, max(ks), [prefix_seed], x0):
-        j = row.get(int(s.k[0, 0]))
-        if j is not None:
-            logN_prev = _branch_logN(obj, noise, s, tracker, prefix_seed, w[j])
+    rows = _slab_rows(1, len(STEP_FIELDS) + DIM_STACKS * obj.dim, STEP_ARRAYS * obj.dim)
+    for s in stream_ensemble(obj, noise, sched, max(ks), [prefix_seed], x0,
+                             lambda: ("E", "a_k", "theta_sq"), rows):
+        # the tracker takes the rows before each k, which branches from its state at k-1
+        k0, lo = int(s.k[0, 0]), 0
+        for k, j in row.items():
+            if not k0 <= k < k0 + len(s.k):
+                continue
+            if k - k0 > lo:
+                tracker.update(s.rows(lo, k - k0))
+                lo = k - k0
+            logN_prev = _branch_logN(obj, noise, s.rows(lo, lo + 1), tracker, prefix_seed, w[j])
             shift[j] = max(float(np.max(w[j])), logN_prev)
             np.subtract(w[j], shift[j], out=w[j])
             np.exp(w[j], out=w[j])
             prev_w[j] = math.exp(logN_prev - shift[j])
-        tracker.update(s)
+        tracker.update(s.rows(lo, len(s.k)))
 
     # a row at a time: each row's mean and deviation keep a one-k call's bits
     estimate = np.array([np.mean(wj) for wj in w]) - prev_w

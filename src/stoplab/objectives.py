@@ -2,21 +2,20 @@
 
 Every objective here ships with an analytically certified smoothness constant,
 minimizer and minimum value, so downstream envelope checks never depend on a
-numerically estimated optimum.  All evaluations accept a point of shape
+numerically estimated optimum.  Evaluations accept a point of shape
 ``(dim,)`` or a batch of shape ``(n, dim)``.
 
 They compute in the ensemble stream's trajectory-minor frame: a batch is
-read as its (dim, n) transpose, a view, and every sum over dim is taken by
-``dim_sum``, which adds the dim rows in sequence.  The stream hands in
-``x_k.T``, the (R, dim) view of its C-ordered (dim, R) state, so its points
-are worked on in place, with no copy.  Batched reductions avoid BLAS matrix
-products: least squares sums G u over the columns of G = A^T A in sequence
-(G itself is formed once, with BLAS, at construction).  So a point's bits
-depend neither on its batch nor on the batch's memory layout, which keeps
-ensemble runs bitwise reproducible under any worker split.  The stream
-passes each step's gradient to ``eval_objective``, which forms the
-quadratic's and least squares' f from it with unchanged bits: one D u or
-G u per step, not two.
+read as its (dim, ...) transpose, a view, so the stream's C-ordered (dim, R)
+states are worked on in place, and every sum over dim is taken by
+``dim_sum``, which adds the dim rows in sequence.  Batched reductions avoid
+BLAS matrix products: least squares sums G u over the columns of G = A^T A
+in sequence (G itself is formed once, with BLAS, at construction).  So a
+point's bits depend neither on its batch nor on the batch's memory layout,
+which keeps ensemble runs bitwise reproducible under any worker split.  The
+stream hands ``eval_objective`` each slab's gradients, from which the
+quadratic and least squares form f with unchanged bits: one D u or G u per
+step, not two.
 """
 
 import math
@@ -60,36 +59,42 @@ class Objective:
                              "finite (the descent residual divides by it)")
 
 
-def _check_dim(obj: Objective, x: np.ndarray) -> np.ndarray:
+def _check_dim(obj: Objective, x: np.ndarray, max_ndim: int = 2) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != obj.dim:
+    if not 1 <= x.ndim <= max_ndim or x.shape[-1] != obj.dim:
         raise DimensionMismatchError(
-            f"expected a point of length {obj.dim} or an (n, {obj.dim}) batch,"
-            f" got shape {x.shape}"
+            f"expected a point of length {obj.dim} or a batch of up to {max_ndim - 1} leading"
+            f" axes with last axis {obj.dim}, got shape {x.shape}"
         )
     return x
 
 
 def _cols(a: np.ndarray) -> np.ndarray:
-    """The trajectory-minor (dim, n) view of a (dim,) point or an (n, dim) batch."""
-    return a[:, None] if a.ndim == 1 else a.T
+    """The trajectory-minor (dim, ...) view of a (dim,) point or an (..., dim) batch."""
+    return a[:, None] if a.ndim == 1 else a.transpose(-1, *range(a.ndim - 1))
 
 
-def dim_sum(v: np.ndarray) -> np.ndarray:
-    """Sum over the leading (dim) axis of a trajectory-minor array, in sequence.
+def _col(v: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """A (dim,) parameter shaped to broadcast along a (dim, ...) frame's leading axis."""
+    return v.reshape((-1,) + (1,) * (frame.ndim - 1))
 
-    ``v`` has shape (dim,) or (dim, R).  Every reduction over dim in the lab
-    goes through here, so a trajectory's sums depend neither on how many
-    trajectories share its block nor on the block's memory layout: numpy
-    adds the rows of a C-ordered block of width >= 2 one after another, the
-    fast path the stream's C-ordered (dim, R) state takes, but sums a single
-    column (or any layout where dim is the contiguous axis) pairwise, and
-    the two orders differ in the last bits from d = 8 on.
-    ``np.add.accumulate`` is sequential by definition and covers those cases.
+
+def dim_sum(v: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum over the dim axis (0, or 1 of a (B, dim, R) stack) in sequence.
+
+    Every reduction over dim goes through here, so a trajectory's sums
+    depend neither on how many trajectories or steps share its block nor on
+    its layout: numpy adds the dim rows of a C-ordered (..., dim, R) block,
+    R >= 2, one after another, but a column (dim contiguous, as in a (B, dim,
+    1) stack) pairwise, other bits from d = 8 on.  ``np.add.accumulate``
+    covers the rest; + 0.0 gives the reduce's +0.0 where all terms are -0.0.
     """
-    if v.ndim == 2 and v.shape[1] > 1 and v.flags.c_contiguous:
-        return np.add.reduce(v, axis=0)
-    return np.add.accumulate(v, axis=0)[-1]
+    if v.ndim >= 2:
+        rest = [i for i in range(v.ndim) if i != axis]
+        u = v.transpose(*rest[:-1], axis, rest[-1])
+        if u.shape[-1] > 1 and u.flags.c_contiguous:
+            return np.add.reduce(u, axis=-2)
+    return np.take(np.add.accumulate(v, axis=axis), -1, axis=axis) + 0.0
 
 
 def quadratic(diag, center=None) -> Objective:
@@ -188,36 +193,39 @@ def _gram_times(obj: Objective, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reorders the sum for some widths and layouts, each giving other bits.
     ``tests/test_objectives.py`` pins the order against a column loop.
     """
-    ut = _cols(x) - obj.minimizer[:, None]
-    return np.einsum("ji,jr->ir", obj.params["gram"], ut, optimize=False), ut
+    ut = _cols(x) - _col(obj.minimizer, _cols(x))
+    gut = np.einsum("ji,jr->ir", obj.params["gram"], ut.reshape(obj.dim, -1), optimize=False)
+    return gut.reshape(ut.shape), ut
 
 
 def eval_objective(obj: Objective, x, g=None) -> np.ndarray:
-    """f(x) for a (dim,) point (a scalar) or an (n, dim) batch (an (n,) vector).
+    """f(x) for a (dim,) point (a scalar) or an (n, dim) or (B, n, dim) batch.
 
-    Computed in the (dim, n) frame, with the sum over dim taken by
+    Computed in the (dim, ...) frame, with the sum over dim taken by
     ``dim_sum``: any layout of the batch gives the same bits, and the
-    ``.T`` view of a C-ordered (dim, n) array is read in place.  ``g``, if
+    stream's (B, dim, R) stacks are read in place.  ``g``, if
     given, must be ``grad(obj, x)`` for this same x.  The quadratic and
     least squares then form f from it, as 1/2 <g, u> (plus f*), and skip
     their own D u or G u: bitwise the value computed without it, since
     d * u * u is evaluated as (d * u) * u = g * u and G u is the same
     product.  Huber cannot recover h(u) from its clipped gradient and ignores g.
     """
-    x = _check_dim(obj, x)
+    x = _check_dim(obj, x, 3)
+    xt = _cols(x)
     if obj.kind is ObjectiveKind.QUADRATIC:
-        ut = _cols(x) - obj.params["center"][:, None]
-        gut = obj.params["diag"][:, None] * ut if g is None else _cols(g)
-        f = 0.5 * dim_sum(gut * ut)
+        ut = xt - _col(obj.params["center"], xt)
+        ut *= _col(obj.params["diag"], xt) * ut if g is None else _cols(g)
+        f = 0.5 * dim_sum(ut)
     elif obj.kind is ObjectiveKind.LEAST_SQUARES:
         if g is None:
             gut, ut = _gram_times(obj, x)
         else:
-            gut, ut = _cols(g), _cols(x) - obj.minimizer[:, None]
-        f = obj.min_value + 0.5 * dim_sum(gut * ut)
+            gut, ut = _cols(g), xt - _col(obj.minimizer, xt)
+        ut *= gut
+        f = obj.min_value + 0.5 * dim_sum(ut)
     else:
         delta = obj.params["delta"]
-        ut = _cols(x) - obj.params["center"][:, None]
+        ut = xt - _col(obj.params["center"], xt)
         aut = np.abs(ut)
         f = dim_sum(np.where(aut <= delta, ut * ut / (2.0 * delta), aut - delta / 2.0))
     return f[0] if x.ndim == 1 else f

@@ -9,13 +9,12 @@ with two step schedules: the log^2 schedule eta_k = 1 / (16 L^2 ln^2(k+2))
 and the heavier-damped variant eta_k = 1 / (16 L^2 C0' ln^(1+eps)(k+2)).
 Natural logarithms throughout.
 
-``stream_ensemble`` is the one trajectory runner: a generator over one-row
-``StepSlab``s, one per step, from which every check keeps only online
+``stream_ensemble`` is the one trajectory runner: a generator over
+``StepSlab``s of consecutive steps, from which every check keeps only online
 statistics.  It vectorizes across trajectories, in a trajectory-minor
 (dim, R) layout, while giving every trajectory its own counter-based random
 stream and summing over dim in one fixed order (``objectives.dim_sum``), so
-results are bitwise independent of how trajectories are grouped into
-batches.
+results are bitwise independent of how trajectories and steps are grouped.
 """
 
 import math
@@ -37,6 +36,17 @@ DIVERGENCE_RADIUS = 1e12
 # one block at a time: the spent one is freed before the next is drawn.
 _NOISE_CHUNK = 1024
 _NOISE_BYTES = 1 << 24
+# A slab's arrays, the stream's stacks and the consumers' temporaries alike
+# hold at most this many bytes.  Counted with tracemalloc, a slab holds 3
+# (B, dim, R) arrays besides the noise block (positions, gradients, one
+# temporary; so dim arrays a step each) and a step 3 (dim, R) arrays more.
+_SLAB_BYTES = 1 << 20
+DIM_STACKS, STEP_ARRAYS = 3, 3
+
+
+def _slab_rows(width: int, arrays: int, fixed: int) -> int:
+    """Steps per slab at R = ``width``, ``arrays`` (R,) arrays a step and ``fixed`` in all."""
+    return max(1, (_SLAB_BYTES // (8 * width) - fixed) // arrays)
 
 
 class Variant(Enum):
@@ -112,26 +122,29 @@ def a_coeff(sched: ScheduleVariant, k) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _step_arrays(k: int, eta_k: float, x_prev, x_curr, g):
+def _step_arrays(k: int, eta_k: float, x_prev, x_curr, g, out=None):
+    """x_{k+1} = x_k + m (x_k - x_{k-1}) - lr g_k, into ``out`` (then g is scaled in place).
+
+    Either way the same four roundings: a sum and a product commute.
+    """
     momentum = k / (k + 2.0)
     lr = 2.0 * math.sqrt(eta_k) / ((k + 2.0) * math.sqrt(k))
-    return x_curr + momentum * (x_curr - x_prev) - lr * g
+    v = np.subtract(x_curr, x_prev, out=out)
+    v *= momentum
+    v += x_curr
+    return np.subtract(v, lr * g if out is None else np.multiply(g, lr, out=g), out=out)
 
 
-def sq_norm(v: np.ndarray) -> np.ndarray:
-    """Squared euclidean norm over the leading (dim) axis, via ``dim_sum``.
+def sq_norm(v: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Squared euclidean norm over the dim axis ``axis``, via ``dim_sum``.
 
-    The terms are added in sequence, so the relative rounding error of this
-    sum of nonnegative terms is at most about d u, u = 2^-53: (d - 1) u from
-    the additions and u from rounding each square.  At d = 1200 that is
-    1.3e-13, four orders of magnitude below the 1e-9 magnitude-relative
-    tolerance the pathwise residuals are held to.  The squares are laid out
-    C-ordered whatever ``v``'s layout, so a (dim, n) block, or the transpose
-    of an (n, dim) draw block, takes ``dim_sum``'s row-add path: a few ufunc
-    calls whatever the dim, where a last-axis ``np.sum`` of the draw block
-    makes one inner-loop call per draw (ten times slower at d = 2).
+    The terms are added in sequence: relative error at most about d u,
+    u = 2^-53 (1.3e-13 at d = 1200, far below the residuals' 1e-9
+    tolerance).  The squares are laid out C-ordered whatever ``v``'s layout,
+    so the transpose of an (n, dim) draw block also takes ``dim_sum``'s
+    row-add path, ten times faster at d = 2 than a last-axis ``np.sum``.
     """
-    return dim_sum(np.multiply(v, v, order="C"))
+    return dim_sum(np.multiply(v, v, order="C"), axis)
 
 
 def phi(k, x_km1, x_k, x_star):
@@ -139,9 +152,14 @@ def phi(k, x_km1, x_k, x_star):
 
     Evaluated as x_k + k (x_k - x_{k-1}) - x*; ||phi_{k+1}||^2 is E(k)'s
     norm term and ||phi_k||^2 the P1 bound's.  Trajectory-minor: ``x_star``
-    must broadcast against the (dim, ...) positions.
+    must broadcast against the (dim, ...) positions.  Formed in one array,
+    with the same four roundings (a product and a sum commute).
     """
-    return x_k + k * (x_k - x_km1) - x_star
+    v = np.subtract(x_k, x_km1)
+    v *= k
+    v += x_k
+    v -= x_star
+    return v
 
 
 def energy_weight(sched: ScheduleVariant, k: int) -> float:
@@ -206,111 +224,138 @@ def spawn_seed(seed: int, *spawn_key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _trajectory_generators(seeds: Sequence[int]):
-    return [philox(s) for s in seeds]
+def _points(stack: np.ndarray) -> np.ndarray:
+    """(B, dim, R) as (B R, dim), row j R + r trajectory r at step j; a view if B or R is 1."""
+    return stack.transpose(0, 2, 1).reshape(-1, stack.shape[1])
 
 
 class StepSlab(SimpleNamespace):
     """B consecutive steps of an ensemble run, the unit the per-step consumers work on.
 
-    ``k``, ``eta_k``, ``a_k`` and ``w_k`` are (B, 1) columns: the step
-    numbers (integers) and the step's schedule scalars ``eta``, ``a_coeff``
-    and ``energy_weight``, which consumers read instead of recomputing.
-    The per-trajectory fields are (B, R) arrays whose row j belongs to step
-    ``k[j]``.  ``E_prev`` and ``E`` are the Lyapunov values E(k-1) and E(k);
-    E(k) needs x_{k+1}, so it is known once the step is taken.  The row sums
-    over dim are ||theta_k||^2 (``theta_sq``), <theta_k, phi_k>
-    (``theta_phi``), ||g_k||^2 (``g_sq``), ||grad f(x_k)||^2 (``grad_sq``,
-    grad f taken as g_k + theta_k), ||phi_k||^2 (``phi_sq``) and
-    ||phi_{k+1}||^2 (``phi_next_sq``, E(k)'s norm term); ``step_sq`` is
-    ||x_k - x_{k-1}||^2 (``displacement_sq``).  ``E_prev``, ``fgap_prev``
-    and ``phi_sq`` are row shifts of ``E``, ``fgap_curr`` and
-    ``phi_next_sq``.
-
-    The stream yields one-row slabs that also carry the step's positions,
-    gradient and noise, ``x_prev``, ``x_curr``, ``x_next``, ``g`` and
-    ``theta``: (R, dim) views of its trajectory-minor (dim, R) state, so
-    their leading axis is the trajectory (``.T`` gives back the C-ordered
-    state).  ``harness._slabs`` stacks those into B-row slabs that hold
-    only the fields their consumers read.
+    ``k``, ``eta_k``, ``a_k`` and ``w_k`` are (B, 1) columns: the integer
+    step numbers and ``eta``, ``a_coeff``, ``energy_weight``.  The (B, R)
+    fields (row j for step ``k[j]``) are ``fgap_curr``, E(k) (``E``), and the
+    sums over dim ||theta_k||^2 (``theta_sq``), <theta_k, phi_k>
+    (``theta_phi``), ||g_k||^2 (``g_sq``), ||g_k + theta_k||^2 (``grad_sq``),
+    ||phi_{k+1}||^2 (``phi_next_sq``) and ||x_k - x_{k-1}||^2 (``step_sq``);
+    ``fgap_prev``, ``E_prev`` and ``phi_sq`` are their values one step back.
+    The C-ordered stacks ``xs`` (x_{k-1} .. x_{k+B}, (B+2, dim, R)),
+    ``thetas`` and ``gs`` ((B, dim, R)) read as (B R, dim) arrays through
+    ``x_prev``, ``x_curr``, ``x_next``, ``theta`` and ``g`` (``_points``).
     """
 
+    x_prev = property(lambda s: _points(s.xs[:-2]))
+    x_curr = property(lambda s: _points(s.xs[1:-1]))
+    x_next = property(lambda s: _points(s.xs[2:]))
+    theta = property(lambda s: _points(s.thetas))
+    g = property(lambda s: _points(s.gs))
 
-def displacement_sq(s: StepSlab) -> np.ndarray:
-    """||x_k - x_{k-1}||^2 per trajectory of a streamed step, in the stream's (dim, R) layout."""
-    return sq_norm(s.x_curr.T - s.x_prev.T)
+    def rows(self, lo: int, hi: int) -> "StepSlab":
+        """Steps lo..hi-1 of the slab as a slab of their own, all views."""
+        return StepSlab(**{name: v[lo:hi + 2] if name == "xs" else v[lo:hi]
+                           for name, v in vars(self).items()})
 
 
-def stream_ensemble(
-    obj: Objective,
-    noise: NoiseModel,
-    sched: ScheduleVariant,
-    K: int,
-    seeds: Sequence[int],
-    x0,
-) -> Iterator[StepSlab]:
-    """Yield a one-row StepSlab for each k = 1..K; the only trajectory runner.
+# What a consumer can ask a slab for besides k, eta_k and the stacks; a field
+# brings its value one step back, and "E" brings w_k and what E is made of.
+STEP_FIELDS = ("a_k", "fgap_curr", "E", "phi_next_sq", "theta_sq", "theta_phi", "g", "g_sq",
+               "grad_sq", "step_sq")
 
-    The state is held trajectory-minor, as (dim, R) arrays, and each sum
-    over dim (``dim_sum``) is taken once per step.  f and grad f are
-    evaluated on ``x_k.T``, the (R, dim) view of the C-ordered state, which
-    the objectives read in place; f comes from that gradient (bitwise f
-    computed alone; Huber recomputes it).  Step 1's f is f(x_0) as well,
-    since x_1 = x_0, so E(0) needs no objective call of its own.  Noise for each
-    trajectory comes from its own Philox stream, drawn in blocks of up to
-    1024 steps and ``_NOISE_BYTES`` bytes; each stream is read in order, so
-    values match single-trajectory runs and any block length exactly.  The
-    carried rows are the same arrays: step k+1's ``E_prev``, ``fgap_prev``
-    and ``phi_sq`` are step k's ``E``, ``fgap_curr`` and ``phi_next_sq``.
+
+def _shifted(first, rows):
+    """``rows`` and its rows one step back, the first of them ``first``."""
+    both = np.concatenate([first[None], rows])
+    return both[:-1], both[1:]
+
+
+def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K: int,
+                    seeds: Sequence[int], x0, reads=None, rows: int = 1) -> Iterator[StepSlab]:
+    """Yield steps k = 1..K as StepSlabs of up to ``rows`` steps; the only trajectory runner.
+
+    The one place that stacks steps.  A step does only what the next needs:
+    its noise row, grad f at x_k (on the (R, dim) view ``x_k.T``, read in
+    place), g_k = grad f - theta_k, the recurrence, written straight into the
+    position stack, and its divergence test.  The slab then forms the fields
+    ``reads()`` names (``STEP_FIELDS``, all if ``reads`` is None; the set
+    only shrinks): f from the gradient stack in one ``eval_objective`` call
+    on B R points (x_1 = x_0, so step 1's f gives E(0)), phi, E and each sum
+    over dim down the stacks.  Each entry is one step's expression and each
+    sum stays sequential (``dim_sum``), so every bit is the step-by-step
+    value; the schedule scalars go one k at a time, as vectorized logs round
+    differently.  Each trajectory's noise comes from its own Philox stream,
+    read in order, in (m, dim, R) blocks of up to 1024 steps and
+    ``_NOISE_BYTES``; a slab ends at K and where a block ends, its theta
+    stack a view of the block, which is dropped before the next is drawn.
+    A consumer that drops each slab before pulling the next holds one block.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    R = len(seeds)
-    x_curr = np.broadcast_to(np.asarray(x0, dtype=float)[:, None], (obj.dim, R)).copy()
-    x_prev = x_curr  # x_1 = x_0; the state is never written in place
-    x_star = obj.minimizer[:, None]
-    f_star = obj.min_value
-    gens = None if noise.kind is NoiseKind.NONE else _trajectory_generators(seeds)
-    theta = np.zeros((obj.dim, R))
-    phi_k = phi(1, x_prev, x_curr, x_star)
-    phi_sq = sq_norm(phi_k)[None]
-    noise_block = None
-    chunk = min(max(_NOISE_BYTES // (8 * obj.dim * R), 1), _NOISE_CHUNK)
-    for k in range(1, K + 1):
-        if gens is not None:
-            off = (k - 1) % chunk
-            if off == 0:
-                # the next m steps' noise, drawn straight into (m, dim, R)
-                # once the spent block and its theta view are dropped (a
-                # slab's theta views the block, so harness._slabs drops each slab)
-                noise_block = theta = None
-                m = min(chunk, K - (k - 1))
-                noise_block = np.empty((m, obj.dim, R))
-                for i, gen in enumerate(gens):
-                    noise_block[:, :, i] = sample(noise, gen, m)
-            theta = noise_block[off]
-        gf = grad(obj, x_curr.T)
-        fgap_curr = (eval_objective(obj, x_curr.T, gf) - f_star)[None]
-        if k == 1:
-            fgap_prev = fgap_curr  # x_1 = x_0
-            E_prev = energy(phi_sq, fgap_prev, energy_weight(sched, 0))
-        g = np.subtract(gf.T, theta, order="C")
-        eta_k, a_k, w_k = eta(sched, k), a_coeff(sched, k), energy_weight(sched, k)
-        x_next = _step_arrays(k, eta_k, x_prev, x_curr, g)
-        worst = float(np.abs(x_next).max())  # NaN fails the test below
-        if not worst <= DIVERGENCE_RADIUS:
-            raise DivergenceError(k, worst)
-        phi_next = phi(k + 1, x_curr, x_next, x_star)
-        phi_next_sq = sq_norm(phi_next)[None]
-        E_k = energy(phi_next_sq, fgap_curr, w_k)
-        yield StepSlab(
-            k=np.array(k, ndmin=2), eta_k=np.array(eta_k, ndmin=2),
-            a_k=np.array(a_k, ndmin=2), w_k=np.array(w_k, ndmin=2),
-            x_prev=x_prev.T, x_curr=x_curr.T, x_next=x_next.T, g=g.T, theta=theta.T,
-            fgap_prev=fgap_prev, fgap_curr=fgap_curr, E_prev=E_prev, E=E_k,
-            theta_sq=sq_norm(theta)[None], theta_phi=dim_sum(theta * phi_k)[None],
-            g_sq=sq_norm(g)[None], grad_sq=sq_norm(g + theta)[None],
-            phi_sq=phi_sq, phi_next_sq=phi_next_sq,
-        )
-        x_prev, x_curr, phi_k, phi_sq = x_curr, x_next, phi_next, phi_next_sq
-        fgap_prev, E_prev = fgap_curr, E_k
+    if K < 1 or rows < 1:
+        raise ValueError("K and rows must be >= 1")
+    R, dim, f_star, x_star = len(seeds), obj.dim, obj.min_value, obj.minimizer[:, None]
+    gens = None if noise.kind is NoiseKind.NONE else [philox(seed) for seed in seeds]
+    chunk = min(max(_NOISE_BYTES // (8 * dim * R), 1), _NOISE_CHUNK)
+    last = np.broadcast_to(np.asarray(x0, dtype=float)[:, None], (2, dim, R))  # x_0, x_1 = x_0
+    zeros = np.zeros((min(rows, K), dim, R)) if gens is None else None
+    want, k0 = set(STEP_FIELDS), 1
+    while k0 <= K:
+        off = (k0 - 1) % chunk
+        b = min(rows, K + 1 - k0, chunk - off)
+        if gens is not None and off == 0:
+            noise_block = theta = None  # the spent block goes first
+            noise_block = np.empty((min(chunk, K + 1 - k0), dim, R))
+            for i, gen in enumerate(gens):
+                noise_block[:, :, i] = sample(noise, gen, len(noise_block))
+        theta = zeros[:b] if gens is None else noise_block[off:off + b]
+        x, gf, g = np.empty((b + 2, dim, R)), np.empty((b, dim, R)), np.empty((dim, R))
+        x[:2], last = last, None
+        ks = range(k0, k0 + b)
+        etas = [eta(sched, k) for k in ks]
+        for j, k in enumerate(ks):
+            gf[j] = grad(obj, x[j + 1].T).T
+            np.subtract(gf[j], theta[j], out=g)
+            _step_arrays(k, etas[j], x[j], x[j + 1], g, out=x[j + 2])
+            worst = float(np.abs(x[j + 2], out=g).max())  # NaN fails the test below
+            if not worst <= DIVERGENCE_RADIUS:
+                raise DivergenceError(k, worst)
+        g = None
+        s = StepSlab(k=np.array(ks)[:, None], eta_k=np.array(etas)[:, None], xs=x, thetas=theta)
+        want &= set(reads()) if reads else want
+        if "a_k" in want:
+            s.a_k = np.array([a_coeff(sched, k) for k in ks])[:, None]
+        if want & {"fgap_curr", "E"}:
+            fgap = eval_objective(obj, x[1:-1].transpose(0, 2, 1), gf.transpose(0, 2, 1)) - f_star
+            s.fgap_prev, s.fgap_curr = _shifted(fgap[0] if k0 == 1 else tail["fgap_curr"], fgap)
+        if "theta_sq" in want:
+            s.theta_sq = sq_norm(theta, 1)
+        if want & {"g", "g_sq", "grad_sq"}:
+            gs = np.subtract(gf, theta, out=gf)  # f is formed: g_k takes grad f's place
+            if "g" in want:
+                s.gs = gs.copy()
+            if "g_sq" in want:
+                s.g_sq = sq_norm(gs, 1)
+            if "grad_sq" in want:
+                gs += theta
+                gs *= gs
+                s.grad_sq = dim_sum(gs, 1)
+        if want & {"phi_next_sq", "E", "theta_phi"}:
+            # phi_k of every row and of the next step, the first as the last slab formed it
+            phis = phi(np.arange(k0, k0 + b + 1.0)[:, None, None], x[:-1], x[1:], x_star)
+            if "theta_phi" in want:  # into the spent gradient stack
+                s.theta_phi = dim_sum(np.multiply(theta, phis[:-1], out=gf), 1)
+            phis *= phis
+            first = dim_sum(phis[0]) if k0 == 1 else tail["phi_next_sq"]
+            s.phi_sq, s.phi_next_sq = _shifted(first, dim_sum(phis[1:], 1))
+            phis = None
+        if "E" in want:
+            s.w_k = np.array([energy_weight(sched, k) for k in ks])[:, None]
+            first = (energy(s.phi_sq[0], s.fgap_prev[0], energy_weight(sched, 0)) if k0 == 1
+                     else tail["E"])
+            s.E_prev, s.E = _shifted(first, energy(s.phi_next_sq, s.fgap_curr, s.w_k))
+        if "step_sq" in want:
+            step = np.subtract(x[1:-1], x[:-2])
+            step *= step
+            s.step_sq = dim_sum(step, 1)
+        tail = {f: getattr(s, f)[-1] for f in ("fgap_curr", "phi_next_sq", "E") if f in vars(s)}
+        last, x, gf, gs, step = x[-2:].copy(), None, None, None, None
+        yield s
+        s = theta = None
+        k0 += b

@@ -51,18 +51,28 @@ class Paths:
 
 _COLUMNS = ("k", "eta_k", "a_k", "w_k")
 _VIEWS = ("x_prev", "x_curr", "x_next", "g", "theta")
+_STACKS = ("xs", "thetas", "gs")
 
 
 def one_step(s) -> SimpleNamespace:
     """A one-row slab of ``stream_ensemble`` as one step's values, for the step-by-step oracles.
 
     Each (1, R) row becomes its (R,) vector and each (1, 1) column a Python
-    scalar (k an int); the (R, dim) position, gradient and noise views are
-    kept as they are.
+    scalar (k an int); the (R, dim) position, gradient and noise views take
+    the place of the slab's stacks.
     """
-    return SimpleNamespace(**{
-        name: v if name in _VIEWS else v[0, 0].item() if name in _COLUMNS else v[0]
-        for name, v in vars(s).items()})
+    rec = SimpleNamespace(**{
+        name: v[0, 0].item() if name in _COLUMNS else v[0]
+        for name, v in vars(s).items() if name not in _STACKS})
+    for name in _VIEWS:
+        if hasattr(s, name):
+            setattr(rec, name, getattr(s, name))
+    return rec
+
+
+def displacement_sq(s) -> np.ndarray:
+    """||x_k - x_{k-1}||^2 per trajectory of a one-row slab, in the stream's (dim, R) layout."""
+    return sq_norm(s.x_curr.T - s.x_prev.T)
 
 
 def run_paths(obj, noise, sched, K, seeds, x0) -> Paths:
@@ -322,7 +332,7 @@ def block_by_step(cfg, env, lo: int, hi: int) -> dict:
         if k == 1:
             f_gaps.append(rec.fgap_prev)
         f_gaps.append(rec.fgap_curr)
-        step_sq.append(sq_norm(rec.x_curr.T - rec.x_prev.T))
+        step_sq.append(displacement_sq(rec))
         sq = math.sqrt(rec.eta_k / k)
         dE = rec.E - rec.E_prev
         descent = (4.0 * rec.eta_k / k * rec.g_sq - 2.0 / obj.smoothness * sq * rec.grad_sq

@@ -458,7 +458,7 @@ def test_slab_block_matches_the_step_by_step_oracle(tmp_path, monkeypatch, B):
                     options={"csv_trajectories": 3, "envelope_sigma": 1e-3})
     cfg = parse_config(raw)
     env = harness._envelope(cfg)
-    monkeypatch.setattr(harness, "_slab_rows", lambda width, arrays: B)
+    monkeypatch.setattr(harness, "_slab_rows", lambda width, arrays, fixed: B)
     want = block_by_step(cfg, env, 0, cfg.R)
     _assert_block_is_the_oracles(harness._run_block(cfg, env, 0, cfg.R), want,
                                  ("covered", "rows", "mins", "sup_logN", "sup_E", "S_last"))
@@ -471,7 +471,7 @@ def test_slab_block_matches_the_step_by_step_oracle(tmp_path, monkeypatch, B):
 
 @pytest.mark.parametrize("B", [1, 3, 50])
 def test_slab_block_matches_the_oracle_at_R1_and_coverage_only(tmp_path, monkeypatch, B):
-    monkeypatch.setattr(harness, "_slab_rows", lambda width, arrays: B)
+    monkeypatch.setattr(harness, "_slab_rows", lambda width, arrays, fixed: B)
     raw = _base_raw(tmp_path, R=1, betas=[0.05, 0.1], checks=["descent", "ville", "coverage"],
                     rules=[{"kind": "fixed-k", "k_max": 17}, {"kind": "first-envelope-violation"}],
                     options={"csv_trajectories": 1})
@@ -507,6 +507,45 @@ def test_run_block_holds_one_noise_block(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < block // 4, peaks
+
+
+@pytest.mark.parametrize("d, R, K", [(2, 1000, 50), (1200, 8, 12)])
+@pytest.mark.parametrize("checks", [["coverage"], ["descent", "decomposition", "ville",
+                                                   "coverage"]], ids=["coverage", "all"])
+def test_slab_budget_counts_the_dim_stacks(tmp_path, monkeypatch, d, R, K, checks):
+    # a block's traced peak, less its one noise block and the R Philox
+    # generators (about 730 bytes a trajectory, the stream's own state), fits
+    # _SLAB_BYTES; a budget that counts only the (B, R) rows, not the
+    # stream's (B, dim, R) stacks and (dim, R) step arrays, overruns it
+    import tracemalloc
+    from stoplab import sgdm
+    cfg = parse_config(_base_raw(tmp_path, K=K, R=R, x0=[1.0] * d, checks=checks,
+                                 objective={"kind": "quadratic",
+                                            "diag": list(np.linspace(1.0, 2.0, d))},
+                                 options={"csv_trajectories": 0}))
+    env = harness._envelope(cfg)
+    tracemalloc.start()
+    try:
+        gens = [sgdm.philox(int(seed)) for seed in derive_seeds(cfg.base_seed, R)]
+        gens_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del gens
+    chunk = min(sgdm._NOISE_BYTES // (8 * d * R), sgdm._NOISE_CHUNK)
+    fixed = min(chunk, K) * d * R * 8 + gens_bytes
+
+    def peak():
+        tracemalloc.start()
+        try:
+            harness._run_block(cfg, env, 0, R)
+            return tracemalloc.get_traced_memory()[1] - fixed
+        finally:
+            tracemalloc.stop()
+
+    assert peak() <= sgdm._SLAB_BYTES
+    monkeypatch.setattr(harness, "DIM_STACKS", 0)
+    monkeypatch.setattr(harness, "STEP_ARRAYS", 0)
+    assert peak() > sgdm._SLAB_BYTES
 
 
 def test_pool_forks_one_worker_per_block(tmp_path, monkeypatch):

@@ -114,6 +114,36 @@ def test_supermartingale_many_ks_match_one_k_calls(g2):
             key: float(v).hex() for key, v in one.items()}, k
 
 
+@pytest.mark.parametrize("B", [1, 2, 7, 40])
+def test_prefix_cut_at_each_k_matches_the_step_by_step_oracle(monkeypatch, B, g2):
+    # the prefix streams in slabs of B steps, cut at each k of [5, 1, 25, 5]
+    # to branch from the tracker's state at k-1: every record, repeats
+    # included, is bitwise that of the oracle's one-step-at-a-time prefix
+    monkeypatch.setattr(martingale, "_slab_rows", lambda width, arrays, fixed: B)
+    ks = [5, 1, 25, 5]
+    got = check_supermartingale(OBJ, NOISE, SCHED, X0, 11, ks, 1.0 / g2, 1000, gamma2_value=g2)
+    want = supermartingale_whole_block(OBJ, NOISE, SCHED, X0, 11, ks, 1.0 / g2, 1000, g2)
+    assert [{key: float(v).hex() for key, v in r.items()} for r in got] == [
+        {key: float(v).hex() for key, v in r.items()} for r in want]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known blind spot, ROADMAP item 10: at d = 1200 log N^t falls by about 935 in one "
+    "step, so every branch weight underflows against N^t(k-1) and the record reads "
+    "estimate -1.0 whatever the drift; the closed-form drift in the log domain would "
+    "show it"))
+def test_branch_check_has_power_at_early_k_on_the_highdim_problem():
+    # benchmark's highdim-d1200 problem: quadratic, bounded-sphere sigma 1, x0 = 1
+    d = 1200
+    obj = quadratic(np.linspace(1.0, 2.0, d))
+    sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
+    value, width = gamma2(sched, 1.0, 1e-6)
+    noise = calibrate(NoiseKind.BOUNDED_SPHERE, d, 1.0)
+    recs = check_supermartingale(obj, noise, sched, np.ones(d), 7, [1, 2, 5],
+                                 1.0 / (value + width), 2000, gamma2_value=value + width)
+    assert all(r["estimate"] > -1.0 for r in recs), recs
+
+
 def test_supermartingale_zero_noise_deterministic(g2):
     zero = NoiseModel(NoiseKind.NONE, dim=3, sigma_certificate=0.0, scale=0.0)
     r = check_supermartingale(OBJ, zero, SCHED, X0, 11, 5, 1.0 / g2, 1000,

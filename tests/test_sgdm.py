@@ -104,8 +104,10 @@ def test_ensemble_matches_singles_bitwise():
 @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 64, 1200])
 def test_dim_sum_adds_rows_in_sequence(dim):
     # the reference adds one row at a time; dim_sum must match it bitwise for
-    # every block width and memory layout (numpy alone sums a single column,
-    # or a block whose dim axis is contiguous, pairwise)
+    # every block width and memory layout, and down axis 1 of a (B, dim, R)
+    # stack of steps (numpy alone sums a single column, a block whose dim
+    # axis is contiguous or a (B, dim, 1) stack pairwise); a sum of -0.0
+    # terms is +0.0 on every path
     rng = np.random.default_rng(dim)
     for R in (1, 2, 3, 50):
         v = rng.standard_normal((dim, R))
@@ -115,6 +117,12 @@ def test_dim_sum_adds_rows_in_sequence(dim):
         for block in (v, np.asfortranarray(v)):
             assert np.array_equal(dim_sum(block), ref)
         assert dim_sum(v[:, 0]) == ref[0]
+        for B in (1, 4):
+            stack = np.stack([v] * B)
+            assert np.array_equal(dim_sum(stack, 1), np.stack([ref] * B))
+            assert np.array_equal(dim_sum(stack.transpose(1, 0, 2)), np.stack([ref] * B))
+        for block in (np.full((dim, R), -0.0), np.full((1, dim, R), -0.0)):
+            assert dim_sum(block, block.ndim - 2).tobytes() == np.zeros(R).tobytes()
 
 
 def test_derive_seeds_stable_and_distinct():
@@ -167,8 +175,8 @@ def test_trajectory_accessors():
         assert np.array_equal(rec.x_prev, prev.x_curr)
         assert np.array_equal(rec.x_curr, prev.x_next)
         assert np.array_equal(rec.fgap_prev, prev.fgap_curr)
-        assert rec.E_prev is prev.E
-        assert rec.phi_sq is prev.phi_next_sq
+        assert rec.E_prev.tobytes() == prev.E.tobytes()
+        assert rec.phi_sq.tobytes() == prev.phi_next_sq.tobytes()
     for rec in recs:
         k = int(rec.k[0, 0])
         assert rec.eta_k[0, 0] == eta(SCHED1, k)
@@ -203,6 +211,69 @@ def test_stream_yields_one_row_slabs(noise, R):
             assert getattr(s, name).shape == (1, R), name
         for name in ("x_prev", "x_curr", "x_next", "g", "theta"):
             assert getattr(s, name).shape == (R, dim), name
+
+
+_STEP_VALUES = ("k", "eta_k", "a_k", "w_k", "fgap_prev", "fgap_curr", "E_prev", "E", "theta_sq",
+                "theta_phi", "g_sq", "grad_sq", "phi_sq", "phi_next_sq", "step_sq",
+                "x_prev", "x_curr", "x_next", "g", "theta")
+
+
+def _steps(stream):
+    """Every step of a stream of slabs, each value as (shape, dtype, bytes) of its one-row cut."""
+    out = []
+    for s in stream:
+        for j in range(len(s.k)):
+            row = s.rows(j, j + 1)
+            out.append({f: (getattr(row, f).shape, getattr(row, f).dtype.str,
+                            np.ascontiguousarray(getattr(row, f)).tobytes()) for f in _STEP_VALUES})
+    return out
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind), ids=[k.value for k in NoiseKind])
+@pytest.mark.parametrize("objective", ["quadratic", "least-squares", "huber"])
+def test_slabs_are_bitwise_the_one_row_stream(monkeypatch, objective, kind):
+    # B-row slabs hold the one-row stream's every field and view as float
+    # bits, at one trajectory (a (B, dim, 1) stack, whose numpy reduce would
+    # be pairwise) and more, from d = 1 to d = 64.  Noise blocks of 12 steps
+    # end slabs at k = 12 and 24 of K = 30, so slabs of 7, 23 and 40 steps
+    # meet block edges; no slab spans one
+    K, chunk = 30, 12
+    for d in (1, 2, 8, 64):
+        obj = {"quadratic": lambda: quadratic(np.linspace(0.5, 2.0, d),
+                                              center=np.linspace(-1.0, 1.0, d)),
+               "least-squares": lambda: least_squares_random(d, d + 5, 3),
+               "huber": lambda: huberized_abs(d, 0.5, center=np.linspace(-0.3, 0.2, d))}[
+            objective]()
+        noise = (NoiseModel(kind, d, 0.0, 0.0) if kind is NoiseKind.NONE
+                 else calibrate(kind, d, 1.0))
+        sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
+        for R in (1, 2, 5):
+            seeds, x0 = derive_seeds(7, R), obj.minimizer + 1.0
+            monkeypatch.setattr(sgdm, "_NOISE_BYTES", chunk * 8 * d * R)
+            want = _steps(stream_ensemble(obj, noise, sched, K, seeds, x0))
+            for B in (1, 2, 7, 23, 40):
+                slabs = list(stream_ensemble(obj, noise, sched, K, seeds, x0, rows=B))
+                assert all((s.k[0, 0] - 1) // chunk == (s.k[-1, 0] - 1) // chunk
+                           for s in slabs), (d, R, B)
+                assert _steps(slabs) == want, (d, R, B)
+
+
+def test_stream_forms_only_the_fields_asked_for():
+    # a coverage-only slab holds the value gaps alone, bitwise the full
+    # stream's; the set only shrinks, so a field asked for again stays gone
+    obj = quadratic(np.array([1.0, 2.0]))
+    noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
+    seeds, x0 = derive_seeds(4, 3), np.array([2.0, -1.0])
+    full = list(stream_ensemble(obj, noise, SCHED1, 12, seeds, x0, rows=5))
+    asked = iter([{"fgap_curr", "step_sq"}, {"fgap_curr"}, {"fgap_curr", "step_sq", "E"}])
+    lean = list(stream_ensemble(obj, noise, SCHED1, 12, seeds, x0, lambda: next(asked), 5))
+    assert [sorted(vars(s)) for s in lean] == [
+        ["eta_k", "fgap_curr", "fgap_prev", "k", "step_sq", "thetas", "xs"],
+        ["eta_k", "fgap_curr", "fgap_prev", "k", "thetas", "xs"],
+        ["eta_k", "fgap_curr", "fgap_prev", "k", "thetas", "xs"]]
+    for a, b in zip(full, lean, strict=True):
+        for name in vars(b):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 def test_noise_blocks_are_bounded_by_bytes(monkeypatch):

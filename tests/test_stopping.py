@@ -6,8 +6,7 @@ from stoplab.lyapunov import envelope_constants, envelope_U
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import quadratic
 from stoplab.mcstats import clopper_pearson
-from stoplab.sgdm import (ScheduleVariant, StepSlab, Variant, derive_seeds, displacement_sq,
-                          stream_ensemble)
+from stoplab.sgdm import ScheduleVariant, StepSlab, Variant, derive_seeds, stream_ensemble
 from stoplab.stopping import (RuleKind, RuleTracker, baseline_envelope,
                               coverage_verdict)
 
@@ -18,12 +17,6 @@ SCHED = ScheduleVariant(Variant.THEOREM_MAIN, L=1.0)
 ZERO1 = NoiseModel(NoiseKind.NONE, dim=1, sigma_certificate=0.0, scale=0.0)
 
 
-def _with_step_sq(s):
-    """A streamed step with the ``step_sq`` row that ``harness._slabs`` adds to its slabs."""
-    s.step_sq = displacement_sq(s)[None]
-    return s
-
-
 def _gaps(k, f_gaps):
     """A one-step slab that carries only k and the value gaps, all the envelope rule reads."""
     return StepSlab(k=np.array([[k]]), fgap_curr=f_gaps[None])
@@ -32,7 +25,7 @@ def _gaps(k, f_gaps):
 def _stop(rule, obj, noise, K, seeds, x0):
     """Feed a rule every streamed step; return its per-trajectory tau."""
     for rec in stream_ensemble(obj, noise, SCHED, K, seeds, x0):
-        rule.update(_with_step_sq(rec))
+        rule.update(rec)
     return rule.tau
 
 
@@ -104,7 +97,7 @@ def test_stopped_rules_ignore_later_steps():
     for rec in stream_ensemble(obj, noise, SCHED, 2, derive_seeds(8, 6),
                                np.array([2.0, -1.0])):
         for rule in rules:
-            rule.update(_with_step_sq(rec))
+            rule.update(rec)
     assert [list(r.tau) for r in rules] == [[1] * 6, [1] * 6, [2] * 6, [1] * 6]
     for rule in rules:
         tau, fgap = rule.tau.copy(), rule.fgap.copy()
