@@ -71,19 +71,20 @@ def mgf_check(cfg: MgfCheckConfig) -> list[dict]:
             for lam in lambdas
         ]
     # One pass over the noise stream serves every lambda.  A chunk is drawn
-    # in sub-blocks of <= _DRAW_BLOCK doubles into its z; the per-lambda sums
-    # still run over the whole chunk.
+    # in sub-blocks of <= _DRAW_BLOCK doubles, into one reused buffer, then
+    # into its z; the per-lambda sums still run over the whole chunk.
     sums = np.zeros(len(lambdas))
     sq_sums = np.zeros(len(lambdas))
     n = cfg.n_samples
     per_block = max(1, _DRAW_BLOCK // cfg.noise.dim)
+    buf = np.empty((min(per_block, _SAMPLE_CHUNK, n), cfg.noise.dim))
     for ci, lo in enumerate(range(0, n, _SAMPLE_CHUNK)):
         m = min(lo + _SAMPLE_CHUNK, n) - lo
         rng = philox(spawn_seed(cfg.seed, 0, ci))
         z = np.empty(m)
         for d0 in range(0, m, per_block):
-            theta = sample(cfg.noise, rng, min(per_block, m - d0))
-            z[d0:d0 + len(theta)] = theta @ cfg.phi_vector / (c * sigma)
+            nb = min(per_block, m - d0)
+            z[d0:d0 + nb] = sample(cfg.noise, rng, nb, out=buf[:nb]) @ cfg.phi_vector / (c * sigma)
         for j, lam in enumerate(lambdas):
             w = np.exp(lam * z)
             sums[j] += float(np.sum(w))
@@ -124,18 +125,18 @@ def weighted_square_tail_check(
     L = c.size
     totals = np.empty(n_runs)
     # Each run needs L independent draws; chunk over runs.  A chunk is drawn
-    # in sub-blocks of <= _DRAW_BLOCK doubles; draws are sequential in the
-    # stream and squared norms per draw, so sub-blocking changes no bit.
+    # in sub-blocks of <= _DRAW_BLOCK doubles into one reused buffer, their
+    # squared norms into its row: draws are sequential and norms per draw.
     per_chunk = max(1, _SAMPLE_CHUNK // max(L, 1))
     per_block = max(1, _DRAW_BLOCK // noise.dim)
+    buf, sq = np.empty((min(per_block, per_chunk * L), noise.dim)), np.empty(per_chunk * L)
     for ci, lo in enumerate(range(0, n_runs, per_chunk)):
         m = min(lo + per_chunk, n_runs) - lo
         rng = philox(spawn_seed(seed, 1, ci))
-        sq = [sq_norm(sample(noise, rng, min(per_block, m * L - d0)).T)
-              for d0 in range(0, m * L, per_block)]
-        # a lone sub-block (d <= 2) is used as is: copying it slowed d = 2 by a third
-        sq = sq[0] if len(sq) == 1 else np.concatenate(sq)
-        totals[lo:lo + m] = np.sum(c[None, :] * sq.reshape(m, L), axis=-1)
+        for d0 in range(0, m * L, per_block):
+            nb = min(per_block, m * L - d0)
+            sq_norm(sample(noise, rng, nb, out=buf[:nb]).T, out=sq[d0:d0 + nb])
+        totals[lo:lo + m] = np.sum(c[None, :] * sq[:m * L].reshape(m, L), axis=-1)
     reports = []
     for omega in omega_grid:
         omega = float(omega)

@@ -76,11 +76,11 @@ def _branch_logN(obj: Objective, noise: NoiseModel, s: StepSlab,
     ``s`` is the prefix's one-row slab at k and ``tracker`` holds its state
     at k-1; the prefix's own theta_k is replaced by the branches' draws, one
     counter stream per ``_BRANCH_CHUNK`` branches (parallel-safe).  A chunk
-    is drawn and stepped in trajectory-minor (dim, p) sub-blocks of at most
-    ``_DRAW_BLOCK`` doubles, S, W and the prefix product advanced over each
-    by ``_advance``.  The step is elementwise or a ``dim_sum`` and each
-    stream is read in order, so ``out`` holds the bits of one (dim, n) step
-    while the memory held besides it is one sub-block's.  With no noise
+    is drawn into one reused buffer and stepped in trajectory-minor (dim, p)
+    sub-blocks of at most ``_DRAW_BLOCK`` doubles, S, W and the prefix product
+    advanced over each by ``_advance``.  The step is elementwise or a
+    ``dim_sum`` and each stream is read in order, so ``out`` holds the bits
+    of one (dim, n) step while the memory held besides it is one sub-block's.  With no noise
     every branch is the same: one is stepped and ``out`` filled with it.
     """
     sigma, gamma2_value, t = tracker.sigma, tracker.gamma2_value, tracker.t
@@ -101,12 +101,13 @@ def _branch_logN(obj: Objective, noise: NoiseModel, s: StepSlab,
         out[:] = step(np.zeros((noise.dim, 1)))
         return logN_prev
     per_block = max(1, _DRAW_BLOCK // noise.dim)
+    buf = np.empty((min(per_block, _BRANCH_CHUNK, len(out)), noise.dim))
     for ci, lo in enumerate(range(0, len(out), _BRANCH_CHUNK)):
         hi = min(lo + _BRANCH_CHUNK, len(out))
         rng = philox(spawn_seed(prefix_seed, k, ci))
         for a in range(lo, hi, per_block):
             b = min(a + per_block, hi)
-            out[a:b] = step(sample(noise, rng, b - a).T)
+            out[a:b] = step(sample(noise, rng, b - a, out=buf[:b - a]).T)
     return logN_prev
 
 

@@ -273,7 +273,9 @@ def bootstrap_upper_quantile(values: np.ndarray, n_boot: int = 200, q: float = 0
     alone.  The gather clips, which moves no index in [0, n); ``np.take``'s
     default mode would gather into a buffer of its own and copy that.  A
     resample's indices are dropped before the next ones are drawn, so one
-    index array is alive at a time.
+    index array is alive at a time.  The bound is ``np.quantile``'s linear rule
+    without its import of ``numpy.ma``: between the sorted means a, b at index
+    (n_boot - 1) q = i + t, a + (b - a) t for t < 0.5, else b - (b - a) (1 - t).
     """
     rng = philox(seed)
     m, n = values.shape
@@ -284,4 +286,7 @@ def bootstrap_upper_quantile(values: np.ndarray, n_boot: int = 200, q: float = 0
         for j in range(m):
             reps[j, b] = np.mean(np.take(values[j], idx, out=buf, mode="clip"))
         del idx
-    return np.quantile(reps, q, axis=1)
+    reps.sort(axis=1)
+    i, t = math.floor((n_boot - 1) * q), (n_boot - 1) * q % 1.0
+    a, b = reps[:, i], reps[:, min(i + 1, n_boot - 1)]
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)

@@ -75,20 +75,23 @@ def philox(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
-def sample(model: NoiseModel, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+def sample(model: NoiseModel, rng: np.random.Generator, n: int | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Draw noise vectors; shape (dim,) for n=None, else (n, dim).
 
     Draw order is sequential in the stream, so chunked batch draws reproduce
-    the same values as repeated single draws.
+    the same values as repeated single draws.  Given ``out`` (C-ordered, that
+    shape), the draw is made and scaled in place there, with the same bits.
     """
     shape = (model.dim,) if n is None else (n, model.dim)
     if model.kind is NoiseKind.NONE:
-        return np.zeros(shape)
-    z = rng.standard_normal(shape)
+        return np.zeros(shape) if out is None else np.copyto(out, 0.0) or out
+    z = rng.standard_normal(shape, out=out)
     if model.kind is NoiseKind.GAUSSIAN_ISOTROPIC:
-        return model.scale * z
+        return np.multiply(model.scale, z, out=z)
     norms = np.sqrt(np.sum(z * z, axis=-1, keepdims=True))
-    return model.scale * z / norms
+    z *= model.scale
+    return np.divide(z, norms, out=z)
 
 
 def mgf_certificate_check(model: NoiseModel, n_samples: int, rng: np.random.Generator) -> dict:

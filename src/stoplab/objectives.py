@@ -79,8 +79,8 @@ def _col(v: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return v.reshape((-1,) + (1,) * (frame.ndim - 1))
 
 
-def dim_sum(v: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Sum over the dim axis (0, or 1 of a (B, dim, R) stack) in sequence.
+def dim_sum(v: np.ndarray, axis: int = 0, out=None) -> np.ndarray:
+    """Sum over the dim axis (0, or 1 of a (B, dim, R) stack) in sequence, into ``out`` if given.
 
     Every reduction over dim goes through here, so a trajectory's sums
     depend neither on how many trajectories or steps share its block nor on
@@ -93,8 +93,8 @@ def dim_sum(v: np.ndarray, axis: int = 0) -> np.ndarray:
         rest = [i for i in range(v.ndim) if i != axis]
         u = v.transpose(*rest[:-1], axis, rest[-1])
         if u.shape[-1] > 1 and u.flags.c_contiguous:
-            return np.add.reduce(u, axis=-2)
-    return np.take(np.add.accumulate(v, axis=axis), -1, axis=axis) + 0.0
+            return np.add.reduce(u, axis=-2, out=out)
+    return np.add(np.take(np.add.accumulate(v, axis=axis), -1, axis=axis), 0.0, out=out)
 
 
 def quadratic(diag, center=None) -> Objective:

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DivergenceError
-from .noise import NoiseKind, NoiseModel, philox, sample
+from .noise import _DRAW_BLOCK, NoiseKind, NoiseModel, philox, sample
 from .objectives import Objective, dim_sum, eval_objective, grad
 
 DIVERGENCE_RADIUS = 1e12
@@ -135,8 +135,8 @@ def _step_arrays(k: int, eta_k: float, x_prev, x_curr, g, out=None):
     return np.subtract(v, lr * g if out is None else np.multiply(g, lr, out=g), out=out)
 
 
-def sq_norm(v: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Squared euclidean norm over the dim axis ``axis``, via ``dim_sum``.
+def sq_norm(v: np.ndarray, axis: int = 0, out=None) -> np.ndarray:
+    """Squared euclidean norm over the dim axis ``axis``, via ``dim_sum`` (into ``out``).
 
     The terms are added in sequence: relative error at most about d u,
     u = 2^-53 (1.3e-13 at d = 1200, far below the residuals' 1e-9
@@ -144,7 +144,7 @@ def sq_norm(v: np.ndarray, axis: int = 0) -> np.ndarray:
     so the transpose of an (n, dim) draw block also takes ``dim_sum``'s
     row-add path, ten times faster at d = 2 than a last-axis ``np.sum``.
     """
-    return dim_sum(np.multiply(v, v, order="C"), axis)
+    return dim_sum(np.multiply(v, v, order="C"), axis, out)
 
 
 def phi(k, x_km1, x_k, x_star):
@@ -272,21 +272,21 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
                     seeds: Sequence[int], x0, reads=None, rows: int = 1) -> Iterator[StepSlab]:
     """Yield steps k = 1..K as StepSlabs of up to ``rows`` steps; the only trajectory runner.
 
-    The one place that stacks steps.  A step does only what the next needs:
-    its noise row, grad f at x_k (on the (R, dim) view ``x_k.T``, read in
-    place), g_k = grad f - theta_k, the recurrence, written straight into the
-    position stack, and its divergence test.  The slab then forms the fields
-    ``reads()`` names (``STEP_FIELDS``, all if ``reads`` is None; the set
-    only shrinks): f from the gradient stack in one ``eval_objective`` call
-    on B R points (x_1 = x_0, so step 1's f gives E(0)), phi, E and each sum
-    over dim down the stacks.  Each entry is one step's expression and each
-    sum stays sequential (``dim_sum``), so every bit is the step-by-step
-    value; the schedule scalars go one k at a time, as vectorized logs round
-    differently.  Each trajectory's noise comes from its own Philox stream,
-    read in order, in (m, dim, R) blocks of up to 1024 steps and
-    ``_NOISE_BYTES``; a slab ends at K and where a block ends, its theta
-    stack a view of the block, which is dropped before the next is drawn.
-    A consumer that drops each slab before pulling the next holds one block.
+    A step does only what the next needs: its noise row, grad f at x_k (on
+    the (R, dim) view ``x_k.T``), g_k = grad f - theta_k, the recurrence,
+    written straight into the position stack, and its divergence test.  The
+    slab then forms the fields ``reads()`` names (``STEP_FIELDS``, all if
+    ``reads`` is None; the set only shrinks): f in one ``eval_objective``
+    call on B R points (step 1's f at x_1 = x_0 gives E(0)), phi, E and each
+    sum over dim down the stacks, each entry one step's expression and each
+    sum sequential (``dim_sum``), so every bit is the step-by-step value; the
+    schedule scalars go one k at a time, as vectorized logs round otherwise.
+    Each trajectory's noise comes from its own Philox stream, read in order,
+    in (m, dim, R) blocks of up to 1024 steps and ``_NOISE_BYTES``, drawn a
+    ``_DRAW_BLOCK``-double tile at a time (one call a trajectory, its m steps
+    a row of the tile) and copied in.  A slab ends at K and at a block's end,
+    its theta stack a view of the block, which is dropped before the next is
+    drawn: a consumer that drops each slab before pulling the next holds one.
     """
     if K < 1 or rows < 1:
         raise ValueError("K and rows must be >= 1")
@@ -301,9 +301,14 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
         b = min(rows, K + 1 - k0, chunk - off)
         if gens is not None and off == 0:
             noise_block = theta = None  # the spent block goes first
-            noise_block = np.empty((min(chunk, K + 1 - k0), dim, R))
-            for i, gen in enumerate(gens):
-                noise_block[:, :, i] = sample(noise, gen, len(noise_block))
+            m = min(chunk, K + 1 - k0)
+            noise_block = np.empty((m, dim, R))
+            tile = np.empty((min(max(_DRAW_BLOCK // (m * dim), 1), R), m, dim))
+            for r0 in range(0, R, len(tile)):
+                for i, gen in enumerate(gens[r0:r0 + len(tile)]):
+                    sample(noise, gen, m, out=tile[i])
+                noise_block[:, :, r0:r0 + i + 1] = tile[:i + 1].transpose(1, 2, 0)
+            tile = None  # held only while the block is filled
         theta = zeros[:b] if gens is None else noise_block[off:off + b]
         x, gf, g = np.empty((b + 2, dim, R)), np.empty((b, dim, R)), np.empty((dim, R))
         x[:2], last = last, None

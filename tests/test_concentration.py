@@ -202,10 +202,10 @@ def test_tail_check_sub_blocks_change_no_bit(monkeypatch, kind, dim):
     norms = []
     real = concentration.sq_norm
 
-    def recording(theta):
-        out = real(theta)
-        norms.append(out.ravel().copy())
-        return out
+    def recording(theta, axis=0, out=None):
+        got = real(theta, axis, out)
+        norms.append(got.ravel().copy())
+        return got
 
     monkeypatch.setattr(concentration, "sq_norm", recording)
     omegas = [0.0, 0.1, 0.5, 1.0, 2.0]

@@ -194,8 +194,8 @@ def test_branch_sub_blocks_match_the_whole_block_oracle(monkeypatch, d, n, kind,
     noise = calibrate(kind, d, SIGMA)
     x0, ks = obj.minimizer + 1.0, [3, 1]
     draws, real = [], martingale.sample
-    monkeypatch.setattr(martingale, "sample",
-                        lambda model, rng, m=None: draws.append(m) or real(model, rng, m))
+    monkeypatch.setattr(martingale, "sample", lambda model, rng, m=None, out=None:
+                        draws.append(m) or real(model, rng, m, out))
     got = check_supermartingale(obj, noise, sched, x0, 11, ks, 1.0 / g2, n, gamma2_value=g2)
     assert sum(draws) == (0 if kind is NoiseKind.NONE else len(ks) * n)
     assert max(draws, default=1) <= max(1, _DRAW_BLOCK // d)
@@ -232,6 +232,41 @@ def test_bootstrap_rows_match_row_by_row_oracle():
     assert got.shape == (3,)
     for j, row in enumerate(values):
         assert got[j] == bootstrap_row_oracle(row, n_boot=50, q=0.99, seed=9)
+
+
+@pytest.mark.parametrize("n_boot", [1, 2, 3, 7, 50, 200])
+def test_bootstrap_quantile_is_numpys_linear_quantile(n_boot):
+    # the bound's linear rule, written out on the sorted means, against
+    # np.quantile (the oracle's) as float hex: q at and between the order
+    # statistics, t on both sides of 0.5, and the two ends
+    values = np.random.default_rng(n_boot).normal(size=(2, 101)) * [[1.0], [1e-3]]
+    for q in (0.0, 0.01, 0.1, 1 / 3, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0):
+        got = bootstrap_upper_quantile(values, n_boot=n_boot, q=q, seed=7)
+        assert [float(v).hex() for v in got] == [
+            bootstrap_row_oracle(row, n_boot=n_boot, q=q, seed=7).hex() for row in values], q
+
+
+def test_supermartingale_check_leaves_numpy_ma_unimported():
+    # np.quantile imports numpy.ma on its first call, about 11 ms in a fresh
+    # process; the bootstrap's own quantile rule does not
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import sys, numpy as np; from stoplab.martingale import check_supermartingale; "
+            "from stoplab.noise import NoiseKind, calibrate; "
+            "from stoplab.objectives import quadratic; "
+            "from stoplab.sgdm import ScheduleVariant, Variant; "
+            "r = check_supermartingale(quadratic(np.ones(2)), "
+            "calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 0.5), "
+            "ScheduleVariant(Variant.THEOREM_MAIN, L=1.0), np.ones(2), 3, [2], 0.1, 1000, "
+            "gamma2_value=1.5); "
+            "print(r[0]['bootstrap_hi'] != r[0]['estimate'], 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "False"]
 
 
 def test_tracker_matches_full_reference(g2):

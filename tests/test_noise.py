@@ -62,6 +62,28 @@ def test_chunked_draws_match_single_draws():
     assert np.array_equal(batch, singles)
 
 
+@pytest.mark.parametrize("kind", list(NoiseKind), ids=[k.value for k in NoiseKind])
+@pytest.mark.parametrize("dim", [1, 2, 64])
+def test_draw_into_a_buffer_is_the_fresh_draw(kind, dim):
+    # a draw written into a buffer that holds garbage is that buffer, with the
+    # bits of a fresh draw from the same stream, one vector or a batch; kind
+    # none writes zeros over it
+    m = NoiseModel(kind, dim, 0.0, 0.0) if kind is NoiseKind.NONE else calibrate(kind, dim, 1.3)
+    for n, shape in ((None, (dim,)), (1, (1, dim)), (37, (37, dim))):
+        buf = np.full(shape, np.nan)
+        buf[..., 0] = -np.inf
+        got = sample(m, _rng(5), n, out=buf)
+        assert got is buf
+        want = sample(m, _rng(5), n)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if kind is NoiseKind.NONE:
+        assert not np.signbit(buf).any() and not buf.any()
+    # the buffer's draws continue the stream as fresh ones do
+    r, buf, s = _rng(8), np.empty((3, dim)), _rng(8)
+    chunks = [sample(m, r, 3, out=buf).copy() for _ in range(4)]
+    assert np.concatenate(chunks).tobytes() == sample(m, s, 12).tobytes()
+
+
 @pytest.mark.parametrize("kind,dim", [
     (NoiseKind.GAUSSIAN_ISOTROPIC, 5),
     (NoiseKind.BOUNDED_SPHERE, 2),

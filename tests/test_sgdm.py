@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from stoplab import objectives, sgdm
 from stoplab.errors import DivergenceError
+from stoplab.noise import _DRAW_BLOCK as NOISE_DRAW_BLOCK
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import (eval_objective, huberized_abs, least_squares_random,
                                 quadratic)
@@ -285,7 +286,8 @@ def test_noise_blocks_are_bounded_by_bytes(monkeypatch):
     seeds, x0 = derive_seeds(4, 5), np.array([2.0, -1.0])
     ref = list(stream_ensemble(obj, noise, sched, 10, seeds, x0))
     draws, real = [], sgdm.sample
-    monkeypatch.setattr(sgdm, "sample", lambda model, rng, n=None: draws.append(n) or real(model, rng, n))
+    monkeypatch.setattr(sgdm, "sample", lambda model, rng, n=None, out=None:
+                        draws.append(n) or real(model, rng, n, out))
     for budget, blocks in ((3 * 8 * 2 * 5, [3, 3, 3, 1]), (1, [1] * 10)):
         monkeypatch.setattr(sgdm, "_NOISE_BYTES", budget)
         draws.clear()
@@ -294,6 +296,67 @@ def test_noise_blocks_are_bounded_by_bytes(monkeypatch):
         for a, b in zip(ref, got, strict=True):
             assert np.array_equal(a.theta, b.theta) and np.array_equal(a.x_next, b.x_next)
             assert np.array_equal(a.E, b.E)
+
+
+@pytest.mark.parametrize("kind", list(NoiseKind), ids=[k.value for k in NoiseKind])
+@pytest.mark.parametrize("dim", [1, 2, 64, 1200])
+def test_tiled_noise_blocks_are_the_one_draw_per_trajectory_blocks(monkeypatch, kind, dim):
+    # every block's noise, drawn a tile of trajectories at a time, holds the
+    # bits of one fresh m-step draw per trajectory put into its column.  Blocks
+    # of m = 7 steps (3 at d = 1200) end at K = 2 m + 2.  Tiles of 4
+    # trajectories at R = 11 (the last tile short), of 1, of the real budget's
+    # T cut to R = 5, and at d >= 64 of that T at R = T + 2
+    m = 3 if dim == 1200 else 7
+    K, T = 2 * m + 2, NOISE_DRAW_BLOCK // (m * dim)
+    obj = quadratic(np.linspace(1.0, 2.0, dim))
+    sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
+    noise = NoiseModel(kind, dim, 0.0, 0.0) if kind is NoiseKind.NONE else calibrate(kind, dim, 1.0)
+    shapes = [(11, 4 * m * dim + m * dim // 2), (5, 1), (5, NOISE_DRAW_BLOCK)]
+    assert T > 5
+    for R, budget in shapes + ([(T + 2, NOISE_DRAW_BLOCK)] if dim >= 64 else []):
+        monkeypatch.setattr(sgdm, "_DRAW_BLOCK", budget)
+        monkeypatch.setattr(sgdm, "_NOISE_BYTES", m * 8 * dim * R)
+        seeds = derive_seeds(11, R)
+        slabs = list(stream_ensemble(obj, noise, sched, K, seeds, np.ones(dim), lambda: (), K))
+        assert [len(s.k) for s in slabs] == [m, m, 2]
+        want = np.empty((K, dim, R))
+        for i, seed in enumerate(seeds):
+            gen = sgdm.philox(int(seed))
+            for lo in range(0, K, m):
+                want[lo:lo + m, :, i] = sgdm.sample(noise, gen, min(m, K - lo))
+        got = np.concatenate([s.thetas for s in slabs])
+        assert got.tobytes() == want.tobytes(), (dim, K, R, budget)
+
+
+@pytest.mark.parametrize("kind", [NoiseKind.GAUSSIAN_ISOTROPIC, NoiseKind.BOUNDED_SPHERE])
+@pytest.mark.parametrize("dim, R, K", [(2, 1000, 500), (64, 128, 60), (1200, 8, 25)])
+def test_noise_fill_holds_one_block_and_one_tile(kind, dim, R, K):
+    # at the benchmark shapes, the first one-row slab's traced peak, from
+    # before the stream builds its generators, is one noise block, one tile
+    # of _DRAW_BLOCK doubles, the generators, (bounded sphere) one
+    # trajectory's squares for its norms, the first slab's five (dim, R)
+    # stack and step arrays, and 32 KiB for the rest
+    import tracemalloc
+    obj, noise = quadratic(np.ones(dim)), calibrate(kind, dim, 1.0)
+    seeds = derive_seeds(3, R)
+    tracemalloc.start()
+    try:
+        gens = [sgdm.philox(int(seed)) for seed in seeds]
+        gens_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del gens
+    tracemalloc.start()
+    try:
+        stream = stream_ensemble(obj, noise, SCHED1, K, seeds, np.ones(dim), lambda: ())
+        next(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+        stream.close()
+    finally:
+        tracemalloc.stop()
+    sphere = K * dim * 8 if kind is NoiseKind.BOUNDED_SPHERE else 0
+    slab = 5 * dim * R * 8
+    assert peak <= K * dim * R * 8 + NOISE_DRAW_BLOCK * 8 + gens_bytes + sphere + slab + (32 << 10)
 
 
 def test_stream_raises_divergence_at_the_first_step_past_the_radius():
