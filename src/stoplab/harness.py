@@ -35,7 +35,7 @@ from .objectives import (Objective, eval_objective, huberized_abs,
                          least_squares_random, quadratic)
 from .series import gamma2_range_problem
 from .sgdm import (DIM_STACKS, STEP_ARRAYS, ScheduleVariant, StepSlab, Variant, _slab_rows,
-                   a_coeff, derive_seeds, energy, energy_weight, eta_bound_margin, phi,
+                   a_coeff, derive_seeds, energy, energy_weight, eta, eta_bound_margin, phi,
                    spawn_seed, sq_norm, stream_ensemble)
 from .stopping import RuleKind, RuleTracker, coverage_verdict
 
@@ -338,7 +338,7 @@ def _envelope(cfg: RunConfig) -> EnvelopeParams:
     obj = cfg.objective
     fgap0 = float(eval_objective(obj, cfg.x0) - obj.min_value)
     phi_1 = phi(1, cfg.x0, cfg.x0, obj.minimizer)  # x_1 = x_0
-    E0 = float(energy(sq_norm(phi_1), fgap0, energy_weight(cfg.sched, 0)))
+    E0 = float(energy(sq_norm(phi_1), fgap0, energy_weight(0, eta(cfg.sched, 0))))
     return envelope_constants(cfg.sched, float(sigma), E0, float(cfg.options["gamma_tol"]))
 
 

@@ -247,45 +247,3 @@ def grad(obj: Objective, x) -> np.ndarray:
         ut = _cols(x) - obj.params["center"][:, None]
         gt = np.clip(ut / obj.params["delta"], -1.0, 1.0)
     return gt[:, 0] if x.ndim == 1 else gt.T
-
-
-def sample_ball(obj: Objective, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n points uniform in the ball of radius 10 centered at the minimizer."""
-    z = rng.standard_normal((n, obj.dim))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    r = 10.0 * rng.random(n) ** (1.0 / obj.dim)
-    return obj.minimizer + r[:, None] * z
-
-
-def verify_regularity(obj: Objective, n_pairs: int, rng_seed: int) -> dict:
-    """Sampled smoothness and convexity check around the minimizer.
-
-    Returns a report with the worst smoothness ratio
-    ||grad(x)-grad(y)|| / (L ||x-y||) and the worst convexity-gap residual
-    f(y) - f(x) - <grad(x), y-x>, plus pass flags at the contract tolerances.
-    """
-    if n_pairs < 1:
-        raise ValueError("n_pairs must be >= 1")
-    rng = philox(rng_seed)
-    xs = sample_ball(obj, n_pairs, rng)
-    ys = sample_ball(obj, n_pairs, rng)
-    gx = grad(obj, xs)
-    gy = grad(obj, ys)
-    num = np.linalg.norm(gx - gy, axis=1)
-    den = obj.smoothness * np.linalg.norm(xs - ys, axis=1)
-    ok = den > 0
-    max_ratio = float(np.max(num[ok] / den[ok])) if np.any(ok) else 0.0
-    fx = eval_objective(obj, xs)
-    fy = eval_objective(obj, ys)
-    lin = np.sum(gx * (ys - xs), axis=-1)
-    conv_residual = fy - fx - lin
-    min_conv = float(np.min(conv_residual))
-    grad_at_min = float(np.linalg.norm(grad(obj, obj.minimizer)))
-    return {
-        "max_smoothness_ratio": max_ratio,
-        "min_convexity_residual": min_conv,
-        "grad_norm_at_minimizer": grad_at_min,
-        "smoothness_pass": max_ratio <= 1.0 + 1e-9,
-        "convexity_pass": min_conv >= -1e-9 * (1.0 + float(np.max(np.abs(fx)))),
-        "minimizer_pass": grad_at_min <= 1e-10 * (1.0 + obj.smoothness),
-    }

@@ -40,13 +40,19 @@ _NOISE_BYTES = 1 << 24
 # hold at most this many bytes.  Counted with tracemalloc, a slab holds 3
 # (B, dim, R) arrays besides the noise block (positions, gradients, one
 # temporary; so dim arrays a step each) and a step 3 (dim, R) arrays more.
-_SLAB_BYTES = 1 << 20
+# A ufunc that broadcasts an operand across a stack (x* in phi, the
+# quadratic's centre) may also fill numpy's iterator buffer, np.getbufsize()
+# elements (64 KiB of doubles), while all three stacks are alive: the budget
+# keeps room for it.  B is 9 at cov-wide's R = 1000, 53 at checks-all's R = 200,
+# 8 at lsq-d64 and 7 at highdim-d1200.
+_SLAB_BYTES = 1 << 21
 DIM_STACKS, STEP_ARRAYS = 3, 3
 
 
 def _slab_rows(width: int, arrays: int, fixed: int) -> int:
     """Steps per slab at R = ``width``, ``arrays`` (R,) arrays a step and ``fixed`` in all."""
-    return max(1, (_SLAB_BYTES // (8 * width) - fixed) // arrays)
+    room = _SLAB_BYTES - 8 * np.getbufsize()
+    return max(1, (room // (8 * width) - fixed) // arrays)
 
 
 class Variant(Enum):
@@ -162,13 +168,17 @@ def phi(k, x_km1, x_k, x_star):
     return v
 
 
-def energy_weight(sched: ScheduleVariant, k: int) -> float:
-    """4 sqrt((k+1) eta_k), the weight of f(x_k) - f* in E(k)."""
-    return 4.0 * math.sqrt((k + 1.0) * eta(sched, k))
+def energy_weight(k, eta_k):
+    """4 sqrt((k+1) eta_k), the weight of f(x_k) - f* in E(k); k and eta_k scalars or columns.
+
+    sqrt and the products are correctly rounded, so a column of scalar
+    ``eta`` values gives each entry's bits as a scalar call would.
+    """
+    return 4.0 * np.sqrt((k + 1.0) * eta_k)
 
 
 def energy(phi_next_sq, fgap_k, w_k: float):
-    """E(k) = ||phi_{k+1}||^2 + w_k fgap_k, with w_k = ``energy_weight(sched, k)``.
+    """E(k) = ||phi_{k+1}||^2 + w_k fgap_k, with w_k = ``energy_weight(k, eta_k)``.
 
     The one implementation of the Lyapunov energy: the stream, the branching
     supermartingale check and the harness's E(0) all call it, each with
@@ -279,8 +289,9 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
     ``reads`` is None; the set only shrinks): f in one ``eval_objective``
     call on B R points (step 1's f at x_1 = x_0 gives E(0)), phi, E and each
     sum over dim down the stacks, each entry one step's expression and each
-    sum sequential (``dim_sum``), so every bit is the step-by-step value; the
-    schedule scalars go one k at a time, as vectorized logs round otherwise.
+    sum sequential (``dim_sum``), so every bit is the step-by-step value;
+    eta_k and a_k go one k at a time, as vectorized logs round otherwise, and
+    w_k is one ``energy_weight`` call on the eta_k column.
     Each trajectory's noise comes from its own Philox stream, read in order,
     in (m, dim, R) blocks of up to 1024 steps and ``_NOISE_BYTES``, drawn a
     ``_DRAW_BLOCK``-double tile at a time (one call a trajectory, its m steps
@@ -351,9 +362,9 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
             s.phi_sq, s.phi_next_sq = _shifted(first, dim_sum(phis[1:], 1))
             phis = None
         if "E" in want:
-            s.w_k = np.array([energy_weight(sched, k) for k in ks])[:, None]
-            first = (energy(s.phi_sq[0], s.fgap_prev[0], energy_weight(sched, 0)) if k0 == 1
-                     else tail["E"])
+            s.w_k = energy_weight(s.k, s.eta_k)
+            first = (energy(s.phi_sq[0], s.fgap_prev[0], energy_weight(0, eta(sched, 0)))
+                     if k0 == 1 else tail["E"])
             s.E_prev, s.E = _shifted(first, energy(s.phi_next_sq, s.fgap_curr, s.w_k))
         if "step_sq" in want:
             step = np.subtract(x[1:-1], x[:-2])

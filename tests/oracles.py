@@ -379,6 +379,14 @@ def block_by_step(cfg, env, lo: int, hi: int) -> dict:
             "sup_E": sup_E, "S_last": S}
 
 
+def sample_ball(obj, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n points uniform in the ball of radius 10 centered at the objective's minimizer."""
+    z = rng.standard_normal((n, obj.dim))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    r = 10.0 * rng.random(n) ** (1.0 / obj.dim)
+    return obj.minimizer + r[:, None] * z
+
+
 def least_squares_residual_form(obj, x):
     """(f(x), grad f(x)) = (1/2 ||Ax - b||^2, A^T (Ax - b)) from the objective's A and b."""
     A, b = obj.params["A"], obj.params["b"]

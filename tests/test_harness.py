@@ -509,16 +509,19 @@ def test_run_block_holds_one_noise_block(tmp_path, monkeypatch):
     assert peaks[1] - peaks[0] < block // 4, peaks
 
 
-@pytest.mark.parametrize("d, R, K", [(2, 1000, 50), (1200, 8, 12)])
+@pytest.mark.parametrize("budget", [1 << 20, 2 << 20, 4 << 20], ids=["1MiB", "2MiB", "4MiB"])
+@pytest.mark.parametrize("d, R, K", [(2, 1000, 120), (1200, 8, 40)])
 @pytest.mark.parametrize("checks", [["coverage"], ["descent", "decomposition", "ville",
                                                    "coverage"]], ids=["coverage", "all"])
-def test_slab_budget_counts_the_dim_stacks(tmp_path, monkeypatch, d, R, K, checks):
+def test_slab_budget_counts_the_dim_stacks(tmp_path, monkeypatch, d, R, K, checks, budget):
     # a block's traced peak, less its one noise block and the R Philox
     # generators (about 730 bytes a trajectory, the stream's own state), fits
-    # _SLAB_BYTES; a budget that counts only the (B, R) rows, not the
-    # stream's (B, dim, R) stacks and (dim, R) step arrays, overruns it
+    # _SLAB_BYTES at every budget; K exceeds B, so no slab is cut short by K.
+    # A budget that counts only the (B, R) rows, not the stream's (B, dim, R)
+    # stacks and (dim, R) step arrays, overruns it
     import tracemalloc
     from stoplab import sgdm
+    monkeypatch.setattr(sgdm, "_SLAB_BYTES", budget)
     cfg = parse_config(_base_raw(tmp_path, K=K, R=R, x0=[1.0] * d, checks=checks,
                                  objective={"kind": "quadratic",
                                             "diag": list(np.linspace(1.0, 2.0, d))},
@@ -533,6 +536,10 @@ def test_slab_budget_counts_the_dim_stacks(tmp_path, monkeypatch, d, R, K, check
     del gens
     chunk = min(sgdm._NOISE_BYTES // (8 * d * R), sgdm._NOISE_CHUNK)
     fixed = min(chunk, K) * d * R * 8 + gens_bytes
+    rows = []
+    stream = harness.stream_ensemble
+    monkeypatch.setattr(harness, "stream_ensemble",
+                        lambda *args: rows.append(args[-1]) or stream(*args))
 
     def peak():
         tracemalloc.start()
@@ -542,10 +549,11 @@ def test_slab_budget_counts_the_dim_stacks(tmp_path, monkeypatch, d, R, K, check
         finally:
             tracemalloc.stop()
 
-    assert peak() <= sgdm._SLAB_BYTES
+    assert peak() <= budget
+    assert rows[-1] < K
     monkeypatch.setattr(harness, "DIM_STACKS", 0)
     monkeypatch.setattr(harness, "STEP_ARRAYS", 0)
-    assert peak() > sgdm._SLAB_BYTES
+    assert peak() > budget
 
 
 def test_pool_forks_one_worker_per_block(tmp_path, monkeypatch):

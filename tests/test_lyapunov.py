@@ -9,7 +9,7 @@ from stoplab.lyapunov import (envelope_constants, envelope_U,
 from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import least_squares_random, quadratic
 from stoplab.sgdm import (ScheduleVariant, Variant, derive_seeds, energy,
-                          energy_weight, phi, sq_norm, stream_ensemble)
+                          energy_weight, eta, phi, sq_norm, stream_ensemble)
 
 from oracles import deep_descent_links, phi_series, residual_series, run_paths
 
@@ -34,7 +34,7 @@ def test_initial_energy_hand_value():
     assert rec.E_prev[0, 0] == pytest.approx(6.885390081777927, rel=1e-13)
     x0 = np.array([2.0])
     assert energy(sq_norm(phi(1, x0, x0, obj.minimizer)), 2.0,
-                  energy_weight(SCHED1, 0)) == rec.E_prev[0, 0]
+                  energy_weight(0, eta(SCHED1, 0))) == rec.E_prev[0, 0]
 
 
 def test_zero_noise_energy_monotone():
@@ -179,7 +179,7 @@ def test_energy_chain_and_checks_at_dim_1200(tmp_path):
         k = int(rec.k[0, 0])
         phi_next = phi(k + 1, rec.x_curr.T, rec.x_next.T, obj.minimizer[:, None])
         assert np.array_equal(rec.E[0], energy(sq_norm(phi_next), rec.fgap_curr[0],
-                                               energy_weight(sched, k)))
+                                               energy_weight(k, eta(sched, k))))
     raw = {
         "objective": {"kind": "quadratic", "diag": [float(v) for v in diag]},
         "noise": {"kind": "bounded-sphere", "sigma": 1.0},

@@ -38,6 +38,24 @@ def test_a_coeff_is_16_eta_over_k():
         a_coeff(SCHED1, 0)
 
 
+@pytest.mark.parametrize("sched", [
+    SCHED1,
+    ScheduleVariant(Variant.THEOREM_MAIN, L=3.7),
+    ScheduleVariant(Variant.PROPOSITION_EPS, L=2.0, epsilon=0.3),
+    ScheduleVariant(Variant.PROPOSITION_EPS, L=1.0, epsilon=0.01, c0_prime=250.0),
+], ids=["main-L1", "main-L3.7", "eps-0.3", "eps-0.01-c250"])
+def test_energy_weight_column_is_bitwise_the_scalar_weight(sched):
+    # the stream forms w_k from its column of scalar eta values in one call;
+    # each entry must have the bits of 4 sqrt((k+1) eta_k) formed one k at a time
+    ks = range(100_001)
+    etas = [eta(sched, k) for k in ks]
+    scalar = np.array([4.0 * math.sqrt((k + 1.0) * e) for k, e in zip(ks, etas)])
+    column = energy_weight(np.arange(len(ks))[:, None], np.array(etas)[:, None])
+    assert column.shape == (len(ks), 1)
+    assert column.tobytes() == scalar.tobytes()
+    assert energy_weight(7, etas[7]) == scalar[7]
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         ScheduleVariant(Variant.THEOREM_MAIN, L=0.0)
@@ -182,13 +200,13 @@ def test_trajectory_accessors():
         k = int(rec.k[0, 0])
         assert rec.eta_k[0, 0] == eta(SCHED1, k)
         assert rec.a_k[0, 0] == a_coeff(SCHED1, k)
-        assert rec.w_k[0, 0] == energy_weight(SCHED1, k)
+        assert rec.w_k[0, 0] == energy_weight(k, eta(SCHED1, k))
     last = recs[-1]
     np.testing.assert_allclose(last.fgap_curr[0], 0.5 * last.x_curr[:, 0] ** 2, rtol=1e-15)
     phi_next = phi(11, last.x_curr.T, last.x_next.T, obj.minimizer[:, None])
     assert np.array_equal(last.phi_next_sq[0], sq_norm(phi_next))
     assert np.array_equal(last.E[0], energy(sq_norm(phi_next), last.fgap_curr[0],
-                                            energy_weight(SCHED1, 10)))
+                                            energy_weight(10, eta(SCHED1, 10))))
 
 
 @pytest.mark.parametrize("noise,R", [(calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0), 5),
@@ -414,7 +432,7 @@ def test_stream_fgap_is_bitwise_the_plain_value(obj):
             # step 1's f is f(x_0), since x_1 = x_0, and E(0) is formed from it
             assert np.array_equal(rec.fgap_prev[0], plain)
             assert np.array_equal(rec.E_prev[0],
-                                  energy(rec.phi_sq[0], plain, energy_weight(sched, 0)))
+                                  energy(rec.phi_sq[0], plain, energy_weight(0, eta(sched, 0))))
 
 
 @settings(max_examples=60, deadline=None)
