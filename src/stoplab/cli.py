@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError
-from .harness import (CHECK_NAMES, GRAMMAR, Key, build_schedule, load_config, parse_config,
+from .harness import (CHECKS, GRAMMAR, Key, build_schedule, load_config, parse_config,
                       run_experiment)
 from .lyapunov import envelope_constants
 
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("verify", help="run a single check suite")
-    p.add_argument("suite", choices=CHECK_NAMES)
+    p.add_argument("suite", choices=tuple(CHECKS))
     p.add_argument("config")
     p.set_defaults(func=_cmd_verify)
 

@@ -8,9 +8,10 @@ objective, noise, schedule and rule builders refuse) before raising
 ``ConfigError``.  Trajectories are streamed in contiguous index blocks —
 optionally across worker processes (``STOPLAB_WORKERS``) — with all
 per-trajectory statistics computed online, so results are bitwise identical
-for any worker count.  Outputs are ``report.json`` plus ``trajectory_<i>.csv``
-/ ``coverage.csv`` / ``constants.csv``; floats are serialized with shortest
-round-trip formatting.
+for any worker count.  The checks are declared once, in ``CHECKS``: each
+names the stream consumers it reads and makes its own records.  Outputs are
+``report.json`` plus ``trajectory_<i>.csv`` / ``coverage.csv`` /
+``constants.csv``; floats are serialized with shortest round-trip formatting.
 """
 
 import csv
@@ -39,14 +40,10 @@ from .sgdm import (DIM_STACKS, STEP_ARRAYS, ScheduleVariant, StepSlab, Variant, 
                    spawn_seed, sq_norm, stream_ensemble)
 from .stopping import RuleKind, RuleTracker, coverage_verdict
 
-__all__ = ["GRAMMAR", "OBJECTIVES", "RunConfig", "Report", "build_schedule", "load_config",
-           "parse_config", "run_experiment"]
+__all__ = ["CHECKS", "GRAMMAR", "OBJECTIVES", "RunConfig", "Report", "build_schedule",
+           "load_config", "parse_config", "run_experiment"]
 
 SCHEMA_VERSION = "1"
-CHECK_NAMES = (
-    "descent", "decomposition", "supermartingale", "ville",
-    "mgf", "tail", "coverage", "constants",
-)
 
 REQUIRED = object()  # the default of a key that every document must give
 
@@ -129,6 +126,128 @@ OBJECTIVES = {
                       "delta": Key("number", 1.0, lo=0, open=True), "center": _CENTER},
 }
 
+
+def _write_csv(path: Path, header: list, rows: list):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)  # the csv writer writes a float with repr
+
+
+def _record(params, estimate, ci, bound, passed, **extra) -> dict:
+    """A report record; ``run_experiment`` puts the check's name first."""
+    return {"params": params, "estimate": estimate, "ci": ci, "bound": bound,
+            "pass": bool(passed), **extra}
+
+
+def _descent(cfg, env, stats, outdir):
+    m = stats["mins"]
+    return [_record({"R": cfg.R, "K": cfg.K}, float(np.min(m["descent"])), None, 0.0,
+                    np.min(m["descent_margin"]) >= 0.0)]
+
+
+def _decomposition(cfg, env, stats, outdir):
+    """``p1_margin_min`` and ``sandwich_margin_min`` are reported, not gated.
+
+    E(k) = ||phi_{k+1}||^2 + w_k (f(x_k) - f*), so they reduce to
+    w_k (f(x_k) - f*) >= -tol and ||phi_{k+1}||^2 >= 0.
+    """
+    m = stats["mins"]
+    eta_margin = eta_bound_margin(cfg.sched)
+    ok = (np.min(m["decomp_margin"]) >= 0.0 and np.min(m["decomp_mid_margin"]) >= 0.0
+          and eta_margin >= 0.0)
+    return [_record({"R": cfg.R, "K": cfg.K}, float(np.min(m["decomp"])), None, 0.0, ok,
+                    intermediate_min=float(np.min(m["decomp_mid"])),
+                    eta_bound_margin=eta_margin, p1_margin_min=float(np.min(m["p1_margin"])),
+                    sandwich_margin_min=float(np.min(m["sandwich_margin"])))]
+
+
+def _supermartingale(cfg, env, stats, outdir):
+    ks = [int(k) for k in cfg.options["supermartingale_ks"]]
+    n_branches, t = int(cfg.options["n_branches"]), env.B / env.gamma2
+    records = check_supermartingale(
+        cfg.objective, cfg.noise, cfg.sched, cfg.x0, spawn_seed(cfg.base_seed, 1 << 20),
+        ks, t, n_branches, gamma2_value=env.gamma2, B=env.B)
+    return [_record({"k": k, "t": t, "n_branches": n_branches}, r["estimate"],
+                    r["ci_halfwidth"], 0.0, r["pass"], bootstrap_hi=r["bootstrap_hi"])
+            for k, r in zip(ks, records)]
+
+
+def _ville(cfg, env, stats, outdir):
+    t = env.B / env.gamma2
+    alpha = alpha_for_bound(float(cfg.options["ville_bound"]), t, env.gamma2, env.E0)
+    vm = ville_monitor(stats["sup_logN"], t, alpha, env.gamma2, env.E0)
+    return [_record({"alpha": alpha, "t": t, "R": cfg.R}, vm["empirical_rate"],
+                    vm["ci_halfwidth"], vm["bound"], vm["pass"])]
+
+
+def _mgf(cfg, env, stats, outdir):
+    direction = cfg.x0 - cfg.objective.minimizer
+    if not np.any(direction):
+        direction = np.zeros(cfg.objective.dim)
+        direction[0] = 1.0
+    n = int(cfg.options["mgf_n_samples"])
+    mc = MgfCheckConfig(lambda_grid=cfg.options["mgf_lambdas"], n_samples=n, noise=cfg.noise,
+                        phi_vector=direction, seed=cfg.base_seed)
+    return [_record({"lambda": r["lambda"], "n": n}, r["estimate"], r["rel_stderr"],
+                    r["bound"], r["pass"]) for r in mgf_check(mc)]
+
+
+def _tail(cfg, env, stats, outdir):
+    c = np.asarray(a_coeff(cfg.sched, np.arange(1, int(cfg.options["tail_c_len"]) + 1)))
+    return [_record({"omega": r["omega"], "n": r["n_runs"]}, r["frequency"],
+                    (r["ci_lo"], r["ci_hi"]), r["bound"], r["pass"])
+            for r in weighted_square_tail_check(c, cfg.noise, cfg.options["tail_omegas"],
+                                                int(cfg.options["tail_n_runs"]),
+                                                seed=cfg.base_seed)]
+
+
+def _coverage(cfg, env, stats, outdir):
+    names = ["sup", "adversarial"] + [kind.value for kind, *_ in cfg.rules]
+    cells = [(b, name) for b in cfg.betas for name in names]
+    if not cells:
+        return []
+    v = coverage_verdict([w for b in cfg.betas for w in stats["covered"][b]],
+                         [b for b, _ in cells])
+    rows = [[b, name, cfg.R, cfg.K, *(v[key][j] for key in ("frequency", "ci_lo", "ci_hi",
+                                                             "bound", "pass"))]
+            for j, (b, name) in enumerate(cells)]
+    _write_csv(outdir / "coverage.csv", ["beta", "rule", "R", "K", "frequency", "ci_lo",
+                                         "ci_hi", "bound", "pass"], rows)
+    return [_record({"beta": b, "rule": name, "R": R, "K": K}, freq, (lo, hi), bound, ok)
+            for b, name, R, K, freq, lo, hi, bound, ok in rows]
+
+
+def _constants(cfg, env, stats, outdir):
+    tol = cfg.options["gamma_tol"]
+    _write_csv(outdir / "constants.csv",
+               ["schedule", "L", "sigma", "tol", "gamma1_lo", "gamma1_hi",
+                "gamma2_lo", "gamma2_hi", "C1", "C2"],
+               [[cfg.sched.variant.value, cfg.sched.L, env.sigma, tol,
+                 env.gamma1 - env.gamma1_tail, env.gamma1,
+                 env.gamma2 - env.gamma2_tail, env.gamma2, env.C1, env.C2]])
+    return [_record({"tol": tol},
+                    {"gamma1": env.gamma1, "gamma2": env.gamma2, "C1": env.C1, "C2": env.C2},
+                    (env.gamma1_tail, env.gamma2_tail), None,
+                    env.gamma1_tail <= tol * env.gamma1 and env.gamma2_tail <= tol * env.gamma2)]
+
+
+# Every check, in report order: the stream consumers of ``_run_block`` (its
+# ``_CONSUMERS``) whose statistics it reads, and the function that makes its
+# records from (cfg, env, stats, outdir) and writes its CSV.  The functions
+# look the check layers up in this module's namespace when they run, so a
+# tracer that swaps a layer here sees every call.
+CHECKS = {
+    "descent": (("residuals",), _descent),
+    "decomposition": (("residuals",), _decomposition),
+    "supermartingale": ((), _supermartingale),
+    "ville": (("martingale",), _ville),
+    "mgf": ((), _mgf),
+    "tail": ((), _tail),
+    "coverage": ((), _coverage),
+    "constants": ((), _constants),
+}
+
 # Every key of every section; "" is the top level and "rules" each entry of
 # the rules list.
 GRAMMAR = {
@@ -138,7 +257,7 @@ GRAMMAR = {
         "base_seed": Key("integer", **_SEED), "x0": Key("number", many=True),
         "betas": Key("number", [0.05, 0.1], lo=0, hi=0.5, open=True, many=True),
         "rules": Key("mapping", [], many=True),
-        "checks": Key("name", list(CHECK_NAMES), names=CHECK_NAMES, many=True),
+        "checks": Key("name", list(CHECKS), names=tuple(CHECKS), many=True),
         "output_dir": Key("string", "runs/out"),
         "options": Key("mapping", {}),
     },
@@ -315,8 +434,8 @@ def parse_config(raw: dict) -> RunConfig:
     return RunConfig(
         raw=raw, objective=obj, noise=noise, sched=sched, K=top["K"], R=top["R"],
         base_seed=top["base_seed"], x0=np.asarray(top["x0"], dtype=float), betas=betas,
-        rules=rules, checks=tuple(top["checks"]), output_dir=top["output_dir"],
-        options=options,
+        rules=rules, checks=tuple(name for name in CHECKS if name in top["checks"]),
+        output_dir=top["output_dir"], options=options,
     )
 
 
@@ -368,6 +487,12 @@ def _martingale_columns(tracker: MartingaleTracker, slab: StepSlab, cols: list) 
     return [(S[:, r].tolist(), (slab.E[:, r] - S[:, r]).tolist()) for r in cols]
 
 
+# The stream consumers that CHECKS names: the slab fields each reads, and the
+# most (B, R) arrays that it holds at once besides them (counted with tracemalloc)
+_CONSUMERS = {"residuals": ({"E", "a_k", "theta_sq", "theta_phi", "g_sq", "grad_sq"}, 9),
+              "martingale": ({"E", "a_k", "theta_sq"}, 5)}
+
+
 def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
     """Stream trajectories lo..hi-1 and reduce the per-trajectory statistics.
 
@@ -375,11 +500,11 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
     are plain values, computed once by ``run_experiment``.  The consumers
     read the stream's slabs, each with only the fields they read and as many
     steps as fit ``sgdm._SLAB_BYTES``, the stream's stacks counted.  The
-    step residuals and their minima ("mins") run only for the descent and
-    decomposition checks, the martingale tracker only for ville; the
-    trajectory CSVs read both.  The envelope flags and rule trackers always
-    run.  Every consumer works row by row or reduces with an exact min or
-    max, so the results are bitwise a step-by-step loop's for any slab length.
+    step residuals with their minima ("mins") and the martingale tracker run
+    when an enabled check names them in ``CHECKS``, and both when trajectory
+    CSVs are written; the rule trackers always run.  Every consumer works row
+    by row or reduces with an exact min or max, so the results are bitwise a
+    step-by-step loop's for any slab length.
     """
     obj, sched, K = cfg.objective, cfg.sched, cfg.K
     n = hi - lo
@@ -390,14 +515,14 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
          for b in set(cfg.betas) | rule_betas}
 
     n_csv = int(cfg.options["csv_trajectories"])
-    residuals = n_csv > 0 or "descent" in cfg.checks or "decomposition" in cfg.checks
-    martingale = n_csv > 0 or "ville" in cfg.checks
+    consumers = set(_CONSUMERS) if n_csv > 0 else {c for name in cfg.checks
+                                                   for c in CHECKS[name][0]}
+    residuals, martingale = "residuals" in consumers, "martingale" in consumers
     mins = {name: np.full(n, np.inf) for name in (
         "descent", "descent_margin", "decomp", "decomp_margin",
         "decomp_mid", "decomp_mid_margin", "p1_margin", "sandwich_margin",
     )} if residuals else None
     tracker = MartingaleTracker(env.sigma, env.gamma2, env.B / env.gamma2) if martingale else None
-    all_within = {b: np.ones(n, dtype=bool) for b in cfg.betas}
     adversarial = {b: RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, K, U=U[b])
                    for b in cfg.betas}
     # a rule without its own beta reads the first beta's envelope; parse_config
@@ -410,20 +535,13 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
     traced = [i for i in range(lo, hi) if i < n_csv]
     rows = {i: [] for i in traced}
 
-    # the fields each consumer reads, and the most (B, R) arrays that it
-    # holds at once besides them (counted with tracemalloc)
-    reads, scratch = ({"fgap_curr"} if cfg.betas or traced else set()), 2
-    if martingale:
-        reads |= {"E", "a_k", "theta_sq"}
-        scratch = 5
-    if residuals:
-        reads |= {"E", "a_k", "theta_sq", "theta_phi", "g_sq", "grad_sq"}
-        scratch = 9
+    reads = set().union({"fgap_curr"} if traced else (), *(_CONSUMERS[c][0] for c in consumers))
+    scratch = max([2, *(_CONSUMERS[c][1] for c in consumers)])  # 2: the rule trackers'
 
     def slab_fields():
         return reads.union(*(t.reads for t in trackers))
 
-    # 32 (R,) arrays of per-trajectory state: running minima, trackers, flags
+    # 32 (R,) arrays of per-trajectory state: running minima and trackers
     B = _slab_rows(n, len(slab_fields()) + scratch + DIM_STACKS * obj.dim,
                    32 + STEP_ARRAYS * obj.dim)
     cols = [i - lo for i in traced]
@@ -436,8 +554,6 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
             S_cols = _martingale_columns(tracker, slab, cols)
             if k[-1, 0] == K:
                 tracker.finish(slab)
-        for b in cfg.betas:
-            all_within[b] &= ~np.any(slab.fgap_curr > U[b][k], axis=0)
         for rule in trackers:
             rule.update(slab)
         for i, r, res_col, S_col in zip(traced, cols, res_cols, S_cols):
@@ -448,8 +564,9 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
                                slab.E[:, r].tolist(), *S_col, *res_col))
         del slab  # its theta views the noise block, freed before the next is drawn
 
-    # per beta: the all-k statement, the adversarial rule, then each configured rule
-    out = {"covered": {b: [all_within[b], adversarial[b].within(U[b])]
+    # per beta: the all-k statement, the adversarial rule, then each configured
+    # rule; the first two are one indicator (``stopping``'s docstring)
+    out = {"covered": {b: [adversarial[b].within(U[b])] * 2
                        + [rule.within(U[b]) for rule in rules] for b in cfg.betas},
            "rows": rows}
     if residuals:
@@ -493,37 +610,15 @@ def _ensemble_stats(cfg: RunConfig, env: EnvelopeParams) -> dict:
     return _merge_blocks(blocks)
 
 
-def _write_csv(path: Path, header: list, rows: list):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)  # the csv writer writes a float with repr
-
-
-def _check_record(name, params, estimate, ci, bound, passed, **extra):
-    rec = {"name": name, "params": params, "estimate": estimate,
-           "ci": ci, "bound": bound, "pass": bool(passed)}
-    rec.update(extra)
-    return rec
-
-
 def run_experiment(cfg: RunConfig) -> Report:
-    """Run the configured ensemble, execute enabled checks, write artifacts.
-
-    The decomposition record's ``p1_margin_min`` and ``sandwich_margin_min``
-    are reported, not gated: E(k) = ||phi_{k+1}||^2 + w_k (f(x_k) - f*), so
-    they reduce to w_k (f(x_k) - f*) >= -tol and ||phi_{k+1}||^2 >= 0.
-    """
+    """Run the configured ensemble, make each enabled check's records, write artifacts."""
     env = _envelope(cfg)  # may raise ConfigError, as may the ensemble; neither writes
     outdir = Path(cfg.output_dir)
-    t = env.B / env.gamma2
-    checks = []
-
     try:
         stats = _ensemble_stats(cfg, env)
     except DivergenceError as exc:
-        checks.append(_check_record("divergence", {"step": exc.step}, exc.norm,
-                                    None, None, False))
+        checks = [{"name": "divergence", **_record({"step": exc.step}, exc.norm, None, None,
+                                                   False)}]
         report = Report(config=cfg.raw, checks=checks, summary={}, passed=False,
                         output_dir=str(outdir))
         outdir.mkdir(parents=True, exist_ok=True)
@@ -535,108 +630,9 @@ def run_experiment(cfg: RunConfig) -> Report:
     if "sup_E" in stats:
         summary["sup_E_max"] = float(np.max(stats["sup_E"]))
         summary["S_final_max"] = float(np.max(stats["S_last"]))
-    summary["t"] = t
-
-    if "descent" in cfg.checks:
-        m = stats["mins"]
-        checks.append(_check_record(
-            "descent", {"R": cfg.R, "K": cfg.K},
-            float(np.min(m["descent"])), None, 0.0,
-            np.min(m["descent_margin"]) >= 0.0,
-        ))
-    if "decomposition" in cfg.checks:
-        m = stats["mins"]
-        eta_margin = eta_bound_margin(cfg.sched)
-        ok = (np.min(m["decomp_margin"]) >= 0.0
-              and np.min(m["decomp_mid_margin"]) >= 0.0
-              and eta_margin >= 0.0)
-        checks.append(_check_record(
-            "decomposition", {"R": cfg.R, "K": cfg.K},
-            float(np.min(m["decomp"])), None, 0.0, ok,
-            intermediate_min=float(np.min(m["decomp_mid"])),
-            eta_bound_margin=eta_margin,
-            p1_margin_min=float(np.min(m["p1_margin"])),
-            sandwich_margin_min=float(np.min(m["sandwich_margin"])),
-        ))
-    if "supermartingale" in cfg.checks:
-        ks = [int(k) for k in cfg.options["supermartingale_ks"]]
-        n_branches = int(cfg.options["n_branches"])
-        records = check_supermartingale(
-            cfg.objective, cfg.noise, cfg.sched, cfg.x0, spawn_seed(cfg.base_seed, 1 << 20),
-            ks, t, n_branches, gamma2_value=env.gamma2, B=env.B,
-        )
-        for k, r in zip(ks, records):
-            checks.append(_check_record(
-                "supermartingale", {"k": k, "t": t, "n_branches": n_branches},
-                r["estimate"], r["ci_halfwidth"], 0.0, r["pass"],
-                bootstrap_hi=r["bootstrap_hi"],
-            ))
-    if "ville" in cfg.checks:
-        target = float(cfg.options["ville_bound"])
-        alpha = alpha_for_bound(target, t, env.gamma2, env.E0)
-        vm = ville_monitor(stats["sup_logN"], t, alpha, env.gamma2, env.E0)
-        checks.append(_check_record(
-            "ville", {"alpha": alpha, "t": t, "R": cfg.R},
-            vm["empirical_rate"], vm["ci_halfwidth"], vm["bound"], vm["pass"],
-        ))
-    if "mgf" in cfg.checks:
-        phi = cfg.x0 - cfg.objective.minimizer
-        if not np.any(phi):
-            phi = np.zeros(cfg.objective.dim)
-            phi[0] = 1.0
-        mc = MgfCheckConfig(
-            lambda_grid=cfg.options["mgf_lambdas"],
-            n_samples=int(cfg.options["mgf_n_samples"]),
-            noise=cfg.noise, phi_vector=phi, seed=cfg.base_seed,
-        )
-        for r in mgf_check(mc):
-            checks.append(_check_record(
-                "mgf", {"lambda": r["lambda"], "n": int(cfg.options["mgf_n_samples"])},
-                r["estimate"], r["rel_stderr"], r["bound"], r["pass"],
-            ))
-    if "tail" in cfg.checks:
-        c = np.asarray(a_coeff(cfg.sched, np.arange(1, int(cfg.options["tail_c_len"]) + 1)))
-        for r in weighted_square_tail_check(
-            c, cfg.noise, cfg.options["tail_omegas"],
-            int(cfg.options["tail_n_runs"]), seed=cfg.base_seed,
-        ):
-            checks.append(_check_record(
-                "tail", {"omega": r["omega"], "n": r["n_runs"]},
-                r["frequency"], (r["ci_lo"], r["ci_hi"]), r["bound"], r["pass"],
-            ))
-    coverage_rows = []
-    if "coverage" in cfg.checks:
-        names = ["sup", "adversarial"] + [kind.value for kind, *_ in cfg.rules]
-        cells = [(b, name) for b in cfg.betas for name in names]
-        v = coverage_verdict([w for b in cfg.betas for w in stats["covered"][b]],
-                             [b for b, _ in cells]) if cells else None
-        for j, (b, name) in enumerate(cells):
-            row = [v[key][j] for key in ("frequency", "ci_lo", "ci_hi", "bound", "pass")]
-            coverage_rows.append([b, name, cfg.R, cfg.K, *row])
-            checks.append(_check_record(
-                "coverage", {"beta": b, "rule": name, "R": cfg.R, "K": cfg.K},
-                row[0], (row[1], row[2]), row[3], row[4],
-            ))
-    if "constants" in cfg.checks:
-        brackets_ok = (env.gamma1_tail <= cfg.options["gamma_tol"] * env.gamma1
-                       and env.gamma2_tail <= cfg.options["gamma_tol"] * env.gamma2)
-        checks.append(_check_record(
-            "constants", {"tol": cfg.options["gamma_tol"]},
-            {"gamma1": env.gamma1, "gamma2": env.gamma2, "C1": env.C1, "C2": env.C2},
-            (env.gamma1_tail, env.gamma2_tail), None, brackets_ok,
-        ))
-        _write_csv(outdir / "constants.csv",
-                   ["schedule", "L", "sigma", "tol", "gamma1_lo", "gamma1_hi",
-                    "gamma2_lo", "gamma2_hi", "C1", "C2"],
-                   [[cfg.sched.variant.value, cfg.sched.L, env.sigma,
-                     cfg.options["gamma_tol"],
-                     env.gamma1 - env.gamma1_tail, env.gamma1,
-                     env.gamma2 - env.gamma2_tail, env.gamma2, env.C1, env.C2]])
-
-    if coverage_rows:
-        _write_csv(outdir / "coverage.csv",
-                   ["beta", "rule", "R", "K", "frequency", "ci_lo", "ci_hi",
-                    "bound", "pass"], coverage_rows)
+    summary["t"] = env.B / env.gamma2
+    checks = [{"name": name, **rec} for name in cfg.checks
+              for rec in CHECKS[name][1](cfg, env, stats, outdir)]
     for i, rows in stats["rows"].items():
         _write_csv(outdir / f"trajectory_{i}.csv",
                    ["k", "fgap", "E", "S", "M", "residual_lemma", "residual_decomp"],

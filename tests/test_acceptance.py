@@ -245,29 +245,55 @@ def test_criterion_08_weighted_square_tail():
 
 
 def _coverage_config(schedule: dict, rules=()):
-    """The coverage run at R=1000, K=10^5, base seed 2024.
-
-    Its ``_stats(cfg)["covered"][beta]`` holds the flags of the all-k
-    statement, of the adversarial rule, then of each rule.
-    """
+    """The coverage run at R=1000, K=10^5, base seed 2024."""
     return parse_config(_quadratic_doc(schedule, R=R_COV, K=K_COV, base_seed=2024,
                                        betas=list(BETAS), rules=list(rules),
                                        checks=["coverage"]))
 
 
+def _coverage_stats(cfg) -> tuple:
+    """``_stats(cfg)["covered"]``, and each beta's all-k flags, reduced here.
+
+    ``covered[beta]`` holds the flags of the ``sup`` row, of the adversarial
+    rule, then of each rule; the harness forms the first two as one
+    indicator (``stopping``'s docstring).  The all-k flags, f(x_k) - f* <= U_k
+    at every k = 1..K, are reduced from each slab of the same stream as the
+    harness pulls it, so they check that identity from a second computation.
+    """
+    env = harness._envelope(cfg)
+    U = {b: envelope_U(env, b, np.arange(1, cfg.K + 1)) for b in cfg.betas}
+    within = {b: np.ones(cfg.R, dtype=bool) for b in cfg.betas}
+    stream = harness.stream_ensemble
+
+    def watched(obj, noise, sched, K, seeds, x0, reads, rows):
+        for slab in stream(obj, noise, sched, K, seeds, x0, lambda: {"fgap_curr", *reads()},
+                           rows):
+            yield slab
+            for b in cfg.betas:
+                within[b] &= ~np.any(slab.fgap_curr > U[b][slab.k[:, :1] - 1], axis=0)
+            del slab  # before the stream draws its next noise block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "stream_ensemble", watched)
+        mp.setenv("STOPLAB_WORKERS", "1")  # the slabs pass through this process
+        covered = _stats(cfg)["covered"]
+    return covered, within
+
+
 @pytest.fixture(scope="module")
 def theorem_cov():
-    return _stats(_coverage_config({"variant": "theorem-main"}, rules=[
+    return _coverage_stats(_coverage_config({"variant": "theorem-main"}, rules=[
         {"kind": "iterate-delta", "epsilon": 1e-3},
-        {"kind": "value-delta", "epsilon": 1e-4}]))["covered"]
+        {"kind": "value-delta", "epsilon": 1e-4}]))
 
 
 @pytest.mark.slow
 def test_criterion_09_envelope_coverage(theorem_cov):
+    _, within = theorem_cov
     ok = True
     details = []
     for b in BETAS:
-        hits = int(np.sum(theorem_cov[b][0]))
+        hits = int(np.sum(within[b]))
         lo, _ = clopper_pearson(hits, R_COV)
         ok &= (hits == R_COV) or (lo >= 1.0 - 2.0 * b)
         details.append(f"beta={b}: {hits}/{R_COV}, 99% lower {lo:.4f}")
@@ -277,11 +303,13 @@ def test_criterion_09_envelope_coverage(theorem_cov):
 
 @pytest.mark.slow
 def test_criterion_10_stopping_time_transfer(theorem_cov):
+    covered, within = theorem_cov
     ok = True
     details = []
     for b in BETAS:
-        within, stopped_within, *rules = theorem_cov[b]
-        identity = bool(np.array_equal(stopped_within, within))
+        sup, stopped_within, *rules = covered[b]
+        identity = bool(np.array_equal(stopped_within, within[b])
+                        and np.array_equal(sup, within[b]))
         adv_cov = float(np.mean(stopped_within))
         # both step-delta rules stop at k = 1 (the start is repeated), so
         # their stopped value gap is the deterministic first-step gap
@@ -318,11 +346,11 @@ def test_criterion_12_eps_schedule_variant(eps):
     v2, w2 = gamma2(sched, 1.0, 1e-6)
     series_ok = (v1 + w1 <= riemann_zeta(1.0 + eps)
                  and v2 + w2 <= math.exp(riemann_zeta(1.0 + eps)))
-    covered = _stats(cfg)["covered"]
+    _, within = _coverage_stats(cfg)
     cov_ok = True
     details = []
     for b in BETAS:
-        hits = int(np.sum(covered[b][0]))
+        hits = int(np.sum(within[b]))
         lo, _ = clopper_pearson(hits, R_COV)
         cov_ok &= (hits == R_COV) or (lo >= 1.0 - 2.0 * b)
         details.append(f"beta={b}: {hits}/{R_COV}")

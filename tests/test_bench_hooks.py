@@ -88,7 +88,7 @@ def test_trace_spans_reach_every_check_layer(tmp_path):
         "noise": {"kind": "gaussian-isotropic", "sigma": 1.0},
         "schedule": {"variant": "theorem-main"},
         "K": 20, "R": 4, "base_seed": 5, "x0": [2.0, -1.0], "betas": [0.05],
-        "checks": list(harness.CHECK_NAMES), "output_dir": str(tmp_path),
+        "checks": list(harness.CHECKS), "output_dir": str(tmp_path),
         "options": {"supermartingale_ks": [2], "n_branches": 1000,
                     "mgf_n_samples": 1000, "tail_n_runs": 200, "tail_c_len": 10},
     })
@@ -101,7 +101,8 @@ def test_trace_spans_reach_every_check_layer(tmp_path):
     assert report.passed
     names = {span[1] for span in tracer.spans}
     for name in ("series.gamma1", "series.gamma2", "lyapunov.envelope_constants",
-                 "mcstats.bootstrap", "concentration.tail"):
+                 "mcstats.bootstrap", "concentration.tail", "concentration.mgf",
+                 "martingale.branch_check"):
         assert name in names, name
 
 

@@ -13,8 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stoplab import harness
 from stoplab.errors import ConfigError
-from stoplab.harness import (CHECK_NAMES, load_config, parse_config,
-                             run_experiment)
+from stoplab.harness import CHECKS, load_config, parse_config, run_experiment
 from stoplab.cli import main
 from stoplab.lyapunov import step_residuals
 from stoplab.martingale import MartingaleTracker
@@ -49,6 +48,9 @@ def test_parse_config_happy_path(tmp_path):
     assert cfg.K == 50 and cfg.R == 8
     assert cfg.objective.dim == 2
     assert cfg.checks == ("descent", "decomposition", "coverage")
+    # CHECKS orders the checks, whatever order the document lists them in
+    listed = parse_config(_base_raw(tmp_path, checks=["constants", "coverage", "ville", "descent"]))
+    assert listed.checks == ("descent", "ville", "coverage", "constants")
     assert cfg.options["csv_trajectories"] == 2
     # unspecified options fall back to defaults
     assert cfg.options["ville_bound"] == 0.1
@@ -199,7 +201,7 @@ _OUT_OF_RANGE = {
 
 @pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
 def test_out_of_range_options_exit_2_before_any_output(tmp_path, case):
-    raw = _base_raw(tmp_path, checks=list(CHECK_NAMES))
+    raw = _base_raw(tmp_path, checks=list(CHECKS))
     raw["options"].update(_OUT_OF_RANGE[case])
     (key,) = _OUT_OF_RANGE[case]
     with pytest.raises(ConfigError, match=key):
@@ -211,7 +213,7 @@ def test_out_of_range_options_exit_2_before_any_output(tmp_path, case):
 
 
 def test_every_problem_is_listed_at_once(tmp_path, capsys):
-    raw = _base_raw(tmp_path, checks=list(CHECK_NAMES))
+    raw = _base_raw(tmp_path, checks=list(CHECKS))
     for case in _OUT_OF_RANGE.values():
         raw["options"].update(case)
     raw["noise"] = {"kind": "none", "sigma": -1.0}
@@ -322,7 +324,7 @@ def test_run_experiment_smoke_artifacts(tmp_path):
     assert doc["pass"] is True
     names = [c["name"] for c in doc["checks"]]
     assert set(names) >= {"descent", "decomposition", "coverage"}
-    assert all(n in CHECK_NAMES for n in names)
+    assert list(dict.fromkeys(names)) == list(cfg.checks)  # the records in table order
     # coverage rows exist for the sup statement and the adversarial rule
     with open(outdir / "coverage.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -511,8 +513,9 @@ def test_run_block_holds_one_noise_block(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("budget", [1 << 20, 2 << 20, 4 << 20], ids=["1MiB", "2MiB", "4MiB"])
 @pytest.mark.parametrize("d, R, K", [(2, 1000, 120), (1200, 8, 40)])
-@pytest.mark.parametrize("checks", [["coverage"], ["descent", "decomposition", "ville",
-                                                   "coverage"]], ids=["coverage", "all"])
+@pytest.mark.parametrize("checks", [["coverage"], ["ville"], ["descent", "decomposition",
+                                                              "ville", "coverage"]],
+                         ids=["coverage", "ville", "all"])
 def test_slab_budget_counts_the_dim_stacks(tmp_path, monkeypatch, d, R, K, checks, budget):
     # a block's traced peak, less its one noise block and the R Philox
     # generators (about 730 bytes a trajectory, the stream's own state), fits
