@@ -244,7 +244,7 @@ CHECKS = {
     "ville": (("martingale",), _ville),
     "mgf": ((), _mgf),
     "tail": ((), _tail),
-    "coverage": ((), _coverage),
+    "coverage": (("rules",), _coverage),
     "constants": ((), _constants),
 }
 
@@ -488,9 +488,11 @@ def _martingale_columns(tracker: MartingaleTracker, slab: StepSlab, cols: list) 
 
 
 # The stream consumers that CHECKS names: the slab fields each reads, and the
-# most (B, R) arrays that it holds at once besides them (counted with tracemalloc)
+# most (B, R) arrays that it holds at once besides them (counted with
+# tracemalloc).  The rule trackers name their fields themselves (``reads``).
 _CONSUMERS = {"residuals": ({"E", "a_k", "theta_sq", "theta_phi", "g_sq", "grad_sq"}, 9),
-              "martingale": ({"E", "a_k", "theta_sq"}, 5)}
+              "martingale": ({"E", "a_k", "theta_sq"}, 5),
+              "rules": (set(), 2)}
 
 
 def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
@@ -500,43 +502,43 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
     are plain values, computed once by ``run_experiment``.  The consumers
     read the stream's slabs, each with only the fields they read and as many
     steps as fit ``sgdm._SLAB_BYTES``, the stream's stacks counted.  The
-    step residuals with their minima ("mins") and the martingale tracker run
-    when an enabled check names them in ``CHECKS``, and both when trajectory
-    CSVs are written; the rule trackers always run.  Every consumer works row
+    step residuals with their minima ("mins"), the martingale tracker and the
+    rule trackers run when an enabled check names them in ``CHECKS``, and the
+    first two also when trajectory CSVs are written.  Every consumer works row
     by row or reduces with an exact min or max, so the results are bitwise a
     step-by-step loop's for any slab length.
     """
     obj, sched, K = cfg.objective, cfg.sched, cfg.K
     n = hi - lo
     seeds = derive_seeds(cfg.base_seed, hi - lo, start=lo)
-    ks = np.arange(0, K + 1)
-    rule_betas = {r[3] for r in cfg.rules if r[3] is not None}
-    U = {b: np.concatenate([[np.inf], envelope_U(env, b, ks[1:])])
-         for b in set(cfg.betas) | rule_betas}
-
     n_csv = int(cfg.options["csv_trajectories"])
-    consumers = set(_CONSUMERS) if n_csv > 0 else {c for name in cfg.checks
-                                                   for c in CHECKS[name][0]}
-    residuals, martingale = "residuals" in consumers, "martingale" in consumers
+    consumers = {c for name in cfg.checks for c in CHECKS[name][0]}
+    consumers |= {"residuals", "martingale"} if n_csv > 0 else set()
+    residuals, martingale, ruled = (c in consumers for c in ("residuals", "martingale", "rules"))
+    betas, rule_list = (cfg.betas, cfg.rules) if ruled else ((), ())
+
+    ks = np.arange(0, K + 1)
+    rule_betas = {r[3] for r in rule_list if r[3] is not None}
+    U = {b: np.concatenate([[np.inf], envelope_U(env, b, ks[1:])])
+         for b in set(betas) | rule_betas}
     mins = {name: np.full(n, np.inf) for name in (
         "descent", "descent_margin", "decomp", "decomp_margin",
         "decomp_mid", "decomp_mid_margin", "p1_margin", "sandwich_margin",
     )} if residuals else None
     tracker = MartingaleTracker(env.sigma, env.gamma2, env.B / env.gamma2) if martingale else None
-    adversarial = {b: RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, K, U=U[b])
-                   for b in cfg.betas}
+    adversarial = {b: RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, K, U=U[b]) for b in betas}
     # a rule without its own beta reads the first beta's envelope; parse_config
     # rejects an envelope rule with neither
     first_beta = cfg.betas[0] if cfg.betas else None
     rules = [RuleTracker(kind, k_max, epsilon, U.get(first_beta if rbeta is None else rbeta))
-             for kind, epsilon, k_max, rbeta in cfg.rules]
+             for kind, epsilon, k_max, rbeta in rule_list]
     trackers = [*adversarial.values(), *rules]
 
     traced = [i for i in range(lo, hi) if i < n_csv]
     rows = {i: [] for i in traced}
 
     reads = set().union({"fgap_curr"} if traced else (), *(_CONSUMERS[c][0] for c in consumers))
-    scratch = max([2, *(_CONSUMERS[c][1] for c in consumers)])  # 2: the rule trackers'
+    scratch = max((_CONSUMERS[c][1] for c in consumers), default=0)
 
     def slab_fields():
         return reads.union(*(t.reads for t in trackers))
@@ -567,7 +569,7 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
     # per beta: the all-k statement, the adversarial rule, then each configured
     # rule; the first two are one indicator (``stopping``'s docstring)
     out = {"covered": {b: [adversarial[b].within(U[b])] * 2
-                       + [rule.within(U[b]) for rule in rules] for b in cfg.betas},
+                       + [rule.within(U[b]) for rule in rules] for b in betas},
            "rows": rows}
     if residuals:
         out["mins"] = mins

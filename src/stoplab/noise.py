@@ -86,7 +86,7 @@ def sample(model: NoiseModel, rng: np.random.Generator, n: int | None = None,
     shape = (model.dim,) if n is None else (n, model.dim)
     if model.kind is NoiseKind.NONE:
         return np.zeros(shape) if out is None else np.copyto(out, 0.0) or out
-    z = rng.standard_normal(shape, out=out)
+    z = rng.standard_normal(shape) if out is None else rng.standard_normal(out=out)
     if model.kind is NoiseKind.GAUSSIAN_ISOTROPIC:
         return np.multiply(model.scale, z, out=z)
     norms = np.sqrt(np.sum(z * z, axis=-1, keepdims=True))

@@ -183,8 +183,8 @@ def huberized_abs(dim: int, delta: float = 1.0, center=None) -> Objective:
     )
 
 
-def _gram_times(obj: Objective, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(G u, u) for u = x - x*, both in the (dim, n) frame.
+def _gram_times(obj: Objective, x: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """(G u, u) for u = x - x*, both in the (dim, n) frame; G u into ``out`` if given.
 
     One unbuffered einsum, ``"ji,jr->ir"`` (G is exactly symmetric): j is
     its outer loop, so every width and layout builds ((G[i,0] u[0] +
@@ -194,7 +194,8 @@ def _gram_times(obj: Objective, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``tests/test_objectives.py`` pins the order against a column loop.
     """
     ut = _cols(x) - _col(obj.minimizer, _cols(x))
-    gut = np.einsum("ji,jr->ir", obj.params["gram"], ut.reshape(obj.dim, -1), optimize=False)
+    gut = np.einsum("ji,jr->ir", obj.params["gram"], ut.reshape(obj.dim, -1), out=out,
+                    optimize=False)
     return gut.reshape(ut.shape), ut
 
 
@@ -231,19 +232,26 @@ def eval_objective(obj: Objective, x, g=None) -> np.ndarray:
     return f[0] if x.ndim == 1 else f
 
 
-def grad(obj: Objective, x) -> np.ndarray:
-    """Exact gradient of f, in the form of x: (dim,) or (n, dim).
+def grad(obj: Objective, x, out=None) -> np.ndarray:
+    """Exact gradient of f, in the form of x: (dim,) or (n, dim); into ``out`` if given.
 
     Computed in the (dim, n) frame like ``eval_objective``; for a batch the
     result is the transpose of a (dim, n) array, so the stream gets back
-    the C-ordered (dim, R) layout of its own state.
+    the C-ordered (dim, R) layout of its own state.  ``out`` has x's shape;
+    the stream passes a (dim, R) row of its gradient stack as its (R, dim)
+    transpose, and gets the same bits as without it.
     """
     x = _check_dim(obj, x)
+    gt = None if out is None else _cols(out)
     if obj.kind is ObjectiveKind.QUADRATIC:
-        gt = obj.params["diag"][:, None] * (_cols(x) - obj.params["center"][:, None])
+        gt = np.subtract(_cols(x), obj.params["center"][:, None], out=gt)
+        gt *= obj.params["diag"][:, None]
     elif obj.kind is ObjectiveKind.LEAST_SQUARES:
-        gt = _gram_times(obj, x)[0]
+        gt = _gram_times(obj, x, gt)[0]
     else:
-        ut = _cols(x) - obj.params["center"][:, None]
-        gt = np.clip(ut / obj.params["delta"], -1.0, 1.0)
+        gt = np.subtract(_cols(x), obj.params["center"][:, None], out=gt)
+        gt /= obj.params["delta"]
+        np.clip(gt, -1.0, 1.0, out=gt)
+    if out is not None:
+        return out
     return gt[:, 0] if x.ndim == 1 else gt.T

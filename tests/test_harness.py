@@ -20,6 +20,7 @@ from stoplab.martingale import MartingaleTracker
 from stoplab.noise import NoiseKind, calibrate
 from stoplab.objectives import least_squares_random
 from stoplab.sgdm import ScheduleVariant, Variant, derive_seeds, stream_ensemble
+from stoplab.stopping import RuleTracker
 
 from oracles import block_by_step
 
@@ -303,6 +304,25 @@ def test_coverage_only_run_skips_residuals_and_tracker(tmp_path, monkeypatch):
     assert ((tmp_path / "lean" / "coverage.csv").read_bytes()
             == (tmp_path / "full" / "coverage.csv").read_bytes())
     assert lean.summary == {"E0": full.summary["E0"], "t": full.summary["t"]}
+
+
+def test_ville_only_run_skips_the_rule_trackers(tmp_path, monkeypatch):
+    raw = _base_raw(tmp_path, betas=[0.05, 0.1], checks=["ville", "coverage"],
+                    rules=[{"kind": "iterate-delta", "epsilon": 1e-3, "k_max": 10},
+                           {"kind": "first-envelope-violation", "beta": 0.1}],
+                    options={"csv_trajectories": 0})
+    full = run_experiment(parse_config(dict(raw, output_dir=str(tmp_path / "full"))))
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a ville-only run steps no rule tracker")
+
+    monkeypatch.setattr(RuleTracker, "update", unread)
+    lean = run_experiment(parse_config(dict(raw, checks=["ville"],
+                                            output_dir=str(tmp_path / "lean"))))
+    assert full.passed and lean.passed
+    assert lean.checks == [c for c in full.checks if c["name"] == "ville"]
+    assert lean.summary == full.summary
+    assert not (tmp_path / "lean" / "coverage.csv").exists()
 
 
 def test_load_config_errors(tmp_path):

@@ -239,6 +239,27 @@ def test_layouts_give_the_same_bits(kind, dim):
         assert eval_objective(obj, rows[i], gi) == f[i]
 
 
+@pytest.mark.parametrize("R", [1, 2, 128])
+@pytest.mark.parametrize("dim", [1, 2, 64, 1200])
+@pytest.mark.parametrize("kind", ["quadratic", "least-squares", "huber"])
+def test_grad_into_a_stack_row_is_bitwise_the_plain_gradient(kind, dim, R):
+    # the stream writes each step's gradient into its row of a (B, dim, R)
+    # stack, through the row's (R, dim) transpose: the same bits as a new
+    # array, and no other row touched; a single point fills a (dim,) array
+    obj = _layout_objective(kind, dim)
+    rng = np.random.default_rng(dim + R)
+    xs = obj.minimizer[:, None] + rng.standard_normal((3, dim, R)) * 10.0 ** rng.uniform(-1, 1, R)
+    x = xs[1].T
+    stack = np.full((3, dim, R), np.nan)
+    out = stack[1].T
+    assert grad(obj, x, out=out) is out
+    assert out.tobytes() == grad(obj, x).tobytes()
+    assert np.isnan(stack[0]).all() and np.isnan(stack[2]).all()
+    single = np.empty(dim)
+    assert grad(obj, x[0], out=single) is single
+    assert single.tobytes() == grad(obj, x[0]).tobytes()
+
+
 def test_dimension_mismatch_raises():
     obj = quadratic(np.array([1.0, 1.0]))
     with pytest.raises(DimensionMismatchError):

@@ -20,3 +20,18 @@ def test_script_runs(script, args, line, header):
                          capture_output=True, text=True, timeout=600)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[line].split() == header
+
+
+def test_output_digests_blank_the_output_dir():
+    # one line per output file and worker count; with output_dir blanked,
+    # the two worker counts' reports hash alike
+    config = str(SCRIPTS.parent / "configs" / "smoke.json")
+    out = subprocess.run([sys.executable, str(SCRIPTS / "output_digests.py"), config],
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    lines = [line.split("  ") for line in out.stdout.splitlines()]
+    assert [(c, w, name) for _, c, w, name in lines] == [
+        (config, f"workers={w}", name) for w in (1, 2)
+        for name in ("report.json", "trajectory_0.csv")]
+    digests = [d for d, *_ in lines]
+    assert digests[:2] == digests[2:] and all(len(d) == 64 for d in digests)

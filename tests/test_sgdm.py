@@ -11,8 +11,8 @@ from stoplab.noise import NoiseKind, NoiseModel, calibrate
 from stoplab.objectives import (eval_objective, huberized_abs, least_squares_random,
                                 quadratic)
 from stoplab.sgdm import (DIVERGENCE_RADIUS, ScheduleVariant, Variant, a_coeff,
-                          derive_seeds, dim_sum, energy, energy_weight, eta, phi, sq_norm,
-                          stream_ensemble)
+                          derive_seeds, dim_sum, energy, energy_weight, eta, phi,
+                          schedule_columns, sq_norm, stream_ensemble)
 
 from oracles import run_paths, seeds_by_seed_sequence
 
@@ -44,16 +44,23 @@ def test_a_coeff_is_16_eta_over_k():
     ScheduleVariant(Variant.PROPOSITION_EPS, L=2.0, epsilon=0.3),
     ScheduleVariant(Variant.PROPOSITION_EPS, L=1.0, epsilon=0.01, c0_prime=250.0),
 ], ids=["main-L1", "main-L3.7", "eps-0.3", "eps-0.01-c250"])
-def test_energy_weight_column_is_bitwise_the_scalar_weight(sched):
-    # the stream forms w_k from its column of scalar eta values in one call;
-    # each entry must have the bits of 4 sqrt((k+1) eta_k) formed one k at a time
-    ks = range(100_001)
+def test_schedule_columns_are_bitwise_the_scalar_calls(sched):
+    # the stream forms a slab's eta_k and a_k columns in one call, and w_k
+    # in one energy_weight call on the eta_k column; every entry must have
+    # the bits of the scalar calls, and w_k those of 4 sqrt((k+1) eta_k)
+    # formed one k at a time.  numpy's array power gives other bits in about
+    # 1e-3 of the entries at p = 2 (it squares by x * x) and 4% at p = 1 + eps
+    ks = range(1, 100_001)
     etas = [eta(sched, k) for k in ks]
-    scalar = np.array([4.0 * math.sqrt((k + 1.0) * e) for k, e in zip(ks, etas)])
-    column = energy_weight(np.arange(len(ks))[:, None], np.array(etas)[:, None])
-    assert column.shape == (len(ks), 1)
-    assert column.tobytes() == scalar.tobytes()
-    assert energy_weight(7, etas[7]) == scalar[7]
+    a = np.array([a_coeff(sched, k) for k in ks])
+    w = np.array([4.0 * math.sqrt((k + 1.0) * e) for k, e in zip(ks, etas)])
+    kcol = np.arange(1.0, len(ks) + 1.0)[:, None]
+    eta_col, a_col = schedule_columns(sched, kcol)
+    assert eta_col.shape == a_col.shape == (len(ks), 1)
+    assert eta_col.tobytes() == np.array(etas).tobytes()
+    assert a_col.tobytes() == a.tobytes()
+    assert energy_weight(kcol, eta_col).tobytes() == w.tobytes()
+    assert energy_weight(7, etas[6]) == w[6]
 
 
 def test_schedule_validation():
@@ -377,25 +384,51 @@ def test_noise_fill_holds_one_block_and_one_tile(kind, dim, R, K):
     assert peak <= K * dim * R * 8 + NOISE_DRAW_BLOCK * 8 + gens_bytes + sphere + slab + (32 << 10)
 
 
-def test_stream_raises_divergence_at_the_first_step_past_the_radius():
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [1, 3, 53])
+def test_stream_raises_divergence_at_the_first_step_past_the_radius(rows):
     # schedule L = 1 against smoothness 1000: the iterates blow up, and the
     # stream raises at the first step whose x_{k+1} leaves the radius
-    # (k = 11, pinned from the guard's np.max(np.abs(.)) form)
+    # (k = 11, pinned from the guard's np.max(np.abs(.)) form), whatever the
+    # slab length; the slab's later steps overflow without a warning
     obj = quadratic(np.array([1e3, 1.0]))
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
     recs = []
     with pytest.raises(DivergenceError) as err:
-        for rec in stream_ensemble(obj, noise, SCHED1, 2000, [1, 2, 3], np.array([1.0, -1.0])):
+        for rec in stream_ensemble(obj, noise, SCHED1, 2000, [1, 2, 3], np.array([1.0, -1.0]),
+                                   rows=rows):
             recs.append(rec)
-    assert err.value.step == 11 == len(recs) + 1
+    assert err.value.step == 11
     assert err.value.norm == 1636147887750.4604
-    assert np.abs(recs[-1].x_next).max() <= DIVERGENCE_RADIUS
+    assert sum(len(rec.k) for rec in recs) == 10 // rows * rows
+    for rec in recs:
+        assert np.abs(rec.x_next).max() <= DIVERGENCE_RADIUS
 
 
-def test_stream_counts_nan_as_divergence():
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [3, 53])
+def test_steps_past_the_radius_overflow_silently_and_raise_at_the_first(rows):
+    # smoothness 1e12 against L = 1: x leaves the radius at k = 2 and
+    # overflows at k = 33, inside a 53-step slab; the slab still raises at
+    # k = 2 with the norm a one-step slab gives, and warns of nothing
+    obj = quadratic(np.array([1e12, 1.0]))
+    noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
+    errors = []
+    for r in (1, rows):
+        with pytest.raises(DivergenceError) as err:
+            list(stream_ensemble(obj, noise, SCHED1, 60, [1, 2, 3], np.array([1.0, -1.0]),
+                                 rows=r))
+        errors.append((err.value.step, err.value.norm))
+    assert errors[0] == errors[1] and errors[0][0] == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [1, 3, 53])
+def test_stream_counts_nan_as_divergence(rows):
     obj = quadratic(np.array([1.0, 1.0]))
     with pytest.raises(DivergenceError) as err:
-        next(stream_ensemble(obj, ZERO2, SCHED1, 5, [1, 2], np.array([math.nan, 0.0])))
+        next(stream_ensemble(obj, ZERO2, SCHED1, 5, [1, 2], np.array([math.nan, 0.0]),
+                             rows=rows))
     assert err.value.step == 1 and math.isnan(err.value.norm)
 
 
@@ -408,7 +441,7 @@ def test_stream_forms_one_gram_product_per_step(monkeypatch):
     calls = []
     gram_times = objectives._gram_times
     monkeypatch.setattr(objectives, "_gram_times",
-                        lambda o, x: calls.append(x.shape) or gram_times(o, x))
+                        lambda o, x, *out: calls.append(x.shape) or gram_times(o, x, *out))
     K = 5
     recs = list(stream_ensemble(obj, noise, sched, K, derive_seeds(3, 4),
                                 obj.minimizer + 1.0))
