@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Print a sha256 for every output file of each config, run at 1 and 2 workers.
 
-Each config runs through ``run_experiment`` once with ``STOPLAB_WORKERS=1``
-and once with 2, into a temporary directory.  In ``report.json`` the config's
+A config is a JSON file or ``NAME@SEED``, the benchmark workload NAME
+(``perfbench/workloads.py``) generated at SEED.  Each config runs through
+``run_experiment`` once with ``STOPLAB_WORKERS=1`` and once with 2, into a
+temporary directory.  In ``report.json`` the config's
 ``output_dir`` is blanked (set to "") before hashing, as it names that
 directory; every other byte is hashed as written.  Run it in two checkouts
 and diff the outputs to check that a change leaves every output byte as it
 was:
 
-    python3 scripts/output_digests.py configs/default.json configs/smoke.json
+    python3 scripts/output_digests.py configs/default.json configs/smoke.json cov-wide@7
 """
 
 import argparse
@@ -19,16 +21,27 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(ROOT / "perfbench"))
 
+import workloads
 from stoplab.harness import parse_config, run_experiment
 
 WORKERS = (1, 2)
 
 
+def load(config: str) -> dict:
+    """The document of ``config``: a JSON file, or NAME@SEED for a benchmark workload."""
+    if Path(config).is_file():
+        return json.loads(Path(config).read_text())
+    name, _, seed = config.partition("@")
+    return workloads.generate(name, int(seed))
+
+
 def digests(config: str, workers: int, root: Path) -> list[tuple[str, str]]:
     """(file name, sha256) of each output file of ``config`` at ``workers`` workers."""
-    raw = json.loads(Path(config).read_text())
+    raw = load(config)
     outdir = root / f"w{workers}"
     raw["output_dir"] = str(outdir)
     os.environ["STOPLAB_WORKERS"] = str(workers)

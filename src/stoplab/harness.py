@@ -35,9 +35,9 @@ from .noise import NoiseKind, NoiseModel, calibrate
 from .objectives import (Objective, eval_objective, huberized_abs,
                          least_squares_random, quadratic)
 from .series import gamma2_range_problem
-from .sgdm import (DIM_STACKS, STEP_ARRAYS, ScheduleVariant, StepSlab, Variant, _slab_rows,
-                   a_coeff, derive_seeds, energy, energy_weight, eta, eta_bound_margin, phi,
-                   spawn_seed, sq_norm, stream_ensemble)
+from .sgdm import (ScheduleVariant, StepSlab, Variant, _slab_rows, a_coeff, derive_seeds,
+                   energy, energy_weight, eta, eta_bound_margin, phi, spawn_seed, sq_norm,
+                   stream_ensemble)
 from .stopping import RuleKind, RuleTracker, coverage_verdict
 
 __all__ = ["CHECKS", "GRAMMAR", "OBJECTIVES", "RunConfig", "Report", "build_schedule",
@@ -489,10 +489,11 @@ def _martingale_columns(tracker: MartingaleTracker, slab: StepSlab, cols: list) 
 
 # The stream consumers that CHECKS names: the slab fields each reads, and the
 # most (B, R) arrays that it holds at once besides them (counted with
-# tracemalloc).  The rule trackers name their fields themselves (``reads``).
+# tracemalloc).  The iterate-delta rule's first-slab (B, dim, R) temporary is
+# the one the stream's stacks leave room for.
 _CONSUMERS = {"residuals": ({"E", "a_k", "theta_sq", "theta_phi", "g_sq", "grad_sq"}, 9),
               "martingale": ({"E", "a_k", "theta_sq"}, 5),
-              "rules": (set(), 2)}
+              "rules": ({"fgap_curr"}, 2)}
 
 
 def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
@@ -501,10 +502,10 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
     Top-level so process pools can pickle it; the run's config and envelope
     are plain values, computed once by ``run_experiment``.  The consumers
     read the stream's slabs, each with only the fields they read and as many
-    steps as fit ``sgdm._SLAB_BYTES``, the stream's stacks counted.  The
-    step residuals with their minima ("mins"), the martingale tracker and the
-    rule trackers run when an enabled check names them in ``CHECKS``, and the
-    first two also when trajectory CSVs are written.  Every consumer works row
+    steps as fit ``sgdm._SLAB_BYTES``.  The step residuals with their minima
+    ("mins"), the martingale tracker and the rule trackers run when an enabled
+    check names them in ``CHECKS``, the first two also when trajectory CSVs
+    are written and the last only when a beta is set.  Every consumer works row
     by row or reduces with an exact min or max, so the results are bitwise a
     step-by-step loop's for any slab length.
     """
@@ -512,25 +513,22 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
     n = hi - lo
     seeds = derive_seeds(cfg.base_seed, hi - lo, start=lo)
     n_csv = int(cfg.options["csv_trajectories"])
-    consumers = {c for name in cfg.checks for c in CHECKS[name][0]}
+    # with no beta there is no coverage record, and no rule tracker runs
+    consumers = {c for name in cfg.checks for c in CHECKS[name][0] if c != "rules" or cfg.betas}
     consumers |= {"residuals", "martingale"} if n_csv > 0 else set()
     residuals, martingale, ruled = (c in consumers for c in ("residuals", "martingale", "rules"))
     betas, rule_list = (cfg.betas, cfg.rules) if ruled else ((), ())
 
-    ks = np.arange(0, K + 1)
-    rule_betas = {r[3] for r in rule_list if r[3] is not None}
-    U = {b: np.concatenate([[np.inf], envelope_U(env, b, ks[1:])])
-         for b in set(betas) | rule_betas}
+    U = {b: np.concatenate([[np.inf], envelope_U(env, b, np.arange(1, K + 1))])
+         for b in {*betas, *(r[3] for r in rule_list if r[3] is not None)}}
     mins = {name: np.full(n, np.inf) for name in (
         "descent", "descent_margin", "decomp", "decomp_margin",
         "decomp_mid", "decomp_mid_margin", "p1_margin", "sandwich_margin",
     )} if residuals else None
     tracker = MartingaleTracker(env.sigma, env.gamma2, env.B / env.gamma2) if martingale else None
     adversarial = {b: RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, K, U=U[b]) for b in betas}
-    # a rule without its own beta reads the first beta's envelope; parse_config
-    # rejects an envelope rule with neither
-    first_beta = cfg.betas[0] if cfg.betas else None
-    rules = [RuleTracker(kind, k_max, epsilon, U.get(first_beta if rbeta is None else rbeta))
+    # a rule without its own beta reads the first beta's envelope
+    rules = [RuleTracker(kind, k_max, epsilon, U[betas[0] if rbeta is None else rbeta])
              for kind, epsilon, k_max, rbeta in rule_list]
     trackers = [*adversarial.values(), *rules]
 
@@ -539,16 +537,11 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
 
     reads = set().union({"fgap_curr"} if traced else (), *(_CONSUMERS[c][0] for c in consumers))
     scratch = max((_CONSUMERS[c][1] for c in consumers), default=0)
-
-    def slab_fields():
-        return reads.union(*(t.reads for t in trackers))
-
     # 32 (R,) arrays of per-trajectory state: running minima and trackers
-    B = _slab_rows(n, len(slab_fields()) + scratch + DIM_STACKS * obj.dim,
-                   32 + STEP_ARRAYS * obj.dim)
+    B = _slab_rows(n, obj.dim, len(reads) + scratch, 32)
     cols = [i - lo for i in traced]
     res_cols = S_cols = []
-    for slab in stream_ensemble(obj, cfg.noise, sched, K, seeds, cfg.x0, slab_fields, B):
+    for slab in stream_ensemble(obj, cfg.noise, sched, K, seeds, cfg.x0, reads, B):
         k = slab.k
         if residuals:
             res_cols = _lower_minima(mins, slab, obj, K, cols)

@@ -20,8 +20,8 @@ import numpy as np
 from .mcstats import bootstrap_upper_quantile
 from .noise import _DRAW_BLOCK, NoiseKind, NoiseModel, philox, sample
 from .objectives import Objective, grad
-from .sgdm import (DIM_STACKS, STEP_ARRAYS, STEP_FIELDS, ScheduleVariant, StepSlab, _slab_rows,
-                   _step_arrays, energy, phi, spawn_seed, sq_norm, stream_ensemble)
+from .sgdm import (STEP_FIELDS, ScheduleVariant, StepSlab, _slab_rows, _step_arrays, energy, phi,
+                   spawn_seed, sq_norm, stream_ensemble)
 
 __all__ = [
     "log_N", "check_supermartingale", "ville_monitor",
@@ -69,33 +69,33 @@ def _advance(S, W, prefix_prod, a, theta_sq, sigma: float):
     return S_rows, W_rows, prod_rows
 
 
-def _branch_logN(obj: Objective, noise: NoiseModel, s: StepSlab,
-                 tracker: "MartingaleTracker", prefix_seed: int, out: np.ndarray) -> float:
+def _branch_logN(obj: Objective, noise: NoiseModel, s: StepSlab, j: int, state: tuple,
+                 consts: tuple, prefix_seed: int, out: np.ndarray) -> float:
     """log N^t(k-1) of the prefix; log N^t(k) on each branch of its step k goes into ``out``.
 
-    ``s`` is the prefix's one-row slab at k and ``tracker`` holds its state
-    at k-1; the prefix's own theta_k is replaced by the branches' draws, one
-    counter stream per ``_BRANCH_CHUNK`` branches (parallel-safe).  A chunk
-    is drawn into one reused buffer and stepped in trajectory-minor (dim, p)
-    sub-blocks of at most ``_DRAW_BLOCK`` doubles, S, W and the prefix product
-    advanced over each by ``_advance``.  The step is elementwise or a
-    ``dim_sum`` and each stream is read in order, so ``out`` holds the bits
-    of one (dim, n) step while the memory held besides it is one sub-block's.  With no noise
-    every branch is the same: one is stepped and ``out`` filled with it.
+    k is row ``j`` of the prefix's slab ``s``, ``state`` its (S, W, prefix
+    product) at k-1 and ``consts`` (sigma, gamma2, t); the prefix's own
+    theta_k is replaced by the branches' draws, one counter stream per
+    ``_BRANCH_CHUNK`` branches (parallel-safe).  A chunk is drawn into one
+    reused buffer and stepped in trajectory-minor (dim, p) sub-blocks of at
+    most ``_DRAW_BLOCK`` doubles, S, W and the prefix product advanced over
+    each by ``_advance``.  The step is elementwise or a ``dim_sum`` and each
+    stream is read in order, so ``out`` holds the bits of one (dim, n) step
+    while the memory held besides it is one sub-block's.  With no noise every
+    branch is the same: one is stepped and ``out`` filled with it.
     """
-    sigma, gamma2_value, t = tracker.sigma, tracker.gamma2_value, tracker.t
-    S_km1, W_km1, prod_km1 = tracker.S_last, tracker._W, tracker._prefix_prod
-    logN_prev = float(log_N(s.E_prev[0], S_km1, W_km1, prod_km1, sigma, gamma2_value, t)[0])
-    k, eta_k = int(s.k[0, 0]), float(s.eta_k[0, 0])
-    fgap_k, w_k = s.fgap_curr[0, 0], s.w_k[0, 0]
-    x_km1, x_k, x_star = s.xs[0], s.xs[1], obj.minimizer[:, None]
+    sigma = consts[0]
+    logN_prev = float(log_N(s.E_prev[j], *state, *consts)[0])
+    k, eta_k, a_k = int(s.k[j, 0]), float(s.eta_k[j, 0]), s.a_k[j:j + 1]
+    fgap_k, w_k = s.fgap_curr[j, 0], s.w_k[j, 0]
+    x_km1, x_k, x_star = s.xs[j], s.xs[j + 1], obj.minimizer[:, None]
     grad_k = grad(obj, x_k[:, 0])[:, None]
 
     def step(thetas):
         x_k1 = _step_arrays(k, eta_k, x_km1, x_k, np.subtract(grad_k, thetas, order="C"))
         E_k = energy(sq_norm(phi(k + 1, x_k, x_k1, x_star)), fgap_k, w_k)
-        S, W, prod = _advance(S_km1, W_km1, prod_km1, s.a_k, sq_norm(thetas)[None], sigma)
-        return log_N(E_k, S[1], W[1], prod[1], sigma, gamma2_value, t)
+        S, W, prod = _advance(*state, a_k, sq_norm(thetas)[None], sigma)
+        return log_N(E_k, S[1], W[1], prod[1], *consts)
 
     if noise.kind is NoiseKind.NONE:
         out[:] = step(np.zeros((noise.dim, 1)))
@@ -125,12 +125,13 @@ def check_supermartingale(
 ) -> list[dict]:
     """Branching Monte Carlo check of E[N^t(k) | F_{k-1}] <= N^t(k-1) at each k in ``ks``.
 
-    Streams one trajectory prefix through the tracker, once, to max(ks), in
-    slabs cut at each k.  At each k, n_branches independent noise
-    continuations replace the prefix's theta_k, from the tracker's state at
-    k-1; their log N^t(k) fill that k's row of the (len(set(ks)), n_branches)
-    weights, exp-shifted there to stay overflow-free, and the step holds one
-    sub-block of branches besides (``_branch_logN``).  Pass means estimate
+    Streams one trajectory prefix, once, to max(ks), advancing S, W and the
+    prefix product over each whole slab (``_advance``).  At each k,
+    n_branches independent noise continuations replace the prefix's theta_k,
+    from the slab's row of that state at k-1; their log N^t(k) fill that k's
+    row of the (len(set(ks)), n_branches) weights, exp-shifted there to stay
+    overflow-free, and the step holds one sub-block of branches besides
+    (``_branch_logN``).  Pass means estimate
     <= 3 * ci_halfwidth (with no noise every branch is the same and the
     half-width is rounding).  N has a heavy right tail, so a one-sided 99%
     bootstrap bound on each shifted mean is included: one bootstrap whose
@@ -149,24 +150,21 @@ def check_supermartingale(
     row = {k: j for j, k in enumerate(sorted(set(ks)))}
     w = np.empty((len(row), n_branches))
     shift, prev_w = np.empty(len(row)), np.empty(len(row))
-    tracker = MartingaleTracker(noise.sigma_certificate, gamma2_value, t)
-    rows = _slab_rows(1, len(STEP_FIELDS) + DIM_STACKS * obj.dim, STEP_ARRAYS * obj.dim)
+    sigma, state = noise.sigma_certificate, (0.0, 0.0, 1.0)  # S, W and the product at k = 0
+    rows = _slab_rows(1, obj.dim, len(STEP_FIELDS), 0)
     for s in stream_ensemble(obj, noise, sched, max(ks), [prefix_seed], x0,
-                             lambda: ("E", "a_k", "theta_sq"), rows):
-        # the tracker takes the rows before each k, which branches from its state at k-1
-        k0, lo = int(s.k[0, 0]), 0
-        for k, j in row.items():
-            if not k0 <= k < k0 + len(s.k):
-                continue
-            if k - k0 > lo:
-                tracker.update(s.rows(lo, k - k0))
-                lo = k - k0
-            logN_prev = _branch_logN(obj, noise, s.rows(lo, lo + 1), tracker, prefix_seed, w[j])
-            shift[j] = max(float(np.max(w[j])), logN_prev)
-            np.subtract(w[j], shift[j], out=w[j])
-            np.exp(w[j], out=w[j])
-            prev_w[j] = math.exp(logN_prev - shift[j])
-        tracker.update(s.rows(lo, len(s.k)))
+                             ("E", "a_k", "theta_sq"), rows):
+        S, W, prod = _advance(*state, s.a_k, s.theta_sq, sigma)  # row j: the state at k-1
+        k0 = int(s.k[0, 0])
+        for k in row.keys() & range(k0, k0 + len(s.k)):
+            i, j = row[k], k - k0
+            logN_prev = _branch_logN(obj, noise, s, j, (S[j], W[j], float(prod[j, 0])),
+                                     (sigma, gamma2_value, t), prefix_seed, w[i])
+            shift[i] = max(float(np.max(w[i])), logN_prev)
+            np.subtract(w[i], shift[i], out=w[i])
+            np.exp(w[i], out=w[i])
+            prev_w[i] = math.exp(logN_prev - shift[i])
+        state = S[-1], W[-1], float(prod[-1, 0])
 
     # a row at a time: each row's mean and deviation keep a one-k call's bits
     estimate = np.array([np.mean(wj) for wj in w]) - prev_w

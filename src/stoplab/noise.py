@@ -92,27 +92,3 @@ def sample(model: NoiseModel, rng: np.random.Generator, n: int | None = None,
     norms = np.sqrt(np.sum(z * z, axis=-1, keepdims=True))
     z *= model.scale
     return np.divide(z, norms, out=z)
-
-
-def mgf_certificate_check(model: NoiseModel, n_samples: int, rng: np.random.Generator) -> dict:
-    """Monte Carlo estimate of E[exp(||theta||^2 / sigma^2)] against e.
-
-    One-sided pass rule: estimate <= e * (1 + 3 * relative MC stderr).
-    """
-    if model.sigma_certificate == 0.0:
-        return {"estimate": 1.0, "ci_halfwidth": 0.0, "bound": math.e, "pass": True}
-    vals = np.empty(n_samples)
-    chunk = 1 << 16
-    s2 = model.sigma_certificate**2
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
-        th = sample(model, rng, hi - lo)
-        vals[lo:hi] = np.exp(np.sum(th * th, axis=-1) / s2)
-    est = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
-    return {
-        "estimate": est,
-        "ci_halfwidth": 3.0 * stderr,
-        "bound": math.e,
-        "pass": est <= math.e * (1.0 + 3.0 * stderr / max(est, 1e-300)) + 1e-12,
-    }

@@ -39,20 +39,23 @@ _NOISE_BYTES = 1 << 24
 # A slab's arrays, the stream's stacks and the consumers' temporaries alike
 # hold at most this many bytes.  Counted with tracemalloc, a slab holds 3
 # (B, dim, R) arrays besides the noise block (positions, gradients, one
-# temporary; so dim arrays a step each) and a step up to 3 (dim, R) arrays more.
-# A ufunc that broadcasts an operand across a stack (x* in phi, the
-# quadratic's centre) may also fill numpy's iterator buffer, np.getbufsize()
-# elements (64 KiB of doubles), while all three stacks are alive: the budget
-# keeps room for it.  B is 9 at cov-wide's R = 1000, 53 at checks-all's R = 200,
-# 8 at lsq-d64 and 7 at highdim-d1200.
+# temporary; so dim arrays a step each).  A step holds at most 2 (dim, R)
+# arrays more (g_k with least squares' x - x*, or the two kept positions:
+# 2.0 for the quadratic and Huber, 2.2 for least squares); the budget counts
+# 3, one spare.  A ufunc that broadcasts an operand across a stack (x* in
+# phi, the quadratic's centre) may also fill numpy's iterator buffer,
+# np.getbufsize() elements (64 KiB of doubles), while all three stacks are
+# alive: the budget keeps room for it.  B is 9 at cov-wide's R = 1000, 55 at
+# checks-all's R = 200, 8 at lsq-d64 and 7 at highdim-d1200.
 _SLAB_BYTES = 1 << 21
 DIM_STACKS, STEP_ARRAYS = 3, 3
 
 
-def _slab_rows(width: int, arrays: int, fixed: int) -> int:
-    """Steps per slab at R = ``width``, ``arrays`` (R,) arrays a step and ``fixed`` in all."""
+def _slab_rows(width: int, dim: int, arrays: int, fixed: int) -> int:
+    """Steps per slab at R = ``width``, the stream's own stacks and step arrays at ``dim``
+    counted, besides the consumers' ``arrays`` (R,) arrays a step and ``fixed`` in all."""
     room = _SLAB_BYTES - 8 * np.getbufsize()
-    return max(1, (room // (8 * width) - fixed) // arrays)
+    return max(1, (room // (8 * width) - fixed - STEP_ARRAYS * dim) // (arrays + DIM_STACKS * dim))
 
 
 class Variant(Enum):
@@ -290,30 +293,21 @@ class StepSlab(SimpleNamespace):
     step numbers and ``eta``, ``a_coeff``, ``energy_weight``.  The (B, R)
     fields (row j for step ``k[j]``) are ``fgap_curr``, E(k) (``E``), and the
     sums over dim ||theta_k||^2 (``theta_sq``), <theta_k, phi_k>
-    (``theta_phi``), ||g_k||^2 (``g_sq``), ||g_k + theta_k||^2 (``grad_sq``),
-    ||phi_{k+1}||^2 (``phi_next_sq``) and ||x_k - x_{k-1}||^2 (``step_sq``);
-    ``fgap_prev``, ``E_prev`` and ``phi_sq`` are their values one step back.
-    The C-ordered stacks ``xs`` (x_{k-1} .. x_{k+B}, (B+2, dim, R)),
-    ``thetas`` and ``gs`` ((B, dim, R)) read as (B R, dim) arrays through
-    ``x_prev``, ``x_curr``, ``x_next``, ``theta`` and ``g`` (``_points``).
+    (``theta_phi``), ||g_k||^2 (``g_sq``), ||g_k + theta_k||^2 (``grad_sq``)
+    and ||phi_{k+1}||^2 (``phi_next_sq``); ``fgap_prev``, ``E_prev`` and
+    ``phi_sq`` are their values one step back.  The C-ordered stacks ``xs``
+    (x_{k-1} .. x_{k+B}, (B+2, dim, R)) and ``thetas`` ((B, dim, R)) read as
+    (B R, dim) arrays through ``x_curr`` and ``theta`` (``_points``).
     """
 
-    x_prev = property(lambda s: _points(s.xs[:-2]))
     x_curr = property(lambda s: _points(s.xs[1:-1]))
-    x_next = property(lambda s: _points(s.xs[2:]))
     theta = property(lambda s: _points(s.thetas))
-    g = property(lambda s: _points(s.gs))
-
-    def rows(self, lo: int, hi: int) -> "StepSlab":
-        """Steps lo..hi-1 of the slab as a slab of their own, all views."""
-        return StepSlab(**{name: v[lo:hi + 2] if name == "xs" else v[lo:hi]
-                           for name, v in vars(self).items()})
 
 
 # What a consumer can ask a slab for besides k, eta_k and the stacks; a field
 # brings its value one step back, and "E" brings w_k and what E is made of.
-STEP_FIELDS = ("a_k", "fgap_curr", "E", "phi_next_sq", "theta_sq", "theta_phi", "g", "g_sq",
-               "grad_sq", "step_sq")
+STEP_FIELDS = ("a_k", "fgap_curr", "E", "phi_next_sq", "theta_sq", "theta_phi", "g_sq",
+               "grad_sq")
 
 
 def _shifted(first, rows):
@@ -335,8 +329,8 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
     the larger of max x and -min x over the step's positions, so the first
     step past ``DIVERGENCE_RADIUS`` (or NaN) raises with its own norm, as a
     test after every step would; the slab's later steps may overflow
-    meanwhile, silently.  The slab then forms the fields ``reads()`` names
-    (``STEP_FIELDS``, all if ``reads`` is None; the set only shrinks): f in
+    meanwhile, silently.  The slab then forms the fields in ``reads``
+    (``STEP_FIELDS``, all if ``reads`` is None; one set for the run): f in
     one ``eval_objective`` call on B R points (step 1's f at x_1 = x_0 gives
     E(0)), phi, E and each sum over dim down the stacks, each entry one
     step's expression and each sum sequential (``dim_sum``), so every bit is
@@ -356,7 +350,7 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
     chunk = min(max(_NOISE_BYTES // (8 * dim * R), 1), _NOISE_CHUNK)
     last = np.broadcast_to(np.asarray(x0, dtype=float)[:, None], (2, dim, R))  # x_0, x_1 = x_0
     zeros = np.zeros((min(rows, K), dim, R)) if gens is None else None
-    want, k0 = set(STEP_FIELDS), 1
+    want, k0 = set(STEP_FIELDS if reads is None else reads), 1
     while k0 <= K:
         off = (k0 - 1) % chunk
         b = min(rows, K + 1 - k0, chunk - off)
@@ -389,7 +383,6 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
             j = int(beyond.argmax())
             raise DivergenceError(k0 + j, float(worst[j]))
         s = StepSlab(k=np.arange(k0, k0 + b)[:, None], eta_k=eta_k, xs=x, thetas=theta)
-        want &= set(reads()) if reads else want
         if "a_k" in want:
             s.a_k = a_k
         if want & {"fgap_curr", "E"}:
@@ -397,10 +390,8 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
             s.fgap_prev, s.fgap_curr = _shifted(fgap[0] if k0 == 1 else tail["fgap_curr"], fgap)
         if "theta_sq" in want:
             s.theta_sq = sq_norm(theta, 1)
-        if want & {"g", "g_sq", "grad_sq"}:
+        if want & {"g_sq", "grad_sq"}:
             gs = np.subtract(gf, theta, out=gf)  # f is formed: g_k takes grad f's place
-            if "g" in want:
-                s.gs = gs.copy()
             if "g_sq" in want:
                 s.g_sq = sq_norm(gs, 1)
             if "grad_sq" in want:
@@ -421,12 +412,8 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
             first = (energy(s.phi_sq[0], s.fgap_prev[0], energy_weight(0, eta(sched, 0)))
                      if k0 == 1 else tail["E"])
             s.E_prev, s.E = _shifted(first, energy(s.phi_next_sq, s.fgap_curr, s.w_k))
-        if "step_sq" in want:
-            step = np.subtract(x[1:-1], x[:-2])
-            step *= step
-            s.step_sq = dim_sum(step, 1)
         tail = {f: getattr(s, f)[-1] for f in ("fgap_curr", "phi_next_sq", "E") if f in vars(s)}
-        last, x, gf, gs, step = x[-2:].copy(), None, None, None, None
+        last, x, gf, gs = x[-2:].copy(), None, None, None
         yield s
         s = theta = None
         k0 += b

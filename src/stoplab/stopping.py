@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .mcstats import clopper_pearson
+from .objectives import dim_sum
 from .sgdm import StepSlab
 
 __all__ = ["RuleKind", "RuleTracker", "coverage_verdict", "baseline_envelope"]
@@ -38,11 +39,12 @@ class RuleTracker:
     the value gaps they induce, so tau is a stopping time of the iterate
     filtration.
 
-    The delta rules trigger when the iterate displacement, or the value-gap
-    change, falls to ``epsilon`` or below; since the recurrence starts from a
-    repeated point (x_1 = x_0), they trigger immediately at k = 1.  The
-    envelope rule stops at the first k with f(x_k) - f* > U[k], where ``U``
-    holds the envelope indexed by k.  With k_max = K it is the adversarial
+    The delta rules trigger when the iterate displacement (from the slab's
+    position stack), or the value-gap change, falls to ``epsilon`` or below;
+    since the recurrence starts from a repeated point (x_1 = x_0), they
+    trigger immediately at k = 1 and read the first slab alone.  The envelope
+    rule stops at the first k with f(x_k) - f* > U[k], where ``U`` holds the
+    envelope indexed by k.  With k_max = K it is the adversarial
     rule that makes the anytime guarantee tight: first violation at
     k <= K - 1, else K.  Within a slab a path's stop is the first row where
     the predicate holds, with the k_max row forced.
@@ -66,16 +68,11 @@ class RuleTracker:
         ):
             raise ValueError("delta rules need a positive epsilon")
 
-    @property
-    def reads(self) -> tuple:
-        """The slab fields ``update`` still reads: none once every trajectory has stopped."""
-        if self._all_stopped:
-            return ()
-        return ("fgap_curr", "step_sq") if self.kind is RuleKind.ITERATE_DELTA else ("fgap_curr",)
-
     def _triggered(self, s) -> np.ndarray:
         if self.kind is RuleKind.ITERATE_DELTA:
-            return np.sqrt(s.step_sq) <= self.epsilon
+            step = np.subtract(s.xs[1:-1], s.xs[:-2])
+            step *= step
+            return np.sqrt(dim_sum(step, 1)) <= self.epsilon
         if self.kind is RuleKind.VALUE_DELTA:
             return np.abs(s.fgap_curr - s.fgap_prev) <= self.epsilon
         if self.kind is RuleKind.FIXED_K:

@@ -12,10 +12,13 @@ loop checks the bootstrap's shared resamples, and
 ``supermartingale_whole_block`` steps each k's branches as one block, as
 the branching check did before it took sub-blocks.  ``deep_descent_links``
 checks each link of the energy-decay derivation at one step, and the path
-tree enumerates every stopping time of a small binary tree.  The rest are
-exact references: the weight series and binomial tails to 50 digits
-(mpmath), zeta(s), and the weighted chi-square tail (Imhof inversion).  All
-are deliberately separate code and are not used by the package.
+tree enumerates every stopping time of a small binary tree.  ``step_views``
+forms the positions and g_k that the stream does not keep, and
+``mgf_certificate_check`` estimates the noise's MGF certificate by Monte
+Carlo.  The rest are exact references: the weight series and binomial tails
+to 50 digits (mpmath), zeta(s), and the weighted chi-square tail (Imhof
+inversion).  All are deliberately separate code and are not used by the
+package.
 """
 
 import math
@@ -28,10 +31,10 @@ import numpy as np
 
 from stoplab.lyapunov import envelope_U
 from stoplab.martingale import _BRANCH_CHUNK, MartingaleTracker, log_N
-from stoplab.noise import philox, sample
+from stoplab.noise import NoiseModel, philox, sample
 from stoplab.objectives import dim_sum, grad
-from stoplab.sgdm import (StepSlab, _step_arrays, a_coeff, derive_seeds, energy, eta, phi,
-                          spawn_seed, sq_norm, stream_ensemble)
+from stoplab.sgdm import (StepSlab, _points, _step_arrays, a_coeff, derive_seeds, energy, eta,
+                          phi, spawn_seed, sq_norm, stream_ensemble)
 from stoplab.stopping import RuleKind, RuleTracker
 
 
@@ -50,24 +53,33 @@ class Paths:
 
 
 _COLUMNS = ("k", "eta_k", "a_k", "w_k")
-_VIEWS = ("x_prev", "x_curr", "x_next", "g", "theta")
-_STACKS = ("xs", "thetas", "gs")
+_STACKS = ("xs", "thetas")
 
 
-def one_step(s) -> SimpleNamespace:
+def step_views(s, obj=None) -> SimpleNamespace:
+    """A slab's stacks as (B R, dim) arrays: ``x_prev``, ``x_curr``, ``x_next`` and ``theta``.
+
+    With ``obj`` also ``g``, g_k = grad f(x_k) - theta_k, which the stream
+    forms in its (dim, R) layout and does not keep: a point's gradient bits
+    depend on neither its batch nor its layout.
+    """
+    v = SimpleNamespace(x_prev=_points(s.xs[:-2]), x_curr=s.x_curr, x_next=_points(s.xs[2:]),
+                        theta=s.theta)
+    if obj is not None:
+        v.g = grad(obj, v.x_curr) - v.theta
+    return v
+
+
+def one_step(s, obj) -> SimpleNamespace:
     """A one-row slab of ``stream_ensemble`` as one step's values, for the step-by-step oracles.
 
     Each (1, R) row becomes its (R,) vector and each (1, 1) column a Python
-    scalar (k an int); the (R, dim) position, gradient and noise views take
-    the place of the slab's stacks.
+    scalar (k an int); the (R, dim) views of ``step_views`` take the place
+    of the slab's stacks.
     """
-    rec = SimpleNamespace(**{
-        name: v[0, 0].item() if name in _COLUMNS else v[0]
-        for name, v in vars(s).items() if name not in _STACKS})
-    for name in _VIEWS:
-        if hasattr(s, name):
-            setattr(rec, name, getattr(s, name))
-    return rec
+    return SimpleNamespace(**{name: v[0, 0].item() if name in _COLUMNS else v[0]
+                              for name, v in vars(s).items() if name not in _STACKS},
+                           **vars(step_views(s, obj)))
 
 
 def displacement_sq(s) -> np.ndarray:
@@ -77,9 +89,10 @@ def displacement_sq(s) -> np.ndarray:
 
 def run_paths(obj, noise, sched, K, seeds, x0) -> Paths:
     """Store every streamed step of ``stream_ensemble``."""
-    recs = list(stream_ensemble(obj, noise, sched, K, seeds, x0))
+    slabs = list(stream_ensemble(obj, noise, sched, K, seeds, x0))
+    recs = [step_views(s, obj) for s in slabs]
     xs = np.stack([recs[0].x_prev] + [r.x_curr for r in recs] + [recs[-1].x_next], axis=1)
-    f_gaps = np.stack([recs[0].fgap_prev[0]] + [r.fgap_curr[0] for r in recs], axis=1)
+    f_gaps = np.stack([slabs[0].fgap_prev[0]] + [s.fgap_curr[0] for s in slabs], axis=1)
     return Paths(xs=xs, gs=np.stack([r.g for r in recs], axis=1),
                  thetas=np.stack([r.theta for r in recs], axis=1), f_gaps=f_gaps)
 
@@ -143,7 +156,7 @@ def deep_descent_links(slab, obj) -> dict:
     the raw differencing bound, and the post-substitution bound.  All must
     be >= -tol (identity: <= tol in absolute value).
     """
-    rec = one_step(slab)
+    rec = one_step(slab, obj)
     k = rec.k
     # back to the stream's trajectory-minor (dim, R) state
     x_km1, x_k, x_k1, g = rec.x_prev.T, rec.x_curr.T, rec.x_next.T, rec.g.T
@@ -327,7 +340,7 @@ def block_by_step(cfg, env, lo: int, hi: int) -> dict:
     f_gaps, step_sq = [], []
     for slab in stream_ensemble(obj, cfg.noise, cfg.sched, K,
                                 derive_seeds(cfg.base_seed, n, start=lo), cfg.x0):
-        rec = one_step(slab)
+        rec = one_step(slab, obj)
         k = rec.k
         if k == 1:
             f_gaps.append(rec.fgap_prev)
@@ -453,7 +466,7 @@ def supermartingale_whole_block(obj, noise, sched, x0, prefix_seed: int, ks, t: 
     tracker = MartingaleTracker(sigma, gamma2_value, t)
     out = {}
     for slab in stream_ensemble(obj, noise, sched, max(ks), [prefix_seed], x0):
-        rec = one_step(slab)
+        rec = one_step(slab, obj)
         k = rec.k
         if k in ks:
             S, W, prod = tracker.S_last, tracker._W, tracker._prefix_prod
@@ -610,3 +623,29 @@ def weighted_square_tail_oracle(
         if envelope(lo) * seg < 1e-9:
             break
     return min(max(0.5 + total / math.pi, 0.0), 1.0)
+
+
+def mgf_certificate_check(model: NoiseModel, n_samples: int, rng: np.random.Generator) -> dict:
+    """Monte Carlo estimate of E[exp(||theta||^2 / sigma^2)] against e, the noise's certificate.
+
+    One-sided pass rule: estimate <= e * (1 + 3 * relative MC stderr).  At
+    d <= 2 the Gaussian estimand's variance is infinite, so the standard
+    error means little there.
+    """
+    if model.sigma_certificate == 0.0:
+        return {"estimate": 1.0, "ci_halfwidth": 0.0, "bound": math.e, "pass": True}
+    vals = np.empty(n_samples)
+    chunk = 1 << 16
+    s2 = model.sigma_certificate**2
+    for lo in range(0, n_samples, chunk):
+        hi = min(lo + chunk, n_samples)
+        th = sample(model, rng, hi - lo)
+        vals[lo:hi] = np.exp(np.sum(th * th, axis=-1) / s2)
+    est = float(np.mean(vals))
+    stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
+    return {
+        "estimate": est,
+        "ci_halfwidth": 3.0 * stderr,
+        "bound": math.e,
+        "pass": est <= math.e * (1.0 + 3.0 * stderr / max(est, 1e-300)) + 1e-12,
+    }

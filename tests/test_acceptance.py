@@ -266,8 +266,7 @@ def _coverage_stats(cfg) -> tuple:
     stream = harness.stream_ensemble
 
     def watched(obj, noise, sched, K, seeds, x0, reads, rows):
-        for slab in stream(obj, noise, sched, K, seeds, x0, lambda: {"fgap_curr", *reads()},
-                           rows):
+        for slab in stream(obj, noise, sched, K, seeds, x0, {"fgap_curr", *reads}, rows):
             yield slab
             for b in cfg.betas:
                 within[b] &= ~np.any(slab.fgap_curr > U[b][slab.k[:, :1] - 1], axis=0)

@@ -325,6 +325,26 @@ def test_ville_only_run_skips_the_rule_trackers(tmp_path, monkeypatch):
     assert not (tmp_path / "lean" / "coverage.csv").exists()
 
 
+def test_run_without_betas_skips_the_rule_trackers(tmp_path, monkeypatch):
+    # with no beta a coverage check makes no record, so no rule tracker is
+    # built or stepped: the records and CSVs are those of the run without rules
+    raw = _base_raw(tmp_path, betas=[], checks=["ville", "coverage"],
+                    rules=[{"kind": "iterate-delta", "epsilon": 1e-3, "k_max": 10},
+                           {"kind": "fixed-k", "k_max": 20}],
+                    options={"csv_trajectories": 1})
+    full = run_experiment(parse_config(dict(raw, rules=[], output_dir=str(tmp_path / "full"))))
+
+    def unread(*args, **kwargs):
+        raise AssertionError("a run without betas steps no rule tracker")
+
+    monkeypatch.setattr(RuleTracker, "update", unread)
+    lean = run_experiment(parse_config(dict(raw, output_dir=str(tmp_path / "lean"))))
+    assert [c["name"] for c in lean.checks] == ["ville"]
+    assert lean.checks == full.checks and lean.summary == full.summary
+    assert ((tmp_path / "lean" / "trajectory_0.csv").read_bytes()
+            == (tmp_path / "full" / "trajectory_0.csv").read_bytes())
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
@@ -432,7 +452,7 @@ def test_block_width_does_not_change_results(tmp_path, monkeypatch, dim):
     for i, seed in enumerate(seeds):
         solo = stream_ensemble(obj, noise, sched, 30, [int(seed)], x0)
         for a, b in zip(ens, solo):
-            assert np.array_equal(a.x_next[i], b.x_next[0])
+            assert np.array_equal(a.xs[:, :, i], b.xs[:, :, 0])
             assert a.E[0, i] == b.E[0, 0]
             ra, rb = step_residuals(a, obj), step_residuals(b, obj)
             for key in keys:
@@ -480,7 +500,7 @@ def test_slab_block_matches_the_step_by_step_oracle(tmp_path, monkeypatch, B):
                     options={"csv_trajectories": 3, "envelope_sigma": 1e-3})
     cfg = parse_config(raw)
     env = harness._envelope(cfg)
-    monkeypatch.setattr(harness, "_slab_rows", lambda width, arrays, fixed: B)
+    monkeypatch.setattr(harness, "_slab_rows", lambda width, dim, arrays, fixed: B)
     want = block_by_step(cfg, env, 0, cfg.R)
     _assert_block_is_the_oracles(harness._run_block(cfg, env, 0, cfg.R), want,
                                  ("covered", "rows", "mins", "sup_logN", "sup_E", "S_last"))
@@ -493,7 +513,7 @@ def test_slab_block_matches_the_step_by_step_oracle(tmp_path, monkeypatch, B):
 
 @pytest.mark.parametrize("B", [1, 3, 50])
 def test_slab_block_matches_the_oracle_at_R1_and_coverage_only(tmp_path, monkeypatch, B):
-    monkeypatch.setattr(harness, "_slab_rows", lambda width, arrays, fixed: B)
+    monkeypatch.setattr(harness, "_slab_rows", lambda width, dim, arrays, fixed: B)
     raw = _base_raw(tmp_path, R=1, betas=[0.05, 0.1], checks=["descent", "ville", "coverage"],
                     rules=[{"kind": "fixed-k", "k_max": 17}, {"kind": "first-envelope-violation"}],
                     options={"csv_trajectories": 1})
@@ -532,23 +552,27 @@ def test_run_block_holds_one_noise_block(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("budget", [1 << 20, 2 << 20, 4 << 20], ids=["1MiB", "2MiB", "4MiB"])
-@pytest.mark.parametrize("d, R, K", [(2, 1000, 120), (1200, 8, 40)])
+@pytest.mark.parametrize("kind, d, R, K", [("quadratic", 2, 1000, 120),
+                                           ("quadratic", 1200, 8, 40),
+                                           ("least-squares", 64, 128, 40)])
 @pytest.mark.parametrize("checks", [["coverage"], ["ville"], ["descent", "decomposition",
                                                               "ville", "coverage"]],
                          ids=["coverage", "ville", "all"])
-def test_slab_budget_counts_the_dim_stacks(tmp_path, monkeypatch, d, R, K, checks, budget):
+def test_slab_budget_counts_the_dim_stacks(tmp_path, monkeypatch, kind, d, R, K, checks, budget):
     # a block's traced peak, less its one noise block and the R Philox
     # generators (about 730 bytes a trajectory, the stream's own state), fits
     # _SLAB_BYTES at every budget; K exceeds B, so no slab is cut short by K.
-    # A budget that counts only the (B, R) rows, not the stream's (B, dim, R)
-    # stacks and (dim, R) step arrays, overruns it
+    # The iterate-delta rule forms its (B, dim, R) displacements on the first
+    # slab.  A budget that counts only the (B, R) rows, not the stream's
+    # (B, dim, R) stacks and (dim, R) step arrays, overruns it
     import tracemalloc
     from stoplab import sgdm
     monkeypatch.setattr(sgdm, "_SLAB_BYTES", budget)
+    objective = ({"kind": "quadratic", "diag": list(np.linspace(1.0, 2.0, d))}
+                 if kind == "quadratic" else {"kind": kind, "dim": d, "m": 96, "seed": 3})
     cfg = parse_config(_base_raw(tmp_path, K=K, R=R, x0=[1.0] * d, checks=checks,
-                                 objective={"kind": "quadratic",
-                                            "diag": list(np.linspace(1.0, 2.0, d))},
-                                 options={"csv_trajectories": 0}))
+                                 objective=objective, options={"csv_trajectories": 0},
+                                 rules=[{"kind": "iterate-delta", "epsilon": 1e-3}]))
     env = harness._envelope(cfg)
     tracemalloc.start()
     try:
@@ -574,8 +598,8 @@ def test_slab_budget_counts_the_dim_stacks(tmp_path, monkeypatch, d, R, K, check
 
     assert peak() <= budget
     assert rows[-1] < K
-    monkeypatch.setattr(harness, "DIM_STACKS", 0)
-    monkeypatch.setattr(harness, "STEP_ARRAYS", 0)
+    monkeypatch.setattr(sgdm, "DIM_STACKS", 0)
+    monkeypatch.setattr(sgdm, "STEP_ARRAYS", 0)
     assert peak() > budget
 
 

@@ -11,7 +11,7 @@ from stoplab.objectives import least_squares_random, quadratic
 from stoplab.sgdm import (ScheduleVariant, Variant, derive_seeds, energy,
                           energy_weight, eta, phi, sq_norm, stream_ensemble)
 
-from oracles import deep_descent_links, phi_series, residual_series, run_paths
+from oracles import deep_descent_links, phi_series, residual_series, run_paths, step_views
 
 SCHED1 = ScheduleVariant(Variant.THEOREM_MAIN, L=1.0)
 
@@ -110,7 +110,7 @@ def test_step_residuals_match_full_path():
 def test_phi_accessor(noisy_run):
     # ||phi_k||^2 from the step residuals against phi_k built from the path
     recs, res, _, obj = noisy_run
-    xs = np.stack([recs[0].x_prev[0]] + [r.x_curr[0] for r in recs] + [recs[-1].x_next[0]])
+    xs = np.stack([recs[0].xs[0, :, 0]] + [r.x_curr[0] for r in recs] + [recs[-1].xs[-1, :, 0]])
     phis = phi_series(xs, obj.minimizer)  # position k-1 holds phi_k
     k = 5
     expected = k * (xs[k] - xs[k - 1]) + (xs[k] - obj.minimizer)
@@ -177,7 +177,7 @@ def test_energy_chain_and_checks_at_dim_1200(tmp_path):
     for prev, rec in zip(recs, recs[1:]):
         assert np.array_equal(rec.E_prev, prev.E)
         k = int(rec.k[0, 0])
-        phi_next = phi(k + 1, rec.x_curr.T, rec.x_next.T, obj.minimizer[:, None])
+        phi_next = phi(k + 1, rec.x_curr.T, step_views(rec).x_next.T, obj.minimizer[:, None])
         assert np.array_equal(rec.E[0], energy(sq_norm(phi_next), rec.fgap_curr[0],
                                                energy_weight(k, eta(sched, k))))
     raw = {

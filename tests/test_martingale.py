@@ -115,11 +115,12 @@ def test_supermartingale_many_ks_match_one_k_calls(g2):
 
 
 @pytest.mark.parametrize("B", [1, 2, 7, 40])
-def test_prefix_cut_at_each_k_matches_the_step_by_step_oracle(monkeypatch, B, g2):
-    # the prefix streams in slabs of B steps, cut at each k of [5, 1, 25, 5]
-    # to branch from the tracker's state at k-1: every record, repeats
-    # included, is bitwise that of the oracle's one-step-at-a-time prefix
-    monkeypatch.setattr(martingale, "_slab_rows", lambda width, arrays, fixed: B)
+def test_prefix_slabs_match_the_step_by_step_oracle(monkeypatch, B, g2):
+    # the prefix streams in slabs of B steps, each k of [5, 1, 25, 5]
+    # branching from its slab's row of the state at k-1: every record,
+    # repeats included, is bitwise that of the oracle's one-step-at-a-time
+    # prefix
+    monkeypatch.setattr(martingale, "_slab_rows", lambda width, dim, arrays, fixed: B)
     ks = [5, 1, 25, 5]
     got = check_supermartingale(OBJ, NOISE, SCHED, X0, 11, ks, 1.0 / g2, 1000, gamma2_value=g2)
     want = supermartingale_whole_block(OBJ, NOISE, SCHED, X0, 11, ks, 1.0 / g2, 1000, g2)

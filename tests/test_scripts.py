@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end at small arguments."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +36,23 @@ def test_output_digests_blank_the_output_dir():
         for name in ("report.json", "trajectory_0.csv")]
     digests = [d for d, *_ in lines]
     assert digests[:2] == digests[2:] and all(len(d) == 64 for d in digests)
+
+
+def test_output_digests_take_a_workload_name_and_seed(tmp_path, monkeypatch):
+    # NAME@SEED runs the benchmark workload that perfbench/workloads.py
+    # generates: its digests are those of the same document read from a file
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "perfbench"))
+    import workloads
+
+    doc = tmp_path / "highdim.json"
+    doc.write_text(json.dumps(workloads.generate("highdim-d1200", 3)))
+    out = subprocess.run([sys.executable, str(SCRIPTS / "output_digests.py"),
+                          "highdim-d1200@3", str(doc)], capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    lines = [line.split("  ") for line in out.stdout.splitlines()]
+    names = ["coverage.csv", "report.json", "trajectory_0.csv", "trajectory_1.csv"]
+    assert [(c, w, name) for _, c, w, name in lines] == [
+        (c, f"workers={w}", name) for c in ("highdim-d1200@3", str(doc)) for w in (1, 2)
+        for name in names]
+    digests = [d for d, *_ in lines]
+    assert digests[:8] == digests[8:] and digests[:4] == digests[4:8]

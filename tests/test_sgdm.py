@@ -14,7 +14,7 @@ from stoplab.sgdm import (DIVERGENCE_RADIUS, ScheduleVariant, Variant, a_coeff,
                           derive_seeds, dim_sum, energy, energy_weight, eta, phi,
                           schedule_columns, sq_norm, stream_ensemble)
 
-from oracles import run_paths, seeds_by_seed_sequence
+from oracles import run_paths, seeds_by_seed_sequence, step_views
 
 SCHED1 = ScheduleVariant(Variant.THEOREM_MAIN, L=1.0)
 ZERO2 = NoiseModel(NoiseKind.NONE, dim=2, sigma_certificate=0.0, scale=0.0)
@@ -79,9 +79,10 @@ def test_first_step_hand_value():
     zero = NoiseModel(NoiseKind.NONE, dim=1, sigma_certificate=0.0, scale=0.0)
     (rec,) = stream_ensemble(obj, zero, SCHED1, 1, [0], np.array([2.0]))
     assert rec.k[0, 0] == 1
-    assert rec.x_next[0, 0] == pytest.approx(1.696586924457721, rel=1e-14)
-    assert np.array_equal(rec.x_prev, rec.x_curr)
-    assert np.array_equal(rec.g, [[2.0]])
+    v = step_views(rec, obj)
+    assert v.x_next[0, 0] == pytest.approx(1.696586924457721, rel=1e-14)
+    assert np.array_equal(v.x_prev, v.x_curr)
+    assert np.array_equal(v.g, [[2.0]])
 
 
 def test_step_rejects_bad_inputs():
@@ -198,8 +199,8 @@ def test_trajectory_accessors():
     recs = list(stream_ensemble(obj, noise, SCHED1, 10, [3], np.array([2.0])))
     assert [r.k[0, 0] for r in recs] == list(range(1, 11))
     for prev, rec in zip(recs, recs[1:]):
-        assert np.array_equal(rec.x_prev, prev.x_curr)
-        assert np.array_equal(rec.x_curr, prev.x_next)
+        assert np.array_equal(step_views(rec).x_prev, prev.x_curr)
+        assert np.array_equal(rec.x_curr, step_views(prev).x_next)
         assert np.array_equal(rec.fgap_prev, prev.fgap_curr)
         assert rec.E_prev.tobytes() == prev.E.tobytes()
         assert rec.phi_sq.tobytes() == prev.phi_next_sq.tobytes()
@@ -210,7 +211,7 @@ def test_trajectory_accessors():
         assert rec.w_k[0, 0] == energy_weight(k, eta(SCHED1, k))
     last = recs[-1]
     np.testing.assert_allclose(last.fgap_curr[0], 0.5 * last.x_curr[:, 0] ** 2, rtol=1e-15)
-    phi_next = phi(11, last.x_curr.T, last.x_next.T, obj.minimizer[:, None])
+    phi_next = phi(11, last.x_curr.T, step_views(last).x_next.T, obj.minimizer[:, None])
     assert np.array_equal(last.phi_next_sq[0], sq_norm(phi_next))
     assert np.array_equal(last.E[0], energy(sq_norm(phi_next), last.fgap_curr[0],
                                             energy_weight(10, eta(SCHED1, 10))))
@@ -220,8 +221,9 @@ def test_trajectory_accessors():
                                      (ZERO2, 1)], ids=["gaussian-R5", "none-R1"])
 def test_stream_yields_one_row_slabs(noise, R):
     # one StepSlab per step: (1, 1) columns with an integer k, (1, R) rows,
-    # and (R, dim) position, gradient and noise views; the benchmark's trace
-    # counts a step's trajectories as x_curr's rows of each item with a theta
+    # (3, dim, R) positions and (1, dim, R) noise, read through (R, dim)
+    # views; the benchmark's trace counts a step's trajectories as x_curr's
+    # rows of each item with a theta
     obj, dim = quadratic(np.array([1.0, 2.0])), 2
     rows = ("fgap_prev", "fgap_curr", "E_prev", "E", "theta_sq", "theta_phi", "g_sq",
             "grad_sq", "phi_sq", "phi_next_sq")
@@ -235,13 +237,14 @@ def test_stream_yields_one_row_slabs(noise, R):
         assert np.issubdtype(s.k.dtype, np.integer) and s.k[0, 0] == k
         for name in rows:
             assert getattr(s, name).shape == (1, R), name
-        for name in ("x_prev", "x_curr", "x_next", "g", "theta"):
+        assert s.xs.shape == (3, dim, R) and s.thetas.shape == (1, dim, R)
+        for name in ("x_curr", "theta"):
             assert getattr(s, name).shape == (R, dim), name
 
 
 _STEP_VALUES = ("k", "eta_k", "a_k", "w_k", "fgap_prev", "fgap_curr", "E_prev", "E", "theta_sq",
-                "theta_phi", "g_sq", "grad_sq", "phi_sq", "phi_next_sq", "step_sq",
-                "x_prev", "x_curr", "x_next", "g", "theta")
+                "theta_phi", "g_sq", "grad_sq", "phi_sq", "phi_next_sq", "xs", "thetas",
+                "x_curr", "theta")
 
 
 def _steps(stream):
@@ -249,7 +252,8 @@ def _steps(stream):
     out = []
     for s in stream:
         for j in range(len(s.k)):
-            row = s.rows(j, j + 1)
+            row = sgdm.StepSlab(**{name: v[j:j + 3] if name == "xs" else v[j:j + 1]
+                                   for name, v in vars(s).items()})
             out.append({f: (getattr(row, f).shape, getattr(row, f).dtype.str,
                             np.ascontiguousarray(getattr(row, f)).tobytes()) for f in _STEP_VALUES})
     return out
@@ -258,8 +262,8 @@ def _steps(stream):
 @pytest.mark.parametrize("kind", list(NoiseKind), ids=[k.value for k in NoiseKind])
 @pytest.mark.parametrize("objective", ["quadratic", "least-squares", "huber"])
 def test_slabs_are_bitwise_the_one_row_stream(monkeypatch, objective, kind):
-    # B-row slabs hold the one-row stream's every field and view as float
-    # bits, at one trajectory (a (B, dim, 1) stack, whose numpy reduce would
+    # B-row slabs hold the one-row stream's every field, stack and view as
+    # float bits, at one trajectory (a (B, dim, 1) stack, whose numpy reduce would
     # be pairwise) and more, from d = 1 to d = 64.  Noise blocks of 12 steps
     # end slabs at k = 12 and 24 of K = 30, so slabs of 7, 23 and 40 steps
     # meet block edges; no slab spans one
@@ -284,19 +288,20 @@ def test_slabs_are_bitwise_the_one_row_stream(monkeypatch, objective, kind):
                 assert _steps(slabs) == want, (d, R, B)
 
 
-def test_stream_forms_only_the_fields_asked_for():
-    # a coverage-only slab holds the value gaps alone, bitwise the full
-    # stream's; the set only shrinks, so a field asked for again stays gone
+@pytest.mark.parametrize("reads,fields", [
+    ({"fgap_curr"}, ["fgap_curr", "fgap_prev"]),
+    (["theta_sq", "a_k"], ["a_k", "theta_sq"]),
+    ((), []),
+], ids=["coverage", "list", "none"])
+def test_stream_forms_only_the_fields_asked_for(reads, fields):
+    # every slab of the run holds the fields asked for alone, bitwise the
+    # full stream's, besides k, eta_k and the stacks
     obj = quadratic(np.array([1.0, 2.0]))
     noise = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0)
     seeds, x0 = derive_seeds(4, 3), np.array([2.0, -1.0])
     full = list(stream_ensemble(obj, noise, SCHED1, 12, seeds, x0, rows=5))
-    asked = iter([{"fgap_curr", "step_sq"}, {"fgap_curr"}, {"fgap_curr", "step_sq", "E"}])
-    lean = list(stream_ensemble(obj, noise, SCHED1, 12, seeds, x0, lambda: next(asked), 5))
-    assert [sorted(vars(s)) for s in lean] == [
-        ["eta_k", "fgap_curr", "fgap_prev", "k", "step_sq", "thetas", "xs"],
-        ["eta_k", "fgap_curr", "fgap_prev", "k", "thetas", "xs"],
-        ["eta_k", "fgap_curr", "fgap_prev", "k", "thetas", "xs"]]
+    lean = list(stream_ensemble(obj, noise, SCHED1, 12, seeds, x0, reads, 5))
+    assert [sorted(vars(s)) for s in lean] == [sorted(["eta_k", "k", "thetas", "xs", *fields])] * 3
     for a, b in zip(full, lean, strict=True):
         for name in vars(b):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
@@ -319,7 +324,7 @@ def test_noise_blocks_are_bounded_by_bytes(monkeypatch):
         got = list(stream_ensemble(obj, noise, sched, 10, seeds, x0))
         assert draws == [m for m in blocks for _ in seeds]
         for a, b in zip(ref, got, strict=True):
-            assert np.array_equal(a.theta, b.theta) and np.array_equal(a.x_next, b.x_next)
+            assert np.array_equal(a.theta, b.theta) and np.array_equal(a.xs, b.xs)
             assert np.array_equal(a.E, b.E)
 
 
@@ -342,7 +347,7 @@ def test_tiled_noise_blocks_are_the_one_draw_per_trajectory_blocks(monkeypatch, 
         monkeypatch.setattr(sgdm, "_DRAW_BLOCK", budget)
         monkeypatch.setattr(sgdm, "_NOISE_BYTES", m * 8 * dim * R)
         seeds = derive_seeds(11, R)
-        slabs = list(stream_ensemble(obj, noise, sched, K, seeds, np.ones(dim), lambda: (), K))
+        slabs = list(stream_ensemble(obj, noise, sched, K, seeds, np.ones(dim), (), K))
         assert [len(s.k) for s in slabs] == [m, m, 2]
         want = np.empty((K, dim, R))
         for i, seed in enumerate(seeds):
@@ -373,7 +378,7 @@ def test_noise_fill_holds_one_block_and_one_tile(kind, dim, R, K):
     del gens
     tracemalloc.start()
     try:
-        stream = stream_ensemble(obj, noise, SCHED1, K, seeds, np.ones(dim), lambda: ())
+        stream = stream_ensemble(obj, noise, SCHED1, K, seeds, np.ones(dim), ())
         next(stream)
         peak = tracemalloc.get_traced_memory()[1]
         stream.close()
@@ -402,7 +407,7 @@ def test_stream_raises_divergence_at_the_first_step_past_the_radius(rows):
     assert err.value.norm == 1636147887750.4604
     assert sum(len(rec.k) for rec in recs) == 10 // rows * rows
     for rec in recs:
-        assert np.abs(rec.x_next).max() <= DIVERGENCE_RADIUS
+        assert np.abs(rec.xs[2:]).max() <= DIVERGENCE_RADIUS
 
 
 @pytest.mark.filterwarnings("error")

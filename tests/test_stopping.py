@@ -150,13 +150,16 @@ def test_envelope_rule_matches_per_step_oracle():
     assert list(fgap) == [1.5, 1.25, 1.75, f_gaps[3, k_max]]
 
 
-def _slab_rules(f_gaps, step_sq, rules, B):
-    """Feed ``rules`` the path in slabs of B consecutive steps, as the harness does."""
+def _slab_rules(f_gaps, xs, rules, B):
+    """Feed ``rules`` the path in slabs of B consecutive steps, as the harness does.
+
+    ``xs`` holds the positions x_0 .. x_{K+1} as a (K+2, dim, R) stack.
+    """
     K = len(f_gaps) - 1
     for lo in range(1, K + 1, B):
         hi = min(lo + B, K + 1)
         slab = StepSlab(k=np.arange(lo, hi)[:, None], fgap_curr=f_gaps[lo:hi],
-                        fgap_prev=f_gaps[lo - 1:hi - 1], step_sq=step_sq[lo - 1:hi - 1])
+                        fgap_prev=f_gaps[lo - 1:hi - 1], xs=xs[lo - 1:hi + 1])
         for rule in rules:
             rule.update(slab)
 
@@ -176,19 +179,22 @@ def test_rules_on_slabs_match_the_step_by_step_oracle(B):
     f_gaps[[2, 3], 6] = np.nan  # a NaN gap, then its successor, never triggers
     f_gaps[5:, 7] = np.nan      # a path that is NaN from k = 5 on stops at the cap with NaN
     f_gaps[9, 2] = f_gaps[8, 2]  # an unchanged gap: value-delta fires at k = 9
-    step_sq = rng.uniform(1e-4, 1.0, (K, 8))
-    step_sq[[0, 6, 7], [3, 1, 4]] = 0.0  # iterate-delta fires at k = 1, 7 and 8
+    xs = rng.uniform(-1.0, 1.0, (K + 2, 2, 8))
+    for k, path in ((1, 3), (7, 1), (8, 4)):  # iterate-delta fires at k = 1, 7 and 8
+        xs[k, :, path] = xs[k - 1, :, path]
+    step_sq = np.sum(np.diff(xs[:K + 1], axis=0) ** 2, axis=1)
     rules = [RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, k_max, U=U) for k_max in (K, 10, 7, 8)]
     rules += [RuleTracker(RuleKind.VALUE_DELTA, K, epsilon=1e-12),
               RuleTracker(RuleKind.ITERATE_DELTA, 10, epsilon=1e-9),
               RuleTracker(RuleKind.FIXED_K, 3), RuleTracker(RuleKind.FIXED_K, 8)]
-    _slab_rules(f_gaps, step_sq, rules, B)
+    _slab_rules(f_gaps, xs, rules, B)
     for rule in rules:
         tau, fgap = stops_by_step(rule.kind, rule.k_max, rule.epsilon, U, f_gaps, step_sq)
         assert np.array_equal(rule.tau, tau), (rule.kind, rule.k_max)
         assert rule.fgap.tobytes() == fgap.tobytes(), (rule.kind, rule.k_max)
     assert list(rules[0].tau) == [1, 7, 8, 4, K, K, K, K]
     assert np.isnan(rules[0].fgap[7])
+    assert list(rules[5].tau[[3, 1, 4]]) == [1, 7, 8]
 
 
 def test_adversarial_identity_with_sup_statement():
