@@ -11,6 +11,10 @@ and diff the outputs to check that a change leaves every output byte as it
 was:
 
     python3 scripts/output_digests.py configs/default.json configs/smoke.json cov-wide@7
+
+The exit status is 1, with the files named on standard error, when a
+config's outputs at 1 and 2 workers differ: results must be bitwise the
+same for any worker count.
 """
 
 import argparse
@@ -59,12 +63,20 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("configs", nargs="+", metavar="CONFIG")
     args = parser.parse_args()
+    status = 0
     for config in args.configs:
         with tempfile.TemporaryDirectory() as tmp:
-            for workers in WORKERS:
-                for name, digest in digests(config, workers, Path(tmp)):
-                    print(f"{digest}  {config}  workers={workers}  {name}")
-    return 0
+            runs = [dict(digests(config, workers, Path(tmp))) for workers in WORKERS]
+        for workers, run in zip(WORKERS, runs):
+            for name, digest in run.items():
+                print(f"{digest}  {config}  workers={workers}  {name}")
+        differ = sorted(name for name in runs[0].keys() | runs[1].keys()
+                        if runs[0].get(name) != runs[1].get(name))
+        if differ:
+            print(f"{config}: outputs differ between {WORKERS[0]} and {WORKERS[1]} workers: "
+                  f"{', '.join(differ)}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

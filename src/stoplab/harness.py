@@ -464,21 +464,25 @@ def _envelope(cfg: RunConfig) -> EnvelopeParams:
 def _lower_minima(mins: dict, slab: StepSlab, obj, K: int, cols: list) -> list:
     """Lower each running minimum by the slab's least row; the descent and decomp columns ``cols``.
 
-    The residual rows are gone on return, before the tracker forms its own.
+    Each residual takes its tolerance in place once its own minimum is
+    taken, and the P1 margin is formed in the spent descent rows; the
+    residual rows are gone on return, before the tracker forms its own.
     """
     res = step_residuals(slab, obj)
     tol = res["tol"]
+    columns = [(res["descent"][:, r].tolist(), res["decomp"][:, r].tolist()) for r in cols]
     for name in ("descent", "decomp", "decomp_mid"):
         np.minimum(mins[name], res[name].min(axis=0), out=mins[name])
-        np.minimum(mins[name + "_margin"], (res[name] + tol).min(axis=0),
-                   out=mins[name + "_margin"])
-    p1 = slab.E_prev - res["phi_sq"] + tol
+        res[name] += tol
+        np.minimum(mins[name + "_margin"], res[name].min(axis=0), out=mins[name + "_margin"])
+    p1 = np.subtract(slab.E_prev, res["phi_sq"], out=res["descent"])
+    p1 += tol
     if slab.k[-1, 0] == K:
         p1[-1] = np.minimum(p1[-1], slab.E[-1] - res["phi_next_sq"][-1] + tol[-1])
     np.minimum(mins["p1_margin"], p1.min(axis=0), out=mins["p1_margin"])
     np.minimum(mins["sandwich_margin"], res["sandwich_margin"].min(axis=0),
                out=mins["sandwich_margin"])
-    return [(res["descent"][:, r].tolist(), res["decomp"][:, r].tolist()) for r in cols]
+    return columns
 
 
 def _martingale_columns(tracker: MartingaleTracker, slab: StepSlab, cols: list) -> list:
@@ -489,10 +493,11 @@ def _martingale_columns(tracker: MartingaleTracker, slab: StepSlab, cols: list) 
 
 # The stream consumers that CHECKS names: the slab fields each reads, and the
 # most (B, R) arrays that it holds at once besides them (counted with
-# tracemalloc).  The iterate-delta rule's first-slab (B, dim, R) temporary is
+# tracemalloc; numpy's iterator buffer, which ``sgdm._slab_rows`` keeps
+# aside, not included).  The iterate-delta rule's first-slab (B, dim, R) temporary is
 # the one the stream's stacks leave room for.
-_CONSUMERS = {"residuals": ({"E", "a_k", "theta_sq", "theta_phi", "g_sq", "grad_sq"}, 9),
-              "martingale": ({"E", "a_k", "theta_sq"}, 5),
+_CONSUMERS = {"residuals": ({"E", "a_k", "theta_sq", "theta_phi", "g_sq", "grad_sq"}, 6),
+              "martingale": ({"E", "a_k", "theta_sq"}, 4),
               "rules": ({"fgap_curr"}, 2)}
 
 

@@ -32,9 +32,17 @@ __all__ = [
 ]
 
 
-def residual_tolerance(E_k, E_km1) -> np.ndarray:
-    """Magnitude-relative tolerance 1e-9 (1 + |E(k)| + |E(k-1)|), floored at 1e-12."""
-    return np.maximum(1e-9 * (1.0 + np.abs(E_k) + np.abs(E_km1)), 1e-12)
+def residual_tolerance(E_k, E_km1, out=None) -> np.ndarray:
+    """Magnitude-relative tolerance 1e-9 (1 + |E(k)| + |E(k-1)|), floored at 1e-12.
+
+    For arrays E_k and E_km1; formed in ``out`` if given (an array of the
+    result's shape), in the order the formula reads.
+    """
+    tol = np.abs(E_k, out=out)
+    tol += 1.0
+    tol += np.abs(E_km1)
+    tol *= 1e-9
+    return np.maximum(tol, 1e-12, out=tol)
 
 
 def step_residuals(s: StepSlab, obj: Objective) -> dict:
@@ -44,7 +52,9 @@ def step_residuals(s: StepSlab, obj: Objective) -> dict:
     eta_k, a_k and w_k only: the row sums over dim and the schedule scalars
     come with the stream.  Each entry is computed as it is for one step, so
     every row is bitwise that step's value (``np.sqrt`` and ``math.sqrt``
-    both round correctly).  Returns a dict of (B, R) arrays: the three decay
+    both round correctly); the terms are formed in place on four reused
+    (B, R) buffers besides the three residuals, each entry's operations in
+    the formula's order.  Returns a dict of (B, R) arrays: the three decay
     residuals, the squared norms entering the momentum-vector bound
     ||phi_{k+1}||^2 <= E(k), the margin of the value sandwich
     4 sqrt((k+1) eta_k) (f(x_k) - f*) <= E(k), and the per-step tolerance.
@@ -55,34 +65,38 @@ def step_residuals(s: StepSlab, obj: Objective) -> dict:
     >= 0 whenever f >= f*; the sandwich margin is ||phi_{k+1}||^2 itself.
     They can fail only through rounding or a value below f*.
     """
-    k = s.k
-    e_k = s.eta_k
+    k, e_k, a_k = s.k, s.eta_k, s.a_k
     sq = np.sqrt(e_k / k)
-    a_k = s.a_k
     inner, th_sq, gf_sq = s.theta_phi, s.theta_sq, s.grad_sq
-    dE = s.E - s.E_prev
-    grad_term = 2.0 / obj.smoothness * sq * gf_sq
-    noise_term = 4.0 * sq * inner
-    descent = (
-        4.0 * e_k / k * s.g_sq
-        - grad_term
-        - 2.0 * sq * s.fgap_curr
-        + noise_term
-    ) - dE
-    decomp = a_k * th_sq + np.sqrt(a_k) * inner - dE
-    decomp_mid = (
-        8.0 * e_k / k * (th_sq + gf_sq)
-        - grad_term
-        + noise_term
-    ) - dE
+    dE = np.subtract(s.E, s.E_prev)
+    decomp = np.multiply(a_k, th_sq)
+    tmp = np.multiply(np.sqrt(a_k), inner)
+    decomp += tmp
+    decomp -= dE
+    grad_term = np.multiply(2.0 / obj.smoothness * sq, gf_sq)
+    noise_term = np.multiply(4.0 * sq, inner)
+    descent = np.multiply(4.0 * e_k / k, s.g_sq)
+    descent -= grad_term
+    descent -= np.multiply(2.0 * sq, s.fgap_curr, out=tmp)
+    descent += noise_term
+    descent -= dE
+    decomp_mid = np.add(th_sq, gf_sq, out=tmp)
+    decomp_mid *= 8.0 * e_k / k
+    decomp_mid -= grad_term
+    decomp_mid += noise_term
+    decomp_mid -= dE
+    sandwich = np.multiply(s.w_k, s.fgap_curr, out=dE)
+    np.subtract(s.E, sandwich, out=sandwich)
+    del noise_term  # its room goes to the tolerance's |E(k-1)|
+    tol = residual_tolerance(s.E, s.E_prev, out=grad_term)
     return {
         "descent": descent,
         "decomp": decomp,
         "decomp_mid": decomp_mid,
         "phi_sq": s.phi_sq,
         "phi_next_sq": s.phi_next_sq,
-        "sandwich_margin": s.E - s.w_k * s.fgap_curr,
-        "tol": residual_tolerance(s.E, s.E_prev),
+        "sandwich_margin": sandwich,
+        "tol": tol,
     }
 
 

@@ -36,9 +36,13 @@ def log_N(E, S, W, prefix_prod, sigma: float, gamma2_value: float, t: float):
 
     W(k) = sum_{l<=k} a_l S(l-1) and prefix_prod = prod_{l<=k} (1 + s^2 a_l);
     the infinite tail product prod_{l>k} is gamma2 / prefix_prod.  Never
-    exponentiates.
+    exponentiates.  The result is formed in place on E - S, each entry's
+    operations in the order the formula reads.
     """
-    return gamma2_value / prefix_prod * t * (E - S) - sigma**2 * gamma2_value * t * W
+    out = np.subtract(E, S)
+    out *= gamma2_value / prefix_prod * t
+    out -= np.multiply(sigma**2 * gamma2_value * t, W)
+    return out
 
 
 def _advance(S, W, prefix_prod, a, theta_sq, sigma: float):

@@ -45,7 +45,7 @@ _NOISE_BYTES = 1 << 24
 # 3, one spare.  A ufunc that broadcasts an operand across a stack (x* in
 # phi, the quadratic's centre) may also fill numpy's iterator buffer,
 # np.getbufsize() elements (64 KiB of doubles), while all three stacks are
-# alive: the budget keeps room for it.  B is 9 at cov-wide's R = 1000, 55 at
+# alive: the budget keeps room for it.  B is 11 at cov-wide's R = 1000, 64 at
 # checks-all's R = 200, 8 at lsq-d64 and 7 at highdim-d1200.
 _SLAB_BYTES = 1 << 21
 DIM_STACKS, STEP_ARRAYS = 3, 3
@@ -320,8 +320,10 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
                     seeds: Sequence[int], x0, reads=None, rows: int = 1) -> Iterator[StepSlab]:
     """Yield steps k = 1..K as StepSlabs of up to ``rows`` steps; the only trajectory runner.
 
-    The slab's eta_k and a_k columns come first, from one
-    ``schedule_columns`` call.  A step then does only what the next needs:
+    Each noise block, once drawn, gets its k, eta_k, a_k and w_k columns
+    from one ``schedule_columns`` and one ``energy_weight`` call (one table a
+    run when K fits one block, at most 1024 rows whatever K is); a slab's
+    columns are slices of them.  A step does only what the next needs:
     its noise row, grad f at x_k, written into its row of the gradient stack
     through the (R, dim) views ``x_k.T`` and ``out=``, g_k = grad f -
     theta_k, and the recurrence, written straight into the position stack.
@@ -334,12 +336,12 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
     one ``eval_objective`` call on B R points (step 1's f at x_1 = x_0 gives
     E(0)), phi, E and each sum over dim down the stacks, each entry one
     step's expression and each sum sequential (``dim_sum``), so every bit is
-    the step-by-step value; w_k is one ``energy_weight`` call on the eta_k
-    column.
+    the step-by-step value.
     Each trajectory's noise comes from its own Philox stream, read in order,
     in (m, dim, R) blocks of up to 1024 steps and ``_NOISE_BYTES``, drawn a
     ``_DRAW_BLOCK``-double tile at a time (one call a trajectory, its m steps
-    a row of the tile) and copied in.  A slab ends at K and at a block's end,
+    a row of the tile) and copied in; the generators are dropped once the
+    last block is drawn.  A slab ends at K and at a block's end,
     its theta stack a view of the block, which is dropped before the next is
     drawn: a consumer that drops each slab before pulling the next holds one.
     """
@@ -353,22 +355,27 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
     want, k0 = set(STEP_FIELDS if reads is None else reads), 1
     while k0 <= K:
         off = (k0 - 1) % chunk
-        b = min(rows, K + 1 - k0, chunk - off)
-        if gens is not None and off == 0:
-            noise_block = theta = None  # the spent block goes first
+        if off == 0:  # a block: its noise, then its schedule columns
             m = min(chunk, K + 1 - k0)
-            noise_block = np.empty((m, dim, R))
-            tile = np.empty((min(max(_DRAW_BLOCK // (m * dim), 1), R), m, dim))
-            for r0 in range(0, R, len(tile)):
-                for i, gen in enumerate(gens[r0:r0 + len(tile)]):
-                    sample(noise, gen, m, out=tile[i])
-                noise_block[:, :, r0:r0 + i + 1] = tile[:i + 1].transpose(1, 2, 0)
-            tile = None  # held only while the block is filled
-        theta = zeros[:b] if gens is None else noise_block[off:off + b]
+            if gens is not None:
+                noise_block = theta = None  # the spent block goes first
+                noise_block = np.empty((m, dim, R))
+                tile = np.empty((min(max(_DRAW_BLOCK // (m * dim), 1), R), m, dim))
+                for r0 in range(0, R, len(tile)):
+                    for i, gen in enumerate(gens[r0:r0 + len(tile)]):
+                        sample(noise, gen, m, out=tile[i])
+                    noise_block[:, :, r0:r0 + i + 1] = tile[:i + 1].transpose(1, 2, 0)
+                tile = gen = None  # held only while the block is filled
+                if k0 + m > K:
+                    gens = None  # the last block is drawn
+            ks = np.arange(k0, k0 + m)[:, None]
+            etas, a_ks = schedule_columns(sched, ks.astype(float))
+            ws = energy_weight(ks, etas)
+        b = min(rows, m - off)
+        theta = zeros[:b] if zeros is not None else noise_block[off:off + b]
         x, gf, g = np.empty((b + 2, dim, R)), np.empty((b, dim, R)), np.empty((dim, R))
         x[:2], last = last, None
-        kcol = np.arange(k0, k0 + b, dtype=float)[:, None]
-        eta_k, a_k = schedule_columns(sched, kcol)
+        eta_k = etas[off:off + b]
         # a step past the radius may overflow the slab's later steps; the test follows them
         with np.errstate(over="ignore", invalid="ignore"):
             for j, eta_j in enumerate(eta_k[:, 0].tolist()):
@@ -382,9 +389,9 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
         if beyond.any():
             j = int(beyond.argmax())
             raise DivergenceError(k0 + j, float(worst[j]))
-        s = StepSlab(k=np.arange(k0, k0 + b)[:, None], eta_k=eta_k, xs=x, thetas=theta)
+        s = StepSlab(k=ks[off:off + b], eta_k=eta_k, xs=x, thetas=theta)
         if "a_k" in want:
-            s.a_k = a_k
+            s.a_k = a_ks[off:off + b]
         if want & {"fgap_curr", "E"}:
             fgap = eval_objective(obj, x[1:-1].transpose(0, 2, 1), gf.transpose(0, 2, 1)) - f_star
             s.fgap_prev, s.fgap_curr = _shifted(fgap[0] if k0 == 1 else tail["fgap_curr"], fgap)
@@ -408,7 +415,7 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
             s.phi_sq, s.phi_next_sq = _shifted(first, dim_sum(phis[1:], 1))
             phis = None
         if "E" in want:
-            s.w_k = energy_weight(s.k, s.eta_k)
+            s.w_k = ws[off:off + b]
             first = (energy(s.phi_sq[0], s.fgap_prev[0], energy_weight(0, eta(sched, 0)))
                      if k0 == 1 else tail["E"])
             s.E_prev, s.E = _shifted(first, energy(s.phi_next_sq, s.fgap_curr, s.w_k))

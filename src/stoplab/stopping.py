@@ -48,8 +48,9 @@ class RuleTracker:
     rule that makes the anytime guarantee tight: first violation at
     k <= K - 1, else K.  Within a slab a path's stop is the first row where
     the predicate holds, with the k_max row forced.
-    ``update`` writes only when some trajectory stops, and once every
-    trajectory has its tau it returns at once.
+    ``update`` writes only when some trajectory stops: a slab where no entry
+    fires and that does not hold the k_max row returns after the predicate,
+    and once every trajectory has its tau it returns at once.
     """
 
     kind: RuleKind
@@ -92,6 +93,8 @@ class RuleTracker:
         cap = self.k_max - k[0]  # the k_max row: a slab's steps are consecutive
         if cap < len(k):
             stop[cap] = True  # so no later row is a first stop
+        elif not stop.any():
+            return  # a quiet slab: nothing fires, and the cap lies beyond it
         stop &= self.tau == 0
         new = np.flatnonzero(stop.any(axis=0))
         if new.size == 0:

@@ -530,14 +530,16 @@ def test_slab_block_matches_the_oracle_at_R1_and_coverage_only(tmp_path, monkeyp
 def test_run_block_holds_one_noise_block(tmp_path, monkeypatch):
     # the stream frees its spent noise block, and _slabs the step whose
     # theta views it, before the next block is drawn: a run of three 1 MiB
-    # blocks peaks where a run of one does, not a block higher
+    # blocks peaks where a run of two does, not a block higher.  (A run of
+    # one drops its generators once its block is drawn, so it peaks lower
+    # by them.)
     import tracemalloc
     from stoplab import sgdm
     R, d, m = 512, 8, 32
     block = m * d * R * 8
     monkeypatch.setattr(sgdm, "_NOISE_BYTES", block)
     peaks = []
-    for K in (m, 3 * m):
+    for K in (2 * m, 3 * m):
         cfg = parse_config(_base_raw(tmp_path, K=K, R=R, x0=[1.0] * d, checks=["ville"],
                                      objective={"kind": "quadratic", "diag": [1.0] * d},
                                      options={"csv_trajectories": 0}))
@@ -559,10 +561,11 @@ def test_run_block_holds_one_noise_block(tmp_path, monkeypatch):
                                                               "ville", "coverage"]],
                          ids=["coverage", "ville", "all"])
 def test_slab_budget_counts_the_dim_stacks(tmp_path, monkeypatch, kind, d, R, K, checks, budget):
-    # a block's traced peak, less its one noise block and the R Philox
-    # generators (about 730 bytes a trajectory, the stream's own state), fits
-    # _SLAB_BYTES at every budget; K exceeds B, so no slab is cut short by K.
-    # The iterate-delta rule forms its (B, dim, R) displacements on the first
+    # a block's traced peak from the end of its one noise block's draw (the
+    # stream then forms the block's schedule table; the draw's tile and the
+    # R Philox generators are gone), less that noise block, fits _SLAB_BYTES
+    # at every budget; K exceeds B, so no slab is cut short by K.  The
+    # iterate-delta rule forms its (B, dim, R) displacements on the first
     # slab.  A budget that counts only the (B, R) rows, not the stream's
     # (B, dim, R) stacks and (dim, R) step arrays, overruns it
     import tracemalloc
@@ -574,19 +577,15 @@ def test_slab_budget_counts_the_dim_stacks(tmp_path, monkeypatch, kind, d, R, K,
                                  objective=objective, options={"csv_trajectories": 0},
                                  rules=[{"kind": "iterate-delta", "epsilon": 1e-3}]))
     env = harness._envelope(cfg)
-    tracemalloc.start()
-    try:
-        gens = [sgdm.philox(int(seed)) for seed in derive_seeds(cfg.base_seed, R)]
-        gens_bytes = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    del gens
     chunk = min(sgdm._NOISE_BYTES // (8 * d * R), sgdm._NOISE_CHUNK)
-    fixed = min(chunk, K) * d * R * 8 + gens_bytes
+    assert K <= chunk
+    fixed = K * d * R * 8
     rows = []
-    stream = harness.stream_ensemble
+    stream, columns = harness.stream_ensemble, sgdm.schedule_columns
     monkeypatch.setattr(harness, "stream_ensemble",
                         lambda *args: rows.append(args[-1]) or stream(*args))
+    monkeypatch.setattr(sgdm, "schedule_columns",
+                        lambda *args: tracemalloc.reset_peak() or columns(*args))
 
     def peak():
         tracemalloc.start()

@@ -56,3 +56,26 @@ def test_output_digests_take_a_workload_name_and_seed(tmp_path, monkeypatch):
         for name in names]
     digests = [d for d, *_ in lines]
     assert digests[:8] == digests[8:] and digests[:4] == digests[4:8]
+
+
+def test_output_digests_fail_and_name_the_files_when_worker_counts_differ(monkeypatch, capsys):
+    # a config whose outputs at 2 workers differ from those at 1 makes the
+    # script exit 1 and name each file that differs, or that only one run wrote
+    import importlib.util
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    spec = importlib.util.spec_from_file_location("output_digests", SCRIPTS / "output_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    runs = {1: [("coverage.csv", "a"), ("report.json", "b"), ("trajectory_0.csv", "c")],
+            2: [("coverage.csv", "a"), ("report.json", "x"), ("trajectory_1.csv", "c")]}
+    monkeypatch.setattr(script, "digests", lambda config, workers, root: runs[workers])
+    monkeypatch.setattr(sys, "argv", ["output_digests.py", "some.json"])
+    assert script.main() == 1
+    out = capsys.readouterr()
+    assert len(out.out.splitlines()) == 6
+    assert out.err == ("some.json: outputs differ between 1 and 2 workers: "
+                       "report.json, trajectory_0.csv, trajectory_1.csv\n")
+    runs[2] = runs[1]
+    assert script.main() == 0
+    assert capsys.readouterr().err == ""

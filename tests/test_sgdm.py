@@ -61,6 +61,39 @@ def test_schedule_columns_are_bitwise_the_scalar_calls(sched):
     assert a_col.tobytes() == a.tobytes()
     assert energy_weight(kcol, eta_col).tobytes() == w.tobytes()
     assert energy_weight(7, etas[6]) == w[6]
+    # the stream forms the table once a noise block (K = 2500 crosses the
+    # 1024-step blocks); each slab's k, eta_k, a_k and w_k are slices of it
+    K = 2500
+    slabs = list(stream_ensemble(quadratic(np.ones(1)), NoiseModel(NoiseKind.NONE, 1, 0.0, 0.0),
+                                 sched, K, [0], np.ones(1), ("E", "a_k"), 37))
+    for field, want in (("k", np.arange(1, K + 1)), ("eta_k", etas[:K]), ("a_k", a[:K]),
+                        ("w_k", w[:K])):
+        got = np.concatenate([getattr(slab, field) for slab in slabs])
+        assert got.shape == (K, 1)
+        assert got.tobytes() == np.asarray(want).tobytes(), field
+
+
+def test_stream_drops_its_generators_once_the_last_block_is_drawn(monkeypatch):
+    # each trajectory's Philox generator (about 730 bytes) lives through the
+    # earlier noise blocks and is dropped once the last one is drawn: blocks
+    # of 4 steps at K = 10, slabs of up to 3; a one-block run drops them
+    # before its first slab
+    import weakref
+
+    class Gen(np.random.Generator):  # a numpy Generator takes no weak reference
+        pass
+
+    refs = []
+    philox = sgdm.philox
+    monkeypatch.setattr(sgdm, "philox", lambda key: refs.append(weakref.ref(
+        gen := Gen(philox(key).bit_generator))) or gen)
+    obj, noise, R = quadratic(np.ones(2)), calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0), 5
+    monkeypatch.setattr(sgdm, "_NOISE_BYTES", 4 * 8 * 2 * R)
+    for K, alive in ((10, [R, R, R, R, 0]), (3, [0])):
+        refs.clear()
+        got = [sum(ref() is not None for ref in refs)
+               for _ in stream_ensemble(obj, noise, SCHED1, K, derive_seeds(5, R), np.ones(2), (), 3)]
+        assert len(refs) == R and got == alive, (K, got)
 
 
 def test_schedule_validation():

@@ -196,6 +196,31 @@ def test_rules_on_slabs_match_the_step_by_step_oracle(B):
     assert np.isnan(rules[0].fgap[7])
     assert list(rules[5].tau[[3, 1, 4]]) == [1, 7, 8]
 
+    # quiet slabs: K = 30 and no path fires after k = 3.  In slabs of 7 rows
+    # (1..7, 8..14, 15..21, ...) the caps fall on a quiet slab's first row
+    # (15), inside it (18) and on its last row (21); a slab that returns
+    # early because nothing fires must still stop every path at its cap
+    K = 30
+    f_gaps = rng.uniform(0.0, 0.9, (K + 1, 8))
+    f_gaps[[1, 3], [2, 5]] = 1.5
+    U = np.full(K + 1, 1.0)
+    U[0] = np.inf
+    xs = rng.uniform(-1.0, 1.0, (K + 2, 2, 8))
+    step_sq = np.sum(np.diff(xs[:K + 1], axis=0) ** 2, axis=1)
+    rules = [RuleTracker(RuleKind.FIRST_ENVELOPE_VIOLATION, k_max, U=U)
+             for k_max in (15, 18, 21, K)]
+    rules += [RuleTracker(RuleKind.VALUE_DELTA, 18, epsilon=1e-12),
+              RuleTracker(RuleKind.ITERATE_DELTA, 21, epsilon=1e-9),
+              RuleTracker(RuleKind.FIXED_K, 15)]
+    _slab_rules(f_gaps, xs, rules, B)
+    for rule in rules:
+        tau, fgap = stops_by_step(rule.kind, rule.k_max, rule.epsilon, U, f_gaps, step_sq)
+        assert np.array_equal(rule.tau, tau), (rule.kind, rule.k_max)
+        assert rule.fgap.tobytes() == fgap.tobytes(), (rule.kind, rule.k_max)
+        assert set(rule.tau) <= {1, 3, rule.k_max}
+    assert [list(rule.tau) for rule in rules[:4]] == [[15, 15, 1, 15, 15, 3, 15, 15]] + [
+        [k_max, k_max, 1, k_max, k_max, 3, k_max, k_max] for k_max in (18, 21, K)]
+
 
 def test_adversarial_identity_with_sup_statement():
     obj = quadratic(np.array([1.0, 2.0]))
