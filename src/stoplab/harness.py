@@ -492,12 +492,14 @@ def _martingale_columns(tracker: MartingaleTracker, slab: StepSlab, cols: list) 
 
 
 # The stream consumers that CHECKS names: the slab fields each reads, and the
-# most (B, R) arrays that it holds at once besides them (counted with
-# tracemalloc; numpy's iterator buffer, which ``sgdm._slab_rows`` keeps
-# aside, not included).  The iterate-delta rule's first-slab (B, dim, R) temporary is
-# the one the stream's stacks leave room for.
-_CONSUMERS = {"residuals": ({"E", "a_k", "theta_sq", "theta_phi", "g_sq", "grad_sq"}, 6),
-              "martingale": ({"E", "a_k", "theta_sq"}, 4),
+# most (B, R) arrays that it holds at once besides them: the tracemalloc
+# peak, rounded up (residuals 6.03-6.28, martingale 4.05-4.38 from R = 128
+# to 1000; the fractions are (R,) results and array headers), numpy's
+# iterator buffer aside, which ``sgdm._slab_rows`` keeps room for.  The
+# iterate-delta rule's first-slab (B, dim, R) temporary is the one the
+# stream's stacks leave room for.
+_CONSUMERS = {"residuals": ({"E", "a_k", "theta_sq", "theta_phi", "g_sq", "grad_sq"}, 7),
+              "martingale": ({"E", "a_k", "theta_sq"}, 5),
               "rules": ({"fgap_curr"}, 2)}
 
 

@@ -35,14 +35,14 @@ __all__ = [
 def residual_tolerance(E_k, E_km1, out=None) -> np.ndarray:
     """Magnitude-relative tolerance 1e-9 (1 + |E(k)| + |E(k-1)|), floored at 1e-12.
 
-    For arrays E_k and E_km1; formed in ``out`` if given (an array of the
-    result's shape), in the order the formula reads.
+    Formed in the order the formula reads, in ``out`` if given (an array of
+    the result's shape).
     """
     tol = np.abs(E_k, out=out)
     tol += 1.0
     tol += np.abs(E_km1)
     tol *= 1e-9
-    return np.maximum(tol, 1e-12, out=tol)
+    return np.maximum(tol, 1e-12, out=out)
 
 
 def step_residuals(s: StepSlab, obj: Objective) -> dict:

@@ -45,8 +45,10 @@ _NOISE_BYTES = 1 << 24
 # 3, one spare.  A ufunc that broadcasts an operand across a stack (x* in
 # phi, the quadratic's centre) may also fill numpy's iterator buffer,
 # np.getbufsize() elements (64 KiB of doubles), while all three stacks are
-# alive: the budget keeps room for it.  B is 11 at cov-wide's R = 1000, 64 at
-# checks-all's R = 200, 8 at lsq-d64 and 7 at highdim-d1200.
+# alive: the budget keeps room for it, and for the noise block's schedule
+# table (its k, eta_k, a_k and w_k columns, at most 4 _NOISE_CHUNK doubles).
+# B is 10 at cov-wide's R = 1000, 60 at checks-all's R = 200, 8 at lsq-d64
+# and 7 at highdim-d1200.
 _SLAB_BYTES = 1 << 21
 DIM_STACKS, STEP_ARRAYS = 3, 3
 
@@ -54,7 +56,7 @@ DIM_STACKS, STEP_ARRAYS = 3, 3
 def _slab_rows(width: int, dim: int, arrays: int, fixed: int) -> int:
     """Steps per slab at R = ``width``, the stream's own stacks and step arrays at ``dim``
     counted, besides the consumers' ``arrays`` (R,) arrays a step and ``fixed`` in all."""
-    room = _SLAB_BYTES - 8 * np.getbufsize()
+    room = _SLAB_BYTES - 8 * (np.getbufsize() + 4 * _NOISE_CHUNK)
     return max(1, (room // (8 * width) - fixed - STEP_ARRAYS * dim) // (arrays + DIM_STACKS * dim))
 
 
@@ -340,15 +342,16 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
     Each trajectory's noise comes from its own Philox stream, read in order,
     in (m, dim, R) blocks of up to 1024 steps and ``_NOISE_BYTES``, drawn a
     ``_DRAW_BLOCK``-double tile at a time (one call a trajectory, its m steps
-    a row of the tile) and copied in; the generators are dropped once the
-    last block is drawn.  A slab ends at K and at a block's end,
+    a row of the tile) and copied in.  A trajectory's generator is made at
+    its first draw and dropped after its last, so a run of one block holds
+    one generator at a time.  A slab ends at K and at a block's end,
     its theta stack a view of the block, which is dropped before the next is
     drawn: a consumer that drops each slab before pulling the next holds one.
     """
     if K < 1 or rows < 1:
         raise ValueError("K and rows must be >= 1")
     R, dim, f_star, x_star = len(seeds), obj.dim, obj.min_value, obj.minimizer[:, None]
-    gens = None if noise.kind is NoiseKind.NONE else [philox(seed) for seed in seeds]
+    gens = None if noise.kind is NoiseKind.NONE else [None] * R
     chunk = min(max(_NOISE_BYTES // (8 * dim * R), 1), _NOISE_CHUNK)
     last = np.broadcast_to(np.asarray(x0, dtype=float)[:, None], (2, dim, R))  # x_0, x_1 = x_0
     zeros = np.zeros((min(rows, K), dim, R)) if gens is None else None
@@ -362,17 +365,17 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
                 noise_block = np.empty((m, dim, R))
                 tile = np.empty((min(max(_DRAW_BLOCK // (m * dim), 1), R), m, dim))
                 for r0 in range(0, R, len(tile)):
-                    for i, gen in enumerate(gens[r0:r0 + len(tile)]):
+                    for i, r in enumerate(range(r0, min(r0 + len(tile), R))):
+                        gen = gens[r] if gens[r] is not None else philox(seeds[r])
                         sample(noise, gen, m, out=tile[i])
+                        gens[r], gen = (gen if k0 + m <= K else None), None
                     noise_block[:, :, r0:r0 + i + 1] = tile[:i + 1].transpose(1, 2, 0)
-                tile = gen = None  # held only while the block is filled
-                if k0 + m > K:
-                    gens = None  # the last block is drawn
+                tile = None  # held only while the block is filled
             ks = np.arange(k0, k0 + m)[:, None]
             etas, a_ks = schedule_columns(sched, ks.astype(float))
             ws = energy_weight(ks, etas)
         b = min(rows, m - off)
-        theta = zeros[:b] if zeros is not None else noise_block[off:off + b]
+        theta = zeros[:b] if gens is None else noise_block[off:off + b]
         x, gf, g = np.empty((b + 2, dim, R)), np.empty((b, dim, R)), np.empty((dim, R))
         x[:2], last = last, None
         eta_k = etas[off:off + b]

@@ -530,16 +530,26 @@ def test_slab_block_matches_the_oracle_at_R1_and_coverage_only(tmp_path, monkeyp
 def test_run_block_holds_one_noise_block(tmp_path, monkeypatch):
     # the stream frees its spent noise block, and _slabs the step whose
     # theta views it, before the next block is drawn: a run of three 1 MiB
-    # blocks peaks where a run of two does, not a block higher.  (A run of
-    # one drops its generators once its block is drawn, so it peaks lower
-    # by them.)
+    # blocks peaks where a run of one does, not a block higher.  Slabs of a
+    # quarter block keep the slab phase below a draw that holds two blocks.
+    # The run of three also holds its R Philox generators through its first
+    # two blocks, where the run of one holds one at a time; their bytes are
+    # counted apart
     import tracemalloc
     from stoplab import sgdm
     R, d, m = 512, 8, 32
     block = m * d * R * 8
     monkeypatch.setattr(sgdm, "_NOISE_BYTES", block)
+    monkeypatch.setattr(sgdm, "_SLAB_BYTES", block // 4)
+    tracemalloc.start()
+    try:
+        gens = [sgdm.philox(int(seed)) for seed in derive_seeds(0, R)]
+        gens_bytes = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del gens
     peaks = []
-    for K in (2 * m, 3 * m):
+    for K in (m, 3 * m):
         cfg = parse_config(_base_raw(tmp_path, K=K, R=R, x0=[1.0] * d, checks=["ville"],
                                      objective={"kind": "quadratic", "diag": [1.0] * d},
                                      options={"csv_trajectories": 0}))
@@ -550,7 +560,7 @@ def test_run_block_holds_one_noise_block(tmp_path, monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] < block // 4, peaks
+    assert peaks[1] - peaks[0] - gens_bytes < block // 4, (peaks, gens_bytes)
 
 
 @pytest.mark.parametrize("budget", [1 << 20, 2 << 20, 4 << 20], ids=["1MiB", "2MiB", "4MiB"])

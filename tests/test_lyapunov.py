@@ -75,6 +75,12 @@ def test_pointwise_checks_match_series(noisy_run):
             assert res[k - 1][key][0, 0] == series[key][0, k - 1]
     tol = residual_tolerance(series["E"][:, 1:], series["E"][:, :-1])
     assert np.all(series["descent"] >= -tol)
+    # scalars too, and into a given array
+    assert residual_tolerance(2.0, -3.0) == 1e-9 * (1.0 + 2.0 + 3.0)
+    assert residual_tolerance(0.0, 0.0) == 1e-9
+    out = np.empty(2)
+    assert residual_tolerance(np.array([2.0, 1e-9]), np.array([-3.0, 0.0]), out=out) is out
+    assert out.tolist() == [1e-9 * 6.0, max(1e-9 * (1.0 + 1e-9), 1e-12)]
 
 
 def test_deep_descent_links(noisy_run):

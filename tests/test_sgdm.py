@@ -73,27 +73,32 @@ def test_schedule_columns_are_bitwise_the_scalar_calls(sched):
         assert got.tobytes() == np.asarray(want).tobytes(), field
 
 
-def test_stream_drops_its_generators_once_the_last_block_is_drawn(monkeypatch):
-    # each trajectory's Philox generator (about 730 bytes) lives through the
-    # earlier noise blocks and is dropped once the last one is drawn: blocks
-    # of 4 steps at K = 10, slabs of up to 3; a one-block run drops them
-    # before its first slab
+def test_stream_holds_each_generator_from_its_first_draw_to_its_last(monkeypatch):
+    # each trajectory's Philox generator (about 730 bytes) is made at its
+    # first draw and dropped after its last: with blocks of 4 steps at K = 10
+    # (slabs of up to 3) all R live through the first two blocks and none
+    # past the last one's draw; a one-block run holds one at a time
     import weakref
 
     class Gen(np.random.Generator):  # a numpy Generator takes no weak reference
         pass
 
     refs = []
-    philox = sgdm.philox
-    monkeypatch.setattr(sgdm, "philox", lambda key: refs.append(weakref.ref(
-        gen := Gen(philox(key).bit_generator))) or gen)
+
+    def alive():
+        return sum(ref() is not None for ref in refs)
+
+    philox, made = sgdm.philox, []
+    monkeypatch.setattr(sgdm, "philox", lambda key: made.append(alive()) or refs.append(
+        weakref.ref(gen := Gen(philox(key).bit_generator))) or gen)
     obj, noise, R = quadratic(np.ones(2)), calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0), 5
     monkeypatch.setattr(sgdm, "_NOISE_BYTES", 4 * 8 * 2 * R)
-    for K, alive in ((10, [R, R, R, R, 0]), (3, [0])):
+    for K, before, per_slab in ((10, list(range(R)), [R, R, R, R, 0]), (3, [0] * R, [0])):
         refs.clear()
-        got = [sum(ref() is not None for ref in refs)
-               for _ in stream_ensemble(obj, noise, SCHED1, K, derive_seeds(5, R), np.ones(2), (), 3)]
-        assert len(refs) == R and got == alive, (K, got)
+        made.clear()
+        got = [alive() for _ in stream_ensemble(obj, noise, SCHED1, K, derive_seeds(5, R),
+                                                 np.ones(2), (), 3)]
+        assert made == before and got == per_slab, (K, made, got)
 
 
 def test_schedule_validation():
