@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .mcstats import clopper_pearson
-from .noise import _DRAW_BLOCK, NoiseModel, philox, sample
-from .sgdm import spawn_seed, sq_norm
+from .noise import NoiseModel, keyed_draws
+from .sgdm import sq_norm
 
 __all__ = ["MgfCheckConfig", "mgf_check", "weighted_square_tail_check"]
 
@@ -70,21 +70,13 @@ def mgf_check(cfg: MgfCheckConfig) -> list[dict]:
              "bound": math.exp(0.75 * lam * lam), "skipped": c == 0.0, "pass": True}
             for lam in lambdas
         ]
-    # One pass over the noise stream serves every lambda.  A chunk is drawn
-    # in sub-blocks of <= _DRAW_BLOCK doubles, into one reused buffer, then
-    # into its z; the per-lambda sums still run over the whole chunk.
+    # One pass over the noise stream serves every lambda: chunk c of the
+    # draws comes from key (seed, 0, c), and the per-lambda sums run over it.
     sums = np.zeros(len(lambdas))
     sq_sums = np.zeros(len(lambdas))
     n = cfg.n_samples
-    per_block = max(1, _DRAW_BLOCK // cfg.noise.dim)
-    buf = np.empty((min(per_block, _SAMPLE_CHUNK, n), cfg.noise.dim))
-    for ci, lo in enumerate(range(0, n, _SAMPLE_CHUNK)):
-        m = min(lo + _SAMPLE_CHUNK, n) - lo
-        rng = philox(spawn_seed(cfg.seed, 0, ci))
-        z = np.empty(m)
-        for d0 in range(0, m, per_block):
-            nb = min(per_block, m - d0)
-            z[d0:d0 + nb] = sample(cfg.noise, rng, nb, out=buf[:nb]) @ cfg.phi_vector / (c * sigma)
+    for _, z in keyed_draws(cfg.noise, n, _SAMPLE_CHUNK, (cfg.seed, 0), lambda theta, out:
+                            np.divide(theta @ cfg.phi_vector, c * sigma, out=out)):
         for j, lam in enumerate(lambdas):
             w = np.exp(lam * z)
             sums[j] += float(np.sum(w))
@@ -124,19 +116,13 @@ def weighted_square_tail_check(
     threshold_base = float(np.sum(c)) * sigma * sigma
     L = c.size
     totals = np.empty(n_runs)
-    # Each run needs L independent draws; chunk over runs.  A chunk is drawn
-    # in sub-blocks of <= _DRAW_BLOCK doubles into one reused buffer, their
-    # squared norms into its row: draws are sequential and norms per draw.
-    per_chunk = max(1, _SAMPLE_CHUNK // max(L, 1))
-    per_block = max(1, _DRAW_BLOCK // noise.dim)
-    buf, sq = np.empty((min(per_block, per_chunk * L), noise.dim)), np.empty(per_chunk * L)
-    for ci, lo in enumerate(range(0, n_runs, per_chunk)):
-        m = min(lo + per_chunk, n_runs) - lo
-        rng = philox(spawn_seed(seed, 1, ci))
-        for d0 in range(0, m * L, per_block):
-            nb = min(per_block, m * L - d0)
-            sq_norm(sample(noise, rng, nb, out=buf[:nb]).T, out=sq[d0:d0 + nb])
-        totals[lo:lo + m] = np.sum(c[None, :] * sq[:m * L].reshape(m, L), axis=-1)
+    # Each run needs L independent draws, so a chunk holds whole runs: chunk
+    # c of them comes from key (seed, 1, c), a draw's squared norm per value.
+    per_chunk = max(1, _SAMPLE_CHUNK // L)
+    for lo, sq in keyed_draws(noise, n_runs * L, per_chunk * L, (seed, 1),
+                              lambda theta, out: sq_norm(theta.T, out=out)):
+        m = len(sq) // L
+        totals[lo // L:lo // L + m] = np.sum(c[None, :] * sq.reshape(m, L), axis=-1)
     reports = []
     for omega in omega_grid:
         omega = float(omega)

@@ -31,13 +31,12 @@ from .lyapunov import (EnvelopeParams, envelope_constants, envelope_U,
                        step_residuals)
 from .martingale import (MartingaleTracker, alpha_for_bound,
                          check_supermartingale, ville_monitor)
-from .noise import NoiseKind, NoiseModel, calibrate
+from .noise import NoiseKind, NoiseModel, calibrate, spawn_seed
 from .objectives import (Objective, eval_objective, huberized_abs,
                          least_squares_random, quadratic)
 from .series import gamma2_range_problem
 from .sgdm import (ScheduleVariant, StepSlab, Variant, _slab_rows, a_coeff, derive_seeds,
-                   energy, energy_weight, eta, eta_bound_margin, phi, spawn_seed, sq_norm,
-                   stream_ensemble)
+                   energy, energy_weight, eta, eta_bound_margin, phi, sq_norm, stream_ensemble)
 from .stopping import RuleKind, RuleTracker, coverage_verdict
 
 __all__ = ["CHECKS", "GRAMMAR", "OBJECTIVES", "RunConfig", "Report", "build_schedule",
@@ -181,14 +180,16 @@ def _ville(cfg, env, stats, outdir):
                     vm["ci_halfwidth"], vm["bound"], vm["pass"])]
 
 
+def _mgf_direction(obj: Objective, x0: np.ndarray) -> np.ndarray:
+    """The MGF check's direction: x0 - x*, or the first axis where that is 0."""
+    direction = x0 - obj.minimizer
+    return direction if np.any(direction) else (np.arange(obj.dim) == 0) * 1.0
+
+
 def _mgf(cfg, env, stats, outdir):
-    direction = cfg.x0 - cfg.objective.minimizer
-    if not np.any(direction):
-        direction = np.zeros(cfg.objective.dim)
-        direction[0] = 1.0
     n = int(cfg.options["mgf_n_samples"])
     mc = MgfCheckConfig(lambda_grid=cfg.options["mgf_lambdas"], n_samples=n, noise=cfg.noise,
-                        phi_vector=direction, seed=cfg.base_seed)
+                        phi_vector=_mgf_direction(cfg.objective, cfg.x0), seed=cfg.base_seed)
     return [_record({"lambda": r["lambda"], "n": n}, r["estimate"], r["rel_stderr"],
                     r["bound"], r["pass"]) for r in mgf_check(mc)]
 
@@ -253,7 +254,8 @@ CHECKS = {
 GRAMMAR = {
     "": {
         "objective": Key("mapping"), "noise": Key("mapping"), "schedule": Key("mapping"),
-        "K": Key("integer", lo=2), "R": Key("integer", lo=1),
+        # trajectory i streams from key spawn_seed(base_seed, i); the supermartingale prefix, 2^20
+        "K": Key("integer", lo=2), "R": Key("integer", lo=1, hi=1 << 20),
         "base_seed": Key("integer", **_SEED), "x0": Key("number", many=True),
         "betas": Key("number", [0.05, 0.1], lo=0, hi=0.5, open=True, many=True),
         "rules": Key("mapping", [], many=True),
@@ -407,6 +409,11 @@ def parse_config(raw: dict) -> RunConfig:
         sched = build_schedule(top["schedule"], obj.smoothness if obj else 1.0, problems)
     if obj and "x0" in top and len(top["x0"]) != obj.dim:
         problems.append(f"x0 must have length {obj.dim}, not {len(top['x0'])}")
+    elif noise and "x0" in top and "mgf" in top.get("checks", ()):
+        # mgf_check divides by c sigma, c the norm of its direction
+        c = float(np.linalg.norm(_mgf_direction(obj, np.asarray(top["x0"], dtype=float))))
+        if noise.sigma_certificate > 0 and c * noise.sigma_certificate == 0.0:
+            problems.append(f"noise.sigma: the mgf check's scale c sigma rounds to 0 (c = {c!r})")
     betas = tuple(float(b) for b in top.get("betas", ()))
 
     def build_rule(v):
@@ -619,30 +626,23 @@ def run_experiment(cfg: RunConfig) -> Report:
     try:
         stats = _ensemble_stats(cfg, env)
     except DivergenceError as exc:
-        checks = [{"name": "divergence", **_record({"step": exc.step}, exc.norm, None, None,
-                                                   False)}]
-        report = Report(config=cfg.raw, checks=checks, summary={}, passed=False,
-                        output_dir=str(outdir))
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_report(report, outdir)
-        return report
+        stats, checks = None, [{"name": "divergence", **_record({"step": exc.step}, exc.norm,
+                                                                None, None, False)}]
     outdir.mkdir(parents=True, exist_ok=True)
-
-    summary = {"E0": env.E0}
-    if "sup_E" in stats:
-        summary["sup_E_max"] = float(np.max(stats["sup_E"]))
-        summary["S_final_max"] = float(np.max(stats["S_last"]))
-    summary["t"] = env.B / env.gamma2
-    checks = [{"name": name, **rec} for name in cfg.checks
-              for rec in CHECKS[name][1](cfg, env, stats, outdir)]
-    for i, rows in stats["rows"].items():
-        _write_csv(outdir / f"trajectory_{i}.csv",
-                   ["k", "fgap", "E", "S", "M", "residual_lemma", "residual_decomp"],
-                   rows)
-
-    passed = all(c["pass"] for c in checks)
+    summary = {}
+    if stats is not None:
+        summary["E0"] = env.E0
+        if "sup_E" in stats:
+            summary["sup_E_max"] = float(np.max(stats["sup_E"]))
+            summary["S_final_max"] = float(np.max(stats["S_last"]))
+        summary["t"] = env.B / env.gamma2
+        checks = [{"name": name, **rec} for name in cfg.checks
+                  for rec in CHECKS[name][1](cfg, env, stats, outdir)]
+        for i, rows in stats["rows"].items():
+            _write_csv(outdir / f"trajectory_{i}.csv",
+                       ["k", "fgap", "E", "S", "M", "residual_lemma", "residual_decomp"], rows)
     report = Report(config=cfg.raw, checks=checks, summary=summary,
-                    passed=passed, output_dir=str(outdir))
+                    passed=all(c["pass"] for c in checks), output_dir=str(outdir))
     _write_report(report, outdir)
     return report
 

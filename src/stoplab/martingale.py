@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mcstats import bootstrap_upper_quantile
-from .noise import _DRAW_BLOCK, NoiseKind, NoiseModel, philox, sample
+from .noise import NoiseKind, NoiseModel, keyed_draws
 from .objectives import Objective, grad
 from .sgdm import (STEP_FIELDS, ScheduleVariant, StepSlab, _slab_rows, _step_arrays, energy, phi,
-                   spawn_seed, sq_norm, stream_ensemble)
+                   sq_norm, stream_ensemble)
 
 __all__ = [
     "log_N", "check_supermartingale", "ville_monitor",
@@ -79,39 +79,28 @@ def _branch_logN(obj: Objective, noise: NoiseModel, s: StepSlab, j: int, state: 
 
     k is row ``j`` of the prefix's slab ``s``, ``state`` its (S, W, prefix
     product) at k-1 and ``consts`` (sigma, gamma2, t); the prefix's own
-    theta_k is replaced by the branches' draws, one counter stream per
-    ``_BRANCH_CHUNK`` branches (parallel-safe).  A chunk is drawn into one
-    reused buffer and stepped in trajectory-minor (dim, p) sub-blocks of at
-    most ``_DRAW_BLOCK`` doubles, S, W and the prefix product advanced over
-    each by ``_advance``.  The step is elementwise or a ``dim_sum`` and each
-    stream is read in order, so ``out`` holds the bits of one (dim, n) step
-    while the memory held besides it is one sub-block's.  With no noise every
-    branch is the same: one is stepped and ``out`` filled with it.
+    theta_k is replaced by the branches' draws, ``_BRANCH_CHUNK`` branches a
+    stream keyed (prefix_seed, k, chunk) (``noise.keyed_draws``).  Each
+    sub-block of draws is stepped trajectory-minor, as (dim, p), and S, W
+    and the prefix product advanced over it (``_advance``).  The step is
+    elementwise or a ``dim_sum``, so ``out`` holds the bits of one (dim, n)
+    step while the memory held besides it is one sub-block's.
     """
-    sigma = consts[0]
     logN_prev = float(log_N(s.E_prev[j], *state, *consts)[0])
     k, eta_k, a_k = int(s.k[j, 0]), float(s.eta_k[j, 0]), s.a_k[j:j + 1]
     fgap_k, w_k = s.fgap_curr[j, 0], s.w_k[j, 0]
     x_km1, x_k, x_star = s.xs[j], s.xs[j + 1], obj.minimizer[:, None]
     grad_k = grad(obj, x_k[:, 0])[:, None]
 
-    def step(thetas):
+    def step(draws, logN):
+        thetas = draws.T
         x_k1 = _step_arrays(k, eta_k, x_km1, x_k, np.subtract(grad_k, thetas, order="C"))
         E_k = energy(sq_norm(phi(k + 1, x_k, x_k1, x_star)), fgap_k, w_k)
-        S, W, prod = _advance(*state, a_k, sq_norm(thetas)[None], sigma)
-        return log_N(E_k, S[1], W[1], prod[1], *consts)
+        S, W, prod = _advance(*state, a_k, sq_norm(thetas)[None], consts[0])
+        logN[:] = log_N(E_k, S[1], W[1], prod[1], *consts)
 
-    if noise.kind is NoiseKind.NONE:
-        out[:] = step(np.zeros((noise.dim, 1)))
-        return logN_prev
-    per_block = max(1, _DRAW_BLOCK // noise.dim)
-    buf = np.empty((min(per_block, _BRANCH_CHUNK, len(out)), noise.dim))
-    for ci, lo in enumerate(range(0, len(out), _BRANCH_CHUNK)):
-        hi = min(lo + _BRANCH_CHUNK, len(out))
-        rng = philox(spawn_seed(prefix_seed, k, ci))
-        for a in range(lo, hi, per_block):
-            b = min(a + per_block, hi)
-            out[a:b] = step(sample(noise, rng, b - a, out=buf[:b - a]).T)
+    for lo, logN in keyed_draws(noise, len(out), _BRANCH_CHUNK, (prefix_seed, k), step):
+        out[lo:lo + len(logN)] = logN
     return logN_prev
 
 
@@ -139,7 +128,8 @@ def check_supermartingale(
     <= 3 * ci_halfwidth (with no noise every branch is the same and the
     half-width is rounding).  N has a heavy right tail, so a one-sided 99%
     bootstrap bound on each shifted mean is included: one bootstrap whose
-    resample indices every k shares; with no noise it is the estimate.
+    resample indices every k shares, keyed (prefix_seed, 0), a key no other
+    stream reads; with no noise it is the estimate.
     ``gamma2_value`` is the certified upper end of the gamma2 bracket
     (``EnvelopeParams.gamma2``).  Returns one record per entry of ``ks``, in
     its order; a bare int k is read as [k].
@@ -177,7 +167,7 @@ def check_supermartingale(
     # with no noise each row is constant, and so is every resample's mean:
     # the bootstrap would return the estimate
     if noise.kind is not NoiseKind.NONE and np.any(stderr > 0):
-        boot_hi = np.where(stderr > 0, bootstrap_upper_quantile(w, seed=prefix_seed) - prev_w,
+        boot_hi = np.where(stderr > 0, bootstrap_upper_quantile(w, key=(prefix_seed, 0)) - prev_w,
                            estimate)
     return [{
         "estimate": float(estimate[j]),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .noise import philox
+from .noise import philox, spawn_seed
 
 _U = 2.0**-53
 _CF_TOL = 2.0**-50  # a continued fraction stops once a step moves it by at most this
@@ -263,11 +263,12 @@ def clopper_pearson(successes, n, confidence: float = 0.99):
 
 
 def bootstrap_upper_quantile(values: np.ndarray, n_boot: int = 200, q: float = 0.99,
-                             seed: int = 0) -> np.ndarray:
+                             key: tuple = (0,)) -> np.ndarray:
     """One-sided bootstrap upper confidence bounds for the mean of each row of ``values``.
 
     ``values`` is (m, n); returns the m rows' q-quantiles of their resampled
-    means.  Each resample draws its n indices once, and every row is gathered
+    means, their indices drawn from the stream keyed ``noise.spawn_seed(*key)``.
+    Each resample draws its n indices once, and every row is gathered
     by them into one reused (n,) buffer, whose ``np.mean`` is the pairwise sum
     of a row resampled on its own: each row's bound is bitwise the one it has
     alone.  The gather clips, which moves no index in [0, n); ``np.take``'s
@@ -277,7 +278,7 @@ def bootstrap_upper_quantile(values: np.ndarray, n_boot: int = 200, q: float = 0
     without its import of ``numpy.ma``: between the sorted means a, b at index
     (n_boot - 1) q = i + t, a + (b - a) t for t < 0.5, else b - (b - a) (1 - t).
     """
-    rng = philox(seed)
+    rng = philox(spawn_seed(*key))
     m, n = values.shape
     reps = np.empty((m, n_boot))
     buf = np.empty(n)

@@ -75,6 +75,12 @@ def philox(key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
+def spawn_seed(seed: int, *spawn_key: int) -> int:
+    """The Philox key of stream ``spawn_key`` under ``seed``; ``derive_seeds`` gives keys (i,)."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 def sample(model: NoiseModel, rng: np.random.Generator, n: int | None = None,
            out: np.ndarray | None = None) -> np.ndarray:
     """Draw noise vectors; shape (dim,) for n=None, else (n, dim).
@@ -92,3 +98,24 @@ def sample(model: NoiseModel, rng: np.random.Generator, n: int | None = None,
     norms = np.sqrt(np.sum(z * z, axis=-1, keepdims=True))
     z *= model.scale
     return np.divide(z, norms, out=z)
+
+
+def keyed_draws(model: NoiseModel, n: int, chunk: int, key: tuple, fn):
+    """n draws in chunks of ``chunk``, chunk c from ``philox(spawn_seed(*key, c))``.
+
+    Yields (lo, values) per chunk, lo its first draw's index: ``fn(draws,
+    out)`` writes each (nb, dim) sub-block's nb values into ``out``, a slice
+    of ``values``.  A sub-block, at most ``_DRAW_BLOCK`` doubles, is drawn
+    into one reused buffer; a stream is read in order, so the sub-blocks are
+    the chunk's draws bit for bit.  ``values`` is reused by the next chunk.
+    """
+    per_block = max(1, _DRAW_BLOCK // model.dim)
+    buf = np.empty((min(per_block, chunk, n), model.dim))
+    values = np.empty(min(chunk, n))
+    for ci, lo in enumerate(range(0, n, chunk)):
+        m = min(chunk, n - lo)
+        rng = philox(spawn_seed(*key, ci))
+        for a in range(0, m, per_block):
+            nb = min(per_block, m - a)
+            fn(sample(model, rng, nb, out=buf[:nb]), values[a:a + nb])
+        yield lo, values[:m]

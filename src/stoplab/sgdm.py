@@ -277,12 +277,6 @@ def derive_seeds(base_seed: int, n: int, start: int = 0) -> np.ndarray:
     return out
 
 
-def spawn_seed(seed: int, *spawn_key: int) -> int:
-    """The Philox key of stream ``spawn_key`` under ``seed``; ``derive_seeds`` gives keys (i,)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _points(stack: np.ndarray) -> np.ndarray:
     """(B, dim, R) as (B R, dim), row j R + r trajectory r at step j; a view if B or R is 1."""
     return stack.transpose(0, 2, 1).reshape(-1, stack.shape[1])

@@ -31,10 +31,10 @@ import numpy as np
 
 from stoplab.lyapunov import envelope_U
 from stoplab.martingale import _BRANCH_CHUNK, MartingaleTracker, log_N
-from stoplab.noise import NoiseModel, philox, sample
+from stoplab.noise import NoiseModel, philox, sample, spawn_seed
 from stoplab.objectives import dim_sum, grad
 from stoplab.sgdm import (StepSlab, _points, _step_arrays, a_coeff, derive_seeds, energy, eta,
-                          phi, spawn_seed, sq_norm, stream_ensemble)
+                          phi, sq_norm, stream_ensemble)
 from stoplab.stopping import RuleKind, RuleTracker
 
 
@@ -460,7 +460,8 @@ def supermartingale_whole_block(obj, noise, sched, x0, prefix_seed: int, ks, t: 
     Every branch's draw goes into one trajectory-minor (dim, n) array, chunk
     by chunk from the check's counter streams, and the step takes the whole
     array at once, holding several (dim, n) arrays.  Each k's weights are
-    bootstrapped on their own (``bootstrap_row_oracle``), with no noise too.
+    bootstrapped on their own (``bootstrap_row_oracle``), with no noise too,
+    from key spawn_seed(prefix_seed, 0).
     """
     sigma = noise.sigma_certificate
     tracker = MartingaleTracker(sigma, gamma2_value, t)
@@ -486,7 +487,7 @@ def supermartingale_whole_block(obj, noise, sched, x0, prefix_seed: int, ks, t: 
             prev_w = math.exp(logN_prev - shift)
             estimate = float(np.mean(w) - prev_w)
             stderr = float(np.std(w, ddof=1) / math.sqrt(n_branches))
-            boot_hi = (bootstrap_row_oracle(w, 200, 0.99, prefix_seed) - prev_w
+            boot_hi = (bootstrap_row_oracle(w, 200, 0.99, spawn_seed(prefix_seed, 0)) - prev_w
                        if stderr > 0 else estimate)
             out[k] = {"estimate": estimate, "ci_halfwidth": stderr, "bootstrap_hi": boot_hi,
                       "shift": shift, "pass": estimate <= 3.0 * stderr + 1e-12}

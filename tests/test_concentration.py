@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from stoplab import concentration
+from stoplab import noise as noise_module
 from stoplab.concentration import MgfCheckConfig, mgf_check, weighted_square_tail_check
 from stoplab.mcstats import clopper_pearson
-from stoplab.noise import NoiseKind, calibrate
+from stoplab.noise import NoiseKind, calibrate, philox, sample, spawn_seed
 from stoplab.sgdm import ScheduleVariant, Variant, a_coeff, sq_norm
 
 from oracles import binomial_tail_mp, clopper_pearson_beta_ppf, weighted_square_tail_oracle
@@ -211,11 +212,42 @@ def test_tail_check_sub_blocks_change_no_bit(monkeypatch, kind, dim):
     omegas = [0.0, 0.1, 0.5, 1.0, 2.0]
     default = weighted_square_tail_check(c, noise, omegas, 100, seed=9)
     default_norms, norms[:] = np.concatenate(norms), []
-    monkeypatch.setattr(concentration, "_DRAW_BLOCK", 200)
+    monkeypatch.setattr(noise_module, "_DRAW_BLOCK", 200)
     tiny = weighted_square_tail_check(c, noise, omegas, 100, seed=9)
     assert len(norms) > 1
     assert tiny == default
     assert np.array_equal(np.concatenate(norms), default_norms)
+
+
+@pytest.mark.parametrize("kind", [NoiseKind.GAUSSIAN_ISOTROPIC, NoiseKind.BOUNDED_SPHERE])
+@pytest.mark.parametrize("dim", [2, 16])
+def test_tail_check_bits_across_chunks_match_whole_chunk_draws(monkeypatch, kind, dim):
+    # 40 draws a run and 819 runs a chunk: 1645 runs span three chunks, at
+    # d = 16 each drawn in sub-blocks; the oracle draws chunk ci with one
+    # sample call from key (seed, 1, ci) and sums the squares over dim in order
+    c, noise = _tail_inputs(dim, kind, n_c=40)
+    n_runs, seed, omegas = 2 * 819 + 7, 4, [0.0, 0.05, 0.1, 0.2, 0.5]
+    norms, real = [], concentration.sq_norm
+    monkeypatch.setattr(concentration, "sq_norm", lambda theta, axis=0, out=None:
+                        norms.append(real(theta, axis, out).copy()) or out)
+    got = weighted_square_tail_check(c, noise, omegas, n_runs, seed=seed)
+
+    want = []
+    for ci, lo in enumerate(range(0, n_runs, 819)):
+        m = min(819, n_runs - lo)
+        draws = sample(noise, philox(spawn_seed(seed, 1, ci)), m * 40)
+        sq = draws[:, 0] * draws[:, 0]
+        for j in range(1, dim):
+            sq += draws[:, j] * draws[:, j]
+        want.append(sq)
+    want = np.concatenate(want)
+    assert np.array_equal(np.concatenate(norms), want)
+    totals = np.sum(c * want.reshape(n_runs, 40), axis=-1)
+    threshold = float(np.sum(c)) * noise.sigma_certificate ** 2
+    hits = [int(np.sum(totals >= (1.0 + omega) * threshold)) for omega in omegas]
+    assert [round(r["frequency"] * n_runs) for r in got] == hits
+    if kind is NoiseKind.GAUSSIAN_ISOTROPIC:  # sphere draws have one norm: no hit beyond 0
+        assert 0 < hits[-1] < hits[0] < n_runs
 
 
 def test_mgf_check_memory_does_not_grow_with_the_chunk():
@@ -240,5 +272,5 @@ def test_mgf_sub_blocks_change_no_bit(monkeypatch, kind, dim):
     phi = np.linspace(-1.0, 2.0, dim)
     cfg = MgfCheckConfig([-2.0, -0.5, 0.5, 1.0, 2.0], (1 << 15) + 777, noise, phi, seed=5)
     blocked = mgf_check(cfg)
-    monkeypatch.setattr(concentration, "_DRAW_BLOCK", 1 << 40)
+    monkeypatch.setattr(noise_module, "_DRAW_BLOCK", 1 << 40)
     assert mgf_check(cfg) == blocked

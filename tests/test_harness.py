@@ -17,7 +17,7 @@ from stoplab.harness import CHECKS, load_config, parse_config, run_experiment
 from stoplab.cli import main
 from stoplab.lyapunov import step_residuals
 from stoplab.martingale import MartingaleTracker
-from stoplab.noise import NoiseKind, calibrate
+from stoplab.noise import NoiseKind, calibrate, spawn_seed
 from stoplab.objectives import least_squares_random
 from stoplab.sgdm import ScheduleVariant, Variant, derive_seeds, stream_ensemble
 from stoplab.stopping import RuleTracker
@@ -122,6 +122,19 @@ _MALFORMED = {
     "schedule-L-tiny": lambda raw: raw["schedule"].update(L=1e-300),
     "diag-huge": lambda raw: raw["objective"].update(diag=[1.0, 1e300]),
     "noise-sigma-huge": lambda raw: raw["noise"].update(sigma=1e150),
+    # trajectory 2^20 would stream from the supermartingale prefix's key
+    "R-beyond-2^20": lambda raw: raw.update(R=(1 << 20) + 1),
+    # the mgf check's scale c sigma rounded to 0: NaN estimates from
+    # c = 0.485 with either kind, and "skipped" from a subnormal x0 - x*
+    "mgf-scale-underflows": lambda raw: raw.update(
+        objective={"kind": "least-squares", "dim": 1}, x0=[0.0], checks=["mgf"],
+        noise={"kind": "gaussian-isotropic", "sigma": 5e-324}),
+    "mgf-scale-underflows-none": lambda raw: raw.update(
+        objective={"kind": "least-squares", "dim": 1}, x0=[0.0], checks=["mgf"],
+        noise={"kind": "none", "sigma": 5e-324}),
+    "mgf-direction-underflows": lambda raw: raw.update(
+        objective={"kind": "quadratic", "diag": [1.0]}, x0=[5e-324], checks=["mgf"],
+        noise={"kind": "gaussian-isotropic", "sigma": 0.5}),
     "noise-sigma-overflows": lambda raw: raw["noise"].update(sigma=1e300),
     "envelope-sigma-overflows": lambda raw: raw["options"].update(envelope_sigma=1e300),
 }
@@ -137,6 +150,25 @@ def test_parse_config_rejects_malformed_values(tmp_path, case):
     cfgpath.write_text(json.dumps(raw))
     assert main(["run", str(cfgpath)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_trajectory_keys_stop_below_the_supermartingale_prefix_key(tmp_path):
+    # the prefix streams from spawn_seed(base_seed, 2^20), trajectory 2^20's key
+    assert derive_seeds(11, 1, start=1 << 20)[0] == spawn_seed(11, 1 << 20)
+    assert parse_config(_base_raw(tmp_path, R=1 << 20)).R == 1 << 20
+    with pytest.raises(ConfigError, match=r"R must be an integer in \[1, 1048576\]"):
+        parse_config(_base_raw(tmp_path, R=(1 << 20) + 1))
+
+
+def test_mgf_scale_refusal_names_sigma(tmp_path):
+    raw = _base_raw(tmp_path)
+    _MALFORMED["mgf-scale-underflows"](raw)
+    with pytest.raises(ConfigError, match=r"noise.sigma: .*mgf.* rounds to 0"):
+        parse_config(raw)
+    # a positive product is accepted, and so is sigma = 0 (the check is then skipped)
+    for sigma in (1e-300, 0.0):
+        raw["noise"] = {"kind": "none", "sigma": sigma}
+        assert parse_config(raw).checks == ("mgf",)
 
 
 def test_cli_run_exits_2_on_malformed_values(tmp_path, capsys):
@@ -240,6 +272,44 @@ def test_envelope_rule_needs_a_beta(tmp_path, capsys):
     cfgpath.write_text(json.dumps(raw))
     assert main(["run", str(cfgpath)]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_no_philox_key_is_made_twice(tmp_path, monkeypatch):
+    # every stream a run reads has a key of its own: the supermartingale
+    # bootstrap once drew its resample indices from the prefix's own stream
+    from stoplab import noise
+    made, real = [], noise.philox
+    for name, module in list(sys.modules.items()):
+        if name.startswith("stoplab."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, lambda key: made.append(int(key)) or real(key))
+    options = {"n_branches": 5000, "supermartingale_ks": [1, 2], "mgf_n_samples": 40000,
+               "tail_n_runs": 100, "tail_c_len": 3, "csv_trajectories": 0}
+    run_experiment(parse_config(_base_raw(tmp_path, K=5, R=4, checks=list(CHECKS),
+                                          options=options)))
+    # 4 trajectories, the prefix, 2 branch chunks at each of 2 ks, the
+    # bootstrap, 2 MGF chunks and 1 tail chunk
+    assert len(made) == 4 + 1 + 2 * 2 + 1 + 2 + 1
+    assert len(set(made)) == len(made)
+
+
+def test_divergence_writes_one_record_and_exits_1(tmp_path, capsys):
+    # L = 1 under-reads the diag (1, 1e6) objective's smoothness: |x| passes
+    # the divergence radius at step 3
+    raw = _base_raw(tmp_path, objective={"kind": "quadratic", "diag": [1.0, 1e6]},
+                    schedule={"variant": "theorem-main", "L": 1.0})
+    rep = run_experiment(parse_config(raw))
+    assert [(c["name"], c["params"], c["pass"]) for c in rep.checks] == [
+        ("divergence", {"step": 3}, False)]
+    assert not rep.passed
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["report.json"]
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert doc["checks"] == rep.checks and doc["pass"] is False and doc["summary"] == {}
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    assert main(["run", str(cfgpath)]) == 1
+    assert "divergence" in capsys.readouterr().out
 
 
 def test_rules_run_without_betas(tmp_path):
@@ -821,7 +891,9 @@ def _edits(draw):
              ("", "x0", draw(_inside(grammar[""]["x0"], dim))),
              ("noise", "kind", draw(_inside(grammar["noise"]["kind"])))]
     edits += [("", name, draw(_inside(grammar[""][name])))
-              for name in ("K", "R", "base_seed", "checks")]
+              for name in ("K", "base_seed", "checks")]
+    # R's upper end, 2^20 trajectories, is no run at tiny R
+    edits.append(("", "R", draw(st.integers(grammar[""]["R"].lo, 9))))
     if draw(st.booleans()):
         edits.append(("", "betas", draw(_inside(grammar[""]["betas"]))))
     # every option is given: the defaults' Monte Carlo sizes take seconds
@@ -862,6 +934,10 @@ def _apply(raw, edits):
          edits=([], []))
 @example(variant="theorem-main", log10_L=-3.0, epsilon=0.25, c0_prime=100.0, sigma=1.0,
          edits=([], []))
+# the mgf check's scale c sigma rounds to 0 (c = 0.485): once NaN estimates
+@example(variant="theorem-main", log10_L=0.0, epsilon=0.25, c0_prime=100.0, sigma=5e-324,
+         edits=([("", "objective", {"kind": "least-squares", "dim": 1}), ("", "x0", [0.0]),
+                 ("", "checks", ["mgf"]), ("options", "mgf_n_samples", 1000)], []))
 @settings(max_examples=200, deadline=None)
 @given(
     variant=st.sampled_from(["theorem-main", "proposition-eps"]),

@@ -9,7 +9,8 @@ from stoplab.martingale import (MartingaleTracker, alpha_for_bound,
                                 check_supermartingale, log_N, ville_bound,
                                 ville_monitor)
 from stoplab.mcstats import bootstrap_upper_quantile
-from stoplab.noise import _DRAW_BLOCK, NoiseKind, NoiseModel, calibrate
+from stoplab import noise as noise_module
+from stoplab.noise import _DRAW_BLOCK, NoiseKind, NoiseModel, calibrate, spawn_seed
 from stoplab.objectives import huberized_abs, least_squares_random, quadratic
 from stoplab.series import gamma2
 from stoplab.sgdm import (ScheduleVariant, Variant, a_coeff, derive_seeds,
@@ -189,16 +190,16 @@ _SUB_BLOCK_CASES = (
 def test_branch_sub_blocks_match_the_whole_block_oracle(monkeypatch, d, n, kind, objective):
     # every record, the zero-noise one without its bootstrap included, is
     # bitwise that of stepping each k's branches as one (dim, n) block; the
-    # draws come in sub-blocks of at most _DRAW_BLOCK doubles, and with no
-    # noise there are none
+    # draws, zeros with no noise, come in sub-blocks of at most _DRAW_BLOCK
+    # doubles
     obj, sched, g2 = _problem(objective, d)
     noise = calibrate(kind, d, SIGMA)
     x0, ks = obj.minimizer + 1.0, [3, 1]
-    draws, real = [], martingale.sample
-    monkeypatch.setattr(martingale, "sample", lambda model, rng, m=None, out=None:
+    draws, real = [], noise_module.sample
+    monkeypatch.setattr(noise_module, "sample", lambda model, rng, m=None, out=None:
                         draws.append(m) or real(model, rng, m, out))
     got = check_supermartingale(obj, noise, sched, x0, 11, ks, 1.0 / g2, n, gamma2_value=g2)
-    assert sum(draws) == (0 if kind is NoiseKind.NONE else len(ks) * n)
+    assert sum(draws) == len(ks) * n
     assert max(draws, default=1) <= max(1, _DRAW_BLOCK // d)
     want = supermartingale_whole_block(obj, noise, sched, x0, 11, ks, 1.0 / g2, n, g2)
     assert [{key: float(v).hex() for key, v in r.items()} for r in got] == [
@@ -229,10 +230,10 @@ def test_branch_check_memory_does_not_grow_with_branches_times_dim(d, kind):
 
 def test_bootstrap_rows_match_row_by_row_oracle():
     values = np.random.default_rng(4).lognormal(size=(3, 1001))
-    got = bootstrap_upper_quantile(values, n_boot=50, seed=9)
+    got = bootstrap_upper_quantile(values, n_boot=50, key=(9,))
     assert got.shape == (3,)
     for j, row in enumerate(values):
-        assert got[j] == bootstrap_row_oracle(row, n_boot=50, q=0.99, seed=9)
+        assert got[j] == bootstrap_row_oracle(row, n_boot=50, q=0.99, seed=spawn_seed(9))
 
 
 @pytest.mark.parametrize("n_boot", [1, 2, 3, 7, 50, 200])
@@ -242,9 +243,10 @@ def test_bootstrap_quantile_is_numpys_linear_quantile(n_boot):
     # statistics, t on both sides of 0.5, and the two ends
     values = np.random.default_rng(n_boot).normal(size=(2, 101)) * [[1.0], [1e-3]]
     for q in (0.0, 0.01, 0.1, 1 / 3, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0):
-        got = bootstrap_upper_quantile(values, n_boot=n_boot, q=q, seed=7)
+        got = bootstrap_upper_quantile(values, n_boot=n_boot, q=q, key=(7,))
         assert [float(v).hex() for v in got] == [
-            bootstrap_row_oracle(row, n_boot=n_boot, q=q, seed=7).hex() for row in values], q
+            bootstrap_row_oracle(row, n_boot=n_boot, q=q, seed=spawn_seed(7)).hex()
+            for row in values], q
 
 
 def test_supermartingale_check_leaves_numpy_ma_unimported():

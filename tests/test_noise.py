@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stoplab.errors import CalibrationError
-from stoplab.noise import NoiseKind, NoiseModel, calibrate, philox, sample
-from stoplab.sgdm import spawn_seed
+from stoplab.noise import NoiseKind, NoiseModel, calibrate, philox, sample, spawn_seed
 
 from oracles import mgf_certificate_check
 
