@@ -19,11 +19,10 @@ from .lyapunov import envelope_constants
 
 
 def _print_report(checks, passed):
-    for c in checks:
-        status = "PASS" if c["pass"] else "FAIL"
-        print(f"[{status}] {c['name']} {c['params']} estimate={c['estimate']} "
-              f"ci={c['ci']} bound={c['bound']}")
-    print("overall:", "PASS" if passed else "FAIL")
+    """Print a report's lines, each formed before the first is printed."""
+    lines = [f"[{'PASS' if c['pass'] else 'FAIL'}] {c['name']} {c['params']} "
+             f"estimate={c['estimate']} ci={c['ci']} bound={c['bound']}" for c in checks]
+    print(*lines, "overall: " + ("PASS" if passed else "FAIL"), sep="\n")
 
 
 def _cmd_run(args) -> int:
@@ -76,7 +75,7 @@ def _set_path(doc: dict, dotted: str, value):
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    worst = 0
+    runs = []  # every value's config is parsed before any runs
     for v in args.values:
         raw = json.loads(json.dumps(cfg.raw))
         try:
@@ -85,7 +84,10 @@ def _cmd_sweep(args) -> int:
             value = v
         _set_path(raw, args.param, value)
         raw["output_dir"] = str(Path(cfg.output_dir) / f"{args.param}={v}")
-        rep = run_experiment(parse_config(raw))
+        runs.append((v, parse_config(raw)))
+    worst = 0
+    for v, run_cfg in runs:
+        rep = run_experiment(run_cfg)
         print(f"--- {args.param} = {v} ---")
         _print_report(rep.checks, rep.passed)
         worst = max(worst, 0 if rep.passed else 1)
@@ -96,8 +98,11 @@ def _cmd_report(args) -> int:
     path = Path(args.dir) / "report.json"
     if not path.is_file():
         raise ConfigError([f"no report.json under {args.dir}"])
-    doc = json.loads(path.read_text())
-    _print_report(doc["checks"], doc["pass"])
+    try:
+        doc = json.loads(path.read_bytes())
+        _print_report(doc["checks"], doc["pass"])
+    except (ValueError, LookupError, TypeError) as exc:
+        raise ConfigError([f"{path} is not a stoplab report: {exc!r}"])
     return 0 if doc["pass"] else 1
 
 

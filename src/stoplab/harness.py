@@ -293,8 +293,6 @@ GRAMMAR = {
         "tail_c_len": Key("integer", 100, lo=1),
         "ville_bound": Key("number", 0.1, lo=0, hi=1, open=True),
         "csv_trajectories": Key("integer", 2, lo=0),
-        # overrides the noise's sigma in U, for zero-noise runs that still want U
-        "envelope_sigma": Key("number", None, lo=0, optional=True),
     },
 }
 
@@ -429,12 +427,9 @@ def parse_config(raw: dict) -> RunConfig:
     rules = tuple(_section(f"rules[{i}]", spec, GRAMMAR["rules"], build_rule, problems)
                   for i, spec in enumerate(top.get("rules", ())))
     options = _walk(GRAMMAR["options"], top.get("options", {}), "options", problems)
-    if sched and noise and "envelope_sigma" in options:
-        key, sigma = (("noise.sigma", noise.sigma_certificate) if options["envelope_sigma"] is None
-                      else ("options.envelope_sigma", options["envelope_sigma"]))
-        problem = gamma2_range_problem(sched, float(sigma))
-        if problem:
-            problems.append(f"{key}: {problem}")
+    problem = sched and noise and gamma2_range_problem(sched, noise.sigma_certificate)
+    if problem:
+        problems.append(f"noise.sigma: {problem}")
 
     if problems:
         raise ConfigError(problems)
@@ -451,21 +446,19 @@ def load_config(path) -> RunConfig:
     if not p.is_file():
         raise ConfigError([f"config file not found: {p}"])
     try:
-        raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(p.read_bytes())
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
         raise ConfigError([f"config is not valid JSON: {exc}"])
     return parse_config(raw)
 
 
 def _envelope(cfg: RunConfig) -> EnvelopeParams:
-    sigma = cfg.options["envelope_sigma"]
-    if sigma is None:
-        sigma = cfg.noise.sigma_certificate
     obj = cfg.objective
     fgap0 = float(eval_objective(obj, cfg.x0) - obj.min_value)
     phi_1 = phi(1, cfg.x0, cfg.x0, obj.minimizer)  # x_1 = x_0
     E0 = float(energy(sq_norm(phi_1), fgap0, energy_weight(0, eta(cfg.sched, 0))))
-    return envelope_constants(cfg.sched, float(sigma), E0, float(cfg.options["gamma_tol"]))
+    return envelope_constants(cfg.sched, cfg.noise.sigma_certificate, E0,
+                              float(cfg.options["gamma_tol"]))
 
 
 def _lower_minima(mins: dict, slab: StepSlab, obj, K: int, cols: list) -> list:

@@ -149,21 +149,16 @@ def envelope_constants(
 def envelope_U(params: EnvelopeParams, beta: float, k) -> np.ndarray | float:
     """High-probability envelope value at (beta, k); vectorized in k.
 
-    For the log^2 schedule this is (C1 + C2 ln(1/beta)) ln(k+2) / sqrt(k+1).
-    For the eps-schedule the exact sandwich constant carries an extra
-    sqrt(C0') from 4 sqrt((k+1) eta_k) = sqrt(k+1) / (L sqrt(C0')
-    ln^((1+eps)/2)(k+2)).
+    U = s (C1 + C2 ln(1/beta)) ln^(p/2)(k+2) / sqrt(k+1), p = ``sched.log_power``:
+    for the log^2 schedule s = 1 and p / 2 = 1, both exact.  For the
+    eps-schedule the exact sandwich constant carries s = sqrt(C0') from
+    4 sqrt((k+1) eta_k) = sqrt(k+1) / (L sqrt(C0') ln^((1+eps)/2)(k+2)).
     """
     if not (0.0 < beta < 0.5):
         raise ValueError("beta must lie in (0, 0.5)")
     k = np.asarray(k, dtype=float)
+    sched = params.sched
     level = params.C1 + params.C2 * math.log(1.0 / beta)
-    if params.sched.variant is Variant.THEOREM_MAIN:
-        out = level * np.log(k + 2.0) / np.sqrt(k + 1.0)
-    else:
-        power = (1.0 + params.sched.epsilon) / 2.0
-        out = (
-            math.sqrt(params.sched.c0_prime)
-            * level * np.log(k + 2.0) ** power / np.sqrt(k + 1.0)
-        )
+    scale = 1.0 if sched.variant is Variant.THEOREM_MAIN else math.sqrt(sched.c0_prime)
+    out = scale * level * np.log(k + 2.0) ** (sched.log_power / 2.0) / np.sqrt(k + 1.0)
     return out if out.ndim else float(out)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mcstats import bootstrap_upper_quantile
-from .noise import NoiseKind, NoiseModel, keyed_draws
+from .noise import NoiseModel, keyed_draws
 from .objectives import Objective, grad
 from .sgdm import (STEP_FIELDS, ScheduleVariant, StepSlab, _slab_rows, _step_arrays, energy, phi,
                    sq_norm, stream_ensemble)
@@ -129,7 +129,8 @@ def check_supermartingale(
     half-width is rounding).  N has a heavy right tail, so a one-sided 99%
     bootstrap bound on each shifted mean is included: one bootstrap whose
     resample indices every k shares, keyed (prefix_seed, 0), a key no other
-    stream reads; with no noise it is the estimate.
+    stream reads; with no noise each row is constant, and each resample's mean
+    sums its n values in the row mean's order: the bound is the estimate.
     ``gamma2_value`` is the certified upper end of the gamma2 bracket
     (``EnvelopeParams.gamma2``).  Returns one record per entry of ``ks``, in
     its order; a bare int k is read as [k].
@@ -164,9 +165,7 @@ def check_supermartingale(
     estimate = np.array([np.mean(wj) for wj in w]) - prev_w
     stderr = np.array([np.std(wj, ddof=1) for wj in w]) / math.sqrt(n_branches)
     boot_hi = estimate
-    # with no noise each row is constant, and so is every resample's mean:
-    # the bootstrap would return the estimate
-    if noise.kind is not NoiseKind.NONE and np.any(stderr > 0):
+    if np.any(stderr > 0):
         boot_hi = np.where(stderr > 0, bootstrap_upper_quantile(w, key=(prefix_seed, 0)) - prev_w,
                            estimate)
     return [{

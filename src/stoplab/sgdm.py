@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DivergenceError
-from .noise import _DRAW_BLOCK, NoiseKind, NoiseModel, philox, sample
+from .noise import _DRAW_BLOCK, NoiseModel, philox, sample
 from .objectives import Objective, dim_sum, eval_objective, grad
 
 DIVERGENCE_RADIUS = 1e12
@@ -345,31 +345,29 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
     if K < 1 or rows < 1:
         raise ValueError("K and rows must be >= 1")
     R, dim, f_star, x_star = len(seeds), obj.dim, obj.min_value, obj.minimizer[:, None]
-    gens = None if noise.kind is NoiseKind.NONE else [None] * R
+    gens = [None] * R
     chunk = min(max(_NOISE_BYTES // (8 * dim * R), 1), _NOISE_CHUNK)
     last = np.broadcast_to(np.asarray(x0, dtype=float)[:, None], (2, dim, R))  # x_0, x_1 = x_0
-    zeros = np.zeros((min(rows, K), dim, R)) if gens is None else None
     want, k0 = set(STEP_FIELDS if reads is None else reads), 1
     while k0 <= K:
         off = (k0 - 1) % chunk
         if off == 0:  # a block: its noise, then its schedule columns
             m = min(chunk, K + 1 - k0)
-            if gens is not None:
-                noise_block = theta = None  # the spent block goes first
-                noise_block = np.empty((m, dim, R))
-                tile = np.empty((min(max(_DRAW_BLOCK // (m * dim), 1), R), m, dim))
-                for r0 in range(0, R, len(tile)):
-                    for i, r in enumerate(range(r0, min(r0 + len(tile), R))):
-                        gen = gens[r] if gens[r] is not None else philox(seeds[r])
-                        sample(noise, gen, m, out=tile[i])
-                        gens[r], gen = (gen if k0 + m <= K else None), None
-                    noise_block[:, :, r0:r0 + i + 1] = tile[:i + 1].transpose(1, 2, 0)
-                tile = None  # held only while the block is filled
+            noise_block = theta = None  # the spent block goes first
+            noise_block = np.empty((m, dim, R))
+            tile = np.empty((min(max(_DRAW_BLOCK // (m * dim), 1), R), m, dim))
+            for r0 in range(0, R, len(tile)):
+                for i, r in enumerate(range(r0, min(r0 + len(tile), R))):
+                    gen = gens[r] if gens[r] is not None else philox(seeds[r])
+                    sample(noise, gen, m, out=tile[i])
+                    gens[r], gen = (gen if k0 + m <= K else None), None
+                noise_block[:, :, r0:r0 + i + 1] = tile[:i + 1].transpose(1, 2, 0)
+            tile = None  # held only while the block is filled
             ks = np.arange(k0, k0 + m)[:, None]
             etas, a_ks = schedule_columns(sched, ks.astype(float))
             ws = energy_weight(ks, etas)
         b = min(rows, m - off)
-        theta = zeros[:b] if gens is None else noise_block[off:off + b]
+        theta = noise_block[off:off + b]
         x, gf, g = np.empty((b + 2, dim, R)), np.empty((b, dim, R)), np.empty((dim, R))
         x[:2], last = last, None
         eta_k = etas[off:off + b]

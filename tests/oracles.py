@@ -10,7 +10,8 @@ pins the summation order of its G u product, the per-index
 ``scipy.stats.beta.ppf`` checks the Clopper-Pearson ends, and a row-by-row
 loop checks the bootstrap's shared resamples, and
 ``supermartingale_whole_block`` steps each k's branches as one block, as
-the branching check did before it took sub-blocks.  ``deep_descent_links``
+the branching check did before it took sub-blocks, and
+``envelope_U_two_branch`` writes U with a branch per schedule.  ``deep_descent_links``
 checks each link of the energy-decay derivation at one step, and the path
 tree enumerates every stopping time of a small binary tree.  ``step_views``
 forms the positions and g_k that the stream does not keep, and
@@ -33,8 +34,8 @@ from stoplab.lyapunov import envelope_U
 from stoplab.martingale import _BRANCH_CHUNK, MartingaleTracker, log_N
 from stoplab.noise import NoiseModel, philox, sample, spawn_seed
 from stoplab.objectives import dim_sum, grad
-from stoplab.sgdm import (StepSlab, _points, _step_arrays, a_coeff, derive_seeds, energy, eta,
-                          phi, sq_norm, stream_ensemble)
+from stoplab.sgdm import (StepSlab, Variant, _points, _step_arrays, a_coeff, derive_seeds, energy,
+                          eta, phi, sq_norm, stream_ensemble)
 from stoplab.stopping import RuleKind, RuleTracker
 
 
@@ -493,6 +494,22 @@ def supermartingale_whole_block(obj, noise, sched, x0, prefix_seed: int, ks, t: 
                       "shift": shift, "pass": estimate <= 3.0 * stderr + 1e-12}
         tracker.update(slab)
     return [out[k] for k in ks]
+
+
+def envelope_U_two_branch(env, beta: float, k):
+    """U(beta, k) with a branch per schedule, the eps-schedule's log power worked out from eps.
+
+    theorem-main: (C1 + C2 ln(1/beta)) ln(k+2) / sqrt(k+1); proposition-eps:
+    sqrt(C0') (C1 + C2 ln(1/beta)) ln^((1+eps)/2)(k+2) / sqrt(k+1).
+    """
+    k = np.asarray(k, dtype=float)
+    level = env.C1 + env.C2 * math.log(1.0 / beta)
+    if env.sched.variant is Variant.THEOREM_MAIN:
+        out = level * np.log(k + 2.0) / np.sqrt(k + 1.0)
+    else:
+        power = (1.0 + env.sched.epsilon) / 2.0
+        out = math.sqrt(env.sched.c0_prime) * level * np.log(k + 2.0) ** power / np.sqrt(k + 1.0)
+    return out if out.ndim else float(out)
 
 
 def binomial_tail_mp(k: int, n: int, x: float, upper: bool, dps: int = 50):

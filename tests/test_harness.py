@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from stoplab import harness
 from stoplab.errors import ConfigError
 from stoplab.harness import CHECKS, load_config, parse_config, run_experiment
 from stoplab.cli import main
-from stoplab.lyapunov import step_residuals
+from stoplab.lyapunov import envelope_constants, step_residuals
 from stoplab.martingale import MartingaleTracker
 from stoplab.noise import NoiseKind, calibrate, spawn_seed
 from stoplab.objectives import least_squares_random
@@ -136,7 +137,6 @@ _MALFORMED = {
         objective={"kind": "quadratic", "diag": [1.0]}, x0=[5e-324], checks=["mgf"],
         noise={"kind": "gaussian-isotropic", "sigma": 0.5}),
     "noise-sigma-overflows": lambda raw: raw["noise"].update(sigma=1e300),
-    "envelope-sigma-overflows": lambda raw: raw["options"].update(envelope_sigma=1e300),
 }
 
 
@@ -224,8 +224,6 @@ _OUT_OF_RANGE = {
     "supermartingale-ks-empty": {"supermartingale_ks": []},
     "tail-omegas-empty": {"tail_omegas": []},
     "tail-omega-negative": {"tail_omegas": [-1.0]},
-    "envelope-sigma-negative": {"envelope_sigma": -1.0},
-    "envelope-sigma-infinite": {"envelope_sigma": float("inf")},
     # exp(3 lambda^2 / 4) overflowed with an OverflowError after output_dir was made
     "mgf-lambda-beyond-30": {"mgf_lambdas": [1.0, 31.0]},
     "csv-trajectories-negative": {"csv_trajectories": -1},
@@ -556,7 +554,7 @@ def test_slab_block_matches_the_step_by_step_oracle(tmp_path, monkeypatch, B):
     # K = 23 is no multiple of 2 or 7.  The fixed-k caps stop every path on
     # the first and on the last row of the second slab, the envelope rule's
     # cap falls inside it, and with sigma 8 against an envelope at beta 0.49
-    # (envelope_sigma 1e-3, x0 = x*) the envelope rules stop at k = 3..15
+    # (built at sigma 1e-3, x0 = x*) the envelope rules stop at k = 3..15
     K = 23
     raw = _base_raw(tmp_path, K=K, R=40, x0=[0.0, 0.0], betas=[0.49, 0.3],
                     noise={"kind": "gaussian-isotropic", "sigma": 8.0},
@@ -567,9 +565,9 @@ def test_slab_block_matches_the_step_by_step_oracle(tmp_path, monkeypatch, B):
                            {"kind": "fixed-k", "k_max": min(2 * B, K)},
                            {"kind": "first-envelope-violation", "beta": 0.49,
                             "k_max": min(B + B // 2 + 1, K)}],
-                    options={"csv_trajectories": 3, "envelope_sigma": 1e-3})
+                    options={"csv_trajectories": 3})
     cfg = parse_config(raw)
-    env = harness._envelope(cfg)
+    env = envelope_constants(cfg.sched, 1e-3, harness._envelope(cfg).E0, cfg.options["gamma_tol"])
     monkeypatch.setattr(harness, "_slab_rows", lambda width, dim, arrays, fixed: B)
     want = block_by_step(cfg, env, 0, cfg.R)
     _assert_block_is_the_oracles(harness._run_block(cfg, env, 0, cfg.R), want,
@@ -748,6 +746,40 @@ def test_cli_constants_and_sweep(tmp_path, capsys):
                  "--values", "0.5", "1.0"]) == 0
     assert main(["sweep", str(cfgpath), "--param", "no.such.path",
                  "--values", "1"]) == 2
+
+
+def test_cli_sweep_parses_every_value_before_running_any(tmp_path, capsys):
+    # K = 3 once ran and wrote K=3/ before K = 1 was refused
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(_base_raw(tmp_path, checks=["descent"], K=20, R=4)))
+    assert main(["sweep", str(cfgpath), "--param", "K", "--values", "3", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "K must be an integer >= 2" in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["garbage", '{"checks": []}',
+                                  '{"checks": [{"name": "descent"}], "pass": true}'],
+                         ids=["not-json", "no-pass", "record-without-keys"])
+def test_cli_report_refuses_a_malformed_report(tmp_path, capsys, text):
+    # the first two once exited 1 with a JSONDecodeError or KeyError traceback
+    (tmp_path / "report.json").write_text(text)
+    assert main(["report", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {tmp_path / 'report.json'} is not a stoplab report" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("prefix, text", [(b"\xff\xfe", ""), (b"", "caf\xe9")],
+                         ids=["utf16-bom", "latin-1"])
+def test_cli_run_refuses_a_config_that_is_not_utf8(tmp_path, capsys, prefix, text):
+    # once a UnicodeDecodeError traceback with exit 1
+    raw = _base_raw(tmp_path, output_dir=str(tmp_path / "out") + text)
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_bytes(prefix + json.dumps(raw, ensure_ascii=False).encode("latin-1"))
+    assert main(["run", str(cfgpath)]) == 2
+    assert "config is not valid JSON" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_cli_usage_and_config_errors(tmp_path, capsys):
@@ -980,7 +1012,8 @@ def test_every_parsed_config_runs_or_raises_config_error(
 
 
 def test_readme_configuration_lists_every_grammar_key():
-    # one table row per key, with the value text the key's errors use
+    # one table row per key, with the value text the key's errors use, and
+    # no row for a key the grammar does not declare
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme[readme.index("## Configuration"):]
     section = section[:section.index("\n## ")]
@@ -991,3 +1024,6 @@ def test_readme_configuration_lists_every_grammar_key():
     for prefix, keys in tables.items():
         for name, key in keys.items():
             assert f"| `{prefix}{name}` | {key.must.removeprefix('be ')} |" in section, prefix + name
+    declared = {prefix + name for prefix, keys in tables.items() for name in keys}
+    rows = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+    assert rows and set(rows) <= declared, sorted(set(rows) - declared)

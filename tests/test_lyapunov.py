@@ -11,7 +11,8 @@ from stoplab.objectives import least_squares_random, quadratic
 from stoplab.sgdm import (ScheduleVariant, Variant, derive_seeds, energy,
                           energy_weight, eta, phi, sq_norm, stream_ensemble)
 
-from oracles import deep_descent_links, phi_series, residual_series, run_paths, step_views
+from oracles import (deep_descent_links, envelope_U_two_branch, phi_series, residual_series,
+                     run_paths, step_views)
 
 SCHED1 = ScheduleVariant(Variant.THEOREM_MAIN, L=1.0)
 
@@ -157,6 +158,20 @@ def test_envelope_U_eps_variant_carries_sqrt_c0():
     level = env.C1 + env.C2 * math.log(1.0 / 0.05)
     expected = 10.0 * level * math.log(k + 2.0) ** 0.65 / math.sqrt(k + 1.0)
     assert envelope_U(env, 0.05, k) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("variant, epsilon, c0_prime", [(Variant.THEOREM_MAIN, None, 100.0)] + [
+    (Variant.PROPOSITION_EPS, e, c) for e in (0.01, 0.3, 0.49) for c in (100.0, 1e4)])
+def test_envelope_U_is_the_two_branch_formula_bit_for_bit(variant, epsilon, c0_prime):
+    # one expression with the schedule's log power p: at theorem-main its
+    # scale 1 and power p / 2 = 1 are exact, at proposition-eps p / 2 is the
+    # (1 + eps) / 2 that the branch works out
+    env = envelope_constants(ScheduleVariant(variant, 1.0, epsilon, c0_prime), 1.0, 5.0)
+    ks = np.arange(1, 10**4 + 1)
+    for beta in (0.05, 0.3):
+        assert envelope_U(env, beta, ks).tobytes() == envelope_U_two_branch(env, beta, ks).tobytes()
+        for k in (1, 77, 10**4):
+            assert envelope_U(env, beta, k).hex() == envelope_U_two_branch(env, beta, k).hex()
 
 
 @settings(max_examples=30, deadline=None)

@@ -155,6 +155,25 @@ def test_supermartingale_zero_noise_deterministic(g2):
     assert r["estimate"] <= 0.0
 
 
+@pytest.mark.parametrize("sigma", [0.0, SIGMA])
+@pytest.mark.parametrize("d", [1, 3])
+def test_zero_noise_bootstrap_bound_is_the_estimate(monkeypatch, d, sigma):
+    # with no noise each weight row is constant, and each resample's mean sums
+    # the row's values in the row mean's order: the one bootstrap gives every
+    # k its estimate as the bound, bit for bit
+    obj = quadratic(np.linspace(1.0, 2.0, d))
+    sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
+    value, width = gamma2(sched, sigma, 1e-6)
+    calls, real = [], martingale.bootstrap_upper_quantile
+    monkeypatch.setattr(martingale, "bootstrap_upper_quantile",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    recs = check_supermartingale(obj, calibrate(NoiseKind.NONE, d, sigma), sched,
+                                 obj.minimizer + 1.0, 11, [1, 2, 10], 1.0 / (value + width), 1000,
+                                 gamma2_value=value + width)
+    assert len(calls) == 1
+    assert [r["bootstrap_hi"].hex() for r in recs] == [r["estimate"].hex() for r in recs]
+
+
 def test_supermartingale_validation(g2):
     # too few branches, a step below 1, no step at all, and t above B / gamma2
     for ks, n, t in [(5, 10, 1.0), (0, 1000, 1.0), ([3, 0], 1000, 1.0), ([], 1000, 1.0),
@@ -188,8 +207,8 @@ _SUB_BLOCK_CASES = (
 
 @pytest.mark.parametrize("d, n, kind, objective", _SUB_BLOCK_CASES)
 def test_branch_sub_blocks_match_the_whole_block_oracle(monkeypatch, d, n, kind, objective):
-    # every record, the zero-noise one without its bootstrap included, is
-    # bitwise that of stepping each k's branches as one (dim, n) block; the
+    # every record, the zero-noise one included, is bitwise that of
+    # stepping each k's branches as one (dim, n) block; the
     # draws, zeros with no noise, come in sub-blocks of at most _DRAW_BLOCK
     # doubles
     obj, sched, g2 = _problem(objective, d)
