@@ -12,6 +12,13 @@ was:
 
     python3 scripts/output_digests.py configs/default.json configs/smoke.json cov-wide@7
 
+With no CONFIG it runs the standard set, ``STANDARD``: the two committed
+configs, the four workloads at seed 5 and the documents under
+``scripts/digest_configs/`` (zero noise, a least-squares and a Huber
+problem, and two runs that diverge, one in the ensemble and one in the
+supermartingale check's prefix).  A path is read from the working
+directory, else from the repository root.
+
 The exit status is 1, with the files named on standard error, when a
 config's outputs at 1 and 2 workers differ: results must be bitwise the
 same for any worker count.
@@ -33,12 +40,17 @@ import workloads
 from stoplab.harness import parse_config, run_experiment
 
 WORKERS = (1, 2)
+STANDARD = ["configs/default.json", "configs/smoke.json",
+            *(f"{name}@5" for name in ("cov-wide", "lsq-d64", "highdim-d1200", "checks-all")),
+            *sorted(f"scripts/digest_configs/{p.name}"
+                    for p in (ROOT / "scripts" / "digest_configs").glob("*.json"))]
 
 
 def load(config: str) -> dict:
     """The document of ``config``: a JSON file, or NAME@SEED for a benchmark workload."""
-    if Path(config).is_file():
-        return json.loads(Path(config).read_text())
+    for path in (Path(config), ROOT / config):
+        if path.is_file():
+            return json.loads(path.read_text())
     name, _, seed = config.partition("@")
     return workloads.generate(name, int(seed))
 
@@ -61,10 +73,11 @@ def digests(config: str, workers: int, root: Path) -> list[tuple[str, str]]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("configs", nargs="+", metavar="CONFIG")
+    parser.add_argument("configs", nargs="*", metavar="CONFIG",
+                        help="JSON files or NAME@SEED (default: the standard set)")
     args = parser.parse_args()
     status = 0
-    for config in args.configs:
+    for config in args.configs or STANDARD:
         with tempfile.TemporaryDirectory() as tmp:
             runs = [dict(digests(config, workers, Path(tmp))) for workers in WORKERS]
         for workers, run in zip(WORKERS, runs):

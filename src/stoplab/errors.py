@@ -10,15 +10,14 @@ class CalibrationError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """An iterate left the trust region during a run.
-
-    Carries the step index at which the guard tripped.
-    """
+    """An iterate left the trust region; args (step, that step's largest |x|), so it unpickles."""
 
     def __init__(self, step: int, norm: float):
-        self.step = step
-        self.norm = norm
-        super().__init__(f"iterate diverged at step {step} (norm {norm:.3e})")
+        super().__init__(step, norm)
+        self.step, self.norm = step, norm
+
+    def __str__(self):
+        return f"iterate diverged at step {self.step} (norm {self.norm:.3e})"
 
 
 class ConfigError(ValueError):
@@ -28,7 +27,5 @@ class ConfigError(ValueError):
     """
 
     def __init__(self, problems):
-        if isinstance(problems, str):
-            problems = [problems]
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))

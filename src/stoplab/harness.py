@@ -110,8 +110,6 @@ class Key:
         return f"{name} must {self.must}, not {reprlib.repr(value)}"
 
 
-_NOISE_KINDS = {"none": NoiseKind.NONE, "gaussian-isotropic": NoiseKind.GAUSSIAN_ISOTROPIC,
-                "bounded-sphere": NoiseKind.BOUNDED_SPHERE}
 _CENTER = Key("number", None, many=True, optional=True)  # None: the origin
 _SEED = dict(lo=0, hi=2**64 - 1)
 
@@ -264,7 +262,7 @@ GRAMMAR = {
         "options": Key("mapping", {}),
     },
     "objective": {"kind": Key("name", names=tuple(OBJECTIVES))},
-    "noise": {"kind": Key("name", names=tuple(_NOISE_KINDS)),
+    "noise": {"kind": Key("name", names=tuple(k.value for k in NoiseKind)),
               "sigma": Key("number", 0.0, lo=0)},
     "schedule": {
         "variant": Key("name", names=tuple(v.value for v in Variant)),
@@ -402,7 +400,7 @@ def parse_config(raw: dict) -> RunConfig:
         obj = _section("objective", top["objective"], keys, _build_objective, problems)
     if "noise" in top:
         noise = _section("noise", top["noise"], GRAMMAR["noise"], lambda v: obj and calibrate(
-            _NOISE_KINDS[v["kind"]], obj.dim, float(v["sigma"])), problems)
+            NoiseKind(v["kind"]), obj.dim, float(v["sigma"])), problems)
     if "schedule" in top:
         sched = build_schedule(top["schedule"], obj.smoothness if obj else 1.0, problems)
     if obj and "x0" in top and len(top["x0"]) != obj.dim:
@@ -485,12 +483,6 @@ def _lower_minima(mins: dict, slab: StepSlab, obj, K: int, cols: list) -> list:
     return columns
 
 
-def _martingale_columns(tracker: MartingaleTracker, slab: StepSlab, cols: list) -> list:
-    """Feed the tracker the slab; the S and M = E - S columns ``cols``."""
-    S = tracker.update(slab)
-    return [(S[:, r].tolist(), (slab.E[:, r] - S[:, r]).tolist()) for r in cols]
-
-
 # The stream consumers that CHECKS names: the slab fields each reads, and the
 # most (B, R) arrays that it holds at once besides them: the tracemalloc
 # peak, rounded up (residuals 6.03-6.28, martingale 4.05-4.38 from R = 128
@@ -553,7 +545,8 @@ def _run_block(cfg: RunConfig, env: EnvelopeParams, lo: int, hi: int) -> dict:
         if residuals:
             res_cols = _lower_minima(mins, slab, obj, K, cols)
         if martingale:
-            S_cols = _martingale_columns(tracker, slab, cols)
+            S = tracker.update(slab)
+            S_cols = [(S[:, r].tolist(), (slab.E[:, r] - S[:, r]).tolist()) for r in cols]
             if k[-1, 0] == K:
                 tracker.finish(slab)
         for rule in trackers:
@@ -608,23 +601,25 @@ def _ensemble_stats(cfg: RunConfig, env: EnvelopeParams) -> dict:
     spans = [(lo, min(lo + per, R)) for lo in range(0, R, per)]
     with ProcessPoolExecutor(max_workers=len(spans)) as pool:
         futures = [pool.submit(_run_block, cfg, env, lo, hi) for lo, hi in spans]
-        blocks = [f.result() for f in futures]
-    return _merge_blocks(blocks)
+    errors = [e for f in futures if (e := f.exception()) is not None]
+    for e in errors:  # a lost worker or a MemoryError: no record from part of the blocks
+        if not isinstance(e, DivergenceError):
+            raise e
+    if errors:  # as a one-block run: the earliest step, with that step's largest |x|
+        step = min(e.step for e in errors)
+        raise DivergenceError(step, float(np.max([e.norm for e in errors if e.step == step])))
+    return _merge_blocks([f.result() for f in futures])
 
 
 def run_experiment(cfg: RunConfig) -> Report:
     """Run the configured ensemble, make each enabled check's records, write artifacts."""
     env = _envelope(cfg)  # may raise ConfigError, as may the ensemble; neither writes
     outdir = Path(cfg.output_dir)
+    # a divergence, in the ensemble or the supermartingale prefix, is the one record
     try:
         stats = _ensemble_stats(cfg, env)
-    except DivergenceError as exc:
-        stats, checks = None, [{"name": "divergence", **_record({"step": exc.step}, exc.norm,
-                                                                None, None, False)}]
-    outdir.mkdir(parents=True, exist_ok=True)
-    summary = {}
-    if stats is not None:
-        summary["E0"] = env.E0
+        outdir.mkdir(parents=True, exist_ok=True)
+        summary = {"E0": env.E0}
         if "sup_E" in stats:
             summary["sup_E_max"] = float(np.max(stats["sup_E"]))
             summary["S_final_max"] = float(np.max(stats["S_last"]))
@@ -634,6 +629,10 @@ def run_experiment(cfg: RunConfig) -> Report:
         for i, rows in stats["rows"].items():
             _write_csv(outdir / f"trajectory_{i}.csv",
                        ["k", "fgap", "E", "S", "M", "residual_lemma", "residual_decomp"], rows)
+    except DivergenceError as exc:
+        summary, checks = {}, [{"name": "divergence", **_record({"step": exc.step}, exc.norm,
+                                                                None, None, False)}]
+        outdir.mkdir(parents=True, exist_ok=True)
     report = Report(config=cfg.raw, checks=checks, summary=summary,
                     passed=all(c["pass"] for c in checks), output_dir=str(outdir))
     _write_report(report, outdir)

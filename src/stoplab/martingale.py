@@ -129,8 +129,8 @@ def check_supermartingale(
     half-width is rounding).  N has a heavy right tail, so a one-sided 99%
     bootstrap bound on each shifted mean is included: one bootstrap whose
     resample indices every k shares, keyed (prefix_seed, 0), a key no other
-    stream reads; with no noise each row is constant, and each resample's mean
-    sums its n values in the row mean's order: the bound is the estimate.
+    stream reads.  It is skipped when no row varies: a constant row (no noise)
+    has its estimate as the bound, which is the bootstrap's bit for bit.
     ``gamma2_value`` is the certified upper end of the gamma2 bracket
     (``EnvelopeParams.gamma2``).  Returns one record per entry of ``ks``, in
     its order; a bare int k is read as [k].
@@ -164,9 +164,9 @@ def check_supermartingale(
     # a row at a time: each row's mean and deviation keep a one-k call's bits
     estimate = np.array([np.mean(wj) for wj in w]) - prev_w
     stderr = np.array([np.std(wj, ddof=1) for wj in w]) / math.sqrt(n_branches)
-    boot_hi = estimate
-    if np.any(stderr > 0):
-        boot_hi = np.where(stderr > 0, bootstrap_upper_quantile(w, key=(prefix_seed, 0)) - prev_w,
+    boot_hi, varies = estimate, w.min(axis=1) < w.max(axis=1)
+    if varies.any():
+        boot_hi = np.where(varies, bootstrap_upper_quantile(w, key=(prefix_seed, 0)) - prev_w,
                            estimate)
     return [{
         "estimate": float(estimate[j]),

@@ -22,8 +22,8 @@ _DRAW_BLOCK = 1 << 16
 
 class NoiseKind(Enum):
     NONE = "none"
-    GAUSSIAN_ISOTROPIC = "gaussian"
-    BOUNDED_SPHERE = "bounded_sphere"
+    GAUSSIAN_ISOTROPIC = "gaussian-isotropic"
+    BOUNDED_SPHERE = "bounded-sphere"
 
 
 @dataclass(frozen=True)

@@ -85,10 +85,8 @@ class RuleTracker:
             self.tau = np.zeros(s.fgap_curr.shape[1], dtype=int)
             self.fgap = np.zeros(s.fgap_curr.shape[1])
         k = s.k[:, 0]
-        if self._all_stopped or k[0] > self.k_max:
+        if self._all_stopped:
             return
-        if self.kind is RuleKind.FIXED_K and k[-1] < self.k_max:
-            return  # fixed-k stops only at its cap
         stop = self._triggered(s)
         cap = self.k_max - k[0]  # the k_max row: a slab's steps are consecutive
         if cap < len(k):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stoplab import harness
-from stoplab.errors import ConfigError
+from stoplab.errors import ConfigError, DivergenceError
 from stoplab.harness import CHECKS, load_config, parse_config, run_experiment
 from stoplab.cli import main
 from stoplab.lyapunov import envelope_constants, step_residuals
@@ -308,6 +309,67 @@ def test_divergence_writes_one_record_and_exits_1(tmp_path, capsys):
     cfgpath.write_text(json.dumps(raw))
     assert main(["run", str(cfgpath)]) == 1
     assert "divergence" in capsys.readouterr().out
+
+
+def _diverging_raw(tmp_path, **over):
+    # L = 1 against the diag (1, 1e6) objective: |x| passes the radius at step 3
+    return dict({"objective": {"kind": "quadratic", "diag": [1.0, 1e6]},
+                 "noise": {"kind": "gaussian-isotropic", "sigma": 1.0},
+                 "schedule": {"variant": "theorem-main", "L": 1.0}, "K": 10, "R": 6,
+                 "base_seed": 1, "x0": [1.0, 1.0], "checks": ["descent"],
+                 "output_dir": str(tmp_path / "out")}, **over)
+
+
+def test_divergence_error_survives_a_pickle_round_trip():
+    err = pickle.loads(pickle.dumps(DivergenceError(3, 1e14)))
+    assert (type(err), err.step, err.norm) == (DivergenceError, 3, 1e14)
+    assert str(err) == "iterate diverged at step 3 (norm 1.000e+14)"
+
+
+def test_divergence_report_is_the_same_at_any_worker_count(tmp_path, monkeypatch):
+    # each block of trajectories diverges with its own largest |x|; the run
+    # reports the earliest step with the largest |x| over all blocks at it
+    reports = []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("STOPLAB_WORKERS", workers)
+        outdir = tmp_path / f"w{workers}"
+        rep = run_experiment(parse_config(_diverging_raw(tmp_path, output_dir=str(outdir))))
+        assert [(c["name"], c["params"]) for c in rep.checks] == [("divergence", {"step": 3})]
+        reports.append((outdir / "report.json").read_bytes().replace(
+            json.dumps(str(outdir)).encode(), b'""'))
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_a_crashed_block_is_raised_not_read_as_a_divergence(tmp_path, monkeypatch):
+    # block 0 diverges, block 1 dies: the run raises the crash and writes nothing
+    import concurrent.futures
+
+    def run_block(cfg, env, lo, hi):
+        raise DivergenceError(3, 1e14) if lo == 0 else MemoryError("block lost")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        concurrent.futures.ThreadPoolExecutor)
+    monkeypatch.setattr(harness, "_run_block", run_block)
+    monkeypatch.setenv("STOPLAB_WORKERS", "2")
+    with pytest.raises(MemoryError, match="block lost"):
+        run_experiment(parse_config(_diverging_raw(tmp_path)))
+    assert not (tmp_path / "out").exists()
+
+
+def test_supermartingale_prefix_divergence_writes_one_record_and_exits_1(tmp_path, capsys):
+    # the ensemble ends at K = 2, before the radius; the check's prefix runs
+    # to k = 5 and diverges at step 3
+    raw = _diverging_raw(tmp_path, K=2, R=4, checks=["descent", "supermartingale"],
+                         options={"supermartingale_ks": [1, 2, 5]})
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(raw))
+    assert main(["run", str(cfgpath)]) == 1
+    assert "divergence" in capsys.readouterr().out
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["report.json"]
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [(c["name"], c["params"], c["pass"]) for c in doc["checks"]] == [
+        ("divergence", {"step": 3}, False)]
+    assert doc["summary"] == {} and doc["pass"] is False
 
 
 def test_rules_run_without_betas(tmp_path):

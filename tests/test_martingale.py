@@ -158,9 +158,8 @@ def test_supermartingale_zero_noise_deterministic(g2):
 @pytest.mark.parametrize("sigma", [0.0, SIGMA])
 @pytest.mark.parametrize("d", [1, 3])
 def test_zero_noise_bootstrap_bound_is_the_estimate(monkeypatch, d, sigma):
-    # with no noise each weight row is constant, and each resample's mean sums
-    # the row's values in the row mean's order: the one bootstrap gives every
-    # k its estimate as the bound, bit for bit
+    # with no noise each weight row is constant: no row is resampled, and
+    # every k has its estimate as the bound
     obj = quadratic(np.linspace(1.0, 2.0, d))
     sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
     value, width = gamma2(sched, sigma, 1e-6)
@@ -170,8 +169,18 @@ def test_zero_noise_bootstrap_bound_is_the_estimate(monkeypatch, d, sigma):
     recs = check_supermartingale(obj, calibrate(NoiseKind.NONE, d, sigma), sched,
                                  obj.minimizer + 1.0, 11, [1, 2, 10], 1.0 / (value + width), 1000,
                                  gamma2_value=value + width)
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert [r["bootstrap_hi"].hex() for r in recs] == [r["estimate"].hex() for r in recs]
+
+
+@pytest.mark.parametrize("value", [1.0, 0.1, math.exp(-3.7), 5e-324])
+@pytest.mark.parametrize("n", [1000, 4097])
+def test_bootstrap_of_a_constant_row_is_its_mean(value, n):
+    # each resample's mean sums the row's n values in the row mean's order, so
+    # skipping a constant row and giving it its mean changes no bit; the mean
+    # of n equal doubles can miss that double, so the row's spread is not 0
+    row = np.full((1, n), value)
+    assert bootstrap_upper_quantile(row, key=(3,))[0].hex() == np.mean(row[0]).hex()
 
 
 def test_supermartingale_validation(g2):

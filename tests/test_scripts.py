@@ -79,3 +79,25 @@ def test_output_digests_fail_and_name_the_files_when_worker_counts_differ(monkey
     runs[2] = runs[1]
     assert script.main() == 0
     assert capsys.readouterr().err == ""
+
+
+def test_output_digests_run_the_standard_set_with_no_config(monkeypatch):
+    # every entry of the standard set loads and parses; nothing is run
+    import importlib.util
+
+    from stoplab.harness import parse_config
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    spec = importlib.util.spec_from_file_location("output_digests", SCRIPTS / "output_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    ran = []
+    monkeypatch.setattr(script, "digests",
+                        lambda config, workers, root: ran.append((config, workers)) or [])
+    monkeypatch.setattr(sys, "argv", ["output_digests.py"])
+    assert script.main() == 0
+    assert ran == [(c, w) for c in script.STANDARD for w in script.WORKERS]
+    names = [Path(c).name for c in script.STANDARD if c.startswith("scripts/digest_configs/")]
+    assert len(names) == 5 and "diverge-prefix.json" in names
+    for config in script.STANDARD:
+        parse_config(script.load(config))
