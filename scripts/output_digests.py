@@ -15,9 +15,10 @@ was:
 With no CONFIG it runs the standard set, ``STANDARD``: the two committed
 configs, the four workloads at seed 5 and the documents under
 ``scripts/digest_configs/`` (zero noise, a least-squares and a Huber
-problem, and two runs that diverge, one in the ensemble and one in the
-supermartingale check's prefix).  A path is read from the working
-directory, else from the repository root.
+problem, bounded-sphere noise over two noise blocks, and two runs that
+diverge, one in the ensemble and one in the supermartingale check's
+prefix).  A path is read from the working directory, else from the
+repository root.
 
 The exit status is 1, with the files named on standard error, when a
 config's outputs at 1 and 2 workers differ: results must be bitwise the

@@ -64,15 +64,26 @@ class _PhiloxKey(ISeedSequence):
         return np.array([self.key, 0], dtype=np.uint64)
 
 
-def philox(key: int) -> np.random.Generator:
+def philox(key: int, reuse: np.random.Generator | None = None) -> np.random.Generator:
     """A generator on ``Philox(key=key)``'s stream, for a key in [0, 2^64).
 
     ``Philox(key=...)`` also seeds a throwaway ``SeedSequence`` from OS
     entropy, which costs more than the rest of the construction; a key-only
-    seed sequence skips it.  The state and every draw are those of
+    seed sequence skips it.  Given ``reuse``, a generator this function made
+    earlier, wherever its stream stands, the start of ``key``'s stream
+    (counter 0, an empty 4-word buffer, no stored half-word) is written into
+    its state from constant tuples, which the setter only reads, and
+    ``reuse`` is returned: Philox is counter-based, so key and counter fix
+    the stream, and a re-key costs about a fifth of building and dropping a
+    generator.  Either way the state and every draw are those of
     ``Philox(key=key)``.
     """
-    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+    if reuse is None:
+        return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+    reuse.bit_generator.state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0),
+                                 "state": {"counter": (0, 0, 0, 0), "key": (key, 0)},
+                                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return reuse
 
 
 def spawn_seed(seed: int, *spawn_key: int) -> int:
@@ -103,18 +114,20 @@ def sample(model: NoiseModel, rng: np.random.Generator, n: int | None = None,
 def keyed_draws(model: NoiseModel, n: int, chunk: int, key: tuple, fn):
     """n draws in chunks of ``chunk``, chunk c from ``philox(spawn_seed(*key, c))``.
 
-    Yields (lo, values) per chunk, lo its first draw's index: ``fn(draws,
-    out)`` writes each (nb, dim) sub-block's nb values into ``out``, a slice
-    of ``values``.  A sub-block, at most ``_DRAW_BLOCK`` doubles, is drawn
-    into one reused buffer; a stream is read in order, so the sub-blocks are
-    the chunk's draws bit for bit.  ``values`` is reused by the next chunk.
+    One generator, re-keyed for each chunk (``philox``'s ``reuse``), reads
+    every chunk's stream.  Yields (lo, values) per chunk, lo its first
+    draw's index: ``fn(draws, out)`` writes each (nb, dim) sub-block's nb
+    values into ``out``, a slice of ``values``.  A sub-block, at most
+    ``_DRAW_BLOCK`` doubles, is drawn into one reused buffer; a stream is
+    read in order, so the sub-blocks are the chunk's draws bit for bit.
+    ``values`` is reused by the next chunk.
     """
     per_block = max(1, _DRAW_BLOCK // model.dim)
     buf = np.empty((min(per_block, chunk, n), model.dim))
-    values = np.empty(min(chunk, n))
+    values, rng = np.empty(min(chunk, n)), None
     for ci, lo in enumerate(range(0, n, chunk)):
         m = min(chunk, n - lo)
-        rng = philox(spawn_seed(*key, ci))
+        rng = philox(spawn_seed(*key, ci), rng)
         for a in range(0, m, per_block):
             nb = min(per_block, m - a)
             fn(sample(model, rng, nb, out=buf[:nb]), values[a:a + nb])

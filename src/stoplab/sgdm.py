@@ -50,6 +50,7 @@ _NOISE_BYTES = 1 << 24
 # B is 10 at cov-wide's R = 1000, 60 at checks-all's R = 200, 8 at lsq-d64
 # and 7 at highdim-d1200.
 _SLAB_BYTES = 1 << 21
+# STEP_ARRAYS = 2 fails test_harness::test_slab_budget_counts_the_dim_stacks at 4 MiB
 DIM_STACKS, STEP_ARRAYS = 3, 3
 
 
@@ -336,11 +337,13 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
     Each trajectory's noise comes from its own Philox stream, read in order,
     in (m, dim, R) blocks of up to 1024 steps and ``_NOISE_BYTES``, drawn a
     ``_DRAW_BLOCK``-double tile at a time (one call a trajectory, its m steps
-    a row of the tile) and copied in.  A trajectory's generator is made at
-    its first draw and dropped after its last, so a run of one block holds
-    one generator at a time.  A slab ends at K and at a block's end,
-    its theta stack a view of the block, which is dropped before the next is
-    drawn: a consumer that drops each slab before pulling the next holds one.
+    a row of the tile) and copied in.  A run of one block reads every
+    stream through one generator, re-keyed to each trajectory's key in turn
+    (``philox``'s ``reuse``); a run of several makes each trajectory's
+    generator at its first draw and drops it after its last block.  A slab
+    ends at K and at a block's end, its theta stack a view of the block,
+    which is dropped before the next is drawn: a consumer that drops each
+    slab before pulling the next holds one.
     """
     if K < 1 or rows < 1:
         raise ValueError("K and rows must be >= 1")
@@ -356,13 +359,16 @@ def stream_ensemble(obj: Objective, noise: NoiseModel, sched: ScheduleVariant, K
             noise_block = theta = None  # the spent block goes first
             noise_block = np.empty((m, dim, R))
             tile = np.empty((min(max(_DRAW_BLOCK // (m * dim), 1), R), m, dim))
+            more, spare = k0 + m <= K, None  # a later block reads the streams on
             for r0 in range(0, R, len(tile)):
                 for i, r in enumerate(range(r0, min(r0 + len(tile), R))):
-                    gen = gens[r] if gens[r] is not None else philox(seeds[r])
+                    gen = gens[r]
+                    if gen is None:  # the streams that end in this block share one, re-keyed
+                        gen = philox(seeds[r]) if more else (spare := philox(seeds[r], spare))
                     sample(noise, gen, m, out=tile[i])
-                    gens[r], gen = (gen if k0 + m <= K else None), None
+                    gens[r] = gen if more else None
                 noise_block[:, :, r0:r0 + i + 1] = tile[:i + 1].transpose(1, 2, 0)
-            tile = None  # held only while the block is filled
+            tile = spare = gen = None  # held only while the block is filled
             ks = np.arange(k0, k0 + m)[:, None]
             etas, a_ks = schedule_columns(sched, ks.astype(float))
             ws = energy_weight(ks, etas)

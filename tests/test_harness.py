@@ -282,7 +282,8 @@ def test_no_philox_key_is_made_twice(tmp_path, monkeypatch):
         if name.startswith("stoplab."):
             for attr, value in list(vars(module).items()):
                 if value is real:
-                    monkeypatch.setattr(module, attr, lambda key: made.append(int(key)) or real(key))
+                    monkeypatch.setattr(module, attr, lambda key, reuse=None: made.append(
+                        int(key)) or real(key, reuse))
     options = {"n_branches": 5000, "supermartingale_ks": [1, 2], "mgf_n_samples": 40000,
                "tail_n_runs": 100, "tail_c_len": 3, "csv_trajectories": 0}
     run_experiment(parse_config(_base_raw(tmp_path, K=5, R=4, checks=list(CHECKS),

@@ -24,6 +24,26 @@ def test_philox_is_the_keyed_philox(key):
     assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
 
 
+@pytest.mark.parametrize("key", [0, 1, 2**63, 2**64 - 1, spawn_seed(7, 1 << 20)])
+@pytest.mark.parametrize("left", ["half-word", "part-read-buffer"])
+def test_philox_reuse_is_the_fresh_keyed_philox(key, left):
+    # a generator left mid-stream, with a stored uint32 half-word or after an
+    # odd number of normals, re-keyed, reads Philox(key=...)'s stream from its start
+    gen = philox(99)
+    if left == "half-word":
+        gen.integers(0, 1 << 31, 3, dtype=np.uint32)
+        assert gen.bit_generator.state["has_uint32"] == 1
+    else:
+        gen.standard_normal(5)
+        assert gen.bit_generator.state["buffer_pos"] == 1
+    ours, ref = philox(key, gen), np.random.Generator(np.random.Philox(key=key))
+    assert ours is gen
+    assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
+    assert np.array_equal(ours.standard_normal(1000), ref.standard_normal(1000))
+    assert np.array_equal(ours.integers(0, 1 << 62, 100), ref.integers(0, 1 << 62, 100))
+    assert repr(ours.bit_generator.state) == repr(ref.bit_generator.state)
+
+
 def test_gaussian_calibration_formula():
     for d in (1, 2, 5, 50):
         m = calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, d, 1.5)

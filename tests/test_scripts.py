@@ -98,6 +98,6 @@ def test_output_digests_run_the_standard_set_with_no_config(monkeypatch):
     assert script.main() == 0
     assert ran == [(c, w) for c in script.STANDARD for w in script.WORKERS]
     names = [Path(c).name for c in script.STANDARD if c.startswith("scripts/digest_configs/")]
-    assert len(names) == 5 and "diverge-prefix.json" in names
+    assert len(names) == 6 and {"diverge-prefix.json", "sphere-blocks.json"} <= set(names)
     for config in script.STANDARD:
         parse_config(script.load(config))

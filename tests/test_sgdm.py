@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -74,10 +75,12 @@ def test_schedule_columns_are_bitwise_the_scalar_calls(sched):
 
 
 def test_stream_holds_each_generator_from_its_first_draw_to_its_last(monkeypatch):
-    # each trajectory's Philox generator (about 730 bytes) is made at its
-    # first draw and dropped after its last: with blocks of 4 steps at K = 10
-    # (slabs of up to 3) all R live through the first two blocks and none
-    # past the last one's draw; a one-block run holds one at a time
+    # in a run of several blocks each trajectory's Philox generator (about
+    # 730 bytes) is made at its first draw and dropped after its last: with
+    # blocks of 4 steps at K = 10 (slabs of up to 3) all R live through the
+    # first two blocks and none past the last one's draw; a one-block run
+    # makes one generator, re-keyed for every trajectory, and holds none
+    # past the block's draw
     import weakref
 
     class Gen(np.random.Generator):  # a numpy Generator takes no weak reference
@@ -89,11 +92,18 @@ def test_stream_holds_each_generator_from_its_first_draw_to_its_last(monkeypatch
         return sum(ref() is not None for ref in refs)
 
     philox, made = sgdm.philox, []
-    monkeypatch.setattr(sgdm, "philox", lambda key: made.append(alive()) or refs.append(
-        weakref.ref(gen := Gen(philox(key).bit_generator))) or gen)
+
+    def made_or_rekeyed(key, reuse=None):
+        if reuse is not None:
+            return philox(key, reuse)
+        made.append(alive())
+        refs.append(weakref.ref(gen := Gen(philox(key).bit_generator)))
+        return gen
+
+    monkeypatch.setattr(sgdm, "philox", made_or_rekeyed)
     obj, noise, R = quadratic(np.ones(2)), calibrate(NoiseKind.GAUSSIAN_ISOTROPIC, 2, 1.0), 5
     monkeypatch.setattr(sgdm, "_NOISE_BYTES", 4 * 8 * 2 * R)
-    for K, before, per_slab in ((10, list(range(R)), [R, R, R, R, 0]), (3, [0] * R, [0])):
+    for K, before, per_slab in ((10, list(range(R)), [R, R, R, R, 0]), (3, [0], [0])):
         refs.clear()
         made.clear()
         got = [alive() for _ in stream_ensemble(obj, noise, SCHED1, K, derive_seeds(5, R),
@@ -371,22 +381,26 @@ def test_noise_blocks_are_bounded_by_bytes(monkeypatch):
 def test_tiled_noise_blocks_are_the_one_draw_per_trajectory_blocks(monkeypatch, kind, dim):
     # every block's noise, drawn a tile of trajectories at a time, holds the
     # bits of one fresh m-step draw per trajectory put into its column.  Blocks
-    # of m = 7 steps (3 at d = 1200) end at K = 2 m + 2.  Tiles of 4
-    # trajectories at R = 11 (the last tile short), of 1, of the real budget's
-    # T cut to R = 5, and at d >= 64 of that T at R = T + 2
+    # of m = 7 steps (3 at d = 1200) end at K = 2 m + 2, where each trajectory
+    # keeps its generator between blocks, and at K = m, one block read through
+    # one re-keyed generator.  Tiles of 4 trajectories at R = 11 (the last tile
+    # short), of 1, of the real budget's T cut to R = 5, and at d >= 64 of
+    # that T at R = T + 2
     m = 3 if dim == 1200 else 7
-    K, T = 2 * m + 2, NOISE_DRAW_BLOCK // (m * dim)
+    T = NOISE_DRAW_BLOCK // (m * dim)
     obj = quadratic(np.linspace(1.0, 2.0, dim))
     sched = ScheduleVariant(Variant.THEOREM_MAIN, L=obj.smoothness)
     noise = NoiseModel(kind, dim, 0.0, 0.0) if kind is NoiseKind.NONE else calibrate(kind, dim, 1.0)
     shapes = [(11, 4 * m * dim + m * dim // 2), (5, 1), (5, NOISE_DRAW_BLOCK)]
     assert T > 5
-    for R, budget in shapes + ([(T + 2, NOISE_DRAW_BLOCK)] if dim >= 64 else []):
+    for (R, budget), (K, lens) in itertools.product(
+            shapes + ([(T + 2, NOISE_DRAW_BLOCK)] if dim >= 64 else []),
+            [(2 * m + 2, [m, m, 2]), (m, [m])]):
         monkeypatch.setattr(sgdm, "_DRAW_BLOCK", budget)
         monkeypatch.setattr(sgdm, "_NOISE_BYTES", m * 8 * dim * R)
         seeds = derive_seeds(11, R)
         slabs = list(stream_ensemble(obj, noise, sched, K, seeds, np.ones(dim), (), K))
-        assert [len(s.k) for s in slabs] == [m, m, 2]
+        assert [len(s.k) for s in slabs] == lens
         want = np.empty((K, dim, R))
         for i, seed in enumerate(seeds):
             gen = sgdm.philox(int(seed))
